@@ -25,8 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import MultipathSpec
+from .channel import MultipathSpec, active_channel_matrix
 from .errors import (
+    InfeasibleLayout,
     RankDeficientSupport,
     SingularAggregate,
     TauTooShort,
@@ -36,9 +37,10 @@ from .geometry import (
     ArrayLayout,
     CouplerPlacement,
     random_feasible_placement,
+    single_coupler_moves,
 )
 from .impedance import DipoleModel, build_block, build_blocks
-from .precoding import all_mech_weights, effective_channel, mech_weights
+from .precoding import all_mech_weights, antenna_parts, effective_channel, mech_weights
 
 DEFAULT_GRID_SIZE = 256
 DEFAULT_THRESHOLD = 4.0  # ~6 dB above the effective noise floor
@@ -133,8 +135,9 @@ def _annulus_placement(layout: ArrayLayout, rng: np.random.Generator,
                 pos[m] = pts
                 break
         else:
-            raise RuntimeError(
-                f"could not draw an annulus placement for antenna {m}")
+            raise InfeasibleLayout(
+                f"could not draw an annulus placement for antenna {m} "
+                f"in {max_tries} tries")
     return CouplerPlacement(pos)
 
 
@@ -664,33 +667,31 @@ def exhaustive_baseline(
         xx, yy = np.meshgrid(xs, ys)
         candidates[m] = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def measure_row(placement, m):
-        g = true_effective(spec, placement, layout, model)[m]  # (K,)
-        noise = np.sqrt(session.sigma2 / 2.0) * (
-            rng.standard_normal(session.tau) + 1j * rng.standard_normal(session.tau)
-        )
-        y = g @ session.S + noise
+    h_active = active_channel_matrix(spec, layout)
+    sigma = np.sqrt(session.sigma2 / 2.0)
+
+    def measure(g):
+        """Pilot-correlated measurements of channels g (..., K).  The noise
+        block holds the real then the imaginary part of each measurement in
+        turn, the same stream as drawing one measurement after another."""
+        w = rng.standard_normal(g.shape[:-1] + (2, session.tau))
+        y = g @ session.S + sigma * (w[..., 0, :] + 1j * w[..., 1, :])
         return pilot_correlate(y, session.S, session.tau)
 
-    base = np.zeros((M, K), dtype=complex)
-    for m in range(M):
-        base[m] = measure_row(parked, m)
+    base = measure(antenna_parts(spec, parked.positions, np.arange(M), layout, model,
+                                 h_active)[0])
 
     table = np.zeros((M, N, D_actual, K), dtype=complex)
     feasible = np.zeros((M, N, D_actual), dtype=bool)
     for m in range(M):
         q = layout.active_position(m)
         for n in range(N):
-            others = np.delete(parked.positions[m], n, axis=0)
-            ref = np.vstack([q[None, :], others]) if others.size else q[None, :]
-            for d in range(D_actual):
-                c = candidates[m, d]
-                if np.min(np.hypot(ref[:, 0] - c[0], ref[:, 1] - c[1])) < layout.min_sep_m:
-                    continue
-                feasible[m, n, d] = True
-                moved = parked.copy()
-                moved.positions[m, n] = c
-                table[m, n, d] = measure_row(moved, m)
+            ok, moved = single_coupler_moves(parked.positions[m], n, q, candidates[m],
+                                             layout.min_sep_m)
+            feasible[m, n] = ok
+            if ok.any():
+                table[m, n, ok] = measure(antenna_parts(spec, moved, m, layout, model,
+                                                        h_active)[0])
 
     ledger = {
         "candidate_measurements_per_user_per_block": M * N * D_actual,

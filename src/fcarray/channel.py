@@ -100,19 +100,19 @@ def steering_active(phi, layout: ArrayLayout) -> np.ndarray:
 def steering_coupler(phi, placement: CouplerPlacement, layout: ArrayLayout) -> np.ndarray:
     """Coupler steering vector stacked antenna-major, coupler-minor; entries
     exp(-j k kappa(phi) . p_{n,m}) with kappa = [cos phi, sin phi]."""
-    phi = np.asarray(phi, dtype=float)
-    k0 = 2.0 * np.pi / layout.lam
-    flat = placement.positions.reshape(-1, 2)  # (M*N, 2)
-    proj = np.cos(phi)[..., None] * flat[:, 0] + np.sin(phi)[..., None] * flat[:, 1]
-    return np.exp(-1j * k0 * proj)
+    return steering_coupler_block(phi, placement.positions.reshape(-1, 2), layout.lam)
 
 
 def steering_coupler_block(phi, p_m: np.ndarray, lam: float) -> np.ndarray:
-    """Per-antenna variant for positions p_m of shape (N, 2); ``phi`` scalar
-    or array, output (..., N)."""
+    """Per-antenna variant for positions p_m of shape (N, 2) or a batch
+    (..., N, 2); ``phi`` scalar or array, output (batch..., phi..., N)."""
     phi = np.asarray(phi, dtype=float)
+    p_m = np.asarray(p_m, dtype=float)
     k0 = 2.0 * np.pi / lam
-    proj = np.cos(phi)[..., None] * p_m[:, 0] + np.sin(phi)[..., None] * p_m[:, 1]
+    # batch axes of p_m lead, then the axes of phi, then the coupler axis
+    grid = p_m.shape[:-2] + (1,) * phi.ndim + p_m.shape[-2:-1]
+    proj = (np.cos(phi)[..., None] * p_m[..., 0].reshape(grid)
+            + np.sin(phi)[..., None] * p_m[..., 1].reshape(grid))
     return np.exp(-1j * k0 * proj)
 
 
@@ -146,11 +146,12 @@ def active_channel_matrix(spec: MultipathSpec, layout: ArrayLayout) -> np.ndarra
 
 
 def coupler_channel_block(spec: MultipathSpec, p_m: np.ndarray, lam: float) -> np.ndarray:
-    """(K, N) coupler channels of one antenna for all users."""
-    if p_m.shape[0] == 0:
-        return np.zeros((spec.K, 0), dtype=complex)
-    a_c = steering_coupler_block(spec.angles, p_m, lam)  # (K, L, N)
-    return np.einsum("kl,kln->kn", spec.gains, a_c)
+    """(K, N) coupler channels of one antenna for all users; a batch of
+    positions (..., N, 2) gives (..., K, N)."""
+    if p_m.shape[-2] == 0:
+        return np.zeros(p_m.shape[:-2] + (spec.K, 0), dtype=complex)
+    a_c = steering_coupler_block(spec.angles, p_m, lam)  # (..., K, L, N)
+    return np.einsum("kl,...kln->...kn", spec.gains, a_c)
 
 
 def sample_channels(

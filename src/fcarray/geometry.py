@@ -422,6 +422,20 @@ def load_placement(path) -> tuple[CouplerPlacement, ArrayLayout]:
     return CouplerPlacement(np.array(doc["placements"])), layout
 
 
+def single_coupler_moves(p_m: np.ndarray, n: int, q_m: np.ndarray, points: np.ndarray,
+                         min_dist: float) -> tuple[np.ndarray, np.ndarray]:
+    """Antenna positions ``p_m`` (N, 2) with coupler n moved to each of
+    ``points`` (D, 2) that stays ``min_dist`` from the active element ``q_m``
+    and the other couplers; returns the (D,) mask of such points and the
+    moved positions (mask.sum(), N, 2)."""
+    anchors = np.vstack([q_m[None, :], np.delete(p_m, n, axis=0)])
+    d = np.hypot(anchors[:, 0] - points[:, 0, None], anchors[:, 1] - points[:, 1, None])
+    ok = np.min(d, axis=1) >= min_dist
+    moved = np.repeat(p_m[None], int(ok.sum()), axis=0)
+    moved[:, n] = points[ok]
+    return ok, moved
+
+
 def random_feasible_placement(
     layout: ArrayLayout, rng: np.random.Generator, max_tries: int = 10000
 ) -> CouplerPlacement:

@@ -108,51 +108,54 @@ def mutual_impedance(d, model: DipoleModel):
 class ImpedanceBlock:
     """Impedance description of one antenna: active self impedance, the
     active-to-coupler vector z_bar, the coupler-to-coupler matrix Z_hat, and
-    the diagonal load matrix X."""
+    the diagonal load matrix X.  A batched block carries leading batch axes
+    on ``z_bar`` and ``Z_hat``; ``X`` stays the shared (N, N) load matrix."""
 
     z_self: complex
-    z_bar: np.ndarray  # (N,) complex
-    Z_hat: np.ndarray  # (N, N) complex
+    z_bar: np.ndarray  # (..., N) complex
+    Z_hat: np.ndarray  # (..., N, N) complex
     X: np.ndarray  # (N, N) complex diagonal
 
     @property
     def N(self) -> int:
-        return self.z_bar.shape[0]
+        return self.z_bar.shape[-1]
 
     def full_matrix(self) -> np.ndarray:
-        """Assembled (N+1)x(N+1) block; symmetric entries are written from a
-        single evaluation so Z == Z.T holds bit-exactly."""
+        """Assembled (..., N+1, N+1) block; symmetric entries are written
+        from a single evaluation so Z == Z.T holds bit-exactly."""
         N = self.N
-        Z = np.empty((N + 1, N + 1), dtype=complex)
-        Z[0, 0] = self.z_self
-        Z[0, 1:] = self.z_bar
-        Z[1:, 0] = self.z_bar
-        Z[1:, 1:] = self.Z_hat
+        Z = np.empty(self.z_bar.shape[:-1] + (N + 1, N + 1), dtype=complex)
+        Z[..., 0, 0] = self.z_self
+        Z[..., 0, 1:] = self.z_bar
+        Z[..., 1:, 0] = self.z_bar
+        Z[..., 1:, 1:] = self.Z_hat
         return Z
 
 
 def build_block(p_m: np.ndarray, q_m: np.ndarray, model: DipoleModel) -> ImpedanceBlock:
     """Impedance block for one antenna from coupler positions ``p_m`` (N, 2)
-    and the active-element position ``q_m`` (2,)."""
-    p_m = np.asarray(p_m, dtype=float).reshape(-1, 2)
-    q_m = np.asarray(q_m, dtype=float).reshape(2)
-    N = p_m.shape[0]
+    and the active-element position ``q_m`` (2,), or for a batch (..., N, 2)
+    with ``q_m`` (2,) or (..., 2); one ``mutual_impedance`` call in all."""
+    p_m = np.asarray(p_m, dtype=float)
+    p_m = p_m.reshape(-1, 2) if p_m.ndim < 3 else p_m
+    q_m = np.asarray(q_m, dtype=float)
+    batch, N = p_m.shape[:-2], p_m.shape[-2]
     if N == 0:
         return ImpedanceBlock(
             z_self=model.self_impedance,
-            z_bar=np.zeros(0, dtype=complex),
-            Z_hat=np.zeros((0, 0), dtype=complex),
+            z_bar=np.zeros(batch + (0,), dtype=complex),
+            Z_hat=np.zeros(batch + (0, 0), dtype=complex),
             X=np.zeros((0, 0), dtype=complex),
         )
-    d_bar = np.hypot(p_m[:, 0] - q_m[0], p_m[:, 1] - q_m[1])
-    z_bar = np.asarray(mutual_impedance(d_bar, model), dtype=complex).reshape(N)
-    Z_hat = np.full((N, N), model.self_impedance, dtype=complex)
-    if N > 1:
-        iu, ju = np.triu_indices(N, k=1)
-        d_pair = np.hypot(p_m[iu, 0] - p_m[ju, 0], p_m[iu, 1] - p_m[ju, 1])
-        z_pair = np.asarray(mutual_impedance(d_pair, model), dtype=complex)
-        Z_hat[iu, ju] = z_pair
-        Z_hat[ju, iu] = z_pair
+    q_m = q_m[..., None, :]
+    d_bar = np.hypot(p_m[..., 0] - q_m[..., 0], p_m[..., 1] - q_m[..., 1])
+    iu, ju = np.triu_indices(N, k=1)
+    d_pair = np.hypot(p_m[..., iu, 0] - p_m[..., ju, 0], p_m[..., iu, 1] - p_m[..., ju, 1])
+    z = mutual_impedance(np.concatenate([d_bar, d_pair], axis=-1), model)
+    z_bar = z[..., :N]
+    Z_hat = np.full(batch + (N, N), model.self_impedance, dtype=complex)
+    Z_hat[..., iu, ju] = z[..., N:]
+    Z_hat[..., ju, iu] = z[..., N:]
     X = np.diag(np.full(N, model.load_impedance, dtype=complex))
     return ImpedanceBlock(model.self_impedance, z_bar, Z_hat, X)
 

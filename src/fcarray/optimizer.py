@@ -10,11 +10,11 @@ doubled and the update recomputed; after ``max_backtracks`` failed doublings
 the iteration is skipped, which drives the relative-change stopping rule to
 zero and terminates the run.
 
-Gradients are numerical on purpose: the objective composes an impedance
-solve, the MMSE map, and the rate, and a hand chain rule through those maps
-buys nothing at this scale.  Probe feasibility is preserved by shrinking the
-per-antenna sets by one finite-difference step (``margin=fd_step``), so every
-iterate keeps enough clearance for central differences.
+Gradients are central finite differences.  The 4N probes of one antenna
+move only its couplers, so they run as one batch through the stage functions
+(one impedance call, stacked solves, one stacked MMSE), with every per-probe
+check kept.  Probe feasibility is preserved by shrinking the per-antenna sets
+by one finite-difference step (``margin=fd_step``).
 """
 
 from __future__ import annotations
@@ -26,23 +26,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import MultipathSpec, active_channel_matrix
-from .errors import MarginTooSmall
+from .errors import MarginTooSmall, NumericalError
 from .geometry import (
     ArrayLayout,
     CouplerPlacement,
     LinearizedFeasibleSet,
     linearize_spacing,
     project_onto_set,
+    single_coupler_moves,
     uniform_placement,
 )
-from .impedance import DipoleModel, build_block
-from .precoding import (
-    PrecodingState,
-    effective_column,
-    mech_weights,
-    mmse_precoder,
-    power_coefficient,
-)
+from .impedance import DipoleModel
+from .precoding import PrecodingState, antenna_parts, mmse_precoder
 
 
 def _diminishing(t: int) -> float:
@@ -149,9 +144,10 @@ def communication_count(M: int, N: int, rounds: int) -> dict:
 
 
 class ObjectiveEvaluator:
-    """Caches per-antenna pipeline stages so finite-difference probes only
-    recompute the perturbed antenna.  Column-wise assembly makes the cached
-    path bit-identical to a full re-evaluation."""
+    """Sum-rate objective.  A full evaluation runs all M antennas as one batch
+    and is reused while the positions stay equal; ``set_placement`` also fixes
+    the channel against which ``rate_with_override`` scores one antenna's
+    candidate positions."""
 
     def __init__(self, spec: MultipathSpec, layout: ArrayLayout, model: DipoleModel,
                  P_max: float, sigma2: float):
@@ -163,48 +159,38 @@ class ObjectiveEvaluator:
         self.h_active = active_channel_matrix(spec, layout)
         self._G = None
         self._B = None
-
-    def _antenna_parts(self, m: int, p_m: np.ndarray) -> tuple[np.ndarray, float]:
-        block = build_block(p_m, self.layout.active_position(m), self.model)
-        w, _ = mech_weights(block)
-        col = effective_column(self.spec, p_m, w, m, self.h_active, self.layout.lam)
-        b = power_coefficient(block, w)
-        return col, b
-
-    def set_placement(self, placement: CouplerPlacement) -> float:
-        M = self.layout.M
-        G = np.zeros((self.spec.K, M), dtype=complex)
-        B = np.zeros(M)
-        for m in range(M):
-            G[:, m], B[m] = self._antenna_parts(m, placement.positions[m])
-        self._G, self._B = G, B
-        return mmse_precoder(G, B, self.P_max, self.sigma2).sum_rate
-
-    def rate_of(self, placement: CouplerPlacement) -> float:
-        """Full evaluation without touching the cache."""
-        M = self.layout.M
-        G = np.zeros((self.spec.K, M), dtype=complex)
-        B = np.zeros(M)
-        for m in range(M):
-            G[:, m], B[m] = self._antenna_parts(m, placement.positions[m])
-        return mmse_precoder(G, B, self.P_max, self.sigma2).sum_rate
-
-    def rate_with_override(self, m: int, p_m: np.ndarray) -> float:
-        """Rate with antenna m moved to ``p_m`` (N, 2); all else cached."""
-        col, b = self._antenna_parts(m, p_m)
-        G = self._G.copy()
-        B = self._B.copy()
-        G[:, m] = col
-        B[m] = b
-        return mmse_precoder(G, B, self.P_max, self.sigma2).sum_rate
+        self._last = None  # (positions, state) of the latest full evaluation
 
     def state_of(self, placement: CouplerPlacement) -> PrecodingState:
-        M = self.layout.M
-        G = np.zeros((self.spec.K, M), dtype=complex)
-        B = np.zeros(M)
-        for m in range(M):
-            G[:, m], B[m] = self._antenna_parts(m, placement.positions[m])
-        return mmse_precoder(G, B, self.P_max, self.sigma2)
+        """MMSE state at a placement; the latest one is reused."""
+        pos = placement.positions
+        if self._last is None or not np.array_equal(self._last[0], pos):
+            cols, B = antenna_parts(self.spec, pos, np.arange(self.layout.M),
+                                    self.layout, self.model, self.h_active)
+            G = np.ascontiguousarray(cols.T)
+            state = mmse_precoder(G, B, self.P_max, self.sigma2)
+            self._last = (pos.copy(), state)
+        return self._last[1]
+
+    def set_placement(self, placement: CouplerPlacement) -> float:
+        state = self.state_of(placement)
+        self._G, self._B = state.G, state.B
+        return state.sum_rate
+
+    def rate_of(self, placement: CouplerPlacement) -> float:
+        """Full evaluation without touching the probe cache."""
+        return self.state_of(placement).sum_rate
+
+    def rate_with_override(self, m: int, p_m: np.ndarray):
+        """Rate with antenna m moved to ``p_m`` (N, 2); all else cached.  A
+        batch of positions (..., N, 2) gives one rate per entry."""
+        col, b = antenna_parts(self.spec, p_m, m, self.layout, self.model, self.h_active)
+        batch = np.shape(b)
+        G = np.broadcast_to(self._G, batch + self._G.shape).copy()
+        B = np.broadcast_to(self._B, batch + self._B.shape).copy()
+        G[..., m] = col
+        B[..., m] = b
+        return mmse_precoder(G, B, self.P_max, self.sigma2).sum_rate
 
 
 def objective(
@@ -252,20 +238,17 @@ def gradient(
     fd_step: float,
 ) -> np.ndarray:
     """Central-difference gradient of the objective w.r.t. antenna m's
-    flattened coupler coordinates.  The evaluator must be cached at
-    ``placement``."""
+    flattened coupler coordinates, all 2 * 2N probes scored in one batch.
+    The evaluator must be cached at ``placement``."""
     check_margin(placement, m, evaluator.layout, fd_step)
-    base = placement.positions[m]
+    base = placement.positions[m].reshape(-1)
     n_coord = base.size
-    g = np.zeros(n_coord)
-    for i in range(n_coord):
-        probe = base.reshape(-1).copy()
-        probe[i] += fd_step
-        r_plus = evaluator.rate_with_override(m, probe.reshape(-1, 2))
-        probe[i] -= 2.0 * fd_step
-        r_minus = evaluator.rate_with_override(m, probe.reshape(-1, 2))
-        g[i] = (r_plus - r_minus) / (2.0 * fd_step)
-    return g
+    step = fd_step * np.eye(n_coord)
+    plus = base + step
+    minus = plus - 2.0 * step
+    rates = evaluator.rate_with_override(
+        m, np.concatenate([plus, minus]).reshape(2 * n_coord, -1, 2))
+    return (rates[:n_coord] - rates[n_coord:]) / (2.0 * fd_step)
 
 
 def local_step(
@@ -382,7 +365,7 @@ def optimize(
             wire_vecs = transport.run_round(t, steps, alpha_t)
             for m in range(M):
                 if not np.array_equal(wire_vecs[m], cand.antenna_vector(m)):
-                    raise RuntimeError(
+                    raise NumericalError(
                         f"LPU {m} update diverged from the reference path"
                     )
                 cand = cand.with_antenna_vector(m, wire_vecs[m])
@@ -431,23 +414,17 @@ def screened_initial_placement(
         pad = 2.0 * (0.5 * layout.region_side_m) / (points_per_axis + 1)
         xs = np.linspace(lo[0] + pad / 2, hi[0] - pad / 2, points_per_axis)
         ys = np.linspace(lo[1] + pad / 2, hi[1] - pad / 2, points_per_axis)
+        lattice = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
         ev.set_placement(best)
         for n in range(layout.N):
             pts_m = best.positions[m].copy()
             best_rate = ev.rate_with_override(m, pts_m)
-            best_pt = pts_m[n].copy()
-            others = np.delete(pts_m, n, axis=0)
-            anchors = np.vstack([q[None, :], others]) if others.size else q[None, :]
-            for x in xs:
-                for y in ys:
-                    d = np.hypot(anchors[:, 0] - x, anchors[:, 1] - y)
-                    if np.min(d) < layout.min_sep_m + margin:
-                        continue
-                    pts_m[n] = [x, y]
-                    r = ev.rate_with_override(m, pts_m)
-                    if r > best_rate:
-                        best_rate = r
-                        best_pt = np.array([x, y])
-            pts_m[n] = best_pt
+            ok, probes = single_coupler_moves(pts_m, n, q, lattice, layout.min_sep_m + margin)
+            if ok.any():
+                rates = ev.rate_with_override(m, probes)
+                # first lattice point (x-major) strictly above the current rate
+                i = int(np.argmax(rates))
+                if rates[i] > best_rate:
+                    pts_m[n] = probes[i, n]
             best = best.with_antenna_vector(m, pts_m.reshape(-1))
     return best

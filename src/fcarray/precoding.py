@@ -11,6 +11,7 @@ without affecting any reported metric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +24,7 @@ from .channel import (
 )
 from .errors import NonPositivePower, NonPSD, SingularGram, SingularSystem
 from .geometry import ArrayLayout, CouplerPlacement, uniform_placement
-from .impedance import DipoleModel, ImpedanceBlock, build_blocks
+from .impedance import DipoleModel, ImpedanceBlock, build_block, build_blocks
 
 COND_LIMIT = 1e12
 
@@ -48,16 +49,25 @@ class MechanicalWeights:
         return np.concatenate([[1.0 + 0.0j], -self.w[m]])
 
 
+def _scalar(x):
+    """Plain float for an unbatched (0-d) result, the array otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def mech_weights(block: ImpedanceBlock) -> tuple[np.ndarray, float]:
-    """Solve one antenna's coupling system; returns (w, condition number)."""
+    """Solve one antenna's coupling system; returns (w, condition number).
+    A batched block gives w (..., N) and one condition number per entry; a
+    single ill-conditioned entry fails the whole batch."""
+    batch = block.z_bar.shape[:-1]
     if block.N == 0:
-        return np.zeros(0, dtype=complex), 1.0
+        return np.zeros(batch + (0,), dtype=complex), _scalar(np.ones(batch))
     A = block.Z_hat + block.X
-    cond = float(np.linalg.cond(A))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularSystem(f"coupling system condition {cond:.3e} exceeds {COND_LIMIT:.0e}")
-    w = np.linalg.solve(A, block.z_bar)
-    return w, cond
+    cond = np.linalg.cond(A)
+    worst = float(cond.max(initial=0.0))
+    if not math.isfinite(worst) or worst > COND_LIMIT:
+        raise SingularSystem(f"coupling system condition {worst:.3e} exceeds {COND_LIMIT:.0e}")
+    w = np.linalg.solve(A, block.z_bar[..., None])[..., 0]
+    return w, _scalar(cond)
 
 
 def all_mech_weights(blocks: list[ImpedanceBlock]) -> MechanicalWeights:
@@ -74,11 +84,28 @@ def effective_column(
     spec: MultipathSpec, p_m: np.ndarray, w_m: np.ndarray, m: int,
     h_active: np.ndarray, lam: float,
 ) -> np.ndarray:
-    """Column m of G for all users: h_A[:, m] - (h_C block) @ w_m."""
-    h_cm = coupler_channel_block(spec, p_m, lam)  # (K, N)
-    if w_m.size:
-        return h_active[:, m] - h_cm @ w_m
-    return h_active[:, m].copy()
+    """Column m of G for all users: h_A[:, m] - (h_C block) @ w_m.  Batched
+    positions (..., N, 2) and weights give (..., K); ``m`` may then be an
+    index array matching the batch."""
+    h_cm = coupler_channel_block(spec, p_m, lam)  # (..., K, N)
+    h_am = h_active.T[m]  # (K,) or (..., K)
+    if w_m.shape[-1]:
+        return h_am - (h_cm @ w_m[..., None])[..., 0]
+    return np.broadcast_to(h_am, h_cm.shape[:-1]).copy()
+
+
+def antenna_parts(
+    spec: MultipathSpec, p_m: np.ndarray, m, layout: ArrayLayout, model: DipoleModel,
+    h_active: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The per-antenna chain (impedance block, weights, effective column,
+    power coefficient) at coupler positions ``p_m`` (..., N, 2); returns the
+    columns (..., K) and coefficients (...).  ``m`` is one antenna index or an
+    index array matching the batch axes."""
+    block = build_block(p_m, layout.active_positions()[m], model)
+    w, _ = mech_weights(block)
+    return (effective_column(spec, p_m, w, m, h_active, layout.lam),
+            power_coefficient(block, w))
 
 
 def effective_channel(
@@ -98,12 +125,14 @@ def effective_channel(
 
 
 def power_coefficient(block: ImpedanceBlock, w_m: np.ndarray) -> float:
-    """b_m = w_tilde^H Re{Z_m} w_tilde for one antenna."""
-    w_t = np.concatenate([[1.0 + 0.0j], -w_m])
-    val = float(np.real(w_t.conj() @ np.real(block.full_matrix()) @ w_t))
-    if val <= 0.0:
-        raise NonPositivePower(f"power coefficient b_m = {val:.3e} is not positive")
-    return val
+    """b_m = w_tilde^H Re{Z_m} w_tilde for one antenna, or one value per
+    entry of a batched block and weights (..., N)."""
+    w_t = np.concatenate([np.ones(w_m.shape[:-1] + (1,), dtype=complex), -w_m], axis=-1)
+    quad = w_t.conj()[..., None, :] @ np.real(block.full_matrix()) @ w_t[..., :, None]
+    val = np.real(quad[..., 0, 0])
+    if np.any(val <= 0.0):
+        raise NonPositivePower(f"power coefficient b_m = {np.min(val):.3e} is not positive")
+    return _scalar(val)
 
 
 def power_matrix(blocks: list[ImpedanceBlock], weights: MechanicalWeights) -> np.ndarray:
@@ -140,51 +169,60 @@ class PrecodingState:
         }
 
 
+def _regularized_inverse(G_bar: np.ndarray, P_max: float, sigma2: float):
+    """Regularized inverse of the whitened channel (..., K, ports), scaled to
+    ||F||_F^2 = P_max; returns (F, beta, alpha, Gram condition number)."""
+    K = G_bar.shape[-2]
+    alpha = K * sigma2 / P_max
+    G_bar_h = np.swapaxes(G_bar.conj(), -1, -2)
+    gram = G_bar @ G_bar_h + alpha * np.eye(K)
+    cond = np.linalg.cond(gram)
+    worst = float(cond.max(initial=0.0))
+    if not math.isfinite(worst) or worst > 1e14:
+        raise SingularGram(f"regularized Gram condition {worst:.3e}")
+    F_hat = G_bar_h @ np.linalg.solve(gram, np.eye(K, dtype=complex))
+    # Frobenius norm per batch entry, summed as np.linalg.norm sums one matrix
+    flat = F_hat.reshape(F_hat.shape[:-2] + (1, -1))
+    sq = flat.real @ np.swapaxes(flat.real, -1, -2) + flat.imag @ np.swapaxes(flat.imag, -1, -2)
+    norm = np.sqrt(sq[..., 0, 0])
+    # zero channel: the regularized LS solution is F = 0 and no power
+    # loading can meet the budget; degrade to the silent precoder (beta = 0)
+    beta = np.sqrt(P_max) / np.where(norm == 0.0, np.inf, norm)
+    return beta[..., None, None] * F_hat, beta, alpha, cond
+
+
 def mmse_precoder(
     G: np.ndarray, B: np.ndarray, P_max: float, sigma2: float
 ) -> PrecodingState:
     """Regularized-inverse precoder on the whitened channel, power-loaded to
-    meet the transmit budget with equality."""
+    meet the transmit budget with equality.  Batched ``G`` (..., K, M) and
+    ``B`` (..., M) give batched state arrays and one sum rate per entry."""
     if P_max <= 0:
         raise ValueError("P_max must be positive")
     B = np.asarray(B, dtype=float)
     if np.any(B <= 0):
         raise NonPositivePower("power matrix must be strictly positive")
-    K = G.shape[0]
-    alpha = K * sigma2 / P_max
-    G_bar = G / np.sqrt(B)[None, :]
-    gram = G_bar @ G_bar.conj().T + alpha * np.eye(K)
-    cond = float(np.linalg.cond(gram))
-    if not np.isfinite(cond) or cond > 1e14:
-        raise SingularGram(f"regularized Gram condition {cond:.3e}")
-    F_hat = G_bar.conj().T @ np.linalg.solve(gram, np.eye(K, dtype=complex))
-    norm = np.linalg.norm(F_hat)
-    if norm == 0.0:
-        # zero channel: the regularized LS solution is F = 0 and no power
-        # loading can meet the budget; degrade to the silent precoder
-        beta = 0.0
-    else:
-        beta = np.sqrt(P_max) / norm
-    F = beta * F_hat
-    U = F / np.sqrt(B)[:, None]
+    F, beta, alpha, cond = _regularized_inverse(G / np.sqrt(B)[..., None, :], P_max, sigma2)
+    U = F / np.sqrt(B)[..., :, None]
     sinr, rate = sinr_and_rate(G, U, sigma2)
     return PrecodingState(
-        G=G, B=B, U=U, F=F, beta=float(beta), alpha=float(alpha),
-        sinr=sinr, sum_rate=rate, P_max=P_max, sigma2=sigma2, gram_cond=cond,
+        G=G, B=B, U=U, F=F, beta=_scalar(beta), alpha=float(alpha),
+        sinr=sinr, sum_rate=rate, P_max=P_max, sigma2=sigma2, gram_cond=_scalar(cond),
     )
 
 
 def sinr_and_rate(G: np.ndarray, U: np.ndarray, sigma2) -> tuple[np.ndarray, float]:
-    """Per-user SINR and sum rate for effective rows G and precoder U."""
-    K = G.shape[0]
-    sig = G @ U  # (K, K): sig[k, j] couples stream j into user k
+    """Per-user SINR and sum rate for effective rows G and precoder U, each
+    optionally with leading batch axes (one sum rate per batch entry)."""
+    K = G.shape[-2]
+    sig = G @ U  # (..., K, K): sig[k, j] couples stream j into user k
     power = np.abs(sig) ** 2
-    desired = np.diag(power)
-    interference = power.sum(axis=1) - desired
+    desired = np.diagonal(power, axis1=-2, axis2=-1)
+    interference = power.sum(axis=-1) - desired
     noise = np.broadcast_to(np.asarray(sigma2, dtype=float), (K,))
     gamma = desired / (interference + noise)
-    rate = float(np.sum(np.log2(1.0 + gamma)))
-    return gamma, rate
+    rate = np.sum(np.log2(1.0 + gamma), axis=-1)
+    return gamma, _scalar(rate)
 
 
 def transmit_power(U: np.ndarray, B: np.ndarray) -> float:
@@ -266,15 +304,7 @@ def fully_active_state(
         inv_roots.append(inv_root)
         sl = slice(m * (N + 1), (m + 1) * (N + 1))
         G_bar[:, sl] = H[:, sl] @ inv_root
-    K = spec.K
-    alpha = K * sigma2 / P_max
-    gram = G_bar @ G_bar.conj().T + alpha * np.eye(K)
-    cond = float(np.linalg.cond(gram))
-    if not np.isfinite(cond) or cond > 1e14:
-        raise SingularGram(f"regularized Gram condition {cond:.3e}")
-    F_hat = G_bar.conj().T @ np.linalg.solve(gram, np.eye(K, dtype=complex))
-    beta = np.sqrt(P_max) / np.linalg.norm(F_hat)
-    F = beta * F_hat
+    F, beta, alpha, cond = _regularized_inverse(G_bar, P_max, sigma2)
     U = np.zeros_like(F)
     for m in range(M):
         sl = slice(m * (N + 1), (m + 1) * (N + 1))
@@ -283,7 +313,7 @@ def fully_active_state(
     # power here is tr(U^H Re{Z} U) = ||F||_F^2, not diagonal; B is a placeholder
     return PrecodingState(
         G=H, B=np.ones(ports), U=U, F=F, beta=float(beta), alpha=float(alpha),
-        sinr=sinr, sum_rate=rate, P_max=P_max, sigma2=sigma2, gram_cond=cond,
+        sinr=sinr, sum_rate=rate, P_max=P_max, sigma2=sigma2, gram_cond=float(cond),
     )
 
 

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 
 from .errors import ConfigError
 from .geometry import ArrayLayout
 from .impedance import DipoleModel
+from .optimizer import ALPHA_SCHEDULES
 
 PACKAGE_VERSION = "0.1.0"
 
@@ -62,6 +64,30 @@ DEFAULTS = {
 RATE_SCHEMES = {"fc-optimized", "fixed-coupler", "active-only", "fully-active"}
 ESTIMATION_SCHEMES = {"centralized", "distributed", "exhaustive"}
 
+# Integer fields with their least allowed value.
+INT_FIELDS = {
+    "layout.M": 1, "layout.N": 0, "channel.K": 1, "channel.L": 1,
+    "seeds.start": 0, "seeds.count": 1, "sca.T_max": 0, "sca.screen_points": 1,
+    "estimation.V": 1, "estimation.tau": 1, "estimation.G": 2, "estimation.D": 1,
+    "estimation.L": 1, "estimation.test_placements": 1,
+    "heatmap.resolution": 5, "heatmap.antenna": 0,
+}
+NUMBER_FIELDS = [
+    "layout.d_y", "layout.A", "layout.d_min", "layout.f_c", "power.P_max_dbm",
+    "power.snr_db", "sca.eps_stop", "estimation.eta", "estimation.snr_db",
+]
+
+
+def _is(value, kind) -> bool:
+    """isinstance that does not take a boolean for a number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _get(doc: dict, dotted: str):
+    for key in dotted.split("."):
+        doc = doc[key]
+    return doc
+
 
 def _merge(base: dict, override: dict, path="") -> dict:
     out = copy.deepcopy(base)
@@ -91,6 +117,10 @@ def _set_dotted(doc: dict, dotted: str, raw: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    if isinstance(node[keys[-1]], dict):
+        if not isinstance(value, dict):
+            raise ConfigError("expected an object", field=dotted)
+        value = _merge(node[keys[-1]], value, dotted)
     node[keys[-1]] = value
 
 
@@ -126,38 +156,42 @@ class Scenario:
 
     def _validate(self) -> None:
         d = self.doc
+        for path, least in INT_FIELDS.items():
+            value = _get(d, path)
+            self._require(_is(value, int) and value >= least, path,
+                          f"must be an integer >= {least}, got {value!r}")
+        for path in NUMBER_FIELDS:
+            value = _get(d, path)
+            self._require(_is(value, (int, float)) and math.isfinite(value), path,
+                          f"must be a finite number, got {value!r}")
         lay = d["layout"]
-        self._require(isinstance(lay["M"], int) and lay["M"] >= 1, "layout.M", "must be an integer >= 1")
-        self._require(isinstance(lay["N"], int) and lay["N"] >= 0, "layout.N", "must be an integer >= 0")
         self._require(lay["d_y"] > 0, "layout.d_y", "must be positive")
         self._require(lay["A"] > 0, "layout.A", "must be positive")
         self._require(0 < lay["d_min"] < lay["A"], "layout.d_min", "must satisfy 0 < d_min < A")
         self._require(lay["f_c"] > 0, "layout.f_c", "must be positive")
-        ch = d["channel"]
-        self._require(isinstance(ch["K"], int) and ch["K"] >= 1, "channel.K", "must be an integer >= 1")
-        self._require(isinstance(ch["L"], int) and ch["L"] >= 1, "channel.L", "must be an integer >= 1")
-        seeds = d["seeds"]
-        self._require(isinstance(seeds["count"], int) and seeds["count"] >= 1,
-                      "seeds.count", "must be an integer >= 1")
-        for i, scheme in enumerate(d["schemes"]):
-            self._require(scheme in RATE_SCHEMES, f"schemes[{i}]",
-                          f"unknown scheme {scheme!r}; pick from {sorted(RATE_SCHEMES)}")
+        for path, allowed in (("schemes", RATE_SCHEMES),
+                              ("estimation.schemes", ESTIMATION_SCHEMES)):
+            schemes = _get(d, path)
+            self._require(isinstance(schemes, list), path, "must be a list of scheme names")
+            for i, scheme in enumerate(schemes):
+                self._require(isinstance(scheme, str) and scheme in allowed, f"{path}[{i}]",
+                              f"unknown scheme {scheme!r}; pick from {sorted(allowed)}")
+        for key, values in d["sweep"].items():
+            self._require(isinstance(values, list)
+                          and all(_is(v, (int, float)) for v in values),
+                          f"sweep.{key}", "must be a list of numbers")
         est = d["estimation"]
-        for i, scheme in enumerate(est["schemes"]):
-            self._require(scheme in ESTIMATION_SCHEMES, f"estimation.schemes[{i}]",
-                          f"unknown scheme {scheme!r}; pick from {sorted(ESTIMATION_SCHEMES)}")
         self._require(est["tau"] >= d["channel"]["K"], "estimation.tau", "must be >= K")
-        self._require(est["V"] >= 1, "estimation.V", "must be >= 1")
-        self._require(est["G"] >= 2, "estimation.G", "must be >= 2")
-        self._require(est["L"] >= 1, "estimation.L", "must be >= 1")
-        self._require(d["power"]["snr_db"] is not None, "power.snr_db", "required")
         load = d["load_impedance"]
-        self._require(isinstance(load, list) and len(load) == 2,
+        self._require(isinstance(load, list) and len(load) == 2
+                      and all(_is(v, (int, float)) for v in load),
                       "load_impedance", "must be [re, im] in ohms")
-        hm = d["heatmap"]
-        self._require(hm["resolution"] >= 5, "heatmap.resolution", "must be >= 5")
-        self._require(0 <= hm["antenna"] < lay["M"], "heatmap.antenna", "must index an antenna")
+        self._require(d["heatmap"]["antenna"] < lay["M"], "heatmap.antenna",
+                      "must index an antenna")
         sca = d["sca"]
+        self._require(isinstance(sca["alpha_schedule"], str)
+                      and sca["alpha_schedule"] in ALPHA_SCHEDULES, "sca.alpha_schedule",
+                      f"must be one of {sorted(ALPHA_SCHEDULES)}")
         self._require(sca["init"] in ("uniform", "screened"), "sca.init",
                       "must be 'uniform' or 'screened'")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chanest
-from .channel import sample_channels
+from .channel import active_channel_matrix, sample_channels
 from .errors import ConfigError
 from .geometry import (
     ArrayLayout,
@@ -25,7 +25,6 @@ from .geometry import (
     random_feasible_placement,
     uniform_placement,
 )
-from .impedance import mutual_impedance
 from .optimizer import (
     SCAConfig,
     optimize,
@@ -33,6 +32,7 @@ from .optimizer import (
 )
 from .precoding import (
     active_only_state,
+    antenna_parts,
     fc_state,
     fully_active_state,
 )
@@ -365,27 +365,13 @@ def compute_heatmap(scenario: Scenario, seed: int) -> HeatmapResult:
     xs = np.linspace(lo[0], hi[0], res)
     ys = np.linspace(lo[1], hi[1], res)
     xx, yy = np.meshgrid(xs, ys, indexing="ij")
-    dist = np.hypot(xx - q[0], yy - q[1])
-    feasible = dist >= layout.min_sep_m
+    feasible = np.hypot(xx - q[0], yy - q[1]) >= layout.min_sep_m
 
-    k0 = 2.0 * np.pi / layout.lam
-    z_self = model.self_impedance
-    x_load = model.load_impedance
-    rs = np.real(z_self)
+    # antenna a's single coupler at every feasible grid point, as one batch
+    P = np.stack([xx[feasible], yy[feasible]], axis=-1)[:, None, :]
+    g_a, b = antenna_parts(spec, P, a, layout, model, active_channel_matrix(spec, layout))
     gain = np.full((res, res), np.nan)
-    z_bar = mutual_impedance(dist[feasible], model)
-    w = z_bar / (z_self + x_load)
-    b = rs * (1.0 + np.abs(w) ** 2) - 2.0 * np.real(z_bar) * np.real(w)
-    # single-user channel at antenna a: active entry minus w * coupler sum
-    angles = spec.angles[0]
-    gains_path = spec.gains[0]
-    h_a = gains_path @ np.exp(-1j * k0 * layout.spacing_m * np.sin(angles) * a)
-    kx = np.cos(angles)
-    ky = np.sin(angles)
-    proj = np.outer(xx[feasible], kx) + np.outer(yy[feasible], ky)
-    h_c = np.exp(-1j * k0 * proj) @ gains_path
-    g_a = h_a - w * h_c
-    gain[feasible] = 10.0 * np.log10(c0 + np.abs(g_a) ** 2 / b)
+    gain[feasible] = 10.0 * np.log10(c0 + np.abs(g_a[:, 0]) ** 2 / b)
 
     cfg = sca_config_from(scenario)
     cfg.snapshot_placements = True

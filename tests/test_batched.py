@@ -1,0 +1,356 @@
+"""The stage functions broadcast over a leading candidate axis.  A batch must
+give the per-candidate results of the unbatched calls and fail with the same
+error when one candidate is bad; the batched consumers (finite-difference
+gradient, screened initializer, exhaustive baseline) are checked against
+frozen per-candidate loops."""
+
+import numpy as np
+import pytest
+
+from fcarray import (
+    ArrayLayout,
+    DipoleModel,
+    SCAConfig,
+    make_session,
+    optimize,
+    random_feasible_placement,
+    sample_channels,
+    uniform_placement,
+)
+from fcarray.channel import active_channel_matrix, coupler_channel_block
+from fcarray.chanest import exhaustive_baseline, pilot_correlate, true_effective
+from fcarray.errors import (
+    NonPositivePower,
+    NumericalError,
+    SingularGram,
+    SingularSystem,
+    TooClose,
+)
+from fcarray.impedance import ImpedanceBlock, build_block
+from fcarray.optimizer import ObjectiveEvaluator, gradient, screened_initial_placement
+from fcarray.precoding import (
+    effective_column,
+    mech_weights,
+    mmse_precoder,
+    power_coefficient,
+)
+
+P_MAX, SIGMA2 = 1.0, 0.05
+BATCH = 6
+
+
+def rel_err(got, ref) -> float:
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    scale = np.max(np.abs(ref)) if ref.size else 0.0
+    return float(np.max(np.abs(got - ref)) / scale) if scale > 0 else 0.0
+
+
+def stack(values):
+    return np.stack([np.asarray(v) for v in values])
+
+
+def antenna_batch(layout, m, seed):
+    """Coupler positions of antenna m from BATCH random feasible placements."""
+    rng = np.random.default_rng(seed)
+    return stack([random_feasible_placement(layout, rng).positions[m]
+                  for _ in range(BATCH)])
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 3])
+def test_stage_functions_match_per_candidate_calls(N):
+    lay = ArrayLayout(M=3, N=N)
+    model = DipoleModel.for_layout(lay)
+    spec = sample_channels(N, K=3, L=9, layout=lay)
+    h_active = active_channel_matrix(spec, lay)
+    for m in range(lay.M):
+        P = antenna_batch(lay, m, seed=10 * N + m)
+        q = lay.active_position(m)
+        block = build_block(P, q, model)
+        w, cond = mech_weights(block)
+        cols = effective_column(spec, P, w, m, h_active, lay.lam)
+        b = power_coefficient(block, w)
+        assert cols.shape == (BATCH, spec.K) and np.shape(b) == (BATCH,)
+        Z = block.full_matrix()
+        assert np.array_equal(Z, np.swapaxes(Z, -1, -2))
+        ref = []
+        for p_m in P:
+            blk = build_block(p_m, q, model)
+            w_m, c_m = mech_weights(blk)
+            ref.append((blk.full_matrix(), w_m, c_m,
+                        effective_column(spec, p_m, w_m, m, h_active, lay.lam),
+                        power_coefficient(blk, w_m),
+                        coupler_channel_block(spec, p_m, lay.lam)))
+        got = (block.full_matrix(), w, cond, cols, b, coupler_channel_block(spec, P, lay.lam))
+        for got_i, ref_i in zip(got, zip(*ref)):
+            assert rel_err(got_i, stack(ref_i)) <= 1e-12
+
+
+def test_mixed_antenna_batch_matches_per_antenna_calls():
+    # one batch entry per antenna, as a full evaluation runs them
+    lay = ArrayLayout(M=4, N=2)
+    model = DipoleModel.for_layout(lay)
+    spec = sample_channels(3, K=2, L=15, layout=lay)
+    h_active = active_channel_matrix(spec, lay)
+    pos = random_feasible_placement(lay, np.random.default_rng(3)).positions
+    m = np.arange(lay.M)
+    block = build_block(pos, lay.active_positions(), model)
+    w, _ = mech_weights(block)
+    cols = effective_column(spec, pos, w, m, h_active, lay.lam)
+    for k in range(lay.M):
+        blk = build_block(pos[k], lay.active_position(k), model)
+        w_k, _ = mech_weights(blk)
+        ref = effective_column(spec, pos[k], w_k, k, h_active, lay.lam)
+        assert rel_err(cols[k], ref) <= 1e-12
+
+
+def test_mmse_batch_matches_per_candidate_calls():
+    rng = np.random.default_rng(4)
+    K, M = 3, 5
+    G = rng.standard_normal((BATCH, K, M)) + 1j * rng.standard_normal((BATCH, K, M))
+    G[0] = 0.0  # zero channel: silent precoder, beta = 0
+    B = rng.uniform(10.0, 200.0, (BATCH, M))
+    st = mmse_precoder(G, B, P_MAX, SIGMA2)
+    assert st.beta[0] == 0.0
+    for i in range(BATCH):
+        ref = mmse_precoder(G[i], B[i], P_MAX, SIGMA2)
+        assert rel_err(st.U[i], ref.U) <= 1e-12
+        assert rel_err(st.sinr[i], ref.sinr) <= 1e-12
+        assert rel_err(st.sum_rate[i], ref.sum_rate) <= 1e-12
+        assert st.beta[i] == pytest.approx(ref.beta, rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 3])
+def test_rate_with_override_batch_matches_loop(N):
+    lay = ArrayLayout(M=3, N=N)
+    model = DipoleModel.for_layout(lay)
+    spec = sample_channels(7, K=2, L=15, layout=lay)
+    ev = ObjectiveEvaluator(spec, lay, model, P_MAX, SIGMA2)
+    ev.set_placement(uniform_placement(lay))
+    P = antenna_batch(lay, 1, seed=N)
+    rates = ev.rate_with_override(1, P)
+    ref = [ev.rate_with_override(1, p_m) for p_m in P]
+    assert rel_err(rates, ref) <= 1e-12
+
+
+class TestBatchErrors:
+    """One bad candidate fails the batch with the scalar call's error."""
+
+    def test_too_close(self):
+        lay = ArrayLayout(M=1, N=2)
+        model = DipoleModel.for_layout(lay)
+        q = lay.active_position(0)
+        P = antenna_batch(lay, 0, seed=1)
+        P[3, 1] = q + [0.5 * lay.min_sep_m, 0.0]
+        with pytest.raises(TooClose):
+            build_block(P[3], q, model)
+        with pytest.raises(TooClose):
+            build_block(P, q, model)
+
+    def test_singular_coupling_system(self):
+        X = np.array([[50j]])
+        good = ImpedanceBlock(73.0 + 0j, np.array([[5.0 + 1j]]), np.array([[[73.0 + 0j]]]), X)
+        bad = ImpedanceBlock(73.0 + 0j, np.array([[5.0 + 1j]]), -X[None], X)
+        both = ImpedanceBlock(73.0 + 0j, np.concatenate([good.z_bar, bad.z_bar]),
+                              np.concatenate([good.Z_hat, bad.Z_hat]), X)
+        mech_weights(good)
+        for blk in (bad, both):
+            with pytest.raises(SingularSystem):
+                mech_weights(blk)
+
+    def test_nonpositive_power(self):
+        blk = ImpedanceBlock(73.0 + 0j, np.zeros((2, 1), dtype=complex),
+                             np.array([[[73.0 + 0j]], [[-1000.0 + 0j]]]),
+                             np.zeros((1, 1), dtype=complex))
+        w = np.ones((2, 1), dtype=complex)
+        assert power_coefficient(ImpedanceBlock(
+            73.0 + 0j, blk.z_bar[0], blk.Z_hat[0], blk.X), w[0]) > 0
+        with pytest.raises(NonPositivePower):
+            power_coefficient(ImpedanceBlock(73.0 + 0j, blk.z_bar[1], blk.Z_hat[1], blk.X), w[1])
+        with pytest.raises(NonPositivePower):
+            power_coefficient(blk, w)
+
+    def test_mmse_nonpositive_and_singular(self):
+        rng = np.random.default_rng(2)
+        G = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
+        B = np.full((3, 4), 50.0)
+        B[1, 2] = 0.0
+        with pytest.raises(NonPositivePower):
+            mmse_precoder(G[1], B[1], P_MAX, SIGMA2)
+        with pytest.raises(NonPositivePower):
+            mmse_precoder(G, B, P_MAX, SIGMA2)
+        B[1, 2] = 50.0
+        G[2, 1] = 0.0  # one silent user at vanishing noise: Gram cond ~ 1/alpha
+        with pytest.raises(SingularGram):
+            mmse_precoder(G[2], B[2], P_MAX, 1e-18)
+        with pytest.raises(SingularGram):
+            mmse_precoder(G, B, P_MAX, 1e-18)
+
+
+def fd_gradient_oracle(placement, m, ev, h):
+    """Per-probe central differences, one scalar rate evaluation per probe."""
+    base = placement.positions[m].reshape(-1)
+    g = np.zeros(base.size)
+    for i in range(base.size):
+        probe = base.copy()
+        probe[i] += h
+        r_plus = ev.rate_with_override(m, probe.reshape(-1, 2))
+        probe[i] -= 2.0 * h
+        r_minus = ev.rate_with_override(m, probe.reshape(-1, 2))
+        g[i] = (r_plus - r_minus) / (2.0 * h)
+    return g
+
+
+def test_gradient_matches_per_probe_oracle():
+    # the acceptance-4 instances
+    lay = ArrayLayout(M=2, N=2)
+    model = DipoleModel.for_layout(lay)
+    h = 1e-4 * lay.lam
+    for seed in range(10):
+        ch_seed = int(np.random.SeedSequence(seed).generate_state(1)[0])
+        spec = sample_channels(ch_seed, K=2, L=15, layout=lay)
+        pl = uniform_placement(lay)
+        ev = ObjectiveEvaluator(spec, lay, model, P_MAX, SIGMA2)
+        ev.set_placement(pl)
+        m = seed % lay.M
+        for step in (h, h / 2, h / 4):
+            ref = fd_gradient_oracle(pl, m, ev, step)
+            g = gradient(pl, m, ev, step)
+            assert np.linalg.norm(g - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+class TestEvaluatorReuse:
+    def test_full_evaluation_reused_until_positions_change(self):
+        lay = ArrayLayout(M=3, N=2)
+        model = DipoleModel.for_layout(lay)
+        spec = sample_channels(5, K=2, L=15, layout=lay)
+        ev = ObjectiveEvaluator(spec, lay, model, P_MAX, SIGMA2)
+        pl = uniform_placement(lay)
+        rate = ev.rate_of(pl)
+        state = ev.state_of(pl.copy())
+        assert state is ev.state_of(pl) and state.sum_rate == rate
+        assert ev.set_placement(pl.copy()) == rate
+        moved = random_feasible_placement(lay, np.random.default_rng(0))
+        assert ev.state_of(moved) is not state
+        fresh = ObjectiveEvaluator(spec, lay, model, P_MAX, SIGMA2)
+        assert ev.rate_of(moved) == fresh.rate_of(moved)
+
+    def test_probe_at_current_positions_equals_full_evaluation(self):
+        lay = ArrayLayout(M=3, N=3)
+        model = DipoleModel.for_layout(lay)
+        spec = sample_channels(6, K=3, L=15, layout=lay)
+        ev = ObjectiveEvaluator(spec, lay, model, P_MAX, SIGMA2)
+        pl = uniform_placement(lay)
+        rate = ev.set_placement(pl)
+        for m in range(lay.M):
+            assert ev.rate_with_override(m, pl.positions[m]) == pytest.approx(rate, rel=1e-12)
+
+
+def test_diverging_lpu_update_is_numerical_error():
+    lay = ArrayLayout(M=2, N=1)
+    model = DipoleModel.for_layout(lay)
+    spec = sample_channels(1, K=2, L=15, layout=lay)
+
+    class WrongTransport:
+        def run_round(self, t, steps, alpha_t):
+            return [np.zeros(2 * lay.N) for _ in range(lay.M)]
+
+    with pytest.raises(NumericalError):
+        optimize(uniform_placement(lay), SCAConfig(T_max=2), spec, lay, model,
+                 P_MAX, SIGMA2, transport=WrongTransport())
+
+
+def screened_reference(layout, spec, model, points_per_axis=11):
+    """Per-candidate screen: one scalar rate per lattice point, strict >."""
+    ev = ObjectiveEvaluator(spec, layout, model, P_MAX, SIGMA2)
+    best = uniform_placement(layout)
+    margin = 2e-4 * layout.lam
+    for m in range(layout.M):
+        lo, hi = layout.region_bounds(m)
+        q = layout.active_position(m)
+        pad = 2.0 * (0.5 * layout.region_side_m) / (points_per_axis + 1)
+        xs = np.linspace(lo[0] + pad / 2, hi[0] - pad / 2, points_per_axis)
+        ys = np.linspace(lo[1] + pad / 2, hi[1] - pad / 2, points_per_axis)
+        ev.set_placement(best)
+        for n in range(layout.N):
+            pts_m = best.positions[m].copy()
+            best_rate = ev.rate_with_override(m, pts_m)
+            best_pt = pts_m[n].copy()
+            anchors = np.vstack([q[None, :], np.delete(pts_m, n, axis=0)])
+            for x in xs:
+                for y in ys:
+                    d = np.hypot(anchors[:, 0] - x, anchors[:, 1] - y)
+                    if np.min(d) < layout.min_sep_m + margin:
+                        continue
+                    pts_m[n] = [x, y]
+                    r = ev.rate_with_override(m, pts_m)
+                    if r > best_rate:
+                        best_rate = r
+                        best_pt = np.array([x, y])
+            pts_m[n] = best_pt
+            best = best.with_antenna_vector(m, pts_m.reshape(-1))
+    return best
+
+
+@pytest.mark.parametrize("M, N", [(1, 1), (2, 2)])
+def test_screened_initial_placement_matches_per_candidate_screen(M, N):
+    lay = ArrayLayout(M=M, N=N)
+    model = DipoleModel.for_layout(lay)
+    spec = sample_channels(42, K=2, L=15, layout=lay)
+    got = screened_initial_placement(lay, spec, model, P_MAX, SIGMA2)
+    ref = screened_reference(lay, spec, model)
+    assert np.array_equal(got.positions, ref.positions)
+
+
+def exhaustive_reference(session, spec, layout, model, D):
+    """Per-candidate exhaustive baseline: a full-array rebuild and one noise
+    draw per measurement."""
+    side = max(int(round(np.sqrt(D))), 1)
+    M, N, K = layout.M, layout.N, session.K
+    parked = session.placements[0]
+    rng = np.random.default_rng([session.seed, 3])
+    candidates = np.zeros((M, side * side, 2))
+    for m in range(M):
+        lo, hi = layout.region_bounds(m)
+        xs = lo[0] + (np.arange(side) + 0.5) * (hi[0] - lo[0]) / side
+        ys = lo[1] + (np.arange(side) + 0.5) * (hi[1] - lo[1]) / side
+        xx, yy = np.meshgrid(xs, ys)
+        candidates[m] = np.column_stack([xx.ravel(), yy.ravel()])
+
+    def measure_row(placement, m):
+        g = true_effective(spec, placement, layout, model)[m]
+        noise = np.sqrt(session.sigma2 / 2.0) * (
+            rng.standard_normal(session.tau) + 1j * rng.standard_normal(session.tau))
+        return pilot_correlate(g @ session.S + noise, session.S, session.tau)
+
+    base = stack([measure_row(parked, m) for m in range(M)])
+    table = np.zeros((M, N, side * side, K), dtype=complex)
+    feasible = np.zeros((M, N, side * side), dtype=bool)
+    for m in range(M):
+        q = layout.active_position(m)
+        for n in range(N):
+            ref = np.vstack([q[None, :], np.delete(parked.positions[m], n, axis=0)])
+            for d in range(side * side):
+                c = candidates[m, d]
+                if np.min(np.hypot(ref[:, 0] - c[0], ref[:, 1] - c[1])) < layout.min_sep_m:
+                    continue
+                feasible[m, n, d] = True
+                moved = parked.copy()
+                moved.positions[m, n] = c
+                table[m, n, d] = measure_row(moved, m)
+    return table, base, feasible
+
+
+@pytest.mark.parametrize("D", [1, 25])
+def test_exhaustive_baseline_matches_per_candidate_loop(D):
+    lay = ArrayLayout(M=2, N=2)
+    model = DipoleModel.for_layout(lay)
+    spec = sample_channels(11, K=2, L=15, layout=lay)
+    session = make_session(lay, K=2, tau=5, V=1, sigma2=0.1, seed=17)
+    res = exhaustive_baseline(session, spec, lay, model, D=D)
+    table, base, feasible = exhaustive_reference(session, spec, lay, model, D)
+    assert np.array_equal(res.feasible, feasible)
+    assert rel_err(res.base, base) <= 1e-12
+    assert rel_err(res.table, table) <= 1e-12
+    if D == 25:
+        assert feasible.any() and not feasible.all()

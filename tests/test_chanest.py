@@ -29,12 +29,13 @@ from fcarray import (
 )
 from fcarray.chanest import (
     EstimationResult,
+    _annulus_placement,
     LocalEstimator,
     stack_observations,
     support_hit_rate,
     true_effective,
 )
-from fcarray.errors import RankDeficientSupport, TauTooShort
+from fcarray.errors import FcError, InfeasibleLayout, RankDeficientSupport, TauTooShort
 
 
 def on_grid_spec(grid, rng, K, L, min_bin_sep=3, sector_deg=90.0):
@@ -581,3 +582,13 @@ class TestExhaustive:
         session = make_session(layout, K=1, tau=4, V=1, sigma2=0.1, seed=4)
         result = exhaustive_baseline(session, spec, layout, model, D=400)
         assert result.ledger["candidate_measurements_per_user_per_block"] == 3200
+
+
+def test_annulus_draw_failure_is_fc_error():
+    # spread 0 pins every coupler to radius 1.01 d_min, where at most six
+    # fit at d_min spacing: seven can never be drawn
+    lay = ArrayLayout(M=1, N=7)
+    with pytest.raises(InfeasibleLayout) as err:
+        _annulus_placement(lay, np.random.default_rng(0), 0.0, max_tries=20)
+    assert isinstance(err.value, FcError)
+    assert "antenna 0" in str(err.value)

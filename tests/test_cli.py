@@ -147,3 +147,24 @@ class TestCliCommands:
         assert main(["sweep", "snr", "--config", config_path, "--out", out]) == 0
         rows = open(os.path.join(out, "sweep_snr.csv")).read().splitlines()
         assert len(rows) == 1 + 1 * 2 * 2  # snr values x schemes x seeds
+
+
+@pytest.mark.parametrize("override, field", [
+    ("layout.d_y=abc", "layout.d_y"),
+    ('estimation.V="4"', "estimation.V"),
+    ("heatmap.resolution=x", "heatmap.resolution"),
+    ("sca.alpha_schedule=foo", "sca.alpha_schedule"),
+    ("sca.T_max=-1", "sca.T_max"),
+    ("layout.f_c=1e400", "layout.f_c"),
+    ("power.snr_db=NaN", "power.snr_db"),
+    ("seeds.count=true", "seeds.count"),
+    ("sweep.users=[1,\"a\"]", "sweep.users"),
+    ("layout=3", "layout"),
+])
+def test_malformed_override_is_config_error(override, field, tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["optimize", "--out", str(out), "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}:")
+    assert "Traceback" not in err
+    assert not out.exists()
