@@ -10,11 +10,15 @@ doubled and the update recomputed; after ``max_backtracks`` failed doublings
 the iteration is skipped, which drives the relative-change stopping rule to
 zero and terminates the run.
 
-Gradients are central finite differences.  The 4N probes of one antenna
-move only its couplers, so they run as one batch through the stage functions
-(one impedance call, stacked solves, one stacked MMSE), with every per-probe
-check kept.  Probe feasibility is preserved by shrinking the per-antenna sets
-by one finite-difference step (``margin=fd_step``).
+Gradients are central finite differences.  All M * 4N probes of an
+iteration run as one batch: each probe moves one coordinate of one coupler,
+so only that coupler's channel is recomputed, while the impedance block,
+weights and power coefficient of the moved antenna are rebuilt whole, keeping
+every per-probe check.  The probe changes one column of the whitened channel
+G diag(B)^-1/2, hence a rank-2 update of the cached K x K Gram, from which
+the MMSE rate follows without forming the precoder.  Probe feasibility is
+preserved by shrinking the per-antenna sets by one finite-difference step
+(``margin=fd_step``).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import MultipathSpec, active_channel_matrix
+from .channel import MultipathSpec, active_channel_matrix, coupler_channel_block
 from .errors import MarginTooSmall, NumericalError
 from .geometry import (
     ArrayLayout,
@@ -37,7 +41,7 @@ from .geometry import (
     uniform_placement,
 )
 from .impedance import DipoleModel
-from .precoding import PrecodingState, antenna_parts, mmse_precoder
+from .precoding import PrecodingState, gram_sum_rate, mmse_precoder, steered_parts
 
 
 def _diminishing(t: int) -> float:
@@ -146,8 +150,9 @@ def communication_count(M: int, N: int, rounds: int) -> dict:
 class ObjectiveEvaluator:
     """Sum-rate objective.  A full evaluation runs all M antennas as one batch
     and is reused while the positions stay equal; ``set_placement`` also fixes
-    the channel against which ``rate_with_override`` scores one antenna's
-    candidate positions."""
+    the placement against which ``rate_with_override`` scores candidate
+    positions, caching its coupler channels (M, K, N), whitened columns and
+    whitened Gram."""
 
     def __init__(self, spec: MultipathSpec, layout: ArrayLayout, model: DipoleModel,
                  P_max: float, sigma2: float):
@@ -157,40 +162,60 @@ class ObjectiveEvaluator:
         self.P_max = P_max
         self.sigma2 = sigma2
         self.h_active = active_channel_matrix(spec, layout)
-        self._G = None
-        self._B = None
-        self._last = None  # (positions, state) of the latest full evaluation
+        self._last = None  # (positions, coupler channels, state) of the latest full evaluation
+        self._probe = None  # (positions, coupler channels, whitened columns (M, K), Gram)
+
+    def _evaluate(self, placement: CouplerPlacement):
+        pos = placement.positions
+        if self._last is None or not np.array_equal(self._last[0], pos):
+            h_c = coupler_channel_block(self.spec, pos, self.layout.lam)
+            cols, B = steered_parts(h_c, pos, np.arange(self.layout.M), self.layout,
+                                    self.model, self.h_active)
+            G = np.ascontiguousarray(cols.T)
+            state = mmse_precoder(G, B, self.P_max, self.sigma2)
+            self._last = (pos.copy(), h_c, state)
+        return self._last
 
     def state_of(self, placement: CouplerPlacement) -> PrecodingState:
         """MMSE state at a placement; the latest one is reused."""
-        pos = placement.positions
-        if self._last is None or not np.array_equal(self._last[0], pos):
-            cols, B = antenna_parts(self.spec, pos, np.arange(self.layout.M),
-                                    self.layout, self.model, self.h_active)
-            G = np.ascontiguousarray(cols.T)
-            state = mmse_precoder(G, B, self.P_max, self.sigma2)
-            self._last = (pos.copy(), state)
-        return self._last[1]
+        return self._evaluate(placement)[2]
 
     def set_placement(self, placement: CouplerPlacement) -> float:
-        state = self.state_of(placement)
-        self._G, self._B = state.G, state.B
+        pos, h_c, state = self._evaluate(placement)
+        G_bar = state.G / np.sqrt(state.B)
+        self._probe = (pos, h_c, G_bar.T, G_bar @ G_bar.conj().T)
         return state.sum_rate
 
     def rate_of(self, placement: CouplerPlacement) -> float:
         """Full evaluation without touching the probe cache."""
         return self.state_of(placement).sum_rate
 
-    def rate_with_override(self, m: int, p_m: np.ndarray):
+    def probe_parts(self, m, p_m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``antenna_parts`` at candidate positions ``p_m`` (..., N, 2) of
+        antenna m (an index or an index array matching the batch axes).
+        Couplers that did not move keep their cached channels; the impedance
+        block, weights and power coefficient are rebuilt whole."""
+        pos, h_c0, _, _ = self._probe
+        m = np.broadcast_to(m, p_m.shape[:-2])
+        moved = np.any(p_m != pos[m], axis=-1)  # (..., N)
+        h_c = np.take(h_c0, m, axis=0)  # (..., K, N)
+        if moved.any():
+            np.swapaxes(h_c, -1, -2)[moved] = coupler_channel_block(
+                self.spec, p_m[moved][:, None, :], self.layout.lam)[..., 0]
+        return steered_parts(h_c, p_m, m, self.layout, self.model, self.h_active)
+
+    def rate_with_override(self, m, p_m: np.ndarray):
         """Rate with antenna m moved to ``p_m`` (N, 2); all else cached.  A
-        batch of positions (..., N, 2) gives one rate per entry."""
-        col, b = antenna_parts(self.spec, p_m, m, self.layout, self.model, self.h_active)
-        batch = np.shape(b)
-        G = np.broadcast_to(self._G, batch + self._G.shape).copy()
-        B = np.broadcast_to(self._B, batch + self._B.shape).copy()
-        G[..., m] = col
-        B[..., m] = b
-        return mmse_precoder(G, B, self.P_max, self.sigma2).sum_rate
+        batch of positions (..., N, 2) gives one rate per entry, and ``m`` may
+        then be an index array matching the batch axes.  The moved column
+        enters as a rank-2 update of the cached whitened Gram."""
+        _, _, g_bar, W = self._probe
+        col, b = self.probe_parts(m, p_m)
+        old = np.take(g_bar, np.broadcast_to(m, p_m.shape[:-2]), axis=0)
+        new = col / np.sqrt(b)[..., None]
+        W_p = (W - old[..., :, None] * old.conj()[..., None, :]
+               + new[..., :, None] * new.conj()[..., None, :])
+        return gram_sum_rate(W_p, self.P_max, self.sigma2)
 
 
 def objective(
@@ -206,49 +231,54 @@ def objective(
     return ev.set_placement(placement)
 
 
-def check_margin(placement: CouplerPlacement, m: int, layout: ArrayLayout,
+def check_margin(placement: CouplerPlacement, m, layout: ArrayLayout,
                  margin: float) -> None:
-    """Require antenna m to clear every constraint by ``margin`` meters so
+    """Require antenna m (or each antenna of an index array, the first
+    failing one reported) to clear every constraint by ``margin`` meters so
     +/- probes of that size stay feasible."""
-    lo, hi = layout.region_bounds(m)
-    pts = placement.positions[m]
-    if pts.size == 0:
+    m = np.atleast_1d(m)
+    pts = placement.positions[m]  # (A, N, 2)
+    if pts.shape[1] == 0:
         return
-    box_margin = min(
-        float(np.min(pts[:, 0] - lo[0])), float(np.min(hi[0] - pts[:, 0])),
-        float(np.min(pts[:, 1] - lo[1])), float(np.min(hi[1] - pts[:, 1])),
-    )
-    if box_margin < margin:
+    q = layout.active_positions()[m]
+    half = 0.5 * layout.region_side_m
+    box = np.min(np.minimum(pts - (q - half)[:, None, :], (q + half)[:, None, :] - pts),
+                 axis=(1, 2))
+    full = np.concatenate([q[:, None, :], pts], axis=1)
+    dists = np.linalg.norm(full[:, :, None, :] - full[:, None, :, :], axis=-1)
+    iu = np.triu_indices(full.shape[1], k=1)
+    spacing = np.min(dists[:, iu[0], iu[1]], axis=1)
+    failed = (box < margin) | (spacing < layout.min_sep_m + margin)
+    if failed.any():
+        a = int(np.argmax(failed))
+        if box[a] < margin:
+            raise MarginTooSmall(
+                f"antenna {m[a]}: box margin {box[a]:.3e} m below fd step {margin:.3e} m"
+            )
         raise MarginTooSmall(
-            f"antenna {m}: box margin {box_margin:.3e} m below fd step {margin:.3e} m"
-        )
-    full = np.vstack([layout.active_position(m)[None, :], pts])
-    dists = np.linalg.norm(full[:, None, :] - full[None, :, :], axis=-1)
-    iu = np.triu_indices(len(full), k=1)
-    if np.min(dists[iu]) < layout.min_sep_m + margin:
-        raise MarginTooSmall(
-            f"antenna {m}: spacing margin below fd step {margin:.3e} m"
+            f"antenna {m[a]}: spacing margin below fd step {margin:.3e} m"
         )
 
 
 def gradient(
     placement: CouplerPlacement,
-    m: int,
+    m,
     evaluator: ObjectiveEvaluator,
     fd_step: float,
 ) -> np.ndarray:
     """Central-difference gradient of the objective w.r.t. antenna m's
-    flattened coupler coordinates, all 2 * 2N probes scored in one batch.
-    The evaluator must be cached at ``placement``."""
+    flattened coupler coordinates (2N,), all 2 * 2N probes scored in one
+    batch.  An index array ``m`` gives one row per antenna (len(m), 2N) from
+    a single batch.  The evaluator must be cached at ``placement``."""
     check_margin(placement, m, evaluator.layout, fd_step)
-    base = placement.positions[m].reshape(-1)
-    n_coord = base.size
+    base = placement.positions[m].reshape(np.shape(m) + (-1,))
+    n_coord = base.shape[-1]
     step = fd_step * np.eye(n_coord)
-    plus = base + step
+    plus = base[..., None, :] + step  # (..., 2N probes, 2N coordinates)
     minus = plus - 2.0 * step
-    rates = evaluator.rate_with_override(
-        m, np.concatenate([plus, minus]).reshape(2 * n_coord, -1, 2))
-    return (rates[:n_coord] - rates[n_coord:]) / (2.0 * fd_step)
+    probes = np.stack([plus, minus]).reshape((2,) + plus.shape[:-1] + (-1, 2))
+    rates = evaluator.rate_with_override(np.asarray(m)[..., None], probes)
+    return (rates[0] - rates[1]) / (2.0 * fd_step)
 
 
 def local_step(
@@ -321,7 +351,7 @@ def optimize(
         return OptimizeResult(p, ev.state_of(p), trace)
 
     for t in range(cfg.T_max):
-        grads = [gradient(p, m, ev, cfg.fd_step) for m in range(M)]
+        grads = gradient(p, np.arange(M), ev, cfg.fd_step)
         if t == 0 and cfg.auto_eta0:
             gmax = max(float(np.linalg.norm(g)) for g in grads)
             if gmax > 0:

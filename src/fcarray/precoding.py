@@ -27,6 +27,7 @@ from .geometry import ArrayLayout, CouplerPlacement, uniform_placement
 from .impedance import DipoleModel, ImpedanceBlock, build_block, build_blocks
 
 COND_LIMIT = 1e12
+GRAM_COND_LIMIT = 1e14
 
 
 @dataclass
@@ -62,7 +63,10 @@ def mech_weights(block: ImpedanceBlock) -> tuple[np.ndarray, float]:
     if block.N == 0:
         return np.zeros(batch + (0,), dtype=complex), _scalar(np.ones(batch))
     A = block.Z_hat + block.X
-    cond = np.linalg.cond(A)
+    try:
+        cond = np.linalg.cond(A)
+    except np.linalg.LinAlgError:  # the SVD fails on NaN entries
+        raise SingularSystem("coupling system has non-finite entries") from None
     worst = float(cond.max(initial=0.0))
     if not math.isfinite(worst) or worst > COND_LIMIT:
         raise SingularSystem(f"coupling system condition {worst:.3e} exceeds {COND_LIMIT:.0e}")
@@ -87,8 +91,12 @@ def effective_column(
     """Column m of G for all users: h_A[:, m] - (h_C block) @ w_m.  Batched
     positions (..., N, 2) and weights give (..., K); ``m`` may then be an
     index array matching the batch."""
-    h_cm = coupler_channel_block(spec, p_m, lam)  # (..., K, N)
-    h_am = h_active.T[m]  # (K,) or (..., K)
+    return _column(h_active.T[m], coupler_channel_block(spec, p_m, lam), w_m)
+
+
+def _column(h_am: np.ndarray, h_cm: np.ndarray, w_m: np.ndarray) -> np.ndarray:
+    """h_A[:, m] - h_C w_m from the active channels (..., K), the coupler
+    channels (..., K, N) and the weights (..., N)."""
     if w_m.shape[-1]:
         return h_am - (h_cm @ w_m[..., None])[..., 0]
     return np.broadcast_to(h_am, h_cm.shape[:-1]).copy()
@@ -102,10 +110,19 @@ def antenna_parts(
     power coefficient) at coupler positions ``p_m`` (..., N, 2); returns the
     columns (..., K) and coefficients (...).  ``m`` is one antenna index or an
     index array matching the batch axes."""
+    return steered_parts(coupler_channel_block(spec, p_m, layout.lam), p_m, m, layout,
+                         model, h_active)
+
+
+def steered_parts(
+    h_c: np.ndarray, p_m: np.ndarray, m, layout: ArrayLayout, model: DipoleModel,
+    h_active: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``antenna_parts`` given the coupler channels ``h_c`` (..., K, N) at
+    ``p_m``, for callers that already hold most of them."""
     block = build_block(p_m, layout.active_positions()[m], model)
     w, _ = mech_weights(block)
-    return (effective_column(spec, p_m, w, m, h_active, layout.lam),
-            power_coefficient(block, w))
+    return _column(h_active.T[m], h_c, w), power_coefficient(block, w)
 
 
 def effective_channel(
@@ -176,10 +193,7 @@ def _regularized_inverse(G_bar: np.ndarray, P_max: float, sigma2: float):
     alpha = K * sigma2 / P_max
     G_bar_h = np.swapaxes(G_bar.conj(), -1, -2)
     gram = G_bar @ G_bar_h + alpha * np.eye(K)
-    cond = np.linalg.cond(gram)
-    worst = float(cond.max(initial=0.0))
-    if not math.isfinite(worst) or worst > 1e14:
-        raise SingularGram(f"regularized Gram condition {worst:.3e}")
+    cond = _gram_cond(gram)
     F_hat = G_bar_h @ np.linalg.solve(gram, np.eye(K, dtype=complex))
     # Frobenius norm per batch entry, summed as np.linalg.norm sums one matrix
     flat = F_hat.reshape(F_hat.shape[:-2] + (1, -1))
@@ -189,6 +203,48 @@ def _regularized_inverse(G_bar: np.ndarray, P_max: float, sigma2: float):
     # loading can meet the budget; degrade to the silent precoder (beta = 0)
     beta = np.sqrt(P_max) / np.where(norm == 0.0, np.inf, norm)
     return beta[..., None, None] * F_hat, beta, alpha, cond
+
+
+def _gram_cond(gram: np.ndarray) -> np.ndarray:
+    """Condition numbers of regularized Grams (..., K, K); raises
+    SingularGram if an entry is not finite or exceeds the limit."""
+    try:
+        cond = np.linalg.cond(gram)
+    except np.linalg.LinAlgError:  # the SVD fails on NaN entries
+        raise SingularGram("regularized Gram has non-finite entries") from None
+    worst = float(cond.max(initial=0.0))
+    if not math.isfinite(worst) or worst > GRAM_COND_LIMIT:
+        raise SingularGram(f"regularized Gram condition {worst:.3e}")
+    return cond
+
+
+def gram_sum_rate(W: np.ndarray, P_max: float, sigma2: float):
+    """MMSE sum rate from the whitened Gram W = G_bar G_bar^H (..., K, K),
+    with G_bar = G diag(B)^-1/2; one rate per batch entry.
+
+    With S = (W + alpha I)^-1 the precoder is F = beta G_bar^H S, so
+    G U = G_bar F = beta W S and ||F_hat||_F^2 = Re tr(S W S): the rate needs
+    only K x K algebra.  Instead of an SVD per entry, conditioning is
+    certified by cond_2 <= ||Gamma||_F ||S||_F; the bound is held to two
+    decades below the limit so rounding in S cannot pass a bad entry, and
+    only entries that miss it (non-finite ones included) get the exact
+    check of ``mmse_precoder``."""
+    K = W.shape[-1]
+    alpha = K * sigma2 / P_max
+    gram = W + alpha * np.eye(K)
+    try:
+        S = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:  # exactly singular entry
+        _gram_cond(gram)
+        raise SingularGram("regularized Gram is singular") from None
+    bound = np.linalg.norm(gram, axis=(-2, -1)) * np.linalg.norm(S, axis=(-2, -1))
+    uncertified = ~(bound <= 1e-2 * GRAM_COND_LIMIT)
+    if uncertified.any():
+        _gram_cond(gram[uncertified])
+    WS = W @ S
+    norm = np.sqrt(np.sum(S.conj() * WS, axis=(-2, -1)).real)  # tr(S W S), S Hermitian
+    beta = np.sqrt(P_max) / np.where(norm == 0.0, np.inf, norm)
+    return _rate_of_coupling(beta[..., None, None] * WS, sigma2)[1]
 
 
 def mmse_precoder(
@@ -214,8 +270,13 @@ def mmse_precoder(
 def sinr_and_rate(G: np.ndarray, U: np.ndarray, sigma2) -> tuple[np.ndarray, float]:
     """Per-user SINR and sum rate for effective rows G and precoder U, each
     optionally with leading batch axes (one sum rate per batch entry)."""
-    K = G.shape[-2]
-    sig = G @ U  # (..., K, K): sig[k, j] couples stream j into user k
+    return _rate_of_coupling(G @ U, sigma2)
+
+
+def _rate_of_coupling(sig: np.ndarray, sigma2) -> tuple[np.ndarray, float]:
+    """SINRs and sum rate from the coupling matrix sig = G U (..., K, K),
+    where sig[k, j] couples stream j into user k."""
+    K = sig.shape[-1]
     power = np.abs(sig) ** 2
     desired = np.diagonal(power, axis1=-2, axis2=-1)
     interference = power.sum(axis=-1) - desired

@@ -2,7 +2,9 @@
 give the per-candidate results of the unbatched calls and fail with the same
 error when one candidate is bad; the batched consumers (finite-difference
 gradient, screened initializer, exhaustive baseline) are checked against
-frozen per-candidate loops."""
+frozen per-candidate loops.  Finite-difference probes are scored from a
+rank-2 update of the whitened Gram; that path is checked against the full
+MMSE precoder and against per-probe ``fc_state`` evaluations."""
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from fcarray import (
 from fcarray.channel import active_channel_matrix, coupler_channel_block
 from fcarray.chanest import exhaustive_baseline, pilot_correlate, true_effective
 from fcarray.errors import (
+    MarginTooSmall,
     NonPositivePower,
     NumericalError,
     SingularGram,
@@ -27,9 +30,18 @@ from fcarray.errors import (
     TooClose,
 )
 from fcarray.impedance import ImpedanceBlock, build_block
-from fcarray.optimizer import ObjectiveEvaluator, gradient, screened_initial_placement
+from fcarray.optimizer import (
+    ObjectiveEvaluator,
+    check_margin,
+    gradient,
+    screened_initial_placement,
+)
 from fcarray.precoding import (
+    GRAM_COND_LIMIT,
+    antenna_parts,
     effective_column,
+    fc_state,
+    gram_sum_rate,
     mech_weights,
     mmse_precoder,
     power_coefficient,
@@ -354,3 +366,222 @@ def test_exhaustive_baseline_matches_per_candidate_loop(D):
     assert rel_err(res.table, table) <= 1e-12
     if D == 25:
         assert feasible.any() and not feasible.all()
+
+
+def whitened_gram(G, B):
+    G_bar = G / np.sqrt(B)[..., None, :]
+    return G_bar @ np.swapaxes(G_bar.conj(), -1, -2)
+
+
+@pytest.mark.parametrize("K, M, scale", [(1, 4, 1.0), (3, 3, 1.0), (3, 5, 1.0),
+                                         (4, 6, 1e-4), (2, 2, 1e-7)])
+def test_gram_rate_matches_mmse_precoder(K, M, scale):
+    # K=1, K=M and weak channels, where the rate is far below one bit
+    rng = np.random.default_rng(K * 10 + M)
+    G = scale * (rng.standard_normal((BATCH, K, M)) + 1j * rng.standard_normal((BATCH, K, M)))
+    B = rng.uniform(10.0, 200.0, (BATCH, M))
+    rates = gram_sum_rate(whitened_gram(G, B), P_MAX, SIGMA2)
+    for i in range(BATCH):
+        ref = mmse_precoder(G[i], B[i], P_MAX, SIGMA2).sum_rate
+        assert rates[i] == pytest.approx(ref, rel=1e-12)
+        assert gram_sum_rate(whitened_gram(G[i], B[i]), P_MAX, SIGMA2) == pytest.approx(
+            ref, rel=1e-12)
+
+
+def test_gram_rate_of_zero_channel_is_zero():
+    G = np.zeros((2, 3), dtype=complex)
+    assert gram_sum_rate(whitened_gram(G, np.ones(3)), P_MAX, SIGMA2) == 0.0
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_probe_parts_match_antenna_parts(N):
+    # every single-coordinate probe of every antenna: only the moved coupler
+    # gets a new channel, yet column and power coefficient match the chain
+    lay = ArrayLayout(M=3, N=N)
+    model = DipoleModel.for_layout(lay)
+    spec = sample_channels(20 + N, K=3, L=15, layout=lay)
+    pl = random_feasible_placement(lay, np.random.default_rng(N))
+    ev = ObjectiveEvaluator(spec, lay, model, P_MAX, SIGMA2)
+    ev.set_placement(pl)
+    h_active = active_channel_matrix(spec, lay)
+    h = 1e-4 * lay.lam
+    m = np.repeat(np.arange(lay.M), 2 * N)
+    P = pl.positions[m].reshape(m.size, -1) + h * np.tile(np.eye(2 * N), (lay.M, 1))
+    P = P.reshape(m.size, N, 2)
+    cols, b = ev.probe_parts(m, P)
+    for i in range(m.size):
+        col_ref, b_ref = antenna_parts(spec, P[i], m[i], lay, model, h_active)
+        assert rel_err(cols[i], col_ref) <= 1e-12
+        assert b[i] == pytest.approx(b_ref, rel=1e-12)
+
+
+def fc_gradient_oracle(placement, ev, h):
+    """Per-probe central differences, each probe rate a full fc_state
+    evaluation of the moved placement; minus probes are (x + h) - 2h."""
+    M, n_coord = placement.M, 2 * placement.N
+    g = np.zeros((M, n_coord))
+    for m in range(M):
+        for i in range(n_coord):
+            rates = []
+            for sign in (1.0, -1.0):
+                vec = placement.antenna_vector(m)
+                vec[i] += h
+                if sign < 0:
+                    vec[i] -= 2.0 * h
+                moved = placement.with_antenna_vector(m, vec)
+                rates.append(fc_state(ev.spec, moved, ev.layout, ev.model,
+                                      ev.P_max, ev.sigma2).sum_rate)
+            g[m, i] = (rates[0] - rates[1]) / (2.0 * h)
+    return g
+
+
+def test_all_antenna_gradient_matches_fc_state_oracle():
+    # the acceptance-4 instances, all antennas in one batch
+    lay = ArrayLayout(M=2, N=2)
+    model = DipoleModel.for_layout(lay)
+    h = 1e-4 * lay.lam
+    for seed in range(10):
+        ch_seed = int(np.random.SeedSequence(seed).generate_state(1)[0])
+        spec = sample_channels(ch_seed, K=2, L=15, layout=lay)
+        pl = uniform_placement(lay)
+        ev = ObjectiveEvaluator(spec, lay, model, P_MAX, SIGMA2)
+        ev.set_placement(pl)
+        g = gradient(pl, np.arange(lay.M), ev, h)
+        ref = fc_gradient_oracle(pl, ev, h)
+        assert g.shape == ref.shape
+        assert np.linalg.norm(g - ref) <= 1e-8 * np.linalg.norm(ref)
+        for m in range(lay.M):
+            assert np.array_equal(g[m], gradient(pl, m, ev, h))
+
+
+def test_gram_certificate_raises_exactly_when_cond_exceeds_limit():
+    # Hermitian PSD Grams with condition numbers straddling the limit: the
+    # certificate path must raise SingularGram iff np.linalg.cond says so
+    rng = np.random.default_rng(8)
+    K = 3
+    alpha = K * SIGMA2 / P_MAX
+    conds = GRAM_COND_LIMIT * np.array([1e-3, 0.5, 0.9, 0.99, 1.01, 1.1, 2.0, 1e3])
+    W = []
+    for c in conds:
+        # W has eigenvalues (2c - 1, sqrt(c), 1) alpha, so cond(W + alpha I) ~ c
+        Q, _ = np.linalg.qr(rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K)))
+        eig = alpha * np.array([2.0 * c - 1.0, np.sqrt(c), 1.0])
+        W.append((Q * eig) @ Q.conj().T)
+    W = np.stack(W)
+    exact = np.linalg.cond(W + alpha * np.eye(K))
+    assert (exact > GRAM_COND_LIMIT).any() and (exact <= GRAM_COND_LIMIT).any()
+    for i in range(len(conds)):
+        if exact[i] > GRAM_COND_LIMIT:
+            with pytest.raises(SingularGram):
+                gram_sum_rate(W[i], P_MAX, SIGMA2)
+        else:
+            gram_sum_rate(W[i], P_MAX, SIGMA2)
+    ok = exact <= GRAM_COND_LIMIT
+    gram_sum_rate(W[ok], P_MAX, SIGMA2)
+    with pytest.raises(SingularGram):
+        gram_sum_rate(W, P_MAX, SIGMA2)
+
+
+class TestNonFinite:
+    """A NaN reaching the coupling system or the Gram, or a singular Gram,
+    raises the package's own error, not numpy's LinAlgError."""
+
+    def test_nan_in_coupling_system(self):
+        lay = ArrayLayout(M=1, N=2)
+        model = DipoleModel.for_layout(lay)
+        P = antenna_batch(lay, 0, seed=5)
+        block = build_block(P, lay.active_position(0), model)
+        block.Z_hat[2, 0, 1] = np.nan
+        with pytest.raises(SingularSystem):
+            mech_weights(ImpedanceBlock(block.z_self, block.z_bar[2], block.Z_hat[2], block.X))
+        with pytest.raises(SingularSystem):
+            mech_weights(block)
+
+    def test_nan_noise_in_mmse_precoder(self):
+        rng = np.random.default_rng(6)
+        G = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        with pytest.raises(SingularGram):
+            mmse_precoder(G, np.full(3, 50.0), 1.0, float("nan"))
+
+    def test_nan_in_probe_gram(self):
+        rng = np.random.default_rng(7)
+        G = rng.standard_normal((BATCH, 2, 3)) + 1j * rng.standard_normal((BATCH, 2, 3))
+        W = whitened_gram(G, np.full(3, 50.0))
+        W[4, 1, 0] = np.nan
+        gram_sum_rate(W[:4], P_MAX, SIGMA2)
+        with pytest.raises(SingularGram):
+            gram_sum_rate(W, P_MAX, SIGMA2)
+        with pytest.raises(SingularGram):
+            gram_sum_rate(W[0], P_MAX, float("nan"))
+
+    def test_exactly_singular_probe_gram(self):
+        # no noise and a silent user: LAPACK rejects the inverse outright
+        W = np.zeros((2, 2, 2), dtype=complex)
+        W[:, 0, 0] = 1.0
+        with pytest.raises(SingularGram):
+            mmse_precoder(np.array([[1.0 + 0j], [0.0]]), np.ones(1), P_MAX, 0.0)
+        with pytest.raises(SingularGram):
+            gram_sum_rate(W, P_MAX, 0.0)
+
+
+def check_margin_reference(placement, m, layout, margin):
+    """Per-antenna margin check as run before the all-antenna batch."""
+    lo, hi = layout.region_bounds(m)
+    pts = placement.positions[m]
+    if pts.size == 0:
+        return
+    box_margin = min(
+        float(np.min(pts[:, 0] - lo[0])), float(np.min(hi[0] - pts[:, 0])),
+        float(np.min(pts[:, 1] - lo[1])), float(np.min(hi[1] - pts[:, 1])),
+    )
+    if box_margin < margin:
+        raise MarginTooSmall(
+            f"antenna {m}: box margin {box_margin:.3e} m below fd step {margin:.3e} m"
+        )
+    full = np.vstack([layout.active_position(m)[None, :], pts])
+    dists = np.linalg.norm(full[:, None, :] - full[None, :, :], axis=-1)
+    iu = np.triu_indices(len(full), k=1)
+    if np.min(dists[iu]) < layout.min_sep_m + margin:
+        raise MarginTooSmall(
+            f"antenna {m}: spacing margin below fd step {margin:.3e} m"
+        )
+
+
+def first_margin_error(placement, layout, margin):
+    for m in range(layout.M):
+        try:
+            check_margin_reference(placement, m, layout, margin)
+        except MarginTooSmall as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_all_antenna_margin_check_reports_first_failing_antenna(case):
+    lay = ArrayLayout(M=4, N=2)
+    h = 1e-4 * lay.lam
+    pl = random_feasible_placement(lay, np.random.default_rng(case))
+    _, hi = lay.region_bounds(2)
+    if case in (1, 3):  # antenna 2 on its box edge
+        pl.positions[2, 1, 0] = hi[0] - 0.5 * h
+    if case in (2, 3, 4):  # antenna 3 (and 1) too close to a neighbour coupler
+        for m in (3, 1) if case == 4 else (3,):
+            pl.positions[m, 1] = pl.positions[m, 0] + [lay.min_sep_m + 0.5 * h, 0.0]
+    if case == 5:  # antenna 0 fails both checks: the box one is reported
+        lo0, _ = lay.region_bounds(0)
+        pl.positions[0, 0, 1] = lo0[1] + 0.25 * h
+        pl.positions[0, 1] = pl.positions[0, 0] + [lay.min_sep_m + 0.5 * h, 0.0]
+    expected = first_margin_error(pl, lay, h)
+    assert (expected is None) == (case == 0)
+    if expected is None:
+        check_margin(pl, np.arange(lay.M), lay, h)
+        return
+    with pytest.raises(MarginTooSmall) as exc:
+        check_margin(pl, np.arange(lay.M), lay, h)
+    assert str(exc.value) == expected
+    ev = ObjectiveEvaluator(sample_channels(case, K=2, L=15, layout=lay), lay,
+                            DipoleModel.for_layout(lay), P_MAX, SIGMA2)
+    ev.set_placement(pl)
+    with pytest.raises(MarginTooSmall) as exc:
+        gradient(pl, np.arange(lay.M), ev, h)
+    assert str(exc.value) == expected
