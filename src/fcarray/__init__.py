@@ -79,7 +79,6 @@ from .chanest import (
     nmse,
     omp,
     pilot_correlate,
-    reconstruct,
     run_pilot_phase,
     simulate_rx,
 )

@@ -17,6 +17,14 @@ baseline is included for comparison.
 
 Stacking order everywhere is block-major, antenna-minor: entry (v*M + m) of a
 stacked vector belongs to block v, antenna m.
+
+The per-antenna chain (impedance block, mechanical weights, response or
+effective column) runs batched: the pilot phase is one chain call over the
+(V, M) block/antenna pairs, the central dictionary one call over the same
+pairs, and reconstruction (``predict``), ``true_effective`` and ``nmse`` one
+call over all (test placement, antenna) pairs.  Each local estimator still
+builds its own dictionary from its own antenna's schedule, one call over its
+V blocks, so the distributed scheme never reads another antenna's positions.
 """
 
 from __future__ import annotations
@@ -25,7 +33,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import MultipathSpec, active_channel_matrix
+from .channel import (
+    MultipathSpec,
+    active_channel_matrix,
+    steering_active,
+    steering_coupler_block,
+)
 from .errors import (
     InfeasibleLayout,
     RankDeficientSupport,
@@ -39,8 +52,8 @@ from .geometry import (
     random_feasible_placement,
     single_coupler_moves,
 )
-from .impedance import DipoleModel, build_block, build_blocks
-from .precoding import all_mech_weights, antenna_parts, effective_channel, mech_weights
+from .impedance import DipoleModel, build_block
+from .precoding import antenna_parts, effective_column, mech_weights
 
 DEFAULT_GRID_SIZE = 256
 DEFAULT_THRESHOLD = 4.0  # ~6 dB above the effective noise floor
@@ -84,6 +97,11 @@ class PilotSession:
     def sigma_eff2(self) -> float:
         """Post-correlation noise variance sigma^2 / tau."""
         return self.sigma2 / self.tau
+
+    @property
+    def positions(self) -> np.ndarray:
+        """Coupler positions of all blocks, shape (V, M, N, 2)."""
+        return np.stack([pl.positions for pl in self.placements])
 
 
 def make_session(
@@ -144,29 +162,28 @@ def _annulus_placement(layout: ArrayLayout, rng: np.random.Generator,
 def simulate_rx(
     session: PilotSession,
     spec: MultipathSpec,
-    v: int,
+    v,
     layout: ArrayLayout,
     model: DipoleModel,
 ) -> np.ndarray:
     """Received pilot block v at all antennas, shape (M, tau): row m is the
-    post-coupling scalar channel times the pilots plus white noise."""
-    placement = session.placements[v]
-    blocks = build_blocks(placement, layout, model)
-    weights = all_mech_weights(blocks)
-    G = effective_channel(spec, placement, weights, layout)  # (K, M)
-    rng = np.random.default_rng([session.seed, 2, v])
-    noise = np.sqrt(session.sigma2 / 2.0) * (
-        rng.standard_normal((layout.M, session.tau))
-        + 1j * rng.standard_normal((layout.M, session.tau))
-    )
-    return G.T @ session.S + noise
+    post-coupling scalar channel times the pilots plus white noise.  An
+    index array ``v`` gives the blocks (..., M, tau) from one chain call;
+    block v always draws its noise from its own stream."""
+    G = true_effective(spec, session.positions[v], layout, model)  # (..., M, K)
+    sigma = np.sqrt(session.sigma2 / 2.0)
+    noise = [sigma * (rng.standard_normal((layout.M, session.tau))
+                      + 1j * rng.standard_normal((layout.M, session.tau)))
+             for rng in (np.random.default_rng([session.seed, 2, i])
+                         for i in np.ravel(v).tolist())]
+    return G @ session.S + np.reshape(noise, G.shape[:-1] + (session.tau,))
 
 
 def run_pilot_phase(
     session: PilotSession, spec: MultipathSpec, layout: ArrayLayout, model: DipoleModel
 ) -> list[np.ndarray]:
     """All V received blocks."""
-    return [simulate_rx(session, spec, v, layout, model) for v in range(session.V)]
+    return list(simulate_rx(session, spec, np.arange(session.V), layout, model))
 
 
 def pilot_correlate(y_m, S: np.ndarray, tau: int) -> np.ndarray:
@@ -200,39 +217,39 @@ class AngularGrid:
 
 
 def response_row(
-    phi, p_m: np.ndarray, w_m: np.ndarray, m: int, layout: ArrayLayout
+    phi, p_m: np.ndarray, w_m: np.ndarray, m, layout: ArrayLayout
 ) -> np.ndarray:
     """Effective per-antenna angular response b_m(phi; p_m) for angle(s) phi:
     the active steering entry minus the coupler re-radiation seen through the
-    mechanical weights."""
+    mechanical weights.  Positions (..., N, 2), weights (..., N) and ``m`` (an
+    index, or an index array matching the batch axes) give (batch..., phi...)."""
     phi = np.asarray(phi, dtype=float)
-    k0 = 2.0 * np.pi / layout.lam
-    ay_m = np.exp(-1j * k0 * layout.spacing_m * np.sin(phi) * m)
-    if w_m.size == 0:
-        return ay_m + 0j
-    proj = np.cos(phi)[..., None] * p_m[:, 0] + np.sin(phi)[..., None] * p_m[:, 1]
-    a_c = np.exp(-1j * k0 * proj)  # (..., N)
-    return ay_m - a_c @ w_m
+    flat = phi.reshape(-1)
+    a_y = np.moveaxis(steering_active(flat, layout), -1, 0)[m]  # (batch..., P)
+    a_c = steering_coupler_block(flat, p_m, layout.lam)  # (batch..., P, N)
+    b = a_y - (a_c @ w_m[..., None])[..., 0]
+    return b.reshape(b.shape[:-1] + phi.shape)
+
+
+def _positions(placement) -> np.ndarray:
+    """Coupler positions (..., M, N, 2) of a placement or a positions array."""
+    return np.asarray(getattr(placement, "positions", placement), dtype=float)
 
 
 def local_dictionary(
     session: PilotSession,
-    m: int,
+    m,
     grid: AngularGrid,
     layout: ArrayLayout,
     model: DipoleModel,
 ) -> np.ndarray:
     """Local dictionary of antenna m, shape (V, G): row v is the angular
     response at block-v coupler positions (mechanical weights recomputed from
-    the antenna's own schedule)."""
-    A_m = np.zeros((session.V, grid.G), dtype=complex)
-    q_m = layout.active_position(m)
-    for v in range(session.V):
-        p_m = session.placements[v].positions[m]
-        block = build_block(p_m, q_m, model)
-        w_m, _ = mech_weights(block)
-        A_m[v] = response_row(grid.angles, p_m, w_m, m, layout)
-    return A_m
+    the antenna's own schedule), from one chain call over the V blocks.  An
+    index array ``m`` gives (V, len(m), G)."""
+    P = session.positions[:, m]
+    w_m, _ = mech_weights(build_block(P, layout.active_positions()[m], model))
+    return response_row(grid.angles, P, w_m, m, layout)
 
 
 @dataclass
@@ -259,10 +276,9 @@ def build_dictionary(
     layout: ArrayLayout,
     model: DipoleModel,
 ) -> Dictionary:
-    """Full dictionary over all blocks and antennas."""
-    cube = np.zeros((session.V, layout.M, grid.G), dtype=complex)
-    for m in range(layout.M):
-        cube[:, m, :] = local_dictionary(session, m, grid, layout, model)
+    """Full dictionary over all blocks and antennas, one chain call over the
+    (V, M) block/antenna pairs."""
+    cube = local_dictionary(session, np.arange(layout.M), grid, layout, model)
     return Dictionary(cube=cube, grid=grid)
 
 
@@ -333,33 +349,24 @@ class EstimationResult:
     ledger: dict = field(default_factory=dict)
     residual_history: list = field(default_factory=list)
 
-    def predict(self, placement: CouplerPlacement, layout: ArrayLayout,
-                model: DipoleModel) -> np.ndarray:
+    def predict(self, placement, layout: ArrayLayout, model: DipoleModel) -> np.ndarray:
         """Reconstructed effective channels (M, K) at an arbitrary placement,
-        using freshly solved mechanical weights at the query positions."""
-        K, L = self.angles.shape
-        out = np.zeros((layout.M, K), dtype=complex)
-        for m in range(layout.M):
-            p_m = placement.positions[m]
-            block = build_block(p_m, layout.active_position(m), model)
-            w_m, _ = mech_weights(block)
-            b = response_row(self.angles.reshape(-1), p_m, w_m, m, layout)
-            out[m] = np.sum(self.gains * b.reshape(K, L), axis=1)
-        return out
+        using freshly solved mechanical weights at the query positions.
+        Positions (..., M, N, 2) give (..., M, K) from one chain call."""
+        P = _positions(placement)
+        w, _ = mech_weights(build_block(P, layout.active_positions(), model))
+        b = response_row(self.angles, P, w, np.arange(layout.M), layout)  # (..., M, K, L)
+        return np.sum(self.gains * b, axis=-1)
 
 
-def reconstruct(result, placement: CouplerPlacement, layout: ArrayLayout,
-                model: DipoleModel) -> np.ndarray:
-    """Effective channels (M, K) predicted by an estimation result."""
-    return result.predict(placement, layout, model)
-
-
-def true_effective(spec: MultipathSpec, placement: CouplerPlacement,
-                   layout: ArrayLayout, model: DipoleModel) -> np.ndarray:
-    """Ground-truth effective channels (M, K) at a placement."""
-    blocks = build_blocks(placement, layout, model)
-    weights = all_mech_weights(blocks)
-    return effective_channel(spec, placement, weights, layout).T
+def true_effective(spec: MultipathSpec, placement, layout: ArrayLayout,
+                   model: DipoleModel) -> np.ndarray:
+    """Ground-truth effective channels (M, K) at a placement, or (..., M, K)
+    at positions (..., M, N, 2), from one chain call."""
+    P = _positions(placement)
+    w, _ = mech_weights(build_block(P, layout.active_positions(), model))
+    return effective_column(spec, P, w, np.arange(layout.M),
+                            active_channel_matrix(spec, layout), layout.lam)
 
 
 def nmse(
@@ -373,16 +380,14 @@ def nmse(
     norms taken across antennas."""
     if not test_placements:
         raise ValueError("need at least one test placement")
-    ratios = []
-    for placement in test_placements:
-        g_hat = result.predict(placement, layout, model)
-        g = true_effective(spec, placement, layout, model)
-        denom = np.sum(np.abs(g) ** 2, axis=0)
-        if np.any(denom < 1e-300):
-            raise ZeroChannel("true effective channel vanished at a test placement")
-        err = np.sum(np.abs(g_hat - g) ** 2, axis=0)
-        ratios.append(err / denom)
-    return float(np.mean(ratios))
+    P = np.stack([_positions(pl) for pl in test_placements])  # (T, M, N, 2)
+    g_hat = result.predict(P, layout, model)
+    g = true_effective(spec, P, layout, model)
+    denom = np.sum(np.abs(g) ** 2, axis=-2)  # (T, K)
+    if np.any(denom < 1e-300):
+        raise ZeroChannel("true effective channel vanished at a test placement")
+    err = np.sum(np.abs(g_hat - g) ** 2, axis=-2)
+    return float(np.mean(err / denom))
 
 
 def support_hit_rate(result, spec: MultipathSpec, grid: AngularGrid) -> float:
@@ -521,7 +526,10 @@ def aggregate_gains(stats: list[tuple[np.ndarray, np.ndarray]], eps_k) -> np.nda
     if eps_k == "auto":
         eps_k = 1e-8 * float(np.real(np.trace(R))) / max(L, 1)
     R_loaded = R + eps_k * np.eye(L)
-    cond = float(np.linalg.cond(R_loaded))
+    try:
+        cond = float(np.linalg.cond(R_loaded))
+    except np.linalg.LinAlgError:  # the SVD fails on NaN entries
+        raise SingularAggregate("aggregated Gram has non-finite entries") from None
     if not np.isfinite(cond) or cond > 1e12:
         raise SingularAggregate(f"aggregated Gram condition {cond:.3e} after loading")
     return np.linalg.solve(R_loaded, q)
@@ -625,22 +633,19 @@ class ExhaustiveResult:
     parked: CouplerPlacement
     ledger: dict
 
-    def predict(self, placement: CouplerPlacement, layout: ArrayLayout,
-                model: DipoleModel) -> np.ndarray:
+    def predict(self, placement, layout: ArrayLayout, model: DipoleModel) -> np.ndarray:
+        """Predicted channels (M, K) at a placement, or (..., M, K) at
+        positions (..., M, N, 2)."""
         M, N, D, K = self.table.shape
-        out = np.zeros((M, K), dtype=complex)
-        for m in range(M):
-            acc = self.base[m].copy()
-            for n in range(N):
-                ok = self.feasible[m, n]
-                if not np.any(ok):
-                    continue
-                cand = self.candidates[m]
-                d2 = np.sum((cand - placement.positions[m, n]) ** 2, axis=1)
-                d2 = np.where(ok, d2, np.inf)
-                d_idx = int(np.argmin(d2))
-                acc = acc + (self.table[m, n, d_idx] - self.base[m])
-            out[m] = acc
+        P = _positions(placement)
+        d2 = np.sum((self.candidates[:, None] - P[..., None, :]) ** 2, axis=-1)
+        d_idx = np.argmin(np.where(self.feasible, d2, np.inf), axis=-1)  # (..., M, N)
+        picked = self.table[np.arange(M)[:, None], np.arange(N), d_idx]  # (..., M, N, K)
+        step = np.where(self.feasible.any(axis=-1)[..., None],
+                        picked - self.base[:, None], 0.0)
+        out = np.broadcast_to(self.base, P.shape[:-2] + (K,)).copy()
+        for n in range(N):  # summed coupler by coupler, in a fixed order
+            out = out + step[..., n, :]
         return out
 
 

@@ -79,9 +79,9 @@ class DipoleModel:
 def mutual_impedance(d, model: DipoleModel):
     """Mutual impedance (ohms) of two parallel side-by-side dipoles at
     center spacing ``d`` meters.  Accepts scalars or arrays; raises TooClose
-    below the singularity guard."""
+    below the singularity guard or at a NaN spacing."""
     arr = np.asarray(d, dtype=float)
-    if np.any(arr < model.min_separation):
+    if not np.all(arr >= model.min_separation):
         raise TooClose(
             f"separation below guard {model.min_separation:.4e} m; "
             f"min requested {arr.min():.4e} m"
@@ -160,12 +160,10 @@ def build_block(p_m: np.ndarray, q_m: np.ndarray, model: DipoleModel) -> Impedan
     return ImpedanceBlock(model.self_impedance, z_bar, Z_hat, X)
 
 
-def build_blocks(placement, layout: ArrayLayout, model: DipoleModel) -> list[ImpedanceBlock]:
-    """Impedance blocks for all antennas of a placement."""
-    return [
-        build_block(placement.positions[m], layout.active_position(m), model)
-        for m in range(layout.M)
-    ]
+def build_blocks(placement, layout: ArrayLayout, model: DipoleModel) -> ImpedanceBlock:
+    """Impedance blocks for all antennas of a placement, as one block batched
+    over the leading antenna axis."""
+    return build_block(placement.positions, layout.active_positions(), model)
 
 
 def write_impedance_table(path, distances, model: DipoleModel) -> None:

@@ -74,13 +74,9 @@ def mech_weights(block: ImpedanceBlock) -> tuple[np.ndarray, float]:
     return w, _scalar(cond)
 
 
-def all_mech_weights(blocks: list[ImpedanceBlock]) -> MechanicalWeights:
-    M = len(blocks)
-    N = blocks[0].N if M else 0
-    w = np.zeros((M, N), dtype=complex)
-    cond = np.zeros(M)
-    for m, blk in enumerate(blocks):
-        w[m], cond[m] = mech_weights(blk)
+def all_mech_weights(blocks: ImpedanceBlock) -> MechanicalWeights:
+    """Weights of all antennas from their batched impedance block (M, ...)."""
+    w, cond = mech_weights(blocks)
     return MechanicalWeights(w=w, cond=cond)
 
 
@@ -132,13 +128,9 @@ def effective_channel(
     layout: ArrayLayout,
 ) -> np.ndarray:
     """Effective K x M channel after absorbing coupler re-radiation."""
-    h_active = active_channel_matrix(spec, layout)
-    G = np.zeros((spec.K, layout.M), dtype=complex)
-    for m in range(layout.M):
-        G[:, m] = effective_column(
-            spec, placement.positions[m], weights.w[m], m, h_active, layout.lam
-        )
-    return G
+    cols = effective_column(spec, placement.positions, weights.w, np.arange(layout.M),
+                            active_channel_matrix(spec, layout), layout.lam)
+    return np.ascontiguousarray(cols.T)
 
 
 def power_coefficient(block: ImpedanceBlock, w_m: np.ndarray) -> float:
@@ -152,9 +144,9 @@ def power_coefficient(block: ImpedanceBlock, w_m: np.ndarray) -> float:
     return _scalar(val)
 
 
-def power_matrix(blocks: list[ImpedanceBlock], weights: MechanicalWeights) -> np.ndarray:
+def power_matrix(blocks: ImpedanceBlock, weights: MechanicalWeights) -> np.ndarray:
     """Diagonal of B(p): per-antenna radiated-power coefficients."""
-    return np.array([power_coefficient(blk, weights.w[m]) for m, blk in enumerate(blocks)])
+    return power_coefficient(blocks, weights.w)
 
 
 @dataclass
@@ -312,11 +304,9 @@ def fc_state(
 ) -> PrecodingState:
     """Full flexible-coupler pipeline at a fixed placement: impedance blocks,
     mechanical weights, effective channel, power matrix, MMSE precoder."""
-    blocks = build_blocks(placement, layout, model)
-    weights = all_mech_weights(blocks)
-    G = effective_channel(spec, placement, weights, layout)
-    B = power_matrix(blocks, weights)
-    return mmse_precoder(G, B, P_max, sigma2)
+    cols, B = antenna_parts(spec, placement.positions, np.arange(layout.M), layout, model,
+                            active_channel_matrix(spec, layout))
+    return mmse_precoder(np.ascontiguousarray(cols.T), B, P_max, sigma2)
 
 
 def _real_sqrt_and_inv(Re_Z: np.ndarray, norm: float) -> tuple[np.ndarray, np.ndarray]:
@@ -345,7 +335,7 @@ def fully_active_state(
     """
     if placement is None:
         placement = uniform_placement(layout)
-    blocks = build_blocks(placement, layout, model)
+    Re_Z = np.real(build_blocks(placement, layout, model).full_matrix())  # (M, N+1, N+1)
     M, N = layout.M, layout.N
     ports = M * (N + 1)
     # per-antenna port channel rows, matching the blkdiag port ordering
@@ -358,10 +348,9 @@ def fully_active_state(
     # blockwise whitening
     G_bar = np.zeros_like(H)
     inv_roots = []
-    for m, blk in enumerate(blocks):
-        Re_Z = np.real(blk.full_matrix())
-        norm = float(np.linalg.norm(Re_Z, 2))
-        _, inv_root = _real_sqrt_and_inv(Re_Z, norm)
+    for m in range(M):
+        norm = float(np.linalg.norm(Re_Z[m], 2))
+        _, inv_root = _real_sqrt_and_inv(Re_Z[m], norm)
         inv_roots.append(inv_root)
         sl = slice(m * (N + 1), (m + 1) * (N + 1))
         G_bar[:, sl] = H[:, sl] @ inv_root

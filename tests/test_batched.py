@@ -4,7 +4,9 @@ error when one candidate is bad; the batched consumers (finite-difference
 gradient, screened initializer, exhaustive baseline) are checked against
 frozen per-candidate loops.  Finite-difference probes are scored from a
 rank-2 update of the whitened Gram; that path is checked against the full
-MMSE precoder and against per-probe ``fc_state`` evaluations."""
+MMSE precoder and against per-probe ``fc_state`` evaluations.  The
+estimation side (pilot phase, dictionaries, reconstruction, NMSE) is checked
+against frozen per-(block, antenna) and per-(placement, antenna) loops."""
 
 import numpy as np
 import pytest
@@ -20,11 +22,25 @@ from fcarray import (
     uniform_placement,
 )
 from fcarray.channel import active_channel_matrix, coupler_channel_block
-from fcarray.chanest import exhaustive_baseline, pilot_correlate, true_effective
+from fcarray.chanest import (
+    AngularGrid,
+    EstimationResult,
+    aggregate_gains,
+    build_dictionary,
+    exhaustive_baseline,
+    local_dictionary,
+    nmse,
+    pilot_correlate,
+    run_pilot_phase,
+    simulate_rx,
+    true_effective,
+)
 from fcarray.errors import (
+    FcError,
     MarginTooSmall,
     NonPositivePower,
     NumericalError,
+    SingularAggregate,
     SingularGram,
     SingularSystem,
     TooClose,
@@ -523,6 +539,10 @@ class TestNonFinite:
         with pytest.raises(SingularGram):
             gram_sum_rate(W, P_MAX, 0.0)
 
+    def test_nan_in_aggregated_statistics(self):
+        with pytest.raises(SingularAggregate):
+            aggregate_gains([(np.full((2, 2), np.nan + 0j), np.ones(2, complex))], "auto")
+
 
 def check_margin_reference(placement, m, layout, margin):
     """Per-antenna margin check as run before the all-antenna batch."""
@@ -585,3 +605,155 @@ def test_all_antenna_margin_check_reports_first_failing_antenna(case):
     with pytest.raises(MarginTooSmall) as exc:
         gradient(pl, np.arange(lay.M), ev, h)
     assert str(exc.value) == expected
+
+
+# ---------------------------------------------------------------------------
+# estimation side: frozen per-antenna copies of the unbatched code as oracles
+
+
+def response_row_reference(phi, p_m, w_m, m, layout):
+    phi = np.asarray(phi, dtype=float)
+    k0 = 2.0 * np.pi / layout.lam
+    ay_m = np.exp(-1j * k0 * layout.spacing_m * np.sin(phi) * m)
+    if w_m.size == 0:
+        return ay_m + 0j
+    proj = np.cos(phi)[..., None] * p_m[:, 0] + np.sin(phi)[..., None] * p_m[:, 1]
+    return ay_m - np.exp(-1j * k0 * proj) @ w_m
+
+
+def weights_reference(p_m, m, layout, model):
+    w_m, _ = mech_weights(build_block(p_m, layout.active_position(m), model))
+    return w_m
+
+
+def true_effective_reference(spec, placement, layout, model):
+    h_active = active_channel_matrix(spec, layout)
+    G = np.zeros((spec.K, layout.M), dtype=complex)
+    for m in range(layout.M):
+        p_m = placement.positions[m]
+        G[:, m] = effective_column(spec, p_m, weights_reference(p_m, m, layout, model), m,
+                                   h_active, layout.lam)
+    return G.T
+
+
+def simulate_rx_reference(session, spec, v, layout, model):
+    G = true_effective_reference(spec, session.placements[v], layout, model)
+    rng = np.random.default_rng([session.seed, 2, v])
+    noise = np.sqrt(session.sigma2 / 2.0) * (
+        rng.standard_normal((layout.M, session.tau))
+        + 1j * rng.standard_normal((layout.M, session.tau)))
+    return G @ session.S + noise
+
+
+def local_dictionary_reference(session, m, grid, layout, model):
+    A_m = np.zeros((session.V, grid.G), dtype=complex)
+    for v in range(session.V):
+        p_m = session.placements[v].positions[m]
+        A_m[v] = response_row_reference(grid.angles, p_m,
+                                        weights_reference(p_m, m, layout, model), m, layout)
+    return A_m
+
+
+def predict_reference(result, placement, layout, model):
+    K, L = result.angles.shape
+    out = np.zeros((layout.M, K), dtype=complex)
+    for m in range(layout.M):
+        p_m = placement.positions[m]
+        b = response_row_reference(result.angles.reshape(-1), p_m,
+                                   weights_reference(p_m, m, layout, model), m, layout)
+        out[m] = np.sum(result.gains * b.reshape(K, L), axis=1)
+    return out
+
+
+def exhaustive_predict_reference(res, placement):
+    M, N, D, K = res.table.shape
+    out = np.zeros((M, K), dtype=complex)
+    for m in range(M):
+        acc = res.base[m].copy()
+        for n in range(N):
+            ok = res.feasible[m, n]
+            if not np.any(ok):
+                continue
+            d2 = np.sum((res.candidates[m] - placement.positions[m, n]) ** 2, axis=1)
+            acc = acc + (res.table[m, n, int(np.argmin(np.where(ok, d2, np.inf)))] - res.base[m])
+        out[m] = acc
+    return out
+
+
+def nmse_reference(predict, spec, placements, layout, model):
+    ratios = []
+    for placement in placements:
+        g_hat = predict(placement)
+        g = true_effective_reference(spec, placement, layout, model)
+        ratios.append(np.sum(np.abs(g_hat - g) ** 2, axis=0)
+                      / np.sum(np.abs(g) ** 2, axis=0))
+    return float(np.mean(ratios))
+
+
+def estimation_setup(N, V, seed=0):
+    lay = ArrayLayout(M=4, N=N)
+    model = DipoleModel.for_layout(lay)
+    spec = sample_channels(30 + N, K=2, L=3, layout=lay)
+    session = make_session(lay, K=2, tau=4, V=V, sigma2=0.1, seed=40 + N + V)
+    rng = np.random.default_rng(seed)
+    result = EstimationResult(
+        scheme="injected", supports=np.zeros((2, 3), dtype=int),
+        angles=rng.uniform(-np.pi / 2, np.pi / 2, (2, 3)),
+        gains=rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)),
+        grid=AngularGrid(32))
+    tests = [random_feasible_placement(lay, rng) for _ in range(5)]
+    return lay, model, spec, session, result, tests
+
+
+@pytest.mark.parametrize("V", [1, 4])
+@pytest.mark.parametrize("N", [0, 1, 2, 3])
+def test_pilot_phase_and_dictionaries_match_per_antenna_loops(N, V):
+    lay, model, spec, session, _, _ = estimation_setup(N, V)
+    obs = run_pilot_phase(session, spec, lay, model)
+    assert len(obs) == V
+    for v in range(V):
+        ref = simulate_rx_reference(session, spec, v, lay, model)
+        assert np.array_equal(obs[v], ref)
+        assert np.array_equal(simulate_rx(session, spec, v, lay, model), ref)
+    grid = AngularGrid(32)
+    dictionary = build_dictionary(session, grid, lay, model)
+    assert dictionary.cube.shape == (V, lay.M, grid.G)
+    for m in range(lay.M):
+        A_m = local_dictionary(session, m, grid, lay, model)
+        assert rel_err(A_m, local_dictionary_reference(session, m, grid, lay, model)) <= 4e-16
+        assert rel_err(dictionary.local(m), A_m) <= 4e-16
+
+
+@pytest.mark.parametrize("V", [1, 4])
+@pytest.mark.parametrize("N", [0, 1, 2, 3])
+def test_reconstruction_and_nmse_match_per_placement_loops(N, V):
+    lay, model, spec, session, result, tests = estimation_setup(N, V)
+    exhaustive = exhaustive_baseline(session, spec, lay, model, D=16)
+    P = stack([pl.positions for pl in tests])
+    cases = [(result, lambda pl: predict_reference(result, pl, lay, model)),
+             (exhaustive, lambda pl: exhaustive_predict_reference(exhaustive, pl))]
+    for res, reference in cases:
+        ref = stack([reference(pl) for pl in tests])
+        assert rel_err(res.predict(P, lay, model), ref) <= 4e-16
+        assert rel_err(res.predict(tests[0], lay, model), ref[0]) <= 4e-16
+        assert rel_err(nmse(res, spec, tests, lay, model),
+                       nmse_reference(reference, spec, tests, lay, model)) <= 4e-16
+    ref = stack([true_effective_reference(spec, pl, lay, model) for pl in tests])
+    assert rel_err(true_effective(spec, P, lay, model), ref) <= 4e-16
+    assert rel_err(true_effective(spec, tests[0], lay, model), ref[0]) <= 4e-16
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_bad_test_placement_fails_the_batched_nmse(N):
+    lay, model, spec, session, result, tests = estimation_setup(N, V=1)
+    exhaustive = exhaustive_baseline(session, spec, lay, model, D=16)
+    close = tests[2].copy()
+    close.positions[1, N - 1] = lay.active_position(1) + [0.5 * lay.min_sep_m, 0.0]
+    broken = tests[3].copy()
+    broken.positions[2, 0, 1] = np.nan
+    for res in (result, exhaustive):
+        nmse(res, spec, tests, lay, model)
+        with pytest.raises(TooClose):
+            nmse(res, spec, tests[:2] + [close] + tests[3:], lay, model)
+        with pytest.raises(FcError):
+            nmse(res, spec, tests[:3] + [broken], lay, model)

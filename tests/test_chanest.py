@@ -21,7 +21,6 @@ from fcarray import (
     omp,
     pilot_correlate,
     random_feasible_placement,
-    reconstruct,
     run_pilot_phase,
     sample_channels,
     simulate_rx,
@@ -461,7 +460,7 @@ class TestReconstructAndNmse:
         )
         for i in range(20):
             pl = random_feasible_placement(layout, rng)
-            g_hat = reconstruct(result, pl, layout, model)
+            g_hat = result.predict(pl, layout, model)
             g = true_effective(spec, pl, layout, model)
             assert np.max(np.abs(g_hat - g)) < 1e-10
 
@@ -473,7 +472,7 @@ class TestReconstructAndNmse:
             angles=np.zeros((1, 2)), gains=np.zeros((1, 2), dtype=complex),
             grid=grid)
         pl = uniform_placement(layout)
-        assert np.allclose(reconstruct(result, pl, layout, model), 0.0)
+        assert np.allclose(result.predict(pl, layout, model), 0.0)
 
     def test_training_block_replay(self, est_setup):
         layout, model = est_setup
@@ -486,7 +485,7 @@ class TestReconstructAndNmse:
             angles=spec.angles.copy(), gains=spec.gains.copy(), grid=grid)
         for v in range(2):
             pl = session.placements[v]
-            g_hat = reconstruct(result, pl, layout, model)
+            g_hat = result.predict(pl, layout, model)
             g = true_effective(spec, pl, layout, model)
             assert np.max(np.abs(g_hat - g)) < 1e-10
 

@@ -154,7 +154,7 @@ class TestPowerMatrix:
         B = power_matrix(blocks, weights)
         for m in range(layout.M):
             w_t = np.concatenate([[1.0 + 0j], -weights.w[m]])
-            ref = np.real(w_t.conj() @ np.real(blocks[m].full_matrix()) @ w_t)
+            ref = np.real(w_t.conj() @ np.real(blocks.full_matrix()[m]) @ w_t)
             assert B[m] == pytest.approx(ref, rel=1e-12)
             assert B[m] > 0
 
