@@ -1,9 +1,9 @@
 """Distributed execution with explicit message accounting.
 
-Both distributed algorithms can run through a message-passing harness where
-every central-to-local exchange is logged.  The outputs are bit-identical to
-the direct in-process pipelines; the logs replay to exact communication
-ledgers (complex scalars count as 2 real units, grid indices as 1).
+Both distributed algorithms record every central-to-local exchange as they
+run.  A logged run is the direct run, so its outputs are bit-identical to the
+unlogged call; the logs replay to exact communication ledgers (complex
+scalars count as 2 real units, grid indices as 1).
 """
 
 import numpy as np

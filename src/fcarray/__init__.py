@@ -29,12 +29,10 @@ from .impedance import (
     sine_cosine_integrals,
 )
 from .channel import (
-    ChannelRealization,
     MultipathSpec,
     sample_channels,
     steering_active,
     steering_coupler,
-    user_channel,
 )
 from .precoding import (
     MechanicalWeights,
@@ -43,7 +41,6 @@ from .precoding import (
     all_mech_weights,
     effective_channel,
     fc_state,
-    fully_active_rate,
     fully_active_state,
     mech_weights,
     mmse_precoder,
@@ -57,7 +54,6 @@ from .optimizer import (
     SCATrace,
     communication_count,
     gradient,
-    local_step,
     objective,
     optimize,
     screened_initial_placement,
@@ -69,7 +65,6 @@ from .chanest import (
     build_dictionary,
     centralized_estimate,
     distributed_estimate,
-    distributed_gains,
     exhaustive_baseline,
     fuse_and_select,
     local_proxy,

@@ -12,8 +12,9 @@ observations at the central unit, OMP with exactly L selections, LS gains)
 and a distributed one (per-antenna matched-filter proxies with
 noise-calibrated thresholding, central score fusion for the support, then
 per-antenna Gram/correlation sufficient statistics whose sums reproduce the
-global LS normal equations).  An exhaustive per-candidate measurement
-baseline is included for comparison.
+global LS normal equations); its one round driver records every exchange,
+and runtime.run_algorithm3 returns the records as a message log.  An
+exhaustive per-candidate measurement baseline is included for comparison.
 
 Stacking order everywhere is block-major, antenna-minor: entry (v*M + m) of a
 stacked vector belongs to block v, antenna m.
@@ -29,6 +30,7 @@ V blocks, so the distributed scheme never reads another antenna's positions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +43,7 @@ from .channel import (
 )
 from .errors import (
     InfeasibleLayout,
+    InformationLeak,
     RankDeficientSupport,
     SingularAggregate,
     TauTooShort,
@@ -475,17 +478,20 @@ def fuse_and_select(uploads, L: int, G: int) -> tuple[np.ndarray, bool]:
 
 
 class LocalEstimator:
-    """Per-antenna half of the distributed scheme.  Owns only the antenna's
-    observations and position schedule; everything it produces for the
-    central unit is explicit (proxies, sufficient statistics)."""
+    """Per-antenna half of the distributed scheme (the local unit of
+    Algorithm 3).  Owns only the antenna's observations and position
+    schedule; everything it produces for the central unit is explicit
+    (proxies, sufficient statistics), and a request it has not been prepared
+    for by an earlier exchange raises InformationLeak."""
 
     def __init__(self, m: int, session: PilotSession, grid: AngularGrid,
                  layout: ArrayLayout, model: DipoleModel):
         self.m = m
         self.session = session
-        self.grid = grid
         self.A_m = local_dictionary(session, m, grid, layout, model)
         self.corr = None  # (V, K) after correlate()
+        self._rho: dict[int, np.ndarray] = {}
+        self._supports: dict[int, np.ndarray] = {}
 
     def correlate(self, y_rows: list[np.ndarray]) -> None:
         """Pilot-correlate the antenna's own V received rows."""
@@ -498,17 +504,33 @@ class LocalEstimator:
         return self.corr[:, k]
 
     def proxies(self, k: int, eta: float, eps_n: float):
+        """Thresholded proxy upload of user k: (kept indices, their rho)."""
         rho, kept = local_proxy(self.A_m, self.observation(k),
                                 self.session.sigma_eff2, eta, eps_n)
-        return kept, rho[kept], rho
+        self._rho[k] = rho
+        return kept, rho[kept]
 
-    def top_proxies(self, rho: np.ndarray, L: int):
-        order = np.lexsort((np.arange(self.grid.G), -rho))
+    def top_proxies(self, k: int, L: int):
+        """Fallback upload of user k: the unthresholded top-L proxies."""
+        if k not in self._rho:
+            raise InformationLeak(
+                f"LPU {self.m} got a fallback request before computing proxies"
+            )
+        rho = self._rho[k]
+        order = np.lexsort((np.arange(rho.size), -rho))
         idx = np.sort(order[:L])
         return idx, rho[idx]
 
-    def suff_stats(self, k: int, support) -> tuple[np.ndarray, np.ndarray]:
-        A_g = self.A_m[:, list(support)]
+    def receive_support(self, k: int, support: np.ndarray) -> None:
+        self._supports[k] = support
+
+    def suff_stats(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Gram and correlation of user k on the received support."""
+        if k not in self._supports:
+            raise InformationLeak(
+                f"LPU {self.m} asked for statistics of user {k} without a support"
+            )
+        A_g = self.A_m[:, list(self._supports[k])]
         R = A_g.conj().T @ A_g
         q = A_g.conj().T @ self.observation(k)
         return R, q
@@ -535,20 +557,80 @@ def aggregate_gains(stats: list[tuple[np.ndarray, np.ndarray]], eps_k) -> np.nda
     return np.linalg.solve(R_loaded, q)
 
 
-def distributed_gains(
-    estimators: list[LocalEstimator], k: int, support, eps_k="auto"
-) -> tuple[np.ndarray, dict]:
-    """Gain estimate for one user from per-antenna sufficient statistics,
-    with the closed-form upload ledger (L^2 + L complex per antenna)."""
-    stats = [est.suff_stats(k, support) for est in estimators]
-    gains = aggregate_gains(stats, eps_k)
-    L = len(support)
-    M = len(estimators)
+def _algorithm3_rounds(
+    session: PilotSession,
+    observations: list[np.ndarray],
+    L: int,
+    grid: AngularGrid,
+    layout: ArrayLayout,
+    model: DipoleModel,
+    eta: float,
+    eps_n: float,
+    eps_k,
+) -> tuple[EstimationResult, list[tuple]]:
+    """The rounds of Algorithm 3, per user: proxy upload (plus the
+    unthresholded fallback round when thresholding starves the fusion),
+    support broadcast with the sufficient-statistics upload, gain broadcast.
+
+    Every exchange is recorded as (round, antenna, payload kind, scalar
+    count, payload) in exchange order, a complex scalar counting as 2 units
+    and a grid index as 1; the result's ledger is summed from the records."""
+    M = layout.M
+    K = session.K
+    estimators = [LocalEstimator(m, session, grid, layout, model) for m in range(M)]
+    for m, est in enumerate(estimators):
+        est.correlate([observations[v][m] for v in range(session.V)])
+
+    records = []
+    supports = np.zeros((K, L), dtype=int)
+    gains = np.zeros((K, L), dtype=complex)
+    r = 0
+    for k in range(K):
+        r += 1
+        uploads = [est.proxies(k, eta, eps_n) for est in estimators]
+        records += [(r, m, "proxy_list", 2 * len(up[0]), up)
+                    for m, up in enumerate(uploads)]
+        support, ok = fuse_and_select(uploads, L, grid.G)
+        if not ok:
+            # too little survived thresholding: one extra round of
+            # unthresholded top-L proxies from every antenna
+            r += 1
+            uploads = []
+            for m, est in enumerate(estimators):
+                records.append((r, m, "proxy_request", 1, L))
+                uploads.append(est.top_proxies(k, L))
+                records.append((r, m, "proxy_list", 2 * len(uploads[m][0]), uploads[m]))
+            support, _ = fuse_and_select(uploads, L, grid.G)
+        supports[k] = support
+
+        r += 1
+        stats = []
+        for m, est in enumerate(estimators):
+            records.append((r, m, "support", L, support))
+            est.receive_support(k, support)
+            stats.append(est.suff_stats(k))
+            records.append((r, m, "suff_stats", 2 * (L * L + L), stats[m]))
+        gains[k] = aggregate_gains(stats, eps_k)
+
+        r += 1
+        records += [(r, m, "gains", 2 * L, gains[k]) for m in range(M)]
+
+    units = Counter()
+    for _, _, kind, count, _ in records:
+        units[kind] += count
     ledger = {
-        "suffstat_complex": M * (L * L + L),
-        "suffstat_scalars": 2 * M * (L * L + L),
+        "proxy_scalars": units["proxy_list"],
+        # a fallback round sends one single-unit request to every antenna
+        "fallback_rounds": units["proxy_request"] // M,
+        "support_scalars": units["support"],
+        "suffstat_complex": units["suff_stats"] // 2,
+        "suffstat_scalars": units["suff_stats"],
+        "gain_scalars": units["gains"],
     }
-    return gains, ledger
+    return EstimationResult(
+        scheme="distributed", supports=supports, angles=grid.angles[supports],
+        gains=gains, grid=grid, ledger=ledger,
+    ), records
 
 
 def distributed_estimate(
@@ -563,53 +645,10 @@ def distributed_estimate(
     eps_k="auto",
 ) -> EstimationResult:
     """Full distributed pipeline: local proxies, central fusion of the
-    support, local sufficient statistics, central loaded-LS gains."""
-    M = layout.M
-    K = session.K
-    estimators = [LocalEstimator(m, session, grid, layout, model) for m in range(M)]
-    for m, est in enumerate(estimators):
-        est.correlate([observations[v][m] for v in range(session.V)])
-
-    supports = np.zeros((K, L), dtype=int)
-    angles = np.zeros((K, L))
-    gains = np.zeros((K, L), dtype=complex)
-    proxy_scalars = 0
-    fallback_rounds = 0
-    suffstat_scalars = 0
-    for k in range(K):
-        uploads = []
-        rho_full = []
-        for est in estimators:
-            kept, rho_kept, rho = est.proxies(k, eta, eps_n)
-            uploads.append((kept, rho_kept))
-            rho_full.append(rho)
-            proxy_scalars += 2 * len(kept)
-        support, ok = fuse_and_select(uploads, L, grid.G)
-        if not ok:
-            # too little survived thresholding: one extra round of
-            # unthresholded top-L proxies from every antenna
-            fallback_rounds += 1
-            uploads = [est.top_proxies(rho_full[m], L)
-                       for m, est in enumerate(estimators)]
-            proxy_scalars += sum(2 * len(idx) for idx, _ in uploads)
-            support, _ = fuse_and_select(uploads, L, grid.G)
-        supports[k] = support
-        angles[k] = grid.angles[support]
-        gains[k], g_ledger = distributed_gains(estimators, k, support, eps_k)
-        suffstat_scalars += g_ledger["suffstat_scalars"]
-
-    ledger = {
-        "proxy_scalars": proxy_scalars,
-        "fallback_rounds": fallback_rounds,
-        "support_scalars": M * K * L,
-        "suffstat_complex": suffstat_scalars // 2,
-        "suffstat_scalars": suffstat_scalars,
-        "gain_scalars": M * K * 2 * L,
-    }
-    return EstimationResult(
-        scheme="distributed", supports=supports, angles=angles, gains=gains,
-        grid=grid, ledger=ledger,
-    )
+    support, local sufficient statistics, central loaded-LS gains.  The
+    ledger sums the exchanges that runtime.run_algorithm3 logs."""
+    return _algorithm3_rounds(session, observations, L, grid, layout, model,
+                              eta, eps_n, eps_k)[0]
 
 
 # ---------------------------------------------------------------------------

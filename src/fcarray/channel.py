@@ -1,7 +1,8 @@
 """Multipath channel synthesis: steering vectors for the fixed active array
-and for arbitrary coupler placements, and the stacked per-user channel.
+and for arbitrary coupler placements, and the active-element and coupler
+channels of all users.
 
-Stacking follows [h_A; h_C] with the coupler block grouped antenna-major,
+The coupler steering vector of a placement is stacked antenna-major,
 coupler-minor.  Channel gains are normalized to unit average power
 (g0 = 1); SNR is controlled entirely through P_max and the noise variance.
 """
@@ -9,7 +10,7 @@ coupler-minor.  Channel gains are normalized to unit average power
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,28 +66,6 @@ class MultipathSpec:
         return cls(np.array(doc["angles"]), gains, doc["noise_var"])
 
 
-@dataclass
-class ChannelRealization:
-    """Stacked channel of one user at one placement: h = [h_A; h_C]."""
-
-    h: np.ndarray  # (M(N+1),) complex
-    M: int
-    N: int
-    user: int
-    placement: CouplerPlacement = field(repr=False, default=None)
-
-    @property
-    def h_active(self) -> np.ndarray:
-        return self.h[: self.M]
-
-    @property
-    def h_coupler(self) -> np.ndarray:
-        return self.h[self.M :]
-
-    def h_coupler_block(self, m: int) -> np.ndarray:
-        return self.h[self.M + m * self.N : self.M + (m + 1) * self.N]
-
-
 def steering_active(phi, layout: ArrayLayout) -> np.ndarray:
     """Active-array steering vector; entry m is exp(-j k (m-1) d_y sin phi).
     ``phi`` may be a scalar (returns (M,)) or an array (returns (..., M))."""
@@ -114,29 +93,6 @@ def steering_coupler_block(phi, p_m: np.ndarray, lam: float) -> np.ndarray:
     proj = (np.cos(phi)[..., None] * p_m[..., 0].reshape(grid)
             + np.sin(phi)[..., None] * p_m[..., 1].reshape(grid))
     return np.exp(-1j * k0 * proj)
-
-
-def user_channel(
-    spec: MultipathSpec, k: int, placement: CouplerPlacement, layout: ArrayLayout
-) -> ChannelRealization:
-    """Multipath channel of user k: sum over paths of gain times the stacked
-    steering vector [a_y(phi); a_C(phi, p)]."""
-    angles = spec.angles[k]
-    gains = spec.gains[k]
-    a_y = steering_active(angles, layout)  # (L, M)
-    h_a = gains @ a_y
-    if layout.N > 0:
-        a_c = steering_coupler(angles, placement, layout)  # (L, M*N)
-        h_c = gains @ a_c
-    else:
-        h_c = np.zeros(0, dtype=complex)
-    return ChannelRealization(
-        h=np.concatenate([h_a, h_c]),
-        M=layout.M,
-        N=layout.N,
-        user=k,
-        placement=placement,
-    )
 
 
 def active_channel_matrix(spec: MultipathSpec, layout: ArrayLayout) -> np.ndarray:

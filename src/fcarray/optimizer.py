@@ -10,6 +10,10 @@ doubled and the update recomputed; after ``max_backtracks`` failed doublings
 the iteration is skipped, which drives the relative-change stopping rule to
 zero and terminates the run.
 
+Each antenna updates through ``relaxed_update`` only, from its own state and
+the step vector the central unit sends it; ``optimize`` can log those
+exchanges as the message record of Algorithm 1 (runtime.run_algorithm1).
+
 Gradients are central finite differences.  All M * 4N probes of an
 iteration run as one batch: each probe moves one coordinate of one coupler,
 so only that coupler's channel is recomputed, while the impedance block,
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import MultipathSpec, active_channel_matrix, coupler_channel_block
-from .errors import MarginTooSmall, NumericalError
+from .errors import ConfigError, MarginTooSmall
 from .geometry import (
     ArrayLayout,
     CouplerPlacement,
@@ -78,7 +82,8 @@ class SCAConfig:
         if cfg.fd_step is None:
             cfg.fd_step = 1e-4 * lam
         if cfg.alpha_schedule not in ALPHA_SCHEDULES:
-            raise ValueError(f"unknown alpha schedule {cfg.alpha_schedule!r}")
+            raise ConfigError(f"unknown alpha schedule {cfg.alpha_schedule!r}",
+                              field="sca.alpha_schedule")
         return cfg
 
     def alpha(self, t: int) -> float:
@@ -281,20 +286,6 @@ def gradient(
     return (rates[0] - rates[1]) / (2.0 * fd_step)
 
 
-def local_step(
-    placement: CouplerPlacement,
-    m: int,
-    grad: np.ndarray,
-    eta_m: float,
-    anchor_set: LinearizedFeasibleSet,
-    lam: float,
-) -> np.ndarray:
-    """Surrogate maximizer of antenna m: project the unconstrained step
-    p_m + grad/eta onto the linearized set."""
-    p_vec = placement.antenna_vector(m)
-    return project_onto_set(p_vec + grad / eta_m, anchor_set, lam=lam)
-
-
 def relaxed_update(
     p_vec: np.ndarray,
     step_vec: np.ndarray,
@@ -303,9 +294,10 @@ def relaxed_update(
     lam: float,
     return_sweeps: bool = False,
 ):
-    """One antenna's full update: project p + step, then relax toward the
-    candidate with weight alpha.  This is the exact computation an LPU runs
-    from (its own state, the received step vector, the public schedule)."""
+    """One antenna's full update: project p + step onto its linearized set
+    (the maximizer of its surrogate), then relax toward that candidate with
+    weight alpha.  This is the exact computation an LPU runs from (its own
+    state, the received step vector, the public schedule)."""
     out = project_onto_set(p_vec + step_vec, anchor_set, lam=lam,
                            return_sweeps=return_sweeps)
     if return_sweeps:
@@ -329,14 +321,15 @@ def optimize(
     model: DipoleModel,
     P_max: float,
     sigma2: float,
-    transport=None,
+    log: list | None = None,
 ) -> OptimizeResult:
     """Run the SCA loop from a feasible initial placement.
 
-    ``transport``, when given, routes each accepted round through explicit
-    messages (see runtime.run_algorithm1); the numerical result is identical
-    because both sides execute the same update function on the same inputs.
-    """
+    ``log``, when given, receives the exchanges of every accepted round r as
+    (r, antenna, payload kind, scalar count, payload) records: the step
+    vector sent to each antenna ("gradient"), then each antenna's updated
+    coordinates ("positions"), which its previous coordinates and that step
+    replay through ``relaxed_update`` with alpha(r - 1)."""
     cfg = config.resolved(layout.lam)
     ev = ObjectiveEvaluator(spec, layout, model, P_max, sigma2)
     p = initial.copy()
@@ -389,16 +382,6 @@ def optimize(
             break
 
         cand, steps, cand_rate = accepted
-        if transport is not None:
-            # LPUs recompute the accepted update from (own state, received
-            # step); identical functions on identical inputs, checked hard.
-            wire_vecs = transport.run_round(t, steps, alpha_t)
-            for m in range(M):
-                if not np.array_equal(wire_vecs[m], cand.antenna_vector(m)):
-                    raise NumericalError(
-                        f"LPU {m} update diverged from the reference path"
-                    )
-                cand = cand.with_antenna_vector(m, wire_vecs[m])
         prev = trace.rates[-1]
         p = cand
         ev.set_placement(p)
@@ -408,6 +391,10 @@ def optimize(
         trace.etas.append(eta)
         trace.proj_sweeps.append(sweeps_total)
         trace.record_round(M, N)
+        if log is not None:
+            r = trace.rounds
+            log.extend((r, m, "gradient", 2 * N, steps[m]) for m in range(M))
+            log.extend((r, m, "positions", 2 * N, p.antenna_vector(m)) for m in range(M))
         if cfg.snapshot_placements:
             trace.placements.append(p.positions.copy())
         rel = 0.0 if cand_rate == prev else abs(cand_rate - prev) / max(prev, 1e-300)

@@ -16,12 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (
-    MultipathSpec,
-    active_channel_matrix,
-    coupler_channel_block,
-    user_channel,
-)
+from .channel import MultipathSpec, active_channel_matrix, coupler_channel_block
 from .errors import NonPositivePower, NonPSD, SingularGram, SingularSystem
 from .geometry import ArrayLayout, CouplerPlacement, uniform_placement
 from .impedance import DipoleModel, ImpedanceBlock, build_block, build_blocks
@@ -45,9 +40,6 @@ class MechanicalWeights:
     @property
     def N(self) -> int:
         return self.w.shape[1]
-
-    def w_tilde(self, m: int) -> np.ndarray:
-        return np.concatenate([[1.0 + 0.0j], -self.w[m]])
 
 
 def _scalar(x):
@@ -309,14 +301,14 @@ def fc_state(
     return mmse_precoder(np.ascontiguousarray(cols.T), B, P_max, sigma2)
 
 
-def _real_sqrt_and_inv(Re_Z: np.ndarray, norm: float) -> tuple[np.ndarray, np.ndarray]:
+def _real_inv_sqrt(Re_Z: np.ndarray) -> np.ndarray:
+    """Symmetric eigen inverse square roots of real PSD blocks (..., n, n)."""
+    norm = np.linalg.norm(Re_Z, 2, axis=(-2, -1))[..., None]
     vals, vecs = np.linalg.eigh(Re_Z)
     if np.any(vals < -1e-8 * norm):
         raise NonPSD(f"Re(Z) eigenvalue {vals.min():.3e} below -1e-8 * ||Z||")
     vals = np.clip(vals, 1e-12 * norm, None)
-    root = vecs @ np.diag(np.sqrt(vals)) @ vecs.T
-    inv_root = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T
-    return root, inv_root
+    return (vecs * (1.0 / np.sqrt(vals))[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
 def fully_active_state(
@@ -336,36 +328,21 @@ def fully_active_state(
     if placement is None:
         placement = uniform_placement(layout)
     Re_Z = np.real(build_blocks(placement, layout, model).full_matrix())  # (M, N+1, N+1)
-    M, N = layout.M, layout.N
-    ports = M * (N + 1)
-    # per-antenna port channel rows, matching the blkdiag port ordering
-    H = np.zeros((spec.K, ports), dtype=complex)
-    for k in range(spec.K):
-        ch = user_channel(spec, k, placement, layout)
-        for m in range(M):
-            H[k, m * (N + 1)] = ch.h_active[m]
-            H[k, m * (N + 1) + 1 : (m + 1) * (N + 1)] = ch.h_coupler_block(m)
-    # blockwise whitening
-    G_bar = np.zeros_like(H)
-    inv_roots = []
-    for m in range(M):
-        norm = float(np.linalg.norm(Re_Z[m], 2))
-        _, inv_root = _real_sqrt_and_inv(Re_Z[m], norm)
-        inv_roots.append(inv_root)
-        sl = slice(m * (N + 1), (m + 1) * (N + 1))
-        G_bar[:, sl] = H[:, sl] @ inv_root
+    M, N, K = layout.M, layout.N, spec.K
+    # per-antenna port channels [h_A[k, m]; h_C[k, m]], (M, K, N+1)
+    h_ports = np.concatenate([active_channel_matrix(spec, layout).T[:, :, None],
+                              coupler_channel_block(spec, placement.positions, layout.lam)],
+                             axis=-1)
+    # channel rows and blockwise whitening in the blkdiag port order
+    inv_roots = _real_inv_sqrt(Re_Z)
+    H = h_ports.transpose(1, 0, 2).reshape(K, -1)
+    G_bar = (h_ports @ inv_roots).transpose(1, 0, 2).reshape(K, -1)
     F, beta, alpha, cond = _regularized_inverse(G_bar, P_max, sigma2)
-    U = np.zeros_like(F)
-    for m in range(M):
-        sl = slice(m * (N + 1), (m + 1) * (N + 1))
-        U[sl] = inv_roots[m] @ F[sl]
+    U = (inv_roots @ F.reshape(M, N + 1, K)).reshape(F.shape)
     sinr, rate = sinr_and_rate(H, U, sigma2)
     # power here is tr(U^H Re{Z} U) = ||F||_F^2, not diagonal; B is a placeholder
     return PrecodingState(
-        G=H, B=np.ones(ports), U=U, F=F, beta=float(beta), alpha=float(alpha),
+        G=H, B=np.ones(M * (N + 1)), U=U, F=F, beta=float(beta), alpha=float(alpha),
         sinr=sinr, sum_rate=rate, P_max=P_max, sigma2=sigma2, gram_cond=float(cond),
     )
 
-
-def fully_active_rate(spec, layout, model, P_max, sigma2, placement=None) -> float:
-    return fully_active_state(spec, layout, model, P_max, sigma2, placement).sum_rate

@@ -1,11 +1,12 @@
-"""Message-routed execution of the two distributed algorithms.
+"""Message logs and cost ledgers of the two distributed algorithms.
 
-The direct-call pipelines (optimizer.optimize and chanest.distributed_estimate)
-are re-driven here through explicit LPU/CPU objects: every datum a local unit
-consumes beyond its own state arrives in a logged message, and the resulting
-log replays to an exact communication ledger.  Numerical outputs are
-bit-identical to the direct pipelines because both sides execute the same
-update functions on the same inputs in the same order.
+Each algorithm has one implementation, which records every CPU-LPU exchange
+as it runs: optimizer.optimize (Algorithm 1, coupler positions) and the round
+driver behind chanest.distributed_estimate (Algorithm 3, channel estimation).
+``run_algorithm1`` and ``run_algorithm3`` return those records as
+``Message``s, which export to newline-delimited JSON and replay to an exact
+``CostLedger``.  The log records the one run, so routed results are the
+direct results.
 
 Unit convention: a complex scalar counts as 2 real scalar units, a grid index
 as 1.  Rounds are synchronous with barrier delivery; the ledger quantifies
@@ -24,20 +25,22 @@ from .chanest import (
     DEFAULT_EPS_NORM,
     DEFAULT_THRESHOLD,
     EstimationResult,
-    LocalEstimator,
     PilotSession,
-    aggregate_gains,
-    fuse_and_select,
+    _algorithm3_rounds,
 )
-from .errors import InformationLeak
 from .geometry import ArrayLayout, CouplerPlacement
 from .impedance import DipoleModel
-from .optimizer import OptimizeResult, SCAConfig, optimize, relaxed_update
-from .geometry import linearize_spacing
+from .optimizer import OptimizeResult, SCAConfig, optimize
 
 
 CPU_TO_LPU = "cpu_to_lpu"
 LPU_TO_CPU = "lpu_to_cpu"
+
+# direction of every payload kind of Algorithms 1 and 3
+_DIRECTION = {
+    **dict.fromkeys(("gradient", "proxy_request", "support", "gains"), CPU_TO_LPU),
+    **dict.fromkeys(("positions", "proxy_list", "suff_stats"), LPU_TO_CPU),
+}
 
 
 @dataclass
@@ -110,63 +113,11 @@ class CostLedger:
         }
 
 
-# ---------------------------------------------------------------------------
-# Algorithm 1: position optimization
-
-
-class _PositionLpu:
-    """Local unit for the position loop: owns its antenna's coupler vector
-    and updates it from received step vectors only."""
-
-    def __init__(self, m: int, initial: CouplerPlacement, layout: ArrayLayout,
-                 fd_margin: float):
-        self.m = m
-        self.layout = layout
-        self.fd_margin = fd_margin
-        self.p_vec = initial.antenna_vector(m)
-        self._template = initial.copy()
-        self._inbox: dict[int, np.ndarray] = {}
-
-    def receive(self, round_idx: int, step_vec: np.ndarray) -> None:
-        self._inbox[round_idx] = step_vec
-
-    def step(self, round_idx: int, alpha_t: float) -> np.ndarray:
-        if round_idx not in self._inbox:
-            raise InformationLeak(
-                f"LPU {self.m} asked to update in round {round_idx} without a message"
-            )
-        step_vec = self._inbox[round_idx]
-        anchor = self._template.with_antenna_vector(self.m, self.p_vec)
-        feas_set = linearize_spacing(anchor, self.m, self.layout, margin=self.fd_margin)
-        self.p_vec = relaxed_update(self.p_vec, step_vec, alpha_t, feas_set,
-                                    self.layout.lam)
-        return self.p_vec.copy()
-
-
-class _PositionTransport:
-    """Routes one accepted iteration: gradient-step broadcast down, updated
-    positions up."""
-
-    def __init__(self, lpus: list[_PositionLpu], messages: list[Message], N: int):
-        self.lpus = lpus
-        self.messages = messages
-        self.N = N
-        self.rounds = 0
-
-    def run_round(self, t: int, steps: list[np.ndarray], alpha_t: float) -> list[np.ndarray]:
-        self.rounds += 1
-        r = self.rounds
-        for m, lpu in enumerate(self.lpus):
-            self.messages.append(Message(r, CPU_TO_LPU, m, "gradient",
-                                         2 * self.N, steps[m]))
-            lpu.receive(r, steps[m])
-        vecs = []
-        for m, lpu in enumerate(self.lpus):
-            vec = lpu.step(r, alpha_t)
-            self.messages.append(Message(r, LPU_TO_CPU, m, "positions",
-                                         2 * self.N, vec))
-            vecs.append(vec)
-        return vecs
+def _messages(records: list[tuple]) -> list[Message]:
+    """Messages of the (round, antenna, payload kind, scalar count, payload)
+    records a protocol run emits; the payload kind fixes the direction."""
+    return [Message(r, _DIRECTION[kind], m, kind, count, payload)
+            for r, m, kind, count, payload in records]
 
 
 def run_algorithm1(
@@ -178,53 +129,14 @@ def run_algorithm1(
     P_max: float,
     sigma2: float,
 ) -> tuple[OptimizeResult, list[Message], CostLedger]:
-    """Position optimization with every CPU-LPU exchange logged."""
-    cfg = config.resolved(layout.lam)
-    messages: list[Message] = []
-    lpus = [_PositionLpu(m, initial, layout, cfg.fd_step) for m in range(layout.M)]
-    transport = _PositionTransport(lpus, messages, layout.N)
-    result = optimize(initial, cfg, spec, layout, model, P_max, sigma2,
-                      transport=transport)
+    """Position optimization with every CPU-LPU exchange logged: per
+    accepted round, the gradient-step broadcast down and the updated
+    positions up."""
+    records: list[tuple] = []
+    result = optimize(initial, config, spec, layout, model, P_max, sigma2,
+                      log=records)
+    messages = _messages(records)
     return result, messages, CostLedger.from_messages(messages)
-
-
-# ---------------------------------------------------------------------------
-# Algorithm 3: distributed channel estimation
-
-
-class _EstimationLpu:
-    """Local unit for distributed estimation: wraps the per-antenna estimator
-    and releases only proxies and sufficient statistics."""
-
-    def __init__(self, m: int, session: PilotSession, grid: AngularGrid,
-                 layout: ArrayLayout, model: DipoleModel, y_rows: list[np.ndarray]):
-        self.m = m
-        self.est = LocalEstimator(m, session, grid, layout, model)
-        self.est.correlate(y_rows)
-        self._supports: dict[int, np.ndarray] = {}
-        self._rho: dict[int, np.ndarray] = {}
-
-    def proxy_upload(self, k: int, eta: float, eps_n: float):
-        kept, rho_kept, rho = self.est.proxies(k, eta, eps_n)
-        self._rho[k] = rho
-        return kept, rho_kept
-
-    def fallback_upload(self, k: int, L: int):
-        if k not in self._rho:
-            raise InformationLeak(
-                f"LPU {self.m} got a fallback request before computing proxies"
-            )
-        return self.est.top_proxies(self._rho[k], L)
-
-    def receive_support(self, k: int, support: np.ndarray) -> None:
-        self._supports[k] = support
-
-    def stats_upload(self, k: int):
-        if k not in self._supports:
-            raise InformationLeak(
-                f"LPU {self.m} asked for statistics of user {k} without a support"
-            )
-        return self.est.suff_stats(k, self._supports[k])
 
 
 def run_algorithm3(
@@ -241,76 +153,7 @@ def run_algorithm3(
     """Distributed estimation with explicit rounds: proxy uploads (plus the
     unthresholded fallback when thresholding starves the fusion), support
     broadcast, sufficient-statistics upload, gain broadcast."""
-    M = layout.M
-    K = session.K
-    messages: list[Message] = []
-    lpus = [
-        _EstimationLpu(m, session, grid, layout, model,
-                       [observations[v][m] for v in range(session.V)])
-        for m in range(M)
-    ]
-
-    supports = np.zeros((K, L), dtype=int)
-    angles = np.zeros((K, L))
-    gains = np.zeros((K, L), dtype=complex)
-    proxy_scalars = 0
-    fallback_rounds = 0
-    suffstat_scalars = 0
-    round_idx = 0
-    for k in range(K):
-        round_idx += 1
-        uploads = []
-        for m, lpu in enumerate(lpus):
-            kept, rho_kept = lpu.proxy_upload(k, eta, eps_n)
-            messages.append(Message(round_idx, LPU_TO_CPU, m, "proxy_list",
-                                    2 * len(kept), (kept, rho_kept)))
-            uploads.append((kept, rho_kept))
-            proxy_scalars += 2 * len(kept)
-        support, ok = fuse_and_select(uploads, L, grid.G)
-        if not ok:
-            fallback_rounds += 1
-            round_idx += 1
-            uploads = []
-            for m, lpu in enumerate(lpus):
-                messages.append(Message(round_idx, CPU_TO_LPU, m,
-                                        "proxy_request", 1, L))
-                idx, rho = lpu.fallback_upload(k, L)
-                messages.append(Message(round_idx, LPU_TO_CPU, m, "proxy_list",
-                                        2 * len(idx), (idx, rho)))
-                uploads.append((idx, rho))
-                proxy_scalars += 2 * len(idx)
-            support, _ = fuse_and_select(uploads, L, grid.G)
-        supports[k] = support
-        angles[k] = grid.angles[support]
-
-        round_idx += 1
-        stats = []
-        for m, lpu in enumerate(lpus):
-            messages.append(Message(round_idx, CPU_TO_LPU, m, "support",
-                                    L, support))
-            lpu.receive_support(k, support)
-            R_m, q_m = lpu.stats_upload(k)
-            messages.append(Message(round_idx, LPU_TO_CPU, m, "suff_stats",
-                                    2 * (L * L + L), (R_m, q_m)))
-            stats.append((R_m, q_m))
-            suffstat_scalars += 2 * (L * L + L)
-        gains[k] = aggregate_gains(stats, eps_k)
-
-        round_idx += 1
-        for m in range(M):
-            messages.append(Message(round_idx, CPU_TO_LPU, m, "gains",
-                                    2 * L, gains[k]))
-
-    ledger_counts = {
-        "proxy_scalars": proxy_scalars,
-        "fallback_rounds": fallback_rounds,
-        "support_scalars": M * K * L,
-        "suffstat_complex": suffstat_scalars // 2,
-        "suffstat_scalars": suffstat_scalars,
-        "gain_scalars": M * K * 2 * L,
-    }
-    result = EstimationResult(
-        scheme="distributed", supports=supports, angles=angles, gains=gains,
-        grid=grid, ledger=ledger_counts,
-    )
+    result, records = _algorithm3_rounds(session, observations, L, grid, layout,
+                                         model, eta, eps_n, eps_k)
+    messages = _messages(records)
     return result, messages, CostLedger.from_messages(messages)

@@ -14,9 +14,7 @@ import pytest
 from fcarray import (
     ArrayLayout,
     DipoleModel,
-    SCAConfig,
     make_session,
-    optimize,
     random_feasible_placement,
     sample_channels,
     uniform_placement,
@@ -39,7 +37,6 @@ from fcarray.errors import (
     FcError,
     MarginTooSmall,
     NonPositivePower,
-    NumericalError,
     SingularAggregate,
     SingularGram,
     SingularSystem,
@@ -272,20 +269,6 @@ class TestEvaluatorReuse:
         rate = ev.set_placement(pl)
         for m in range(lay.M):
             assert ev.rate_with_override(m, pl.positions[m]) == pytest.approx(rate, rel=1e-12)
-
-
-def test_diverging_lpu_update_is_numerical_error():
-    lay = ArrayLayout(M=2, N=1)
-    model = DipoleModel.for_layout(lay)
-    spec = sample_channels(1, K=2, L=15, layout=lay)
-
-    class WrongTransport:
-        def run_round(self, t, steps, alpha_t):
-            return [np.zeros(2 * lay.N) for _ in range(lay.M)]
-
-    with pytest.raises(NumericalError):
-        optimize(uniform_placement(lay), SCAConfig(T_max=2), spec, lay, model,
-                 P_MAX, SIGMA2, transport=WrongTransport())
 
 
 def screened_reference(layout, spec, model, points_per_axis=11):

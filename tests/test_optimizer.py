@@ -12,7 +12,6 @@ from fcarray import (
     effective_channel,
     gradient,
     linearize_spacing,
-    local_step,
     mmse_precoder,
     objective,
     optimize,
@@ -21,8 +20,8 @@ from fcarray import (
     uniform_placement,
     is_feasible,
 )
-from fcarray.errors import MarginTooSmall
-from fcarray.optimizer import ObjectiveEvaluator, screened_initial_placement
+from fcarray.errors import ConfigError, MarginTooSmall
+from fcarray.optimizer import ObjectiveEvaluator, relaxed_update, screened_initial_placement
 
 
 P_MAX = 1.0
@@ -115,11 +114,14 @@ class TestGradient:
 
 
 class TestLocalStep:
+    """The surrogate step p + grad/eta projected, i.e. relaxed_update at alpha = 1."""
+
     def test_zero_gradient_identity(self, toy):
         lay, _, _ = toy
         pl = uniform_placement(lay)
         fs = linearize_spacing(pl, 0, lay)
-        cand = local_step(pl, 0, np.zeros(2 * lay.N), 1.0, fs, lay.lam)
+        cand = relaxed_update(pl.antenna_vector(0), np.zeros(2 * lay.N), 1.0, fs,
+                              lay.lam)
         assert np.allclose(cand, pl.antenna_vector(0), atol=1e-9 * lay.lam)
 
     def test_vanishing_step(self, toy):
@@ -127,7 +129,7 @@ class TestLocalStep:
         pl = uniform_placement(lay)
         fs = linearize_spacing(pl, 0, lay)
         g = np.ones(2 * lay.N)
-        cand = local_step(pl, 0, g, 1e15, fs, lay.lam)
+        cand = relaxed_update(pl.antenna_vector(0), g / 1e15, 1.0, fs, lay.lam)
         assert np.allclose(cand, pl.antenna_vector(0), atol=1e-8 * lay.lam)
 
     def test_interior_unconstrained(self, toy):
@@ -135,7 +137,7 @@ class TestLocalStep:
         pl = uniform_placement(lay)
         fs = linearize_spacing(pl, 0, lay)
         g = np.full(2 * lay.N, 1e-6 * lay.lam)  # tiny move, no constraint active
-        cand = local_step(pl, 0, g, 1.0, fs, lay.lam)
+        cand = relaxed_update(pl.antenna_vector(0), g, 1.0, fs, lay.lam)
         assert np.allclose(cand, pl.antenna_vector(0) + g, atol=1e-9 * lay.lam)
 
 
@@ -148,6 +150,13 @@ class TestOptimize:
         assert all(r[i + 1] >= r[i] - 1e-12 for i in range(len(r) - 1))
         assert r[-1] >= r[0]
         assert is_feasible(res.placement, lay).ok
+
+    def test_unknown_alpha_schedule_is_config_error(self, toy):
+        lay, model, spec = toy
+        with pytest.raises(ConfigError) as err:
+            optimize(uniform_placement(lay), SCAConfig(alpha_schedule="foo"), spec,
+                     lay, model, P_MAX, SIGMA2)
+        assert err.value.field == "sca.alpha_schedule"
 
     def test_eps_infinite_single_iteration(self, toy):
         lay, model, spec = toy

@@ -19,9 +19,8 @@ from fcarray import (
     sinr_and_rate,
     transmit_power,
     uniform_placement,
-    user_channel,
 )
-from fcarray.channel import active_channel_matrix
+from fcarray.channel import active_channel_matrix, coupler_channel_block
 from fcarray.chanest import response_row
 from fcarray.errors import NonPositivePower
 from fcarray.impedance import ImpedanceBlock
@@ -107,8 +106,10 @@ class TestEffectiveChannel:
         for m in range(M):
             W[m * N:(m + 1) * N, m] = weights.w[m]
         W_tilde = np.vstack([np.eye(M, dtype=complex), -W])
+        h_c = coupler_channel_block(spec, pl.positions, layout.lam)  # (M, K, N)
         for k in range(3):
-            h = user_channel(spec, k, pl, layout).h
+            h = np.concatenate([active_channel_matrix(spec, layout)[k],
+                                h_c[:, k, :].ravel()])
             assert np.allclose(G[k], h @ W_tilde, atol=1e-10)
 
     def test_path_sum_formulation(self, layout, model, rng):

@@ -19,9 +19,11 @@ from fcarray import (
     sample_channels,
     uniform_placement,
 )
-from fcarray.runtime import export_message_log, load_message_log
+from fcarray.chanest import LocalEstimator
 from fcarray.errors import InformationLeak
-from fcarray.runtime import _EstimationLpu, _PositionLpu
+from fcarray.geometry import linearize_spacing
+from fcarray.optimizer import relaxed_update
+from fcarray.runtime import export_message_log, load_message_log
 
 P_MAX = 1.0
 SIGMA2 = 0.05
@@ -75,22 +77,48 @@ class TestAlgorithm1:
         assert replayed.totals == ledger.totals
         assert replayed.rounds == ledger.rounds
 
-    def test_lpu_requires_message(self, scenario):
-        lay, model, spec = scenario
-        lpu = _PositionLpu(0, uniform_placement(lay), lay, 1e-4 * lay.lam)
-        with pytest.raises(InformationLeak):
-            lpu.step(1, 0.5)
+    @pytest.mark.parametrize("M, N", [(2, 1), (3, 2)])
+    def test_log_replays_through_relaxed_update(self, M, N):
+        # each antenna's uploaded positions follow from its own previous
+        # upload and the step it received, and nothing else
+        lay = ArrayLayout(M=M, N=N)
+        model = DipoleModel.for_layout(lay)
+        spec = sample_channels(17, K=2, L=8, layout=lay)
+        cfg = SCAConfig(T_max=4, eps_stop=0.0).resolved(lay.lam)
+        initial = uniform_placement(lay)
+        result, log, _ = run_algorithm1(initial, cfg, spec, lay, model,
+                                        P_MAX, SIGMA2)
+        assert result.trace.rounds >= 1
+        prev = {m: initial.antenna_vector(m) for m in range(M)}
+        steps = {}
+        for msg in log:
+            r, m = msg.round, msg.antenna
+            if msg.payload_kind == "gradient":
+                steps[r, m] = msg.payload
+                continue
+            assert msg.payload_kind == "positions"
+            anchor = initial.with_antenna_vector(m, prev[m])
+            feas = linearize_spacing(anchor, m, lay, margin=cfg.fd_step)
+            replayed = relaxed_update(prev[m], steps[r, m], cfg.alpha(r - 1),
+                                      feas, lay.lam)
+            assert np.array_equal(replayed, msg.payload)
+            prev[m] = msg.payload
+        final = np.stack([prev[m].reshape(N, 2) for m in range(M)])
+        assert np.array_equal(final, result.placement.positions)
+
+
+def _estimation_inputs():
+    lay = ArrayLayout(M=4, N=2)
+    model = DipoleModel.for_layout(lay)
+    spec = sample_channels(13, K=2, L=3, layout=lay)
+    session = make_session(lay, K=2, tau=13, V=4, sigma2=0.05, seed=29)
+    obs = run_pilot_phase(session, spec, lay, model)
+    return lay, model, session, obs, AngularGrid(64)
 
 
 class TestAlgorithm3:
-    def _setup(self, sigma2=0.05, eta=4.0):
-        lay = ArrayLayout(M=4, N=2)
-        model = DipoleModel.for_layout(lay)
-        spec = sample_channels(13, K=2, L=3, layout=lay)
-        session = make_session(lay, K=2, tau=13, V=4, sigma2=sigma2, seed=29)
-        obs = run_pilot_phase(session, spec, lay, model)
-        grid = AngularGrid(64)
-        return lay, model, session, obs, grid, eta
+    def _setup(self, eta=4.0):
+        return _estimation_inputs() + (eta,)
 
     def test_bit_identical_to_direct_pipeline(self):
         lay, model, session, obs, grid, eta = self._setup()
@@ -133,12 +161,27 @@ class TestAlgorithm3:
 
     def test_lpu_guards(self):
         lay, model, session, obs, grid, eta = self._setup()
-        lpu = _EstimationLpu(0, session, grid, lay, model,
-                             [obs[v][0] for v in range(session.V)])
+        est = LocalEstimator(0, session, grid, lay, model)
+        est.correlate([obs[v][0] for v in range(session.V)])
         with pytest.raises(InformationLeak):
-            lpu.stats_upload(0)  # no support received yet
+            est.suff_stats(0)  # no support received yet
         with pytest.raises(InformationLeak):
-            lpu.fallback_upload(0, 3)  # proxies never computed
+            est.top_proxies(0, 3)  # proxies never computed
+
+    @pytest.mark.parametrize("eta", [4.0, 1e12])
+    def test_ledger_equals_closed_form(self, eta):
+        lay, model, session, obs, grid = _estimation_inputs()
+        L = 3
+        M, K = lay.M, session.K
+        result = distributed_estimate(session, obs, L, grid, lay, model, eta=eta)
+        _, log, _ = run_algorithm3(session, obs, L, grid, lay, model, eta=eta)
+        requests = sum(msg.payload_kind == "proxy_request" for msg in log)
+        assert result.ledger["support_scalars"] == M * K * L
+        assert result.ledger["gain_scalars"] == 2 * M * K * L
+        assert result.ledger["suffstat_scalars"] == 2 * M * K * (L * L + L)
+        assert result.ledger["suffstat_complex"] == M * K * (L * L + L)
+        assert result.ledger["fallback_rounds"] == requests / M
+        assert (requests > 0) == (eta == 1e12)
 
 
 class TestMessageLog:
@@ -158,12 +201,18 @@ class TestMessageLog:
 
     def test_rounds_monotone_per_direction(self, scenario):
         lay, model, spec = scenario
-        _, log, _ = run_algorithm1(uniform_placement(lay),
-                                   SCAConfig(T_max=3, eps_stop=0.0),
-                                   spec, lay, model, P_MAX, SIGMA2)
-        per_channel = {}
-        for msg in log:
-            key = (msg.direction, msg.antenna, msg.payload_kind)
-            assert per_channel.get(key, 0) < msg.round or True
-            per_channel[key] = max(per_channel.get(key, 0), msg.round)
-        assert all(r >= 1 for r in per_channel.values())
+        _, log1, _ = run_algorithm1(uniform_placement(lay),
+                                    SCAConfig(T_max=3, eps_stop=0.0),
+                                    spec, lay, model, P_MAX, SIGMA2)
+        logs = [log1]
+        for eta in (4.0, 1e12):  # 1e12 takes the fallback round
+            e_lay, e_model, session, obs, grid = _estimation_inputs()
+            logs.append(run_algorithm3(session, obs, 3, grid, e_lay, e_model,
+                                       eta=eta)[1])
+        for log in logs:
+            per_channel = {}
+            for msg in log:
+                key = (msg.direction, msg.antenna, msg.payload_kind)
+                assert per_channel.get(key, 0) < msg.round
+                per_channel[key] = max(per_channel.get(key, 0), msg.round)
+            assert all(r >= 1 for r in per_channel.values())
