@@ -42,6 +42,7 @@ from .channel import (
     steering_coupler_block,
 )
 from .errors import (
+    DimensionMismatch,
     InfeasibleLayout,
     InformationLeak,
     RankDeficientSupport,
@@ -312,7 +313,7 @@ def omp(y: np.ndarray, A: np.ndarray, L: int) -> tuple[list[int], list[float]]:
     refit.  Ties in the correlation maximum break toward the lowest index.
     Returns (support in selection order, residual norms incl. the initial)."""
     if L > A.shape[1]:
-        raise ValueError("L exceeds the dictionary size")
+        raise DimensionMismatch(f"L={L} exceeds the dictionary size {A.shape[1]}")
     residual = y.astype(complex).copy()
     support: list[int] = []
     history = [float(np.linalg.norm(residual))]
@@ -728,14 +729,12 @@ def exhaustive_baseline(
     table = np.zeros((M, N, D_actual, K), dtype=complex)
     feasible = np.zeros((M, N, D_actual), dtype=bool)
     for m in range(M):
-        q = layout.active_position(m)
-        for n in range(N):
-            ok, moved = single_coupler_moves(parked.positions[m], n, q, candidates[m],
-                                             layout.min_sep_m)
-            feasible[m, n] = ok
-            if ok.any():
-                table[m, n, ok] = measure(antenna_parts(spec, moved, m, layout, model,
-                                                        h_active)[0])
+        ok, moved = single_coupler_moves(parked.positions[m], m, np.arange(N), candidates[m],
+                                         layout)
+        feasible[m] = ok
+        for n in np.flatnonzero(ok.any(axis=1)):
+            table[m, n, ok[n]] = measure(antenna_parts(spec, moved[n, ok[n]], m, layout, model,
+                                                       h_active)[0])
 
     ledger = {
         "candidate_measurements_per_user_per_block": M * N * D_actual,

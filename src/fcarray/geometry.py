@@ -7,10 +7,18 @@ Per antenna ``m`` the movement region ``C_m`` is the axis-aligned square of
 side ``A*lam`` centered on the active element at ``q_m = [0, (m-1)*d_y*lam]``.
 The active element itself participates in the spacing constraints as the
 implicit pair index ``n = 0``.
+
+Every box and spacing test reads ``constraint_margins``, one call for all
+antennas or a batch of candidate positions.  The linearized sets and their
+Dykstra projection are batched over antennas: row a is built from, and
+projected onto, antenna a's set alone and is taken at the sweep where it
+converges on its own (a done mask), so a batch repeats the per-antenna results
+to the last bit.  Dot products use ``np.vecdot``, the BLAS dot of 1-D ``a @ b``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -162,10 +170,7 @@ def uniform_placement(layout: ArrayLayout) -> CouplerPlacement:
     if layout.N == 0:
         return CouplerPlacement(np.zeros((layout.M, 0, 2)))
     offsets = _arc_offsets(layout.N, layout)
-    pos = np.zeros((layout.M, layout.N, 2))
-    for m in range(layout.M):
-        pos[m] = layout.active_position(m)[None, :] + offsets
-    placement = CouplerPlacement(pos)
+    placement = CouplerPlacement(layout.active_positions()[:, None, :] + offsets)
     report = is_feasible(placement, layout)
     if not report.ok:
         raise InfeasibleLayout(
@@ -194,6 +199,32 @@ def _arc_offsets(N: int, layout: ArrayLayout) -> np.ndarray:
     return radius * np.column_stack([np.cos(angles), np.sin(angles)])
 
 
+@functools.lru_cache(maxsize=None)
+def spacing_pairs(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (a, b), a < b, of the spacing pairs among [q_m, p_1..p_N]:
+    the active pairs (0, n), then the coupler pairs in lexicographic order."""
+    a, b = np.triu_indices(N + 1, k=1)
+    a.flags.writeable = b.flags.writeable = False  # one copy serves every caller
+    return a, b
+
+
+def constraint_margins(positions: np.ndarray, layout: ArrayLayout, m=None):
+    """Box margins (..., M, N), each coupler's distance to the nearest side of its
+    region (negative outside), and pair distances (..., M, P) in ``spacing_pairs``
+    order, for positions (..., M, N, 2).  An index or index array ``m`` names the
+    antennas of the positions' antenna axis (a scalar m: positions (..., N, 2))."""
+    # as complex x + iy each subtraction is one contiguous pass over both axes
+    z = np.ascontiguousarray(positions, dtype=float).view(complex)[..., 0]
+    q = layout.active_positions().view(complex)[slice(None) if m is None else m]
+    half = complex(0.5 * layout.region_side_m, 0.5 * layout.region_side_m)
+    lo, hi = z - (q - half), (q + half) - z
+    N = z.shape[-1]
+    a, b = spacing_pairs(N)
+    d = np.concatenate([q - z, z[..., a[N:] - 1] - z[..., b[N:] - 1]], axis=-1)
+    return (np.minimum(np.minimum(lo.real, lo.imag), np.minimum(hi.real, hi.imag)),
+            np.hypot(d.real, d.imag))
+
+
 def is_feasible(
     placement: CouplerPlacement,
     layout: ArrayLayout,
@@ -209,25 +240,15 @@ def is_feasible(
         )
     if atol is None:
         atol = 1e-8 * layout.lam
-    min_sep = layout.min_sep_m
+    box, dist = constraint_margins(placement.positions, layout)
+    spacing = dist - layout.min_sep_m
+    a, b = spacing_pairs(layout.N)
     violations: list[Violation] = []
-    for m in range(layout.M):
-        lo, hi = layout.region_bounds(m)
-        pts = placement.positions[m]
-        for n in range(layout.N):
-            margin = min(
-                pts[n, 0] - lo[0], hi[0] - pts[n, 0],
-                pts[n, 1] - lo[1], hi[1] - pts[n, 1],
-            )
-            if margin < -atol:
-                violations.append(Violation("region", m, None, n, margin))
-        # pair (0, n) couples each coupler to the active element
-        full = np.vstack([layout.active_position(m)[None, :], pts])
-        for a in range(layout.N + 1):
-            for b in range(a + 1, layout.N + 1):
-                margin = np.hypot(*(full[a] - full[b])) - min_sep
-                if margin < -atol:
-                    violations.append(Violation("spacing", m, (a, b), None, margin))
+    for m in range(layout.M):  # per antenna: region violations, then spacing
+        violations += [Violation("region", m, None, int(n), box[m, n])
+                       for n in np.flatnonzero(box[m] < -atol)]
+        violations += [Violation("spacing", m, (int(a[i]), int(b[i])), None, spacing[m, i])
+                       for i in np.flatnonzero(spacing[m] < -atol)]
     return FeasibilityReport(ok=not violations, violations=violations)
 
 
@@ -240,9 +261,13 @@ class LinearizedFeasibleSet:
     membership means ``normals @ x <= offsets`` plus the box bounds.  Any
     member satisfies the true (nonconvex) spacing constraints because the
     linearization is a global affine upper bound of the concave ``-d``.
+
+    A batch of antennas stacks the sets along a leading axis (``antenna``
+    (A,), ``anchor`` (A, 2N), ``normals`` (A, P, 2N), ...); ``contains`` and
+    ``slacks`` take one antenna's set.
     """
 
-    antenna: int
+    antenna: int | np.ndarray
     anchor: np.ndarray  # (2N,)
     box_lo: np.ndarray  # (2N,)
     box_hi: np.ndarray  # (2N,)
@@ -252,22 +277,17 @@ class LinearizedFeasibleSet:
 
     def contains(self, x: np.ndarray, atol: float = 1e-12) -> bool:
         x = np.asarray(x, dtype=float)
-        if np.any(x < self.box_lo - atol) or np.any(x > self.box_hi + atol):
-            return False
-        if self.normals.size and np.any(self.normals @ x > self.offsets + atol):
-            return False
-        return True
+        return bool(np.all(x >= self.box_lo - atol) and np.all(x <= self.box_hi + atol)
+                    and np.all(self.normals @ x <= self.offsets + atol))
 
     def slacks(self, x: np.ndarray) -> np.ndarray:
         """Half-space slacks offsets - normals @ x (>= 0 inside)."""
-        if not self.normals.size:
-            return np.zeros(0)
         return self.offsets - self.normals @ np.asarray(x, dtype=float)
 
 
 def linearize_spacing(
     anchor: CouplerPlacement,
-    m: int,
+    m,
     layout: ArrayLayout,
     margin: float = 0.0,
 ) -> LinearizedFeasibleSet:
@@ -275,72 +295,44 @@ def linearize_spacing(
 
     For each unordered pair the constraint ||p_a - p_b||^2 >= d_min^2 is
     replaced by its first-order bound at the anchor, giving one half-space per
-    pair.  ``margin`` (meters) shrinks the box and inflates d_min; used by the
-    optimizer to keep finite-difference probes of interior iterates feasible.
+    pair, in the ``spacing_pairs`` order.  ``margin`` (meters) shrinks the box
+    and inflates d_min; used by the optimizer to keep finite-difference probes
+    of interior iterates feasible.  An index array ``m`` gives the sets of
+    those antennas from one call, stacked along a leading axis; each row reads
+    only its own antenna's anchor.
     """
-    N = layout.N
-    q = layout.active_position(m)
-    lo, hi = layout.region_bounds(m)
-    p_anchor = anchor.antenna_vector(m)
+    idx = np.atleast_1d(m)
+    pts = anchor.positions[idx]  # (A, N, 2)
+    (A, N, _), (a, b) = pts.shape, spacing_pairs(layout.N)
     min_sep = layout.min_sep_m + margin
-
-    # the precondition is local to antenna m; no other antenna state is read
     atol = 1e-8 * layout.lam
-    if not _margin_ok(p_anchor, q, lo, hi, min_sep, margin, N, slack=atol):
+    box, dist = constraint_margins(pts, layout, idx)
+    bad = (box < margin - atol).any(axis=1) | (dist < min_sep - atol).any(axis=1)
+    if bad.any():
         raise AnchorInfeasible(
-            f"anchor at antenna {m} violates constraints (margin {margin})"
+            f"anchor at antenna {idx[np.argmax(bad)]} violates constraints (margin {margin})"
         )
+    q = layout.active_positions()[idx][:, None, :]
+    half = 0.5 * layout.region_side_m
+    box_lo, box_hi = (np.broadcast_to(c, (A, N, 2)).reshape(A, -1)
+                      for c in (q - half + margin, q + half - margin))
 
-    box_lo = np.tile(lo + margin, N)
-    box_hi = np.tile(hi - margin, N)
-
-    pts = p_anchor.reshape(N, 2)
-    normals = []
-    offsets = []
-    pairs = []
-    dim = 2 * N
-    for n in range(N):
-        # pair with the active element: d = ||p_n - q||^2, grad = 2(p_n - q)
-        diff = pts[n] - q
-        g = np.zeros(dim)
-        g[2 * n : 2 * n + 2] = 2.0 * diff
-        d_val = float(diff @ diff)
-        # -d_t - g.(p - p_t) <= -min_sep^2  <=>  (-g).p <= d_t - g.p_t - min_sep^2
-        normals.append(-g)
-        offsets.append(d_val - g @ p_anchor - min_sep**2)
-        pairs.append((0, n + 1))
-    for a in range(N):
-        for b in range(a + 1, N):
-            diff = pts[a] - pts[b]
-            g = np.zeros(dim)
-            g[2 * a : 2 * a + 2] = 2.0 * diff
-            g[2 * b : 2 * b + 2] = -2.0 * diff
-            d_val = float(diff @ diff)
-            normals.append(-g)
-            offsets.append(d_val - g @ p_anchor - min_sep**2)
-            pairs.append((a + 1, b + 1))
-
-    return LinearizedFeasibleSet(
-        antenna=m,
-        anchor=p_anchor,
-        box_lo=box_lo,
-        box_hi=box_hi,
-        normals=np.array(normals).reshape(len(pairs), dim),
-        offsets=np.array(offsets),
-        pairs=pairs,
-    )
-
-
-def _margin_ok(p_vec, q, lo, hi, min_sep, margin, N, slack=1e-15) -> bool:
-    pts = p_vec.reshape(N, 2)
-    if np.any(pts < lo + margin - slack) or np.any(pts > hi - margin + slack):
-        return False
-    full = np.vstack([q[None, :], pts])
-    for a in range(N + 1):
-        for b in range(a + 1, N + 1):
-            if np.hypot(*(full[a] - full[b])) < min_sep - slack:
-                return False
-    return True
+    # gradient g of d = ||p_first - p_second||^2 over the points [q, p_1..p_N],
+    # oriented p_n - q for the active pairs and p_a - p_b for coupler pairs
+    first, second, rows = np.where(a == 0, b, a), np.where(a == 0, a, b), np.arange(len(a))
+    full = np.concatenate([q, pts], axis=1)
+    diff = full[:, first] - full[:, second]  # (A, P, 2)
+    g = np.zeros((A, len(a), N + 1, 2))
+    g[:, rows, first] = 2.0 * diff
+    g[:, rows, second] = -2.0 * diff
+    g = g[:, :, 1:].reshape(A, len(a), 2 * N)
+    p_anchor = pts.reshape(A, 2 * N)
+    # -d_t - g.(p - p_t) <= -min_sep^2  <=>  (-g).p <= d_t - g.p_t - min_sep^2
+    offsets = np.vecdot(diff, diff) - np.vecdot(g, p_anchor[:, None, :]) - min_sep**2
+    parts = (idx, p_anchor, box_lo, box_hi, -g, offsets)
+    if np.ndim(m) == 0:  # a scalar m gives that antenna's set, unstacked
+        parts = (m, *(x[0] for x in parts[1:]))
+    return LinearizedFeasibleSet(*parts, pairs=list(zip(a.tolist(), b.tolist())))
 
 
 def project_onto_set(
@@ -356,42 +348,50 @@ def project_onto_set(
 
     Exact for this polytope intersection in the limit; iteration stops when a
     full sweep moves the point by less than ``tol`` (default 1e-9 wavelengths,
-    estimated from the box size when ``lam`` is not given).
+    estimated from the box size when ``lam`` is not given).  Points (A, 2N)
+    are projected row by row onto a batch of A sets in one sweep loop; a
+    row's result is taken at the sweep where it converges, the sweep it would
+    stop at alone, and ``return_sweeps`` gives the (A,) sweep counts.
     """
-    x = np.asarray(point, dtype=float).copy()
+    single = np.ndim(point) == 1
+    parts = [np.asarray(v, dtype=float) for v in (
+        point, feas_set.box_lo, feas_set.box_hi, feas_set.normals, feas_set.offsets)]
+    x, lo, hi, normals, offsets = (v[None] for v in parts) if single else parts
     if tol is None:
-        scale = lam if lam is not None else max(np.max(feas_set.box_hi - feas_set.box_lo), 1.0)
-        tol = 1e-9 * scale
-    P = feas_set.normals.shape[0]
-    norms2 = np.einsum("ij,ij->i", feas_set.normals, feas_set.normals) if P else np.zeros(0)
-    increments = np.zeros((P + 1, x.size))
+        tol = 1e-9 * (lam if lam is not None else np.max(hi - lo, axis=-1, initial=1.0))
+    norms2 = np.einsum("...ij,...ij->...i", normals, normals)
+    zero, out = np.zeros_like(x), np.empty_like(x)
+    increments = [zero] * (normals.shape[1] + 1)
+    sweeps = np.zeros(len(x), dtype=int)  # the done mask: 0 until a row converges
     for sweep in range(1, max_sweeps + 1):
-        x_start = x.copy()
+        x_start = x
         y = x + increments[0]
-        x = np.clip(y, feas_set.box_lo, feas_set.box_hi)
+        x = np.minimum(np.maximum(y, lo), hi)
         increments[0] = y - x
-        for i in range(P):
-            y = x + increments[i + 1]
-            viol = feas_set.normals[i] @ y - feas_set.offsets[i]
-            if viol > 0.0:
-                x = y - (viol / norms2[i]) * feas_set.normals[i]
-            else:
-                x = y
-            increments[i + 1] = y - x
+        for i in range(1, len(increments)):
+            a = normals[:, i - 1]
+            y = x + increments[i]
+            viol = np.vecdot(a, y) - offsets[:, i - 1]
+            if np.count_nonzero(hit := viol > 0.0):
+                x = np.where(hit[:, None], y - (viol / norms2[:, i - 1])[:, None] * a, y)
+                increments[i] = y - x
+            else:  # y - y is exactly zero
+                x, increments[i] = y, zero
         # Dykstra can plateau with the iterate still infeasible while the
         # increments keep evolving, so gate the stop on feasibility too.
-        if np.linalg.norm(x - x_start) <= tol:
-            infeas = max(
-                float(np.max(feas_set.box_lo - x, initial=0.0)),
-                float(np.max(x - feas_set.box_hi, initial=0.0)),
-            )
-            if P:
-                infeas = max(infeas, float(np.max(feas_set.normals @ x - feas_set.offsets)))
-            if infeas <= 10.0 * tol:
-                return (x, sweep) if return_sweeps else x
-    raise NoConvergence(
-        f"Dykstra projection did not converge in {max_sweeps} sweeps (tol={tol})"
-    )
+        moved = x - x_start
+        check = (sweeps == 0) & (np.sqrt(np.vecdot(moved, moved)) <= tol)
+        if np.count_nonzero(check):
+            resid = np.concatenate([lo - x, x - hi, (normals @ x[..., None])[..., 0] - offsets],
+                                   axis=-1)
+            done = check & (np.max(resid, axis=-1, initial=0.0) <= 10.0 * tol)
+            out[done] = x[done]
+            sweeps[done] = sweep
+            if sweeps.all():
+                out, sweeps = (out[0], int(sweeps[0])) if single else (out, sweeps)
+                return (out, sweeps) if return_sweeps else out
+    tol = np.broadcast_to(tol, sweeps.shape)[np.argmin(sweeps)]  # first unconverged row
+    raise NoConvergence(f"Dykstra projection did not converge in {max_sweeps} sweeps (tol={tol})")
 
 
 def save_placement(path, placement: CouplerPlacement, layout: ArrayLayout) -> None:
@@ -422,18 +422,21 @@ def load_placement(path) -> tuple[CouplerPlacement, ArrayLayout]:
     return CouplerPlacement(np.array(doc["placements"])), layout
 
 
-def single_coupler_moves(p_m: np.ndarray, n: int, q_m: np.ndarray, points: np.ndarray,
-                         min_dist: float) -> tuple[np.ndarray, np.ndarray]:
-    """Antenna positions ``p_m`` (N, 2) with coupler n moved to each of
-    ``points`` (D, 2) that stays ``min_dist`` from the active element ``q_m``
-    and the other couplers; returns the (D,) mask of such points and the
-    moved positions (mask.sum(), N, 2)."""
-    anchors = np.vstack([q_m[None, :], np.delete(p_m, n, axis=0)])
-    d = np.hypot(anchors[:, 0] - points[:, 0, None], anchors[:, 1] - points[:, 1, None])
-    ok = np.min(d, axis=1) >= min_dist
-    moved = np.repeat(p_m[None], int(ok.sum()), axis=0)
-    moved[:, n] = points[ok]
-    return ok, moved
+def single_coupler_moves(p_m: np.ndarray, m: int, n, points: np.ndarray,
+                         layout: ArrayLayout, margin: float = 0.0):
+    """Antenna m's positions ``p_m`` (N, 2) with coupler n moved to each of
+    ``points`` (D, 2): the (D,) mask of the moves that keep ``d_min + margin``
+    from the active element and the other couplers, and the moved positions
+    (D, N, 2).  An index array n (K,) gives (K, D) and (K, D, N, 2) from one
+    ``constraint_margins`` call."""
+    ks = np.atleast_1d(n)
+    moved = np.tile(p_m, (len(ks), len(points), 1, 1))
+    moved[np.arange(len(ks)), :, ks] = points
+    a, b = spacing_pairs(len(p_m))
+    untouched = (a != ks[:, None] + 1) & (b != ks[:, None] + 1)  # (K, P)
+    _, dist = constraint_margins(moved, layout, m)
+    ok = np.all((dist >= layout.min_sep_m + margin) | untouched[:, None, :], axis=-1)
+    return (ok[0], moved[0]) if np.ndim(n) == 0 else (ok, moved)
 
 
 def random_feasible_placement(
@@ -444,13 +447,9 @@ def random_feasible_placement(
     pos = np.zeros((layout.M, layout.N, 2))
     for m in range(layout.M):
         lo, hi = layout.region_bounds(m)
-        q = layout.active_position(m)
         for _ in range(max_tries):
             pts = rng.uniform(lo, hi, size=(layout.N, 2))
-            full = np.vstack([q[None, :], pts])
-            dists = np.linalg.norm(full[:, None, :] - full[None, :, :], axis=-1)
-            iu = np.triu_indices(layout.N + 1, k=1)
-            if layout.N == 0 or np.all(dists[iu] >= layout.min_sep_m):
+            if np.all(constraint_margins(pts, layout, m)[1] >= layout.min_sep_m):
                 pos[m] = pts
                 break
         else:

@@ -13,6 +13,11 @@ zero and terminates the run.
 Each antenna updates through ``relaxed_update`` only, from its own state and
 the step vector the central unit sends it; ``optimize`` can log those
 exchanges as the message record of Algorithm 1 (runtime.run_algorithm1).
+The M updates of an iteration run as one batch: one ``linearize_spacing``
+call builds all M sets and each tried eta is one ``relaxed_update`` call on
+the (M, 2N) stack.  Rows never mix, and each row stops its projection at the
+sweep where it alone would (geometry's done mask), so every antenna's update
+is, to the last bit, the one its LPU computes from its own set.
 
 Gradients are central finite differences.  All M * 4N probes of an
 iteration run as one batch: each probe moves one coordinate of one coupler,
@@ -39,6 +44,7 @@ from .geometry import (
     ArrayLayout,
     CouplerPlacement,
     LinearizedFeasibleSet,
+    constraint_margins,
     linearize_spacing,
     project_onto_set,
     single_coupler_moves,
@@ -93,13 +99,15 @@ class SCAConfig:
 @dataclass
 class SCATrace:
     """Everything observable about one run: accepted-rate sequence, gradient
-    norms, projection sweeps, backtracking, and the communication ledger."""
+    norms, projection sweeps, backtracking, the smallest box or spacing margin
+    (distance - d_min) of each accepted iterate, and the communication ledger."""
 
     rates: list[float] = field(default_factory=list)
     grad_norms: list[np.ndarray] = field(default_factory=list)
     proj_sweeps: list[int] = field(default_factory=list)
     backtracks: list[int] = field(default_factory=list)
     etas: list[float] = field(default_factory=list)
+    min_margins: list[float] = field(default_factory=list)
     rounds: int = 0
     skipped_final: bool = False
     placements: list[np.ndarray] | None = None
@@ -131,6 +139,9 @@ class SCATrace:
             "initial_rate": self.rates[0] if self.rates else None,
             "final_rate": self.rates[-1] if self.rates else None,
             "skipped_final": self.skipped_final,
+            "proj_sweeps_total": sum(self.proj_sweeps),
+            "backtracks_total": sum(self.backtracks),
+            "min_margin_m": min(self.min_margins, default=None),
             "comm": self.comm,
         }
 
@@ -242,17 +253,10 @@ def check_margin(placement: CouplerPlacement, m, layout: ArrayLayout,
     failing one reported) to clear every constraint by ``margin`` meters so
     +/- probes of that size stay feasible."""
     m = np.atleast_1d(m)
-    pts = placement.positions[m]  # (A, N, 2)
-    if pts.shape[1] == 0:
+    if layout.N == 0:
         return
-    q = layout.active_positions()[m]
-    half = 0.5 * layout.region_side_m
-    box = np.min(np.minimum(pts - (q - half)[:, None, :], (q + half)[:, None, :] - pts),
-                 axis=(1, 2))
-    full = np.concatenate([q[:, None, :], pts], axis=1)
-    dists = np.linalg.norm(full[:, :, None, :] - full[:, None, :, :], axis=-1)
-    iu = np.triu_indices(full.shape[1], k=1)
-    spacing = np.min(dists[:, iu[0], iu[1]], axis=1)
+    box, dist = constraint_margins(placement.positions[m], layout, m)
+    box, spacing = box.min(axis=1), dist.min(axis=1)
     failed = (box < margin) | (spacing < layout.min_sep_m + margin)
     if failed.any():
         a = int(np.argmax(failed))
@@ -297,13 +301,11 @@ def relaxed_update(
     """One antenna's full update: project p + step onto its linearized set
     (the maximizer of its surrogate), then relax toward that candidate with
     weight alpha.  This is the exact computation an LPU runs from (its own
-    state, the received step vector, the public schedule)."""
-    out = project_onto_set(p_vec + step_vec, anchor_set, lam=lam,
-                           return_sweeps=return_sweeps)
-    if return_sweeps:
-        cand, sweeps = out
-        return p_vec + alpha_t * (cand - p_vec), sweeps
-    return p_vec + alpha_t * (out - p_vec)
+    state, the received step vector, the public schedule).  Stacked vectors
+    (A, 2N) with a batch of A sets update A antennas, row by row."""
+    cand, sweeps = project_onto_set(p_vec + step_vec, anchor_set, lam=lam, return_sweeps=True)
+    new = p_vec + alpha_t * (cand - p_vec)
+    return (new, sweeps) if return_sweeps else new
 
 
 @dataclass
@@ -345,30 +347,25 @@ def optimize(
 
     for t in range(cfg.T_max):
         grads = gradient(p, np.arange(M), ev, cfg.fd_step)
+        norms = np.sqrt(np.vecdot(grads, grads))  # np.linalg.norm of each row
         if t == 0 and cfg.auto_eta0:
-            gmax = max(float(np.linalg.norm(g)) for g in grads)
+            gmax = float(norms.max())
             if gmax > 0:
                 eta = max(eta, gmax / (0.1 * layout.region_side_m))
-        sets = [linearize_spacing(p, m, layout, margin=cfg.fd_step) for m in range(M)]
+        sets = linearize_spacing(p, np.arange(M), layout, margin=cfg.fd_step)
         alpha_t = cfg.alpha(t)
+        p_vecs = p.positions.reshape(M, 2 * N)
 
         accepted = None
         backtracks = 0
-        sweeps_total = 0
         for _ in range(cfg.max_backtracks + 1):
-            steps = [grads[m] / eta for m in range(M)]
-            cand = p.copy()
-            sweeps_total = 0
-            for m in range(M):
-                vec, sweeps = relaxed_update(
-                    p.antenna_vector(m), steps[m], alpha_t, sets[m],
-                    layout.lam, return_sweeps=True,
-                )
-                cand = cand.with_antenna_vector(m, vec)
-                sweeps_total += sweeps
+            steps = grads / eta
+            vecs, sweeps = relaxed_update(p_vecs, steps, alpha_t, sets, layout.lam,
+                                          return_sweeps=True)
+            cand = CouplerPlacement(vecs.reshape(M, N, 2))
             cand_rate = ev.rate_of(cand)
             if cand_rate >= trace.rates[-1]:
-                accepted = (cand, steps, cand_rate)
+                accepted = (cand, steps, cand_rate, int(sweeps.sum()))
                 break
             eta *= cfg.backtrack_factor
             backtracks += 1
@@ -381,15 +378,17 @@ def optimize(
             trace.rates.append(trace.rates[-1])
             break
 
-        cand, steps, cand_rate = accepted
+        cand, steps, cand_rate, sweeps_total = accepted
         prev = trace.rates[-1]
         p = cand
         ev.set_placement(p)
         trace.rates.append(cand_rate)
-        trace.grad_norms.append(np.array([np.linalg.norm(g) for g in grads]))
+        trace.grad_norms.append(norms)
         trace.backtracks.append(backtracks)
         trace.etas.append(eta)
         trace.proj_sweeps.append(sweeps_total)
+        box, dist = constraint_margins(p.positions, layout)
+        trace.min_margins.append(float(min(box.min(), (dist - layout.min_sep_m).min())))
         trace.record_round(M, N)
         if log is not None:
             r = trace.rounds
@@ -426,7 +425,6 @@ def screened_initial_placement(
     margin = 2e-4 * layout.lam  # keep finite-difference clearance
     for m in range(layout.M):
         lo, hi = layout.region_bounds(m)
-        q = layout.active_position(m)
         # keep a box margin so the screened points stay strictly feasible
         pad = 2.0 * (0.5 * layout.region_side_m) / (points_per_axis + 1)
         xs = np.linspace(lo[0] + pad / 2, hi[0] - pad / 2, points_per_axis)
@@ -436,8 +434,9 @@ def screened_initial_placement(
         for n in range(layout.N):
             pts_m = best.positions[m].copy()
             best_rate = ev.rate_with_override(m, pts_m)
-            ok, probes = single_coupler_moves(pts_m, n, q, lattice, layout.min_sep_m + margin)
+            ok, moved = single_coupler_moves(pts_m, m, n, lattice, layout, margin)
             if ok.any():
+                probes = moved[ok]
                 rates = ev.rate_with_override(m, probes)
                 # first lattice point (x-major) strictly above the current rate
                 i = int(np.argmax(rates))

@@ -182,6 +182,8 @@ class Scenario:
                           f"sweep.{key}", "must be a list of numbers")
         est = d["estimation"]
         self._require(est["tau"] >= d["channel"]["K"], "estimation.tau", "must be >= K")
+        self._require(est["L"] <= est["G"], "estimation.L",
+                      "must be <= estimation.G (OMP picks L of the G grid atoms)")
         load = d["load_impedance"]
         self._require(isinstance(load, list) and len(load) == 2
                       and all(_is(v, (int, float)) for v in load),

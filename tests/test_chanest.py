@@ -34,7 +34,13 @@ from fcarray.chanest import (
     support_hit_rate,
     true_effective,
 )
-from fcarray.errors import FcError, InfeasibleLayout, RankDeficientSupport, TauTooShort
+from fcarray.errors import (
+    DimensionMismatch,
+    FcError,
+    InfeasibleLayout,
+    RankDeficientSupport,
+    TauTooShort,
+)
 
 
 def on_grid_spec(grid, rng, K, L, min_bin_sep=3, sector_deg=90.0):
@@ -231,6 +237,12 @@ class TestOMP:
         y = c1 + 2 * c2
         with pytest.raises(RankDeficientSupport):
             omp(y, A, 3)
+
+    def test_more_selections_than_atoms(self, rng):
+        A = rng.standard_normal((8, 4)).astype(complex)
+        y = rng.standard_normal(8).astype(complex)
+        with pytest.raises(DimensionMismatch, match="L=5 exceeds the dictionary size 4"):
+            omp(y, A, 5)
 
 
 class TestLsGains:

@@ -74,6 +74,20 @@ class TestCliCommands:
             if isinstance(value, dict):
                 assert set(manifest["config"][section]) == set(value)
 
+    def test_optimize_health_figures_rerun_byte_identical(self, config_path, tmp_path):
+        outs = [str(tmp_path / f"opt{i}") for i in range(2)]
+        for out in outs:
+            assert main(["optimize", "--config", config_path, "--seed", "1",
+                         "--out", out]) == 0
+        trace = json.load(open(os.path.join(outs[0], "trace_summary.json")))
+        manifest = json.load(open(os.path.join(outs[0], "manifest.json")))
+        for key in ("proj_sweeps_total", "backtracks_total", "min_margin_m"):
+            assert manifest[key] == trace[key] is not None
+        assert trace["proj_sweeps_total"] > 0 and trace["min_margin_m"] > 0
+        for name in ("trace_summary.json", "manifest.json", "trace.csv"):
+            a, b = (open(os.path.join(out, name), "rb").read() for out in outs)
+            assert a == b
+
     def test_estimate(self, config_path, tmp_path):
         out = str(tmp_path / "est")
         assert main(["estimate", "--config", config_path, "--out", out]) == 0
@@ -160,6 +174,7 @@ class TestCliCommands:
     ("seeds.count=true", "seeds.count"),
     ("sweep.users=[1,\"a\"]", "sweep.users"),
     ("layout=3", "layout"),
+    ("estimation.L=300", "estimation.L"),
 ])
 def test_malformed_override_is_config_error(override, field, tmp_path, capsys):
     out = tmp_path / "x"

@@ -11,7 +11,20 @@ from fcarray import (
     save_placement,
     uniform_placement,
 )
-from fcarray.errors import AnchorInfeasible, DimensionMismatch, InfeasibleLayout
+from fcarray.errors import (
+    AnchorInfeasible,
+    DimensionMismatch,
+    InfeasibleLayout,
+    MarginTooSmall,
+    NoConvergence,
+)
+from fcarray.geometry import (
+    Violation,
+    constraint_margins,
+    single_coupler_moves,
+    spacing_pairs,
+)
+from fcarray.optimizer import check_margin, relaxed_update
 
 
 class TestLayout:
@@ -247,3 +260,347 @@ class TestRandomFeasible:
         a = random_feasible_placement(layout, np.random.default_rng(7))
         b = random_feasible_placement(layout, np.random.default_rng(7))
         assert np.array_equal(a.positions, b.positions)
+
+
+# ---------------------------------------------------------------------------
+# batched geometry: frozen per-antenna copies of the unbatched code as oracles;
+# results must agree to the last bit, signed zeros included
+
+
+def same_bits(got, ref) -> bool:
+    got, ref = np.asarray(got), np.asarray(ref)
+    return got.shape == ref.shape and got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+def margin_ok_reference(p_vec, q, lo, hi, min_sep, margin, N, slack=1e-15):
+    pts = p_vec.reshape(N, 2)
+    if np.any(pts < lo + margin - slack) or np.any(pts > hi - margin + slack):
+        return False
+    full = np.vstack([q[None, :], pts])
+    for a in range(N + 1):
+        for b in range(a + 1, N + 1):
+            if np.hypot(*(full[a] - full[b])) < min_sep - slack:
+                return False
+    return True
+
+
+def linearize_reference(anchor, m, layout, margin=0.0):
+    """(box_lo, box_hi, normals, offsets, pairs) of one antenna, per pair."""
+    N = layout.N
+    q = layout.active_position(m)
+    lo, hi = layout.region_bounds(m)
+    p_anchor = anchor.antenna_vector(m)
+    min_sep = layout.min_sep_m + margin
+    if not margin_ok_reference(p_anchor, q, lo, hi, min_sep, margin, N,
+                               slack=1e-8 * layout.lam):
+        raise AnchorInfeasible(
+            f"anchor at antenna {m} violates constraints (margin {margin})"
+        )
+    pts = p_anchor.reshape(N, 2)
+    normals, offsets, pairs = [], [], []
+    for n in range(N):
+        diff = pts[n] - q
+        g = np.zeros(2 * N)
+        g[2 * n: 2 * n + 2] = 2.0 * diff
+        normals.append(-g)
+        offsets.append(float(diff @ diff) - g @ p_anchor - min_sep**2)
+        pairs.append((0, n + 1))
+    for a in range(N):
+        for b in range(a + 1, N):
+            diff = pts[a] - pts[b]
+            g = np.zeros(2 * N)
+            g[2 * a: 2 * a + 2] = 2.0 * diff
+            g[2 * b: 2 * b + 2] = -2.0 * diff
+            normals.append(-g)
+            offsets.append(float(diff @ diff) - g @ p_anchor - min_sep**2)
+            pairs.append((a + 1, b + 1))
+    return (np.tile(lo + margin, N), np.tile(hi - margin, N),
+            np.array(normals).reshape(len(pairs), 2 * N), np.array(offsets), pairs)
+
+
+def project_reference(point, box_lo, box_hi, normals, offsets, tol, max_sweeps=2000):
+    """Dykstra projection of one point; returns (x, sweeps)."""
+    x = np.asarray(point, dtype=float).copy()
+    P = normals.shape[0]
+    norms2 = np.einsum("ij,ij->i", normals, normals) if P else np.zeros(0)
+    increments = np.zeros((P + 1, x.size))
+    for sweep in range(1, max_sweeps + 1):
+        x_start = x.copy()
+        y = x + increments[0]
+        x = np.clip(y, box_lo, box_hi)
+        increments[0] = y - x
+        for i in range(P):
+            y = x + increments[i + 1]
+            viol = normals[i] @ y - offsets[i]
+            x = y - (viol / norms2[i]) * normals[i] if viol > 0.0 else y
+            increments[i + 1] = y - x
+        if np.linalg.norm(x - x_start) <= tol:
+            infeas = max(float(np.max(box_lo - x, initial=0.0)),
+                         float(np.max(x - box_hi, initial=0.0)))
+            if P:
+                infeas = max(infeas, float(np.max(normals @ x - offsets)))
+            if infeas <= 10.0 * tol:
+                return x, sweep
+    raise NoConvergence(
+        f"Dykstra projection did not converge in {max_sweeps} sweeps (tol={tol})"
+    )
+
+
+def is_feasible_reference(placement, layout, atol):
+    violations = []
+    for m in range(layout.M):
+        lo, hi = layout.region_bounds(m)
+        pts = placement.positions[m]
+        for n in range(layout.N):
+            margin = min(pts[n, 0] - lo[0], hi[0] - pts[n, 0],
+                         pts[n, 1] - lo[1], hi[1] - pts[n, 1])
+            if margin < -atol:
+                violations.append(Violation("region", m, None, n, margin))
+        full = np.vstack([layout.active_position(m)[None, :], pts])
+        for a in range(layout.N + 1):
+            for b in range(a + 1, layout.N + 1):
+                margin = np.hypot(*(full[a] - full[b])) - layout.min_sep_m
+                if margin < -atol:
+                    violations.append(Violation("spacing", m, (a, b), None, margin))
+    return violations
+
+
+def check_margin_reference(placement, m, layout, margin):
+    m = np.atleast_1d(m)
+    pts = placement.positions[m]
+    if pts.shape[1] == 0:
+        return
+    q = layout.active_positions()[m]
+    half = 0.5 * layout.region_side_m
+    box = np.min(np.minimum(pts - (q - half)[:, None, :], (q + half)[:, None, :] - pts),
+                 axis=(1, 2))
+    full = np.concatenate([q[:, None, :], pts], axis=1)
+    dists = np.linalg.norm(full[:, :, None, :] - full[:, None, :, :], axis=-1)
+    iu = np.triu_indices(full.shape[1], k=1)
+    spacing = np.min(dists[:, iu[0], iu[1]], axis=1)
+    failed = (box < margin) | (spacing < layout.min_sep_m + margin)
+    if failed.any():
+        a = int(np.argmax(failed))
+        if box[a] < margin:
+            raise MarginTooSmall(
+                f"antenna {m[a]}: box margin {box[a]:.3e} m below fd step {margin:.3e} m")
+        raise MarginTooSmall(f"antenna {m[a]}: spacing margin below fd step {margin:.3e} m")
+
+
+def random_feasible_reference(layout, rng, max_tries=10000):
+    pos = np.zeros((layout.M, layout.N, 2))
+    for m in range(layout.M):
+        lo, hi = layout.region_bounds(m)
+        q = layout.active_position(m)
+        for _ in range(max_tries):
+            pts = rng.uniform(lo, hi, size=(layout.N, 2))
+            full = np.vstack([q[None, :], pts])
+            dists = np.linalg.norm(full[:, None, :] - full[None, :, :], axis=-1)
+            iu = np.triu_indices(layout.N + 1, k=1)
+            if layout.N == 0 or np.all(dists[iu] >= layout.min_sep_m):
+                pos[m] = pts
+                break
+        else:
+            raise InfeasibleLayout("no placement")
+    return pos
+
+
+def single_coupler_moves_reference(p_m, n, q_m, points, min_dist):
+    anchors = np.vstack([q_m[None, :], np.delete(p_m, n, axis=0)])
+    d = np.hypot(anchors[:, 0] - points[:, 0, None], anchors[:, 1] - points[:, 1, None])
+    ok = np.min(d, axis=1) >= min_dist
+    moved = np.repeat(p_m[None], int(ok.sum()), axis=0)
+    moved[:, n] = points[ok]
+    return ok, moved
+
+
+def sca_like_points(anchor, layout, rng, scale):
+    """Anchor coordinates plus steps of the given size (wavelengths)."""
+    vec = anchor.positions.reshape(layout.M, -1)
+    return vec + rng.normal(size=vec.shape) * scale * layout.lam
+
+
+class LinearizedFeasibleSetRow:
+    """Row m of a batched set, for comparison with a per-antenna one."""
+
+    def __init__(self, batch, m):
+        self.box_lo, self.box_hi = batch.box_lo[m], batch.box_hi[m]
+        self.normals, self.offsets = batch.normals[m], batch.offsets[m]
+
+
+@pytest.mark.parametrize("margin_steps", [0.0, 1.0])
+@pytest.mark.parametrize("M", [1, 4, 32])
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 4])
+def test_batched_sets_and_projections_match_per_antenna_reference(N, M, margin_steps):
+    lay = ArrayLayout(M=M, N=N)
+    margin = margin_steps * 1e-4 * lay.lam
+    rng = np.random.default_rng(100 * N + M)
+    anchor = uniform_placement(lay) if N and M == 4 else random_feasible_placement(lay, rng)
+    batch = linearize_spacing(anchor, np.arange(M), lay, margin=margin)
+    assert np.array_equal(batch.antenna, np.arange(M))
+    refs = [linearize_reference(anchor, m, lay, margin) for m in range(M)]
+    for m, (lo, hi, normals, offsets, pairs) in enumerate(refs):
+        one = linearize_spacing(anchor, m, lay, margin=margin)
+        assert one.antenna == m and one.pairs == pairs == batch.pairs
+        assert same_bits(one.anchor, anchor.antenna_vector(m))
+        for got in (one, LinearizedFeasibleSetRow(batch, m)):
+            assert same_bits(got.box_lo, lo) and same_bits(got.box_hi, hi)
+            assert same_bits(got.normals, normals) and same_bits(got.offsets, offsets)
+    for scale in (1e-3, 0.05, 1.0):
+        points = sca_like_points(anchor, lay, rng, scale)
+        got, sweeps = project_onto_set(points, batch, lam=lay.lam, return_sweeps=True)
+        for m, (lo, hi, normals, offsets, _) in enumerate(refs):
+            ref, ref_sweeps = project_reference(points[m], lo, hi, normals, offsets,
+                                                1e-9 * lay.lam)
+            assert same_bits(got[m], ref) and sweeps[m] == ref_sweeps
+            one, one_sweeps = project_onto_set(points[m], linearize_spacing(
+                anchor, m, lay, margin=margin), lam=lay.lam, return_sweeps=True)
+            assert same_bits(one, ref) and one_sweeps == ref_sweeps
+        relaxed, relaxed_sweeps = relaxed_update(
+            anchor.positions.reshape(M, -1), points - anchor.positions.reshape(M, -1),
+            0.5, batch, lay.lam, return_sweeps=True)
+        assert np.array_equal(relaxed_sweeps, sweeps)
+        for m in range(M):
+            assert same_bits(relaxed[m], relaxed_update(
+                anchor.antenna_vector(m), points[m] - anchor.antenna_vector(m), 0.5,
+                linearize_spacing(anchor, m, lay, margin=margin), lay.lam))
+
+
+def test_projection_default_tolerance_is_per_row():
+    lay = ArrayLayout(M=3, N=2)
+    anchor = uniform_placement(lay)
+    batch = linearize_spacing(anchor, np.arange(3), lay)
+    points = sca_like_points(anchor, lay, np.random.default_rng(1), 0.3)
+    got, sweeps = project_onto_set(points, batch, return_sweeps=True)
+    for m in range(3):
+        lo, hi, normals, offsets, _ = linearize_reference(anchor, m, lay)
+        tol = 1e-9 * max(np.max(hi - lo), 1.0)
+        ref, ref_sweeps = project_reference(points[m], lo, hi, normals, offsets, tol)
+        assert same_bits(got[m], ref) and sweeps[m] == ref_sweeps
+
+
+def test_projection_raises_no_convergence_at_small_max_sweeps():
+    lay = ArrayLayout(M=4, N=3)
+    anchor = uniform_placement(lay)
+    batch = linearize_spacing(anchor, np.arange(4), lay)
+    points = sca_like_points(anchor, lay, np.random.default_rng(2), 1.0)
+    _, sweeps = project_onto_set(points, batch, lam=lay.lam, return_sweeps=True)
+    assert sweeps.max() > 2
+    m = int(np.argmax(sweeps))
+    lo, hi, normals, offsets, _ = linearize_reference(anchor, m, lay)
+    with pytest.raises(NoConvergence) as ref:
+        project_reference(points[m], lo, hi, normals, offsets, 1e-9 * lay.lam,
+                          max_sweeps=sweeps[m] - 1)
+    with pytest.raises(NoConvergence) as one:
+        project_onto_set(points[m], linearize_spacing(anchor, m, lay), lam=lay.lam,
+                         max_sweeps=sweeps[m] - 1)
+    assert str(one.value) == str(ref.value)
+    with pytest.raises(NoConvergence):
+        project_onto_set(points, batch, lam=lay.lam, max_sweeps=sweeps.max() - 1)
+
+
+def broken_placement(lay, seed):
+    """A random placement with region and spacing violations on some antennas."""
+    rng = np.random.default_rng(seed)
+    pl = random_feasible_placement(lay, rng)
+    for m in rng.choice(lay.M, size=lay.M // 2, replace=False):
+        kind = rng.integers(3)
+        if kind == 0:  # one coupler pushed out of the region
+            pl.positions[m, 0, rng.integers(2)] += rng.choice([-1, 1]) * lay.region_side_m
+        elif kind == 1 and lay.N > 1:  # two couplers nearly coincide
+            pl.positions[m, 1] = pl.positions[m, 0] + 0.1 * lay.min_sep_m
+        else:  # a coupler on top of the active element
+            pl.positions[m, -1] = lay.active_position(m) + [0.5 * lay.min_sep_m, 0.0]
+    return pl
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("M, N", [(4, 1), (4, 3), (6, 4)])
+def test_violations_match_per_pair_reference(M, N, seed):
+    lay = ArrayLayout(M=M, N=N)
+    pl = broken_placement(lay, seed)
+    atol = 1e-8 * lay.lam
+    ref = is_feasible_reference(pl, lay, atol)
+    report = is_feasible(pl, lay)
+    assert report.violations == ref and report.ok == (not ref)
+    assert ref  # the placement really is broken
+    for v in report.violations:
+        assert type(v.antenna) is int and v.margin < -atol
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("M, N", [(4, 1), (4, 3), (6, 4)])
+def test_infeasible_anchor_and_margin_errors_name_the_same_antenna(M, N, seed):
+    lay = ArrayLayout(M=M, N=N)
+    pl = broken_placement(lay, seed)
+    h = 1e-4 * lay.lam
+    for margin in (0.0, h):
+        expected = None
+        for m in range(M):
+            try:
+                linearize_reference(pl, m, lay, margin)
+            except AnchorInfeasible as exc:
+                expected = expected or str(exc)
+                with pytest.raises(AnchorInfeasible) as one:
+                    linearize_spacing(pl, m, lay, margin=margin)
+                assert str(one.value) == str(exc)
+        with pytest.raises(AnchorInfeasible) as batch:
+            linearize_spacing(pl, np.arange(M), lay, margin=margin)
+        assert str(batch.value) == expected
+    with pytest.raises(MarginTooSmall) as ref:
+        check_margin_reference(pl, np.arange(M), lay, h)
+    with pytest.raises(MarginTooSmall) as got:
+        check_margin(pl, np.arange(M), lay, h)
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("M, N, A", [(8, 2, 2.0), (4, 2, 2.0), (3, 3, 2.0), (6, 2, 2.0),
+                                     (4, 3, 0.5), (2, 0, 2.0)])
+def test_random_feasible_placement_matches_reference(M, N, A):
+    lay = ArrayLayout(M=M, N=N, region_side=A)
+    for seed in range(20):
+        got = random_feasible_placement(lay, np.random.default_rng(seed))
+        ref = random_feasible_reference(lay, np.random.default_rng(seed))
+        assert same_bits(got.positions, ref)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_single_coupler_moves_match_reference(N):
+    lay = ArrayLayout(M=3, N=N)
+    pl = random_feasible_placement(lay, np.random.default_rng(N))
+    margin = 2e-4 * lay.lam
+    for m in range(lay.M):
+        lo, hi = lay.region_bounds(m)
+        xs, ys = np.linspace(lo[0], hi[0], 21), np.linspace(lo[1], hi[1], 21)
+        points = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+        for pad in (0.0, margin):
+            all_ok, all_moved = single_coupler_moves(pl.positions[m], m, np.arange(N), points,
+                                                     lay, pad)
+            assert all_ok.shape == (N, len(points)) and all_moved.shape == (N, len(points), N, 2)
+            for n in range(N):
+                ok, moved = single_coupler_moves(pl.positions[m], m, n, points, lay, pad)
+                ref_ok, ref_moved = single_coupler_moves_reference(
+                    pl.positions[m], n, lay.active_position(m), points, lay.min_sep_m + pad)
+                assert np.array_equal(ok, ref_ok) and ok.any() and not ok.all()
+                assert same_bits(moved[ok], ref_moved)
+                assert np.array_equal(all_ok[n], ok) and same_bits(all_moved[n], moved)
+
+
+def test_constraint_margins_broadcast_over_leading_axes():
+    lay = ArrayLayout(M=3, N=3)
+    rng = np.random.default_rng(4)
+    stacked = np.stack([random_feasible_placement(lay, rng).positions for _ in range(5)])
+    box, dist = constraint_margins(stacked, lay)
+    a, b = spacing_pairs(lay.N)
+    assert box.shape == (5, 3, 3) and dist.shape == (5, 3, len(a))
+    for i in range(5):
+        one_box, one_dist = constraint_margins(stacked[i], lay)
+        assert same_bits(box[i], one_box) and same_bits(dist[i], one_dist)
+        for m in range(lay.M):
+            lo, hi = lay.region_bounds(m)
+            pts = stacked[i, m]
+            assert same_bits(box[i, m], np.minimum(pts - lo, hi - pts).min(axis=1))
+            full = np.vstack([lay.active_position(m)[None, :], pts])
+            assert same_bits(dist[i, m], np.hypot(*(full[a] - full[b]).T))
+            m_box, m_dist = constraint_margins(pts, lay, m)
+            assert same_bits(m_box, box[i, m]) and same_bits(m_dist, dist[i, m])

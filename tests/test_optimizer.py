@@ -184,6 +184,33 @@ class TestOptimize:
         summary = res.trace.summary()
         assert summary["final_rate"] >= summary["initial_rate"]
 
+    def test_summary_health_figures(self, toy):
+        lay, model, spec = toy
+        res = optimize(uniform_placement(lay),
+                       SCAConfig(T_max=6, eps_stop=0.0, snapshot_placements=True),
+                       spec, lay, model, P_MAX, SIGMA2)
+        summary = res.trace.summary()
+        assert summary["proj_sweeps_total"] == sum(res.trace.proj_sweeps) > 0
+        assert summary["backtracks_total"] == sum(res.trace.backtracks)
+        # smallest box or spacing margin over the accepted iterates, pair by pair
+        margins = []
+        for pos in res.trace.placements[1:]:
+            for m in range(lay.M):
+                lo, hi = lay.region_bounds(m)
+                full = np.vstack([lay.active_position(m)[None, :], pos[m]])
+                margins += list(np.minimum(pos[m] - lo, hi - pos[m]).ravel())
+                margins += [np.hypot(*(full[a] - full[b])) - lay.min_sep_m
+                            for a in range(lay.N + 1) for b in range(a + 1, lay.N + 1)]
+        assert summary["min_margin_m"] == min(margins)
+        assert 0.0 < summary["min_margin_m"] < 0.01 * lay.min_sep_m
+
+    def test_summary_without_updates(self, toy):
+        lay, model, spec = toy
+        summary = optimize(uniform_placement(lay), SCAConfig(T_max=0), spec, lay, model,
+                           P_MAX, SIGMA2).trace.summary()
+        assert summary["proj_sweeps_total"] == summary["backtracks_total"] == 0
+        assert summary["min_margin_m"] is None
+
     @pytest.mark.slow
     def test_toy_lattice_two_couplers(self):
         # single antenna, two couplers, one user: compare against a joint
