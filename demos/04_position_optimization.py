@@ -1,10 +1,11 @@
 """Anatomy of one distributed SCA run.
 
-Every iteration: the central unit evaluates the finite-difference rate
-gradient per antenna and broadcasts it, each antenna projects its surrogate
-step onto the linearized feasible set and uploads the new coupler positions,
-and the central unit refreshes the MMSE precoder.  Acceptance is monotone via
-step-size backtracking, so the rate trace never decreases.
+Every iteration: the central unit evaluates the rate gradient (one adjoint
+pass over all antennas) and broadcasts each antenna its part, each antenna
+projects its surrogate step onto the linearized feasible set and uploads the
+new coupler positions, and the central unit refreshes the MMSE precoder.
+Acceptance is monotone via step-size backtracking, so the rate trace never
+decreases.
 """
 
 import numpy as np

@@ -296,10 +296,12 @@ def linearize_spacing(
     For each unordered pair the constraint ||p_a - p_b||^2 >= d_min^2 is
     replaced by its first-order bound at the anchor, giving one half-space per
     pair, in the ``spacing_pairs`` order.  ``margin`` (meters) shrinks the box
-    and inflates d_min; used by the optimizer to keep finite-difference probes
-    of interior iterates feasible.  An index array ``m`` gives the sets of
-    those antennas from one call, stacked along a leading axis; each row reads
-    only its own antenna's anchor.
+    and inflates d_min.  The optimizer passes its finite-difference step,
+    the clearance the central-difference probes of ``optimizer.gradient``
+    need; its own adjoint gradient probes nothing, and the margin stays so
+    that its feasible sets do not change.  An index array ``m`` gives the
+    sets of those antennas from one call, stacked along a leading axis; each
+    row reads only its own antenna's anchor.
     """
     idx = np.atleast_1d(m)
     pts = anchor.positions[idx]  # (A, N, 2)

@@ -104,6 +104,23 @@ def mutual_impedance(d, model: DipoleModel):
     return z
 
 
+def mutual_impedance_derivative(d, model: DipoleModel) -> np.ndarray:
+    """dZ21/dd of ``mutual_impedance`` at spacings ``d`` (array, meters).
+    With E(u) = Ci(u) - j Si(u), Z21 = eta/(4 pi) (2E(u0) - E(u1) - E(u2))
+    and E'(u) = exp(-j u)/u, so
+
+        Z21'(d) = eta/(4 pi) [2 exp(-j k d)/d - (k d/rho)(exp(-j u1)/u1 + exp(-j u2)/u2)]
+
+    with rho = sqrt(d^2 + l^2)."""
+    d = np.asarray(d, dtype=float)
+    k, l = model.wavenumber, model.length
+    root = np.sqrt(d**2 + l**2)
+    u1, u2 = k * (root + l), k * (root - l)
+    tail = np.exp(-1j * u1) / u1 + np.exp(-1j * u2) / u2
+    return ETA_FREE_SPACE / (4.0 * np.pi) * (2.0 * np.exp(-1j * k * d) / d
+                                              - (k * d / root) * tail)
+
+
 @dataclass
 class ImpedanceBlock:
     """Impedance description of one antenna: active self impedance, the

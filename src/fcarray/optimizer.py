@@ -1,7 +1,7 @@
 """Distributed SCA optimization of coupler positions.
 
 Per iteration the central unit evaluates the sum-rate objective and its
-gradient (central finite differences), every antenna maximizes a strongly
+gradient (one adjoint pass), every antenna maximizes a strongly
 concave local surrogate by a projected step inside the linearized feasible
 set, a relaxation with diminishing step mixes the candidate with the current
 point, and the central unit re-solves the MMSE precoder.  Acceptance is
@@ -19,15 +19,24 @@ the (M, 2N) stack.  Rows never mix, and each row stops its projection at the
 sweep where it alone would (geometry's done mask), so every antenna's update
 is, to the last bit, the one its LPU computes from its own set.
 
-Gradients are central finite differences.  All M * 4N probes of an
-iteration run as one batch: each probe moves one coordinate of one coupler,
-so only that coupler's channel is recomputed, while the impedance block,
-weights and power coefficient of the moved antenna are rebuilt whole, keeping
-every per-probe check.  The probe changes one column of the whitened channel
-G diag(B)^-1/2, hence a rank-2 update of the cached K x K Gram, from which
-the MMSE rate follows without forming the precoder.  Probe feasibility is
-preserved by shrinking the per-antenna sets by one finite-difference step
-(``margin=fd_step``).
+The gradient is the adjoint of the forward pass (``gradient_of``), read
+from the full evaluation the iteration already holds.  The rate depends on
+the positions only through the whitened Gram W = sum_m g_bar_m g_bar_m^H,
+g_bar_m = g_m / sqrt(b_m), so d rate = Re tr(Psi dW) for one K x K
+Hermitian Psi (``gram_rate_adjoint``), i.e. 2 Re sum_m (Psi g_bar_m)^H
+d g_bar_m.  From there the chain runs per antenna, batched over all M: the
+weights w = A^-1 z_bar need one adjoint solve with A = Z_hat + X, the
+impedances enter through the closed-form dZ/dd
+(``mutual_impedance_derivative``) of each pair distance, and the coupler
+channels through d h_C[k, n] / d p_n = sum_l gain_kl (-j k [cos, sin]
+phi_kl) a_kln, from the per-path steering the forward caches.
+
+Central differences (``gradient``) stay as the test oracle: each of the
+M * 4N probes moves one coordinate of one coupler and is scored by a rank-2
+update of the cached whitened Gram (``rate_with_override``), which
+``check_margin`` keeps inside the feasible set.  The linearized sets are
+shrunk by one finite-difference step (``margin=fd_step``), a clearance only
+the probes need; it stays so that the feasible sets do not change.
 """
 
 from __future__ import annotations
@@ -38,8 +47,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import MultipathSpec, active_channel_matrix, coupler_channel_block
-from .errors import ConfigError, MarginTooSmall
+from .channel import (
+    MultipathSpec,
+    active_channel_matrix,
+    coupler_channel_block,
+    steering_coupler_block,
+)
+from .errors import ConfigError, MarginTooSmall, NumericalError
 from .geometry import (
     ArrayLayout,
     CouplerPlacement,
@@ -48,10 +62,19 @@ from .geometry import (
     linearize_spacing,
     project_onto_set,
     single_coupler_moves,
+    spacing_pairs,
     uniform_placement,
 )
-from .impedance import DipoleModel
-from .precoding import PrecodingState, gram_sum_rate, mmse_precoder, steered_parts
+from .impedance import DipoleModel, ImpedanceBlock, build_block, mutual_impedance_derivative
+from .precoding import (
+    PrecodingState,
+    gram_rate_adjoint,
+    gram_sum_rate,
+    mech_weights,
+    mmse_precoder,
+    power_coefficient,
+    steered_parts,
+)
 
 
 def _diminishing(t: int) -> float:
@@ -163,12 +186,27 @@ def communication_count(M: int, N: int, rounds: int) -> dict:
     }
 
 
+@dataclass
+class _Forward:
+    """One full evaluation, as ``ObjectiveEvaluator`` caches it."""
+
+    positions: np.ndarray  # (M, N, 2)
+    steering: np.ndarray  # (M, K, L, N) per-path coupler steering
+    h_c: np.ndarray  # (M, K, N) coupler channels
+    block: ImpedanceBlock  # batched over the M antennas
+    w: np.ndarray  # (M, N) mechanical weights
+    state: PrecodingState
+
+
 class ObjectiveEvaluator:
-    """Sum-rate objective.  A full evaluation runs all M antennas as one batch
-    and is reused while the positions stay equal; ``set_placement`` also fixes
-    the placement against which ``rate_with_override`` scores candidate
-    positions, caching its coupler channels (M, K, N), whitened columns and
-    whitened Gram."""
+    """Sum-rate objective and its gradient.  A full evaluation runs all M
+    antennas as one batch and is reused while the positions stay equal.  It
+    caches the forward state that ``gradient_of`` reads back: the per-path
+    coupler steering (M, K, L, N), the coupler channels (M, K, N) formed from
+    it with ``coupler_channel_block``'s einsum, the impedance blocks, the
+    mechanical weights (M, N) and the MMSE state.  ``set_placement`` also
+    fixes the placement against which ``rate_with_override`` scores candidate
+    positions, caching its whitened columns and whitened Gram."""
 
     def __init__(self, spec: MultipathSpec, layout: ArrayLayout, model: DipoleModel,
                  P_max: float, sigma2: float):
@@ -178,33 +216,89 @@ class ObjectiveEvaluator:
         self.P_max = P_max
         self.sigma2 = sigma2
         self.h_active = active_channel_matrix(spec, layout)
-        self._last = None  # (positions, coupler channels, state) of the latest full evaluation
+        # gain_kl times d/dp of path l's steering phase, -j k [cos, sin] phi_kl
+        k0 = 2.0 * np.pi / layout.lam
+        self._path_slopes = (-1j * k0) * spec.gains[..., None] * np.stack(
+            [np.cos(spec.angles), np.sin(spec.angles)], axis=-1)  # (K, L, 2)
+        self._last = None  # _Forward of the latest full evaluation
         self._probe = None  # (positions, coupler channels, whitened columns (M, K), Gram)
 
-    def _evaluate(self, placement: CouplerPlacement):
+    def _evaluate(self, placement: CouplerPlacement) -> _Forward:
         pos = placement.positions
-        if self._last is None or not np.array_equal(self._last[0], pos):
-            h_c = coupler_channel_block(self.spec, pos, self.layout.lam)
-            cols, B = steered_parts(h_c, pos, np.arange(self.layout.M), self.layout,
-                                    self.model, self.h_active)
-            G = np.ascontiguousarray(cols.T)
-            state = mmse_precoder(G, B, self.P_max, self.sigma2)
-            self._last = (pos.copy(), h_c, state)
+        if self._last is None or not np.array_equal(self._last.positions, pos):
+            steering = steering_coupler_block(self.spec.angles, pos, self.layout.lam)
+            h_c = np.einsum("kl,...kln->...kn", self.spec.gains, steering)
+            block = build_block(pos, self.layout.active_positions(), self.model)
+            w, _ = mech_weights(block)
+            cols = self.h_active.T - (h_c @ w[..., None])[..., 0]
+            B = power_coefficient(block, w)
+            state = mmse_precoder(np.ascontiguousarray(cols.T), B, self.P_max, self.sigma2)
+            self._last = _Forward(pos.copy(), steering, h_c, block, w, state)
         return self._last
 
     def state_of(self, placement: CouplerPlacement) -> PrecodingState:
         """MMSE state at a placement; the latest one is reused."""
-        return self._evaluate(placement)[2]
+        return self._evaluate(placement).state
 
     def set_placement(self, placement: CouplerPlacement) -> float:
-        pos, h_c, state = self._evaluate(placement)
-        G_bar = state.G / np.sqrt(state.B)
-        self._probe = (pos, h_c, G_bar.T, G_bar @ G_bar.conj().T)
-        return state.sum_rate
+        fwd = self._evaluate(placement)
+        G_bar = fwd.state.G / np.sqrt(fwd.state.B)
+        self._probe = (fwd.positions, fwd.h_c, G_bar.T, G_bar @ G_bar.conj().T)
+        return fwd.state.sum_rate
 
     def rate_of(self, placement: CouplerPlacement) -> float:
         """Full evaluation without touching the probe cache."""
         return self.state_of(placement).sum_rate
+
+    def gradient_of(self, placement: CouplerPlacement) -> np.ndarray:
+        """Gradient of the sum rate w.r.t. every antenna's flattened coupler
+        coordinates, (M, 2N) rows in ``antenna_vector`` order: one backward
+        pass through the cached forward (see the module docstring).  Raises
+        NumericalError rather than return a non-finite entry."""
+        fwd = self._evaluate(placement)
+        st, w, h_c = fwd.state, fwd.w, fwd.h_c
+        M, N = w.shape
+        sqrt_b = np.sqrt(st.B)
+        g = st.G.T  # (M, K) columns g_m
+        g_bar = g / sqrt_b[:, None]
+        Psi = gram_rate_adjoint(g_bar.T @ g_bar.conj(), self.P_max, self.sigma2)
+        v = g_bar @ Psi.T  # rows Psi g_bar_m
+        # d rate = Re(c_m . dg_m) + s_m db_m, from g_bar_m = g_m / sqrt(b_m)
+        c = 2.0 * v.conj() / sqrt_b[:, None]
+        s = -np.sum(v.conj() * g, axis=-1).real / st.B**1.5
+        # through w = A^-1 z_bar: g_m = h_A - h_C w and b_m = w_t^H Re(Z) w_t
+        w_t = np.concatenate([np.ones((M, 1)), -w], axis=-1)
+        r = (np.real(fwd.block.full_matrix()) @ w_t[..., None])[:, 1:, 0]
+        lam_w = -(c[:, None, :] @ h_c)[:, 0] - 2.0 * s[:, None] * r.conj()
+        # adjoint solve; A = Z_hat + X is complex symmetric, so A^-T = A^-1
+        mu = np.linalg.solve(fwd.block.Z_hat + fwd.block.X, lam_w[..., None])[..., 0]
+        # d rate / d z for each distance of build_block, in spacing_pairs order
+        a, b = spacing_pairs(N)
+        ca, cb = a[N:] - 1, b[N:] - 1
+        zeta = np.concatenate([
+            mu - 2.0 * s[:, None] * w.real,
+            2.0 * s[:, None] * (w[:, ca].conj() * w[:, cb]).real
+            - (mu[:, ca] * w[:, cb] + mu[:, cb] * w[:, ca]),
+        ], axis=-1)
+        q = self.layout.active_positions()[:, None, :]
+        full = np.concatenate([q, fwd.positions], axis=1)  # (M, N+1, 2)
+        diff = full[:, b] - full[:, a]
+        dist = np.hypot(diff[..., 0], diff[..., 1])
+        d_dist = np.real(zeta * mutual_impedance_derivative(dist, self.model))
+        # distance d_ab moves with +u at point b and -u at point a
+        incidence = np.zeros((len(a), N + 1))
+        incidence[np.arange(len(a)), b] = 1.0
+        incidence[np.arange(len(a)), a] = -1.0
+        grad = (incidence.T @ ((d_dist / dist)[..., None] * diff))[:, 1:]
+        # through the coupler channels: dh_C[k, n]/dp_n = sum_l slope_kl a_kln,
+        # slope_kl = gain_kl (-j k [cos phi_kl, sin phi_kl])
+        paths = (c[:, :, None, None] * self._path_slopes).reshape(M, -1, 2)
+        dh = np.swapaxes(paths, -1, -2) @ fwd.steering.reshape(paths.shape[:2] + (N,))
+        grad -= np.real(dh * w[:, None, :]).transpose(0, 2, 1)
+        grad = grad.reshape(M, 2 * N)
+        if not np.all(np.isfinite(grad)):
+            raise NumericalError("adjoint gradient has non-finite entries")
+        return grad
 
     def probe_parts(self, m, p_m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``antenna_parts`` at candidate positions ``p_m`` (..., N, 2) of
@@ -277,8 +371,9 @@ def gradient(
 ) -> np.ndarray:
     """Central-difference gradient of the objective w.r.t. antenna m's
     flattened coupler coordinates (2N,), all 2 * 2N probes scored in one
-    batch.  An index array ``m`` gives one row per antenna (len(m), 2N) from
-    a single batch.  The evaluator must be cached at ``placement``."""
+    batch; the oracle the adjoint ``gradient_of`` is tested against.  An
+    index array ``m`` gives one row per antenna (len(m), 2N) from a single
+    batch.  The evaluator must be cached at ``placement``."""
     check_margin(placement, m, evaluator.layout, fd_step)
     base = placement.positions[m].reshape(np.shape(m) + (-1,))
     n_coord = base.shape[-1]
@@ -346,7 +441,7 @@ def optimize(
         return OptimizeResult(p, ev.state_of(p), trace)
 
     for t in range(cfg.T_max):
-        grads = gradient(p, np.arange(M), ev, cfg.fd_step)
+        grads = ev.gradient_of(p)
         norms = np.sqrt(np.vecdot(grads, grads))  # np.linalg.norm of each row
         if t == 0 and cfg.auto_eta0:
             gmax = float(norms.max())
@@ -422,7 +517,7 @@ def screened_initial_placement(
         return base
     ev = ObjectiveEvaluator(spec, layout, model, P_max, sigma2)
     best = base.copy()
-    margin = 2e-4 * layout.lam  # keep finite-difference clearance
+    margin = 2e-4 * layout.lam  # clear the SCA sets' fd_step shrink
     for m in range(layout.M):
         lo, hi = layout.region_bounds(m)
         # keep a box margin so the screened points stay strictly feasible

@@ -231,6 +231,35 @@ def gram_sum_rate(W: np.ndarray, P_max: float, sigma2: float):
     return _rate_of_coupling(beta[..., None, None] * WS, sigma2)[1]
 
 
+def gram_rate_adjoint(W: np.ndarray, P_max: float, sigma2: float) -> np.ndarray:
+    """Hermitian Psi (..., K, K) with d rate = Re tr(Psi dW) for Hermitian dW,
+    the adjoint of ``gram_sum_rate`` (conditioning is the forward's to check).
+
+    The coupling matrix is C = beta W S with S = (W + alpha I)^-1 and
+    beta^2 = P_max / tau, tau = tr(S W S); dC = d beta W S + beta alpha S dW S
+    and d tau = Re tr(S^2 (I - 2 W S) dW).  The rate pulls back through
+    d|C_kj|^2 = 2 Re(conj(C_kj) dC_kj).  A zero Gram (tau = 0) is the silent
+    precoder of ``gram_sum_rate`` and gets Psi = 0."""
+    K = W.shape[-1]
+    alpha = K * sigma2 / P_max
+    eye = np.eye(K)
+    S = np.linalg.inv(W + alpha * eye)
+    WS = W @ S
+    tau = np.sum(S.conj() * WS, axis=(-2, -1)).real[..., None, None]
+    inv_tau = 1.0 / np.where(tau == 0.0, np.inf, tau)
+    beta = np.sqrt(P_max * inv_tau)
+    C = beta * WS
+    power = np.abs(C) ** 2
+    total = power.sum(axis=-1, keepdims=True) + sigma2
+    interference_noise = total - np.diagonal(power, axis1=-2, axis2=-1)[..., None]
+    # d rate / d|C_kj|^2: 1/total_k, less 1/interference_noise_k off the diagonal
+    E = (1.0 / total - (1.0 - eye) / interference_noise) / np.log(2.0)
+    Phi = np.swapaxes(2.0 * E * C.conj(), -1, -2)  # d rate = Re tr(Phi dC)
+    d_beta = -0.5 * beta * inv_tau * np.trace(Phi @ WS, axis1=-2, axis2=-1).real[..., None, None]
+    Psi = d_beta * (S @ S @ (eye - 2.0 * WS)) + beta * alpha * (S @ Phi @ S)
+    return 0.5 * (Psi + np.swapaxes(Psi.conj(), -1, -2))
+
+
 def mmse_precoder(
     G: np.ndarray, B: np.ndarray, P_max: float, sigma2: float
 ) -> PrecodingState:

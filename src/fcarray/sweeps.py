@@ -54,6 +54,17 @@ def sca_config_from(scenario: Scenario) -> SCAConfig:
     )
 
 
+def initial_placement(scenario: Scenario, layout: ArrayLayout, spec, model,
+                      P_max: float, sigma2: float) -> CouplerPlacement:
+    """The SCA start named by ``sca.init``: the uniform placement, or the
+    screened one with ``sca.screen_points`` lattice points per axis."""
+    sca = scenario.doc["sca"]
+    if sca["init"] == "screened":
+        return screened_initial_placement(layout, spec, model, P_max, sigma2,
+                                          points_per_axis=sca["screen_points"])
+    return uniform_placement(layout)
+
+
 # ---------------------------------------------------------------------------
 # rate metrics
 
@@ -81,13 +92,7 @@ def rate_metric(
         return fully_active_state(spec, layout, model, P_max, sigma2).sum_rate
     if scheme == "fc-optimized":
         cfg = sca_config_from(scenario)
-        if scenario.doc["sca"]["init"] == "screened":
-            initial = screened_initial_placement(
-                layout, spec, model, P_max, sigma2,
-                points_per_axis=scenario.doc["sca"]["screen_points"],
-            )
-        else:
-            initial = uniform_placement(layout)
+        initial = initial_placement(scenario, layout, spec, model, P_max, sigma2)
         result = optimize(initial, cfg, spec, layout, model, P_max, sigma2)
         return result.trace.rates[-1]
     raise ConfigError(f"unknown rate scheme {scheme!r}", field="schemes")
@@ -310,7 +315,7 @@ def run_optimize(scenario: Scenario, seed: int, out_dir) -> dict:
     ch_seed, _, _, _ = _streams(seed)
     spec = sample_channels(ch_seed, K, scenario.doc["channel"]["L"], layout)
     cfg = sca_config_from(scenario)
-    initial = uniform_placement(layout)
+    initial = initial_placement(scenario, layout, spec, model, scenario.P_max, sigma2)
     result = optimize(initial, cfg, spec, layout, model, scenario.P_max, sigma2)
     os.makedirs(out_dir, exist_ok=True)
     result.trace.to_csv(os.path.join(out_dir, "trace.csv"))

@@ -1,11 +1,16 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from fcarray.channel import sample_channels
 from fcarray.cli import main
 from fcarray.errors import ConfigError
+from fcarray.geometry import is_feasible, load_placement, uniform_placement
+from fcarray.optimizer import screened_initial_placement
 from fcarray.scenario import Scenario
+from fcarray.sweeps import _streams
 
 
 SMALL = {
@@ -161,6 +166,38 @@ class TestCliCommands:
         assert main(["sweep", "snr", "--config", config_path, "--out", out]) == 0
         rows = open(os.path.join(out, "sweep_snr.csv")).read().splitlines()
         assert len(rows) == 1 + 1 * 2 * 2  # snr values x schemes x seeds
+
+
+@pytest.mark.parametrize("seed", [0, 2, 3])
+def test_optimize_iterate_on_its_shrunken_box_edge(seed, tmp_path):
+    """Iterates clipped to the edge of their fd-step-shrunken box once
+    stopped these runs with MarginTooSmall (exit 3); the adjoint gradient
+    probes nothing, so they finish with a feasible placement."""
+    out = tmp_path / "opt"
+    assert main(["optimize", "--seed", str(seed), "--out", str(out),
+                 "--set", "sca.alpha_schedule=constant", "--set", "layout.A=0.5"]) == 0
+    placement, layout = load_placement(out / "placement.json")
+    assert is_feasible(placement, layout)
+
+
+def test_optimize_honors_screened_init(config_path, tmp_path):
+    """``sca.init=screened`` starts ``fcarray optimize`` from the screened
+    placement (with T_max=0 the output is the start itself)."""
+    out = tmp_path / "opt"
+    overrides = ["sca.init=screened", "sca.screen_points=5", "sca.T_max=0"]
+    args = [x for o in overrides for x in ("--set", o)]
+    assert main(["optimize", "--config", config_path, "--seed", "1", "--out", str(out),
+                 *args]) == 0
+    placement, _ = load_placement(out / "placement.json")
+    scenario = Scenario(dict(SMALL), overrides=overrides)
+    layout = scenario.layout()
+    K = scenario.doc["channel"]["K"]
+    spec = sample_channels(_streams(1)[0], K, scenario.doc["channel"]["L"], layout)
+    screened = screened_initial_placement(layout, spec, scenario.model(layout),
+                                          scenario.P_max, scenario.sigma2_rate(K),
+                                          points_per_axis=5)
+    assert not np.array_equal(screened.positions, uniform_placement(layout).positions)
+    assert np.array_equal(placement.positions, screened.positions)
 
 
 @pytest.mark.parametrize("override, field", [
