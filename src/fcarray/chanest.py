@@ -20,12 +20,12 @@ Stacking order everywhere is block-major, antenna-minor: entry (v*M + m) of a
 stacked vector belongs to block v, antenna m.
 
 The per-antenna chain (impedance block, mechanical weights, response or
-effective column) runs batched: the pilot phase is one chain call over the
-(V, M) block/antenna pairs, the central dictionary one call over the same
-pairs, and reconstruction (``predict``), ``true_effective`` and ``nmse`` one
-call over all (test placement, antenna) pairs.  Each local estimator still
-builds its own dictionary from its own antenna's schedule, one call over its
-V blocks, so the distributed scheme never reads another antenna's positions.
+effective column) runs batched: the pilot phase and the dictionaries are one
+chain call each over the (V, M) block/antenna pairs, and reconstruction
+(``predict``), ``true_effective`` and ``nmse`` one call over all (test
+placement, antenna) pairs.  Each batch entry reads only its own antenna's
+schedule, so local estimator m's slice of the dictionary cube depends on no
+other antenna's positions.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .channel import (
     steering_coupler_block,
 )
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     InfeasibleLayout,
     InformationLeak,
@@ -208,7 +209,7 @@ class AngularGrid:
 
     def __post_init__(self):
         if self.G < 2:
-            raise ValueError("grid needs at least 2 points")
+            raise ConfigError(f"grid needs at least 2 points, got G={self.G}")
 
     @property
     def angles(self) -> np.ndarray:
@@ -383,7 +384,7 @@ def nmse(
     """Mean over users and query placements of ||g_hat - g||^2 / ||g||^2,
     norms taken across antennas."""
     if not test_placements:
-        raise ValueError("need at least one test placement")
+        raise DimensionMismatch("need at least one test placement")
     P = np.stack([_positions(pl) for pl in test_placements])  # (T, M, N, 2)
     g_hat = result.predict(P, layout, model)
     g = true_effective(spec, P, layout, model)
@@ -451,14 +452,14 @@ def centralized_estimate(
 
 def local_proxy(
     A_m: np.ndarray, y_mk: np.ndarray, sigma_eff2: float, eta: float,
-    eps_n: float = DEFAULT_EPS_NORM,
+    eps_n: float = DEFAULT_EPS_NORM, norms: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Matched-filter proxy of one antenna for one user.
-
-    Returns (rho over the full grid, indices passing the noise-calibrated
-    threshold rho >= eta * sigma_eff2, sorted ascending)."""
+    """Matched-filter proxy of one antenna for one user: (rho over the full
+    grid, indices passing the noise-calibrated threshold rho >= eta *
+    sigma_eff2, sorted ascending).  The column energies ``norms``
+    (sum over blocks of |A_m|^2) are computed from A_m when not given."""
     c = A_m.conj().T @ y_mk
-    norms = np.sum(np.abs(A_m) ** 2, axis=0)
+    norms = np.sum(np.abs(A_m) ** 2, axis=0) if norms is None else norms
     rho = np.abs(c) ** 2 / (norms + eps_n)
     kept = np.where(rho >= eta * sigma_eff2)[0]
     return rho, kept
@@ -480,26 +481,24 @@ def fuse_and_select(uploads, L: int, G: int) -> tuple[np.ndarray, bool]:
 
 class LocalEstimator:
     """Per-antenna half of the distributed scheme (the local unit of
-    Algorithm 3).  Owns only the antenna's observations and position
-    schedule; everything it produces for the central unit is explicit
-    (proxies, sufficient statistics), and a request it has not been prepared
-    for by an earlier exchange raises InformationLeak."""
+    Algorithm 3).  Owns only the antenna's observations and its (V, G)
+    dictionary, slice m of the batched cube; everything it produces for the
+    central unit is explicit (proxies, sufficient statistics), and a request
+    it has not been prepared for by an earlier exchange raises InformationLeak."""
 
-    def __init__(self, m: int, session: PilotSession, grid: AngularGrid,
-                 layout: ArrayLayout, model: DipoleModel):
+    def __init__(self, m: int, session: PilotSession, A_m: np.ndarray):
         self.m = m
         self.session = session
-        self.A_m = local_dictionary(session, m, grid, layout, model)
+        self.A_m = A_m
+        self.norms = np.sum(np.abs(A_m) ** 2, axis=0)
         self.corr = None  # (V, K) after correlate()
         self._rho: dict[int, np.ndarray] = {}
         self._supports: dict[int, np.ndarray] = {}
 
     def correlate(self, y_rows: list[np.ndarray]) -> None:
         """Pilot-correlate the antenna's own V received rows."""
-        self.corr = np.stack([
-            pilot_correlate(y_rows[v], self.session.S, self.session.tau)
-            for v in range(self.session.V)
-        ])
+        self.corr = np.stack([pilot_correlate(y, self.session.S, self.session.tau)
+                              for y in y_rows])
 
     def observation(self, k: int) -> np.ndarray:
         return self.corr[:, k]
@@ -507,7 +506,7 @@ class LocalEstimator:
     def proxies(self, k: int, eta: float, eps_n: float):
         """Thresholded proxy upload of user k: (kept indices, their rho)."""
         rho, kept = local_proxy(self.A_m, self.observation(k),
-                                self.session.sigma_eff2, eta, eps_n)
+                                self.session.sigma_eff2, eta, eps_n, self.norms)
         self._rho[k] = rho
         return kept, rho[kept]
 
@@ -578,7 +577,8 @@ def _algorithm3_rounds(
     and a grid index as 1; the result's ledger is summed from the records."""
     M = layout.M
     K = session.K
-    estimators = [LocalEstimator(m, session, grid, layout, model) for m in range(M)]
+    cube = local_dictionary(session, np.arange(M), grid, layout, model)
+    estimators = [LocalEstimator(m, session, cube[:, m]) for m in range(M)]
     for m, est in enumerate(estimators):
         est.correlate([observations[v][m] for v in range(session.V)])
 

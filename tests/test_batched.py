@@ -6,7 +6,12 @@ frozen per-candidate loops.  Finite-difference probes are scored from a
 rank-2 update of the whitened Gram; that path is checked against the full
 MMSE precoder and against per-probe ``fc_state`` evaluations.  The
 estimation side (pilot phase, dictionaries, reconstruction, NMSE) is checked
-against frozen per-(block, antenna) and per-(placement, antenna) loops."""
+against frozen per-(block, antenna) and per-(placement, antenna) loops, and
+Algorithm 3, whose local dictionaries are slices of one batched build, against
+a frozen run in which every local unit builds its own."""
+
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,10 +28,14 @@ from fcarray.channel import active_channel_matrix, coupler_channel_block
 from fcarray.chanest import (
     AngularGrid,
     EstimationResult,
+    _algorithm3_rounds,
     aggregate_gains,
     build_dictionary,
+    distributed_estimate,
     exhaustive_baseline,
+    fuse_and_select,
     local_dictionary,
+    local_proxy,
     nmse,
     pilot_correlate,
     run_pilot_phase,
@@ -42,6 +51,7 @@ from fcarray.errors import (
     SingularSystem,
     TooClose,
 )
+from fcarray.geometry import is_feasible
 from fcarray.impedance import ImpedanceBlock, build_block
 from fcarray.optimizer import (
     ObjectiveEvaluator,
@@ -59,6 +69,7 @@ from fcarray.precoding import (
     mmse_precoder,
     power_coefficient,
 )
+from fcarray.runtime import run_algorithm3
 
 P_MAX, SIGMA2 = 1.0, 0.05
 BATCH = 6
@@ -740,3 +751,134 @@ def test_bad_test_placement_fails_the_batched_nmse(N):
             nmse(res, spec, tests[:2] + [close] + tests[3:], lay, model)
         with pytest.raises(FcError):
             nmse(res, spec, tests[:3] + [broken], lay, model)
+
+
+# ---------------------------------------------------------------------------
+# Algorithm 3: frozen copy of the per-LPU dictionary build as the oracle
+
+
+def algorithm3_reference(session, observations, L, grid, layout, model, eta,
+                         eps_n=1e-12, eps_k="auto"):
+    """Algorithm 3 with every local unit calling ``local_dictionary`` for its
+    own antenna and recomputing its column energies per user; returns the
+    result fields, the ledger and the (round, antenna, kind, count, payload)
+    records in exchange order."""
+    M, K, V = layout.M, session.K, session.V
+    A = [local_dictionary(session, m, grid, layout, model) for m in range(M)]
+    corr = [np.stack([pilot_correlate(observations[v][m], session.S, session.tau)
+                      for v in range(V)]) for m in range(M)]
+    records = []
+    supports = np.zeros((K, L), dtype=int)
+    gains = np.zeros((K, L), dtype=complex)
+    r = 0
+    for k in range(K):
+        r += 1
+        rhos, uploads = [], []
+        for m in range(M):
+            rho, kept = local_proxy(A[m], corr[m][:, k], session.sigma_eff2, eta, eps_n)
+            rhos.append(rho)
+            uploads.append((kept, rho[kept]))
+            records.append((r, m, "proxy_list", 2 * len(kept), uploads[m]))
+        support, ok = fuse_and_select(uploads, L, grid.G)
+        if not ok:
+            r += 1
+            uploads = []
+            for m in range(M):
+                records.append((r, m, "proxy_request", 1, L))
+                idx = np.sort(np.lexsort((np.arange(grid.G), -rhos[m]))[:L])
+                uploads.append((idx, rhos[m][idx]))
+                records.append((r, m, "proxy_list", 2 * L, uploads[m]))
+            support, _ = fuse_and_select(uploads, L, grid.G)
+        supports[k] = support
+        r += 1
+        stats = []
+        for m in range(M):
+            records.append((r, m, "support", L, support))
+            A_g = A[m][:, list(support)]
+            stats.append((A_g.conj().T @ A_g, A_g.conj().T @ corr[m][:, k]))
+            records.append((r, m, "suff_stats", 2 * (L * L + L), stats[m]))
+        gains[k] = aggregate_gains(stats, eps_k)
+        r += 1
+        records += [(r, m, "gains", 2 * L, gains[k]) for m in range(M)]
+    units = Counter()
+    for _, _, kind, count, _ in records:
+        units[kind] += count
+    ledger = {
+        "proxy_scalars": units["proxy_list"],
+        "fallback_rounds": units["proxy_request"] // M,
+        "support_scalars": units["support"],
+        "suffstat_complex": units["suff_stats"] // 2,
+        "suffstat_scalars": units["suff_stats"],
+        "gain_scalars": units["gains"],
+    }
+    return supports, gains, ledger, records
+
+
+def payload_equal(a, b) -> bool:
+    if isinstance(a, tuple):
+        return (isinstance(b, tuple) and len(a) == len(b)
+                and all(payload_equal(x, y) for x, y in zip(a, b)))
+    return np.array_equal(a, b)
+
+
+def assert_records_equal(got, ref):
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert g[:4] == r[:4]
+        assert payload_equal(g[4], r[4]), g[:4]
+
+
+def algorithm3_setup(M, N, V):
+    lay = ArrayLayout(M=M, N=N)
+    model = DipoleModel.for_layout(lay)
+    spec = sample_channels(60 + N, K=2, L=3, layout=lay)
+    session = make_session(lay, K=2, tau=5, V=V, sigma2=0.05, seed=70 + M + N + V)
+    return lay, model, session, run_pilot_phase(session, spec, lay, model)
+
+
+ALGORITHM3_CASES = ([(4, N, V, 4.0) for N in (0, 1, 2, 3) for V in (1, 4)]
+                    + [(8, 2, 4, 4.0), (4, 2, 4, 1e12)])
+
+
+@pytest.mark.parametrize("M, N, V, eta", ALGORITHM3_CASES)
+def test_algorithm3_matches_per_lpu_dictionary_reference(M, N, V, eta):
+    lay, model, session, obs = algorithm3_setup(M, N, V)
+    grid, L = AngularGrid(32), 3
+    supports, gains, ledger, records = algorithm3_reference(session, obs, L, grid, lay,
+                                                            model, eta)
+    assert (ledger["fallback_rounds"] > 0) == (eta == 1e12)
+    direct = distributed_estimate(session, obs, L, grid, lay, model, eta=eta)
+    routed, messages, _ = run_algorithm3(session, obs, L, grid, lay, model, eta=eta)
+    rounds, got_records = _algorithm3_rounds(session, obs, L, grid, lay, model,
+                                             eta, 1e-12, "auto")
+    for res in (direct, routed, rounds):
+        assert np.array_equal(res.supports, supports)
+        assert np.array_equal(res.gains, gains)
+        assert np.array_equal(res.angles, grid.angles[supports])
+        assert res.ledger == ledger
+    assert_records_equal(got_records, records)
+    assert_records_equal([(msg.round, msg.antenna, msg.payload_kind, msg.scalar_count,
+                           msg.payload) for msg in messages], records)
+
+
+@pytest.mark.parametrize("M, N, V", [(4, 1, 1), (4, 2, 4), (3, 3, 5), (8, 2, 4)])
+def test_batched_local_dictionaries_are_per_antenna(M, N, V):
+    """Moving antenna j's couplers in every block changes slice j of the
+    batched cube and leaves every other LPU's slice bit for bit as it was."""
+    lay, model, session, _ = algorithm3_setup(M, N, V)
+    grid = AngularGrid(32)
+    cube = local_dictionary(session, np.arange(M), grid, lay, model)
+    for m in range(M):
+        assert np.array_equal(cube[:, m], local_dictionary(session, m, grid, lay, model))
+    rng = np.random.default_rng(M + N + V)
+    for j in range(M):
+        moved = []
+        for pl in session.placements:
+            pl = pl.copy()
+            pl.positions[j] = random_feasible_placement(lay, rng).positions[j]
+            assert is_feasible(pl, lay)
+            moved.append(pl)
+        perturbed = local_dictionary(replace(session, placements=moved), np.arange(M),
+                                     grid, lay, model)
+        for m in range(M):
+            assert np.array_equal(perturbed[:, m], cube[:, m]) == (m != j)

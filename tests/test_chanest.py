@@ -30,11 +30,13 @@ from fcarray.chanest import (
     EstimationResult,
     _annulus_placement,
     LocalEstimator,
+    local_dictionary,
     stack_observations,
     support_hit_rate,
     true_effective,
 )
 from fcarray.errors import (
+    ConfigError,
     DimensionMismatch,
     FcError,
     InfeasibleLayout,
@@ -155,6 +157,11 @@ class TestPilotCorrelate:
 
 
 class TestDictionary:
+    @pytest.mark.parametrize("G", [1, 0, -3])
+    def test_grid_rejects_fewer_than_two_points(self, G):
+        with pytest.raises(ConfigError, match="at least 2 points"):
+            AngularGrid(G)
+
     def test_no_couplers_reduces_to_active_steering(self):
         layout = ArrayLayout(M=3, N=0)
         model = DipoleModel.for_layout(layout)
@@ -359,7 +366,7 @@ class TestLocalProxy:
         spec = on_grid_spec(grid, rng, K=1, L=1)
         session = make_session(layout, K=1, tau=8, V=4, sigma2=0.0, seed=6)
         obs = run_pilot_phase(session, spec, layout, model)
-        est = LocalEstimator(0, session, grid, layout, model)
+        est = LocalEstimator(0, session, local_dictionary(session, 0, grid, layout, model))
         est.correlate([obs[v][0] for v in range(4)])
         rho, _ = local_proxy(est.A_m, est.observation(0), 1e-12, eta=0.0)
         assert int(np.argmax(rho)) == int(grid.nearest_index(spec.angles[0, 0]))
@@ -435,7 +442,7 @@ class TestDistributed:
         model = DipoleModel.for_layout(layout)
         spec, session, obs, grid, result = self._run(layout, model, 0.01, 3,
                                                      eps_k=0.0)
-        est = LocalEstimator(0, session, grid, layout, model)
+        est = LocalEstimator(0, session, local_dictionary(session, 0, grid, layout, model))
         est.correlate([obs[v][0] for v in range(session.V)])
         for k in range(2):
             ref = ls_gains(est.observation(k), est.A_m,
@@ -528,7 +535,7 @@ class TestReconstructAndNmse:
             angles=np.zeros((1, 1)), gains=np.ones((1, 1), dtype=complex),
             grid=grid)
         spec = MultipathSpec(angles=np.zeros((1, 1)), gains=np.ones((1, 1)))
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatch):
             nmse(result, spec, [], layout, model)
 
     def test_nmse_zero_channel_error(self, est_setup):

@@ -19,7 +19,7 @@ from fcarray import (
     sample_channels,
     uniform_placement,
 )
-from fcarray.chanest import LocalEstimator
+from fcarray.chanest import LocalEstimator, local_dictionary
 from fcarray.errors import InformationLeak
 from fcarray.geometry import linearize_spacing
 from fcarray.optimizer import relaxed_update
@@ -161,7 +161,7 @@ class TestAlgorithm3:
 
     def test_lpu_guards(self):
         lay, model, session, obs, grid, eta = self._setup()
-        est = LocalEstimator(0, session, grid, lay, model)
+        est = LocalEstimator(0, session, local_dictionary(session, 0, grid, lay, model))
         est.correlate([obs[v][0] for v in range(session.V)])
         with pytest.raises(InformationLeak):
             est.suff_stats(0)  # no support received yet
