@@ -54,6 +54,7 @@ from .errors import (
 from .geometry import (
     ArrayLayout,
     CouplerPlacement,
+    constraint_margins,
     random_feasible_placement,
     single_coupler_moves,
 )
@@ -145,16 +146,12 @@ def _annulus_placement(layout: ArrayLayout, rng: np.random.Generator,
     pos = np.zeros((layout.M, layout.N, 2))
     for m in range(layout.M):
         q = layout.active_position(m)
-        lo, hi = layout.region_bounds(m)
         for _ in range(max_tries):
             r = rng.uniform(r_lo, r_hi, layout.N)
             a = rng.uniform(0.0, 2.0 * np.pi, layout.N)
             pts = q[None, :] + np.column_stack([r * np.cos(a), r * np.sin(a)])
-            full = np.vstack([q[None, :], pts])
-            dists = np.linalg.norm(full[:, None, :] - full[None, :, :], axis=-1)
-            iu = np.triu_indices(layout.N + 1, k=1)
-            if (layout.N == 0 or (np.all(dists[iu] >= layout.min_sep_m)
-                                  and np.all(pts >= lo) and np.all(pts <= hi))):
+            box, dist = constraint_margins(pts, layout, m)
+            if np.all(box >= 0.0) and np.all(dist >= layout.min_sep_m):
                 pos[m] = pts
                 break
         else:

@@ -64,10 +64,6 @@ class NonPSD(NumericalError):
     pass
 
 
-class MarginTooSmall(NumericalError):
-    pass
-
-
 class TauTooShort(ConfigError):
     pass
 

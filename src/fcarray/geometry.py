@@ -296,10 +296,10 @@ def linearize_spacing(
     For each unordered pair the constraint ||p_a - p_b||^2 >= d_min^2 is
     replaced by its first-order bound at the anchor, giving one half-space per
     pair, in the ``spacing_pairs`` order.  ``margin`` (meters) shrinks the box
-    and inflates d_min.  The optimizer passes its finite-difference step,
-    the clearance the central-difference probes of ``optimizer.gradient``
-    need; its own adjoint gradient probes nothing, and the margin stays so
-    that its feasible sets do not change.  An index array ``m`` gives the
+    and inflates d_min.  The optimizer passes its clearance
+    (``optimizer.CLEARANCE_WL`` wavelengths), which keeps the projected
+    iterates off the exact d_min guard of ``mutual_impedance`` despite the
+    projection's stop tolerance.  An index array ``m`` gives the
     sets of those antennas from one call, stacked along a leading axis; each
     row reads only its own antenna's anchor.
     """

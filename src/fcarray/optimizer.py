@@ -6,7 +6,7 @@ concave local surrogate by a projected step inside the linearized feasible
 set, a relaxation with diminishing step mixes the candidate with the current
 point, and the central unit re-solves the MMSE precoder.  Acceptance is
 monotone: if the relaxed update lowers the rate, the inverse step size is
-doubled and the update recomputed; after ``max_backtracks`` failed doublings
+doubled and the update recomputed; after ``MAX_BACKTRACKS`` failed doublings
 the iteration is skipped, which drives the relative-change stopping rule to
 zero and terminates the run.
 
@@ -33,10 +33,9 @@ phi_kl) a_kln, from the per-path steering the forward caches.
 
 Central differences (``gradient``) stay as the test oracle: each of the
 M * 4N probes moves one coordinate of one coupler and is scored by a rank-2
-update of the cached whitened Gram (``rate_with_override``), which
-``check_margin`` keeps inside the feasible set.  The linearized sets are
-shrunk by one finite-difference step (``margin=fd_step``), a clearance only
-the probes need; it stays so that the feasible sets do not change.
+update of the pinned whitened Gram (``rate_with_override``).  The linearized
+sets keep a clearance (``CLEARANCE_WL``) that no probe needs: it guards the
+impedance model's exact d_min check against the projection's tolerance.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from .channel import (
     coupler_channel_block,
     steering_coupler_block,
 )
-from .errors import ConfigError, MarginTooSmall, NumericalError
+from .errors import ConfigError, NumericalError
 from .geometry import (
     ArrayLayout,
     CouplerPlacement,
@@ -88,32 +87,35 @@ def _constant(t: int) -> float:
 ALPHA_SCHEDULES = {"diminishing": _diminishing, "constant": _constant}
 
 
+# The inverse step size starts at eta = ETA0_WL / lam and is raised at t = 0
+# so the first unconstrained step is at most 10% of the region side; each
+# rejected update multiplies it by BACKTRACK_FACTOR, at most MAX_BACKTRACKS
+# times per iteration.
+ETA0_WL = 10.0
+BACKTRACK_FACTOR = 2.0
+MAX_BACKTRACKS = 5
+# Clearance of the linearized feasible sets, in wavelengths.  Dykstra stops
+# within its tolerance of a set's boundary, and with a constant alpha an
+# iterate is that projection, while mutual_impedance rejects any spacing
+# below d_min exactly (TooClose); the sets stay this far inside instead.
+CLEARANCE_WL = 1e-4
+
+
 @dataclass
 class SCAConfig:
-    """Knobs of the SCA loop.  ``eta0`` defaults to 10/lam; with
-    ``auto_eta0`` the first-iteration value is raised so the initial
-    unconstrained step is at most 10% of the region side."""
+    """Knobs of the SCA loop: the relaxation schedule, the relative-change
+    stopping threshold, the iteration cap, and whether the trace keeps every
+    accepted placement.  An unknown schedule is a ConfigError."""
 
-    eta0: float | None = None
-    backtrack_factor: float = 2.0
-    max_backtracks: int = 5
     alpha_schedule: str = "diminishing"
     eps_stop: float = 1e-4
     T_max: int = 200
-    fd_step: float | None = None
-    auto_eta0: bool = True
     snapshot_placements: bool = False
 
-    def resolved(self, lam: float) -> "SCAConfig":
-        cfg = SCAConfig(**self.__dict__)
-        if cfg.eta0 is None:
-            cfg.eta0 = 10.0 / lam
-        if cfg.fd_step is None:
-            cfg.fd_step = 1e-4 * lam
-        if cfg.alpha_schedule not in ALPHA_SCHEDULES:
-            raise ConfigError(f"unknown alpha schedule {cfg.alpha_schedule!r}",
+    def __post_init__(self):
+        if self.alpha_schedule not in ALPHA_SCHEDULES:
+            raise ConfigError(f"unknown alpha schedule {self.alpha_schedule!r}",
                               field="sca.alpha_schedule")
-        return cfg
 
     def alpha(self, t: int) -> float:
         return ALPHA_SCHEDULES[self.alpha_schedule](t)
@@ -205,8 +207,7 @@ class ObjectiveEvaluator:
     coupler steering (M, K, L, N), the coupler channels (M, K, N) formed from
     it with ``coupler_channel_block``'s einsum, the impedance blocks, the
     mechanical weights (M, N) and the MMSE state.  ``set_placement`` also
-    fixes the placement against which ``rate_with_override`` scores candidate
-    positions, caching its whitened columns and whitened Gram."""
+    pins the evaluation that ``rate_with_override`` scores moves against."""
 
     def __init__(self, spec: MultipathSpec, layout: ArrayLayout, model: DipoleModel,
                  P_max: float, sigma2: float):
@@ -221,7 +222,7 @@ class ObjectiveEvaluator:
         self._path_slopes = (-1j * k0) * spec.gains[..., None] * np.stack(
             [np.cos(spec.angles), np.sin(spec.angles)], axis=-1)  # (K, L, 2)
         self._last = None  # _Forward of the latest full evaluation
-        self._probe = None  # (positions, coupler channels, whitened columns (M, K), Gram)
+        self._pinned = None  # _Forward that rate_with_override moves away from
 
     def _evaluate(self, placement: CouplerPlacement) -> _Forward:
         pos = placement.positions
@@ -241,13 +242,12 @@ class ObjectiveEvaluator:
         return self._evaluate(placement).state
 
     def set_placement(self, placement: CouplerPlacement) -> float:
-        fwd = self._evaluate(placement)
-        G_bar = fwd.state.G / np.sqrt(fwd.state.B)
-        self._probe = (fwd.positions, fwd.h_c, G_bar.T, G_bar @ G_bar.conj().T)
-        return fwd.state.sum_rate
+        """Full evaluation, pinned as the base of ``rate_with_override``."""
+        self._pinned = self._evaluate(placement)
+        return self._pinned.state.sum_rate
 
     def rate_of(self, placement: CouplerPlacement) -> float:
-        """Full evaluation without touching the probe cache."""
+        """Full evaluation; the pinned one stays."""
         return self.state_of(placement).sum_rate
 
     def gradient_of(self, placement: CouplerPlacement) -> np.ndarray:
@@ -303,27 +303,28 @@ class ObjectiveEvaluator:
     def probe_parts(self, m, p_m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``antenna_parts`` at candidate positions ``p_m`` (..., N, 2) of
         antenna m (an index or an index array matching the batch axes).
-        Couplers that did not move keep their cached channels; the impedance
+        Couplers that did not move keep their pinned channels; the impedance
         block, weights and power coefficient are rebuilt whole."""
-        pos, h_c0, _, _ = self._probe
+        base = self._pinned
         m = np.broadcast_to(m, p_m.shape[:-2])
-        moved = np.any(p_m != pos[m], axis=-1)  # (..., N)
-        h_c = np.take(h_c0, m, axis=0)  # (..., K, N)
+        moved = np.any(p_m != base.positions[m], axis=-1)  # (..., N)
+        h_c = np.take(base.h_c, m, axis=0)  # (..., K, N)
         if moved.any():
             np.swapaxes(h_c, -1, -2)[moved] = coupler_channel_block(
                 self.spec, p_m[moved][:, None, :], self.layout.lam)[..., 0]
         return steered_parts(h_c, p_m, m, self.layout, self.model, self.h_active)
 
     def rate_with_override(self, m, p_m: np.ndarray):
-        """Rate with antenna m moved to ``p_m`` (N, 2); all else cached.  A
+        """Rate with antenna m moved to ``p_m`` (N, 2); all else as pinned.  A
         batch of positions (..., N, 2) gives one rate per entry, and ``m`` may
         then be an index array matching the batch axes.  The moved column
-        enters as a rank-2 update of the cached whitened Gram."""
-        _, _, g_bar, W = self._probe
+        enters as a rank-2 update of the pinned whitened Gram."""
+        st = self._pinned.state
+        G_bar = st.G / np.sqrt(st.B)
         col, b = self.probe_parts(m, p_m)
-        old = np.take(g_bar, np.broadcast_to(m, p_m.shape[:-2]), axis=0)
+        old = np.take(G_bar.T, np.broadcast_to(m, p_m.shape[:-2]), axis=0)
         new = col / np.sqrt(b)[..., None]
-        W_p = (W - old[..., :, None] * old.conj()[..., None, :]
+        W_p = (G_bar @ G_bar.conj().T - old[..., :, None] * old.conj()[..., None, :]
                + new[..., :, None] * new.conj()[..., None, :])
         return gram_sum_rate(W_p, self.P_max, self.sigma2)
 
@@ -337,30 +338,7 @@ def objective(
     sigma2: float,
 ) -> float:
     """MMSE sum rate at a placement (the function the optimizer climbs)."""
-    ev = ObjectiveEvaluator(spec, layout, model, P_max, sigma2)
-    return ev.set_placement(placement)
-
-
-def check_margin(placement: CouplerPlacement, m, layout: ArrayLayout,
-                 margin: float) -> None:
-    """Require antenna m (or each antenna of an index array, the first
-    failing one reported) to clear every constraint by ``margin`` meters so
-    +/- probes of that size stay feasible."""
-    m = np.atleast_1d(m)
-    if layout.N == 0:
-        return
-    box, dist = constraint_margins(placement.positions[m], layout, m)
-    box, spacing = box.min(axis=1), dist.min(axis=1)
-    failed = (box < margin) | (spacing < layout.min_sep_m + margin)
-    if failed.any():
-        a = int(np.argmax(failed))
-        if box[a] < margin:
-            raise MarginTooSmall(
-                f"antenna {m[a]}: box margin {box[a]:.3e} m below fd step {margin:.3e} m"
-            )
-        raise MarginTooSmall(
-            f"antenna {m[a]}: spacing margin below fd step {margin:.3e} m"
-        )
+    return ObjectiveEvaluator(spec, layout, model, P_max, sigma2).rate_of(placement)
 
 
 def gradient(
@@ -373,8 +351,8 @@ def gradient(
     flattened coupler coordinates (2N,), all 2 * 2N probes scored in one
     batch; the oracle the adjoint ``gradient_of`` is tested against.  An
     index array ``m`` gives one row per antenna (len(m), 2N) from a single
-    batch.  The evaluator must be cached at ``placement``."""
-    check_margin(placement, m, evaluator.layout, fd_step)
+    batch.  The evaluator must be pinned at ``placement``.  A probe that
+    crosses d_min raises TooClose; one past the box edge is scored as is."""
     base = placement.positions[m].reshape(np.shape(m) + (-1,))
     n_coord = base.shape[-1]
     step = fd_step * np.eye(n_coord)
@@ -427,33 +405,31 @@ def optimize(
     vector sent to each antenna ("gradient"), then each antenna's updated
     coordinates ("positions"), which its previous coordinates and that step
     replay through ``relaxed_update`` with alpha(r - 1)."""
-    cfg = config.resolved(layout.lam)
     ev = ObjectiveEvaluator(spec, layout, model, P_max, sigma2)
     p = initial.copy()
-    rate = ev.set_placement(p)
-    trace = SCATrace(rates=[rate])
-    if cfg.snapshot_placements:
+    trace = SCATrace(rates=[ev.rate_of(p)])
+    if config.snapshot_placements:
         trace.placements = [p.positions.copy()]
-    eta = float(cfg.eta0)
+    eta = ETA0_WL / layout.lam
     M, N = layout.M, layout.N
 
-    if N == 0 or cfg.T_max == 0:
+    if N == 0 or config.T_max == 0:
         return OptimizeResult(p, ev.state_of(p), trace)
 
-    for t in range(cfg.T_max):
+    for t in range(config.T_max):
         grads = ev.gradient_of(p)
         norms = np.sqrt(np.vecdot(grads, grads))  # np.linalg.norm of each row
-        if t == 0 and cfg.auto_eta0:
+        if t == 0:
             gmax = float(norms.max())
             if gmax > 0:
                 eta = max(eta, gmax / (0.1 * layout.region_side_m))
-        sets = linearize_spacing(p, np.arange(M), layout, margin=cfg.fd_step)
-        alpha_t = cfg.alpha(t)
+        sets = linearize_spacing(p, np.arange(M), layout, margin=CLEARANCE_WL * layout.lam)
+        alpha_t = config.alpha(t)
         p_vecs = p.positions.reshape(M, 2 * N)
 
         accepted = None
         backtracks = 0
-        for _ in range(cfg.max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             steps = grads / eta
             vecs, sweeps = relaxed_update(p_vecs, steps, alpha_t, sets, layout.lam,
                                           return_sweeps=True)
@@ -462,7 +438,7 @@ def optimize(
             if cand_rate >= trace.rates[-1]:
                 accepted = (cand, steps, cand_rate, int(sweeps.sum()))
                 break
-            eta *= cfg.backtrack_factor
+            eta *= BACKTRACK_FACTOR
             backtracks += 1
 
         if accepted is None:
@@ -476,7 +452,6 @@ def optimize(
         cand, steps, cand_rate, sweeps_total = accepted
         prev = trace.rates[-1]
         p = cand
-        ev.set_placement(p)
         trace.rates.append(cand_rate)
         trace.grad_norms.append(norms)
         trace.backtracks.append(backtracks)
@@ -489,10 +464,10 @@ def optimize(
             r = trace.rounds
             log.extend((r, m, "gradient", 2 * N, steps[m]) for m in range(M))
             log.extend((r, m, "positions", 2 * N, p.antenna_vector(m)) for m in range(M))
-        if cfg.snapshot_placements:
+        if config.snapshot_placements:
             trace.placements.append(p.positions.copy())
         rel = 0.0 if cand_rate == prev else abs(cand_rate - prev) / max(prev, 1e-300)
-        if rel <= cfg.eps_stop:
+        if rel <= config.eps_stop:
             break
 
     return OptimizeResult(p, ev.state_of(p), trace)
@@ -517,7 +492,7 @@ def screened_initial_placement(
         return base
     ev = ObjectiveEvaluator(spec, layout, model, P_max, sigma2)
     best = base.copy()
-    margin = 2e-4 * layout.lam  # clear the SCA sets' fd_step shrink
+    margin = 2.0 * CLEARANCE_WL * layout.lam  # strictly inside the SCA sets' clearance
     for m in range(layout.M):
         lo, hi = layout.region_bounds(m)
         # keep a box margin so the screened points stay strictly feasible

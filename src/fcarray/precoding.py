@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import MultipathSpec, active_channel_matrix, coupler_channel_block
-from .errors import NonPositivePower, NonPSD, SingularGram, SingularSystem
+from .errors import ConfigError, NonPositivePower, NonPSD, SingularGram, SingularSystem
 from .geometry import ArrayLayout, CouplerPlacement, uniform_placement
 from .impedance import DipoleModel, ImpedanceBlock, build_block, build_blocks
 
@@ -266,8 +266,8 @@ def mmse_precoder(
     """Regularized-inverse precoder on the whitened channel, power-loaded to
     meet the transmit budget with equality.  Batched ``G`` (..., K, M) and
     ``B`` (..., M) give batched state arrays and one sum rate per entry."""
-    if P_max <= 0:
-        raise ValueError("P_max must be positive")
+    if not P_max > 0:  # also rejects NaN
+        raise ConfigError(f"must be positive, got {P_max!r}", field="P_max")
     B = np.asarray(B, dtype=float)
     if np.any(B <= 0):
         raise NonPositivePower("power matrix must be strictly positive")

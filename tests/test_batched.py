@@ -44,7 +44,6 @@ from fcarray.chanest import (
 )
 from fcarray.errors import (
     FcError,
-    MarginTooSmall,
     NonPositivePower,
     SingularAggregate,
     SingularGram,
@@ -55,7 +54,6 @@ from fcarray.geometry import is_feasible
 from fcarray.impedance import ImpedanceBlock, build_block
 from fcarray.optimizer import (
     ObjectiveEvaluator,
-    check_margin,
     gradient,
     screened_initial_placement,
 )
@@ -536,69 +534,6 @@ class TestNonFinite:
     def test_nan_in_aggregated_statistics(self):
         with pytest.raises(SingularAggregate):
             aggregate_gains([(np.full((2, 2), np.nan + 0j), np.ones(2, complex))], "auto")
-
-
-def check_margin_reference(placement, m, layout, margin):
-    """Per-antenna margin check as run before the all-antenna batch."""
-    lo, hi = layout.region_bounds(m)
-    pts = placement.positions[m]
-    if pts.size == 0:
-        return
-    box_margin = min(
-        float(np.min(pts[:, 0] - lo[0])), float(np.min(hi[0] - pts[:, 0])),
-        float(np.min(pts[:, 1] - lo[1])), float(np.min(hi[1] - pts[:, 1])),
-    )
-    if box_margin < margin:
-        raise MarginTooSmall(
-            f"antenna {m}: box margin {box_margin:.3e} m below fd step {margin:.3e} m"
-        )
-    full = np.vstack([layout.active_position(m)[None, :], pts])
-    dists = np.linalg.norm(full[:, None, :] - full[None, :, :], axis=-1)
-    iu = np.triu_indices(len(full), k=1)
-    if np.min(dists[iu]) < layout.min_sep_m + margin:
-        raise MarginTooSmall(
-            f"antenna {m}: spacing margin below fd step {margin:.3e} m"
-        )
-
-
-def first_margin_error(placement, layout, margin):
-    for m in range(layout.M):
-        try:
-            check_margin_reference(placement, m, layout, margin)
-        except MarginTooSmall as exc:
-            return str(exc)
-    return None
-
-
-@pytest.mark.parametrize("case", range(6))
-def test_all_antenna_margin_check_reports_first_failing_antenna(case):
-    lay = ArrayLayout(M=4, N=2)
-    h = 1e-4 * lay.lam
-    pl = random_feasible_placement(lay, np.random.default_rng(case))
-    _, hi = lay.region_bounds(2)
-    if case in (1, 3):  # antenna 2 on its box edge
-        pl.positions[2, 1, 0] = hi[0] - 0.5 * h
-    if case in (2, 3, 4):  # antenna 3 (and 1) too close to a neighbour coupler
-        for m in (3, 1) if case == 4 else (3,):
-            pl.positions[m, 1] = pl.positions[m, 0] + [lay.min_sep_m + 0.5 * h, 0.0]
-    if case == 5:  # antenna 0 fails both checks: the box one is reported
-        lo0, _ = lay.region_bounds(0)
-        pl.positions[0, 0, 1] = lo0[1] + 0.25 * h
-        pl.positions[0, 1] = pl.positions[0, 0] + [lay.min_sep_m + 0.5 * h, 0.0]
-    expected = first_margin_error(pl, lay, h)
-    assert (expected is None) == (case == 0)
-    if expected is None:
-        check_margin(pl, np.arange(lay.M), lay, h)
-        return
-    with pytest.raises(MarginTooSmall) as exc:
-        check_margin(pl, np.arange(lay.M), lay, h)
-    assert str(exc.value) == expected
-    ev = ObjectiveEvaluator(sample_channels(case, K=2, L=15, layout=lay), lay,
-                            DipoleModel.for_layout(lay), P_MAX, SIGMA2)
-    ev.set_placement(pl)
-    with pytest.raises(MarginTooSmall) as exc:
-        gradient(pl, np.arange(lay.M), ev, h)
-    assert str(exc.value) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
+import io
 import json
 import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fcarray.channel import sample_channels
 from fcarray.cli import main
@@ -170,14 +175,17 @@ class TestCliCommands:
 
 @pytest.mark.parametrize("seed", [0, 2, 3])
 def test_optimize_iterate_on_its_shrunken_box_edge(seed, tmp_path):
-    """Iterates clipped to the edge of their fd-step-shrunken box once
-    stopped these runs with MarginTooSmall (exit 3); the adjoint gradient
-    probes nothing, so they finish with a feasible placement."""
+    """Iterates clipped to the edge of their clearance-shrunken box once
+    stopped these runs with MarginTooSmall (exit 3).  They finish with a
+    feasible placement, and every accepted iterate keeps the sets'
+    clearance of 1e-4 wavelengths."""
     out = tmp_path / "opt"
     assert main(["optimize", "--seed", str(seed), "--out", str(out),
                  "--set", "sca.alpha_schedule=constant", "--set", "layout.A=0.5"]) == 0
     placement, layout = load_placement(out / "placement.json")
     assert is_feasible(placement, layout)
+    summary = json.loads((out / "trace_summary.json").read_text())
+    assert summary["min_margin_m"] >= 0.99 * 1e-4 * layout.lam
 
 
 def test_optimize_honors_screened_init(config_path, tmp_path):
@@ -220,3 +228,37 @@ def test_malformed_override_is_config_error(override, field, tmp_path, capsys):
     assert err.startswith(f"config error: {field}:")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# Raw --set values: integers no larger than the base T_max, so every valid
+# run stays at three iterations or fewer, then the JSON and non-JSON oddities.
+SCA_VALUES = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.floats(-10.0, 10.0).map(repr),
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "nan", "inf", "1e400", "true",
+                     "false", "null", "[]", "[1, 2]", '["constant"]', "{}", '"3"', "",
+                     "constant", "diminishing", "uniform", "screened", "foo"]),
+)
+SCA_OVERRIDES = st.one_of(
+    st.tuples(st.sampled_from(["sca.eps_stop", "sca.T_max", "sca.alpha_schedule",
+                               "sca.init", "sca.screen_points", "sca.bogus"]), SCA_VALUES),
+    st.tuples(st.just("sca"), st.sampled_from(['{"T_max": 2}', '{"init": "screened"}',
+                                               '{"bogus": 1}', "3", "[1]", "null"])),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(overrides=st.lists(SCA_OVERRIDES, min_size=1, max_size=3))
+def test_optimize_with_fuzzed_sca_overrides_exits_cleanly(overrides):
+    """In-process ``fcarray optimize`` under arbitrary ``sca.*`` overrides
+    exits 0, 2 or 3 and lets no exception escape."""
+    base = ["layout.M=2", "layout.N=1", "channel.K=2", "channel.L=4", "sca.T_max=3",
+            "sca.screen_points=3"]
+    sets = base + [f"{path}={value}" for path, value in overrides]
+    args = [x for o in sets for x in ("--set", o)]
+    with (tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()),
+          redirect_stderr(io.StringIO()) as err):
+        code = main(["optimize", "--out", os.path.join(tmp, "opt"), *args])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()

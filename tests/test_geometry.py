@@ -15,7 +15,6 @@ from fcarray.errors import (
     AnchorInfeasible,
     DimensionMismatch,
     InfeasibleLayout,
-    MarginTooSmall,
     NoConvergence,
 )
 from fcarray.geometry import (
@@ -24,7 +23,7 @@ from fcarray.geometry import (
     single_coupler_moves,
     spacing_pairs,
 )
-from fcarray.optimizer import check_margin, relaxed_update
+from fcarray.optimizer import relaxed_update
 
 
 class TestLayout:
@@ -365,28 +364,6 @@ def is_feasible_reference(placement, layout, atol):
     return violations
 
 
-def check_margin_reference(placement, m, layout, margin):
-    m = np.atleast_1d(m)
-    pts = placement.positions[m]
-    if pts.shape[1] == 0:
-        return
-    q = layout.active_positions()[m]
-    half = 0.5 * layout.region_side_m
-    box = np.min(np.minimum(pts - (q - half)[:, None, :], (q + half)[:, None, :] - pts),
-                 axis=(1, 2))
-    full = np.concatenate([q[:, None, :], pts], axis=1)
-    dists = np.linalg.norm(full[:, :, None, :] - full[:, None, :, :], axis=-1)
-    iu = np.triu_indices(full.shape[1], k=1)
-    spacing = np.min(dists[:, iu[0], iu[1]], axis=1)
-    failed = (box < margin) | (spacing < layout.min_sep_m + margin)
-    if failed.any():
-        a = int(np.argmax(failed))
-        if box[a] < margin:
-            raise MarginTooSmall(
-                f"antenna {m[a]}: box margin {box[a]:.3e} m below fd step {margin:.3e} m")
-        raise MarginTooSmall(f"antenna {m[a]}: spacing margin below fd step {margin:.3e} m")
-
-
 def random_feasible_reference(layout, rng, max_tries=10000):
     pos = np.zeros((layout.M, layout.N, 2))
     for m in range(layout.M):
@@ -547,11 +524,6 @@ def test_infeasible_anchor_and_margin_errors_name_the_same_antenna(M, N, seed):
         with pytest.raises(AnchorInfeasible) as batch:
             linearize_spacing(pl, np.arange(M), lay, margin=margin)
         assert str(batch.value) == expected
-    with pytest.raises(MarginTooSmall) as ref:
-        check_margin_reference(pl, np.arange(M), lay, h)
-    with pytest.raises(MarginTooSmall) as got:
-        check_margin(pl, np.arange(M), lay, h)
-    assert str(got.value) == str(ref.value)
 
 
 @pytest.mark.parametrize("M, N, A", [(8, 2, 2.0), (4, 2, 2.0), (3, 3, 2.0), (6, 2, 2.0),

@@ -20,7 +20,7 @@ from fcarray import (
     uniform_placement,
     is_feasible,
 )
-from fcarray.errors import ConfigError, MarginTooSmall
+from fcarray.errors import ConfigError
 from fcarray.optimizer import ObjectiveEvaluator, relaxed_update, screened_initial_placement
 
 
@@ -101,17 +101,6 @@ class TestGradient:
             fd = (r_p - r_m) / (2 * h)
             assert abs(g @ u - fd) / abs(fd) < 1e-6
 
-    def test_margin_enforced(self, toy):
-        lay, model, spec = toy
-        pl = uniform_placement(lay)
-        # drag a coupler onto the box edge
-        lo, hi = lay.region_bounds(0)
-        pl.positions[0, 0] = [hi[0], lay.active_position(0)[1] + 0.4 * lay.lam]
-        ev = ObjectiveEvaluator(spec, lay, model, P_MAX, SIGMA2)
-        ev.set_placement(pl)
-        with pytest.raises(MarginTooSmall):
-            gradient(pl, 0, ev, 1e-4 * lay.lam)
-
 
 class TestLocalStep:
     """The surrogate step p + grad/eta projected, i.e. relaxed_update at alpha = 1."""
@@ -157,6 +146,19 @@ class TestOptimize:
             optimize(uniform_placement(lay), SCAConfig(alpha_schedule="foo"), spec,
                      lay, model, P_MAX, SIGMA2)
         assert err.value.field == "sca.alpha_schedule"
+
+    @pytest.mark.parametrize("N, ch_seed", [(3, 2613022947), (3, 1205035877),
+                                            (2, 1563021450), (3, 2406264477)])
+    def test_iterates_keep_the_clearance(self, N, ch_seed):
+        """Constant-alpha runs at M=4, K=3, A=0.5 whose iterates, the
+        projections themselves, stopped with TooClose on sets without the
+        clearance.  Every accepted iterate keeps 1e-4 wavelengths."""
+        lay = ArrayLayout(M=4, N=N, region_side=0.5)
+        spec = sample_channels(ch_seed, K=3, L=15, layout=lay)
+        res = optimize(uniform_placement(lay), SCAConfig(alpha_schedule="constant"), spec,
+                       lay, DipoleModel.for_layout(lay), P_MAX, P_MAX / 30.0)
+        assert res.trace.min_margins
+        assert min(res.trace.min_margins) >= 0.99 * 1e-4 * lay.lam
 
     def test_eps_infinite_single_iteration(self, toy):
         lay, model, spec = toy

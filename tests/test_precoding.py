@@ -22,7 +22,7 @@ from fcarray import (
 )
 from fcarray.channel import active_channel_matrix, coupler_channel_block
 from fcarray.chanest import response_row
-from fcarray.errors import NonPositivePower
+from fcarray.errors import ConfigError, NonPositivePower
 from fcarray.impedance import ImpedanceBlock
 from fcarray.precoding import MechanicalWeights, power_coefficient
 
@@ -217,6 +217,18 @@ class TestMMSEPrecoder:
         st1 = mmse_precoder(G, B, P_max=1.0, sigma2=0.1)
         st2 = mmse_precoder(G, B, P_max=10.0, sigma2=1.0)
         assert np.allclose(st1.sinr, st2.sinr, rtol=1e-9)
+
+    @pytest.mark.parametrize("P_max", [0.0, -1.0])
+    def test_nonpositive_budget_is_config_error(self, P_max):
+        with pytest.raises(ConfigError) as err:
+            mmse_precoder(np.ones((1, 2), complex), np.ones(2), P_max, 0.1)
+        assert err.value.field == "P_max"
+
+    def test_nan_budget_is_config_error(self):
+        # not the SingularGram that the regularized inverse would report
+        with pytest.raises(ConfigError) as err:
+            mmse_precoder(np.ones((1, 2), complex), np.ones(2), np.nan, 0.1)
+        assert err.value.field == "P_max"
 
 
 class TestSinrAndRate:

@@ -22,7 +22,7 @@ from fcarray import (
 from fcarray.chanest import LocalEstimator, local_dictionary
 from fcarray.errors import InformationLeak
 from fcarray.geometry import linearize_spacing
-from fcarray.optimizer import relaxed_update
+from fcarray.optimizer import CLEARANCE_WL, relaxed_update
 from fcarray.runtime import export_message_log, load_message_log
 
 P_MAX = 1.0
@@ -84,7 +84,7 @@ class TestAlgorithm1:
         lay = ArrayLayout(M=M, N=N)
         model = DipoleModel.for_layout(lay)
         spec = sample_channels(17, K=2, L=8, layout=lay)
-        cfg = SCAConfig(T_max=4, eps_stop=0.0).resolved(lay.lam)
+        cfg = SCAConfig(T_max=4, eps_stop=0.0)
         initial = uniform_placement(lay)
         result, log, _ = run_algorithm1(initial, cfg, spec, lay, model,
                                         P_MAX, SIGMA2)
@@ -98,7 +98,7 @@ class TestAlgorithm1:
                 continue
             assert msg.payload_kind == "positions"
             anchor = initial.with_antenna_vector(m, prev[m])
-            feas = linearize_spacing(anchor, m, lay, margin=cfg.fd_step)
+            feas = linearize_spacing(anchor, m, lay, margin=CLEARANCE_WL * lay.lam)
             replayed = relaxed_update(prev[m], steps[r, m], cfg.alpha(r - 1),
                                       feas, lay.lam)
             assert np.array_equal(replayed, msg.payload)
