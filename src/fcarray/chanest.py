@@ -20,11 +20,11 @@ Stacking order everywhere is block-major, antenna-minor: entry (v*M + m) of a
 stacked vector belongs to block v, antenna m.
 
 The per-antenna chain (impedance block, mechanical weights, response or
-effective column) runs batched: the pilot phase and the dictionaries are one
-chain call each over the (V, M) block/antenna pairs, and reconstruction
-(``predict``), ``true_effective`` and ``nmse`` one call over all (test
-placement, antenna) pairs.  Each batch entry reads only its own antenna's
-schedule, so local estimator m's slice of the dictionary cube depends on no
+effective column) runs batched: the pilot phase and the dictionary cube, built
+once per session for all estimators, are one chain call each over the (V, M)
+block/antenna pairs, and ``predict``, ``true_effective`` and ``nmse`` one call
+over all (test placement, antenna) pairs.  Each batch entry reads only its own
+antenna's schedule, so local estimator m's slice of the cube depends on no
 other antenna's positions.
 """
 
@@ -59,11 +59,12 @@ from .geometry import (
     single_coupler_moves,
 )
 from .impedance import DipoleModel, build_block
-from .precoding import antenna_parts, effective_column, mech_weights
+from .precoding import _certified_solve, antenna_parts, effective_column, mech_weights
 
 DEFAULT_GRID_SIZE = 256
 DEFAULT_THRESHOLD = 4.0  # ~6 dB above the effective noise floor
 DEFAULT_EPS_NORM = 1e-12
+AGGREGATE_COND_LIMIT = 1e12
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +87,7 @@ def make_pilots(K: int, tau: int, seed) -> np.ndarray:
 @dataclass
 class PilotSession:
     """One training window: pilots, block count, per-block placements, and
-    the per-antenna noise level."""
+    the per-antenna noise level; caches its cube (see ``local_dictionary``)."""
 
     S: np.ndarray  # (K, tau)
     tau: int
@@ -94,6 +95,7 @@ class PilotSession:
     placements: list[CouplerPlacement]
     sigma2: float
     seed: int
+    _dictionary: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     @property
     def K(self) -> int:
@@ -246,12 +248,22 @@ def local_dictionary(
     model: DipoleModel,
 ) -> np.ndarray:
     """Local dictionary of antenna m, shape (V, G): row v is the angular
-    response at block-v coupler positions (mechanical weights recomputed from
-    the antenna's own schedule), from one chain call over the V blocks.  An
-    index array ``m`` gives (V, len(m), G)."""
-    P = session.positions[:, m]
-    w_m, _ = mech_weights(build_block(P, layout.active_positions()[m], model))
-    return response_row(grid.angles, P, w_m, m, layout)
+    response at block-v coupler positions (mechanical weights solved from
+    the antenna's own schedule).  An index array ``m`` gives (V, len(m), G)
+    and ``slice(None)`` the whole (V, M, G) cube.  All are read-only slices
+    of the session's one cached cube, built by one chain call over the (V, M)
+    block/antenna pairs and keyed on the grid, layout, model and placement
+    bytes, so a moved coupler or a new grid or model means a rebuild."""
+    P = session.positions
+    key = (grid, layout, model, P.tobytes())
+    if session._dictionary[0] != key:
+        w, _ = mech_weights(build_block(P, layout.active_positions(), model))
+        cube = response_row(grid.angles, P, w, np.arange(layout.M), layout)
+        cube.flags.writeable = False
+        session._dictionary = (key, cube)
+    out = session._dictionary[1][:, m]
+    out.flags.writeable = False
+    return out
 
 
 @dataclass
@@ -278,10 +290,9 @@ def build_dictionary(
     layout: ArrayLayout,
     model: DipoleModel,
 ) -> Dictionary:
-    """Full dictionary over all blocks and antennas, one chain call over the
-    (V, M) block/antenna pairs."""
-    cube = local_dictionary(session, np.arange(layout.M), grid, layout, model)
-    return Dictionary(cube=cube, grid=grid)
+    """Full dictionary over all blocks and antennas: the session's cube."""
+    return Dictionary(cube=local_dictionary(session, slice(None), grid, layout, model),
+                      grid=grid)
 
 
 def stack_observations(corr_blocks: list[np.ndarray], k: int) -> np.ndarray:
@@ -544,14 +555,9 @@ def aggregate_gains(stats: list[tuple[np.ndarray, np.ndarray]], eps_k) -> np.nda
     L = R.shape[0]
     if eps_k == "auto":
         eps_k = 1e-8 * float(np.real(np.trace(R))) / max(L, 1)
-    R_loaded = R + eps_k * np.eye(L)
-    try:
-        cond = float(np.linalg.cond(R_loaded))
-    except np.linalg.LinAlgError:  # the SVD fails on NaN entries
-        raise SingularAggregate("aggregated Gram has non-finite entries") from None
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularAggregate(f"aggregated Gram condition {cond:.3e} after loading")
-    return np.linalg.solve(R_loaded, q)
+    X, _ = _certified_solve(R + eps_k * np.eye(L), q[:, None], AGGREGATE_COND_LIMIT,
+                            SingularAggregate, "loaded aggregated Gram")
+    return X[:, 0]
 
 
 def _algorithm3_rounds(
@@ -574,7 +580,7 @@ def _algorithm3_rounds(
     and a grid index as 1; the result's ledger is summed from the records."""
     M = layout.M
     K = session.K
-    cube = local_dictionary(session, np.arange(M), grid, layout, model)
+    cube = local_dictionary(session, slice(None), grid, layout, model)
     estimators = [LocalEstimator(m, session, cube[:, m]) for m in range(M)]
     for m, est in enumerate(estimators):
         est.correlate([observations[v][m] for v in range(session.V)])

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .geometry import ArrayLayout, CouplerPlacement
 
 GAIN_NORMALIZATION = 1.0  # average total path power per user
@@ -32,13 +33,13 @@ class MultipathSpec:
         self.angles = np.atleast_2d(np.asarray(self.angles, dtype=float))
         self.gains = np.atleast_2d(np.asarray(self.gains, dtype=complex))
         if self.angles.shape != self.gains.shape:
-            raise ValueError("angles and gains must have matching (K, L) shapes")
+            raise ConfigError("must match the (K, L) shape of angles", field="gains")
         if self.angles.shape[1] < 1:
-            raise ValueError("need at least one path per user")
-        if np.any(np.abs(self.angles) > np.pi / 2):
-            raise ValueError("angles must lie in [-pi/2, pi/2]")
-        if self.noise_var <= 0:
-            raise ValueError("noise_var must be positive")
+            raise ConfigError("need at least one path per user", field="angles")
+        if not np.all(np.abs(self.angles) <= np.pi / 2):  # also rejects NaN
+            raise ConfigError("must lie in [-pi/2, pi/2]", field="angles")
+        if not self.noise_var > 0:
+            raise ConfigError("must be positive", field="noise_var")
 
     @property
     def K(self) -> int:
@@ -116,7 +117,7 @@ def sample_channels(
     """Draw a random multipath spec: angles i.i.d. uniform on [-pi/2, pi/2],
     gains i.i.d. circularly-symmetric Gaussian with variance g0/L."""
     if K < 1 or L < 1:
-        raise ValueError("K and L must be >= 1")
+        raise ConfigError("must be >= 1", field="K" if K < 1 else "L")
     rng = np.random.default_rng(seed)
     angles = rng.uniform(-np.pi / 2, np.pi / 2, size=(K, L))
     scale = np.sqrt(GAIN_NORMALIZATION / (2.0 * L))

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import (
     AnchorInfeasible,
+    ConfigError,
     DimensionMismatch,
     InfeasibleLayout,
     NoConvergence,
@@ -52,15 +53,14 @@ class ArrayLayout:
 
     def __post_init__(self):
         if self.M < 1:
-            raise ValueError("M must be >= 1")
+            raise ConfigError("must be >= 1", field="M")
         if self.N < 0:
-            raise ValueError("N must be >= 0")
-        if self.d_y <= 0 or self.region_side <= 0:
-            raise ValueError("d_y and region_side must be positive")
+            raise ConfigError("must be >= 0", field="N")
+        for name in ("d_y", "region_side", "f_c"):
+            if not getattr(self, name) > 0:  # also rejects NaN
+                raise ConfigError("must be positive", field=name)
         if not (0 < self.d_min < self.region_side):
-            raise ValueError("d_min must satisfy 0 < d_min < region_side")
-        if self.f_c <= 0:
-            raise ValueError("f_c must be positive")
+            raise ConfigError("must satisfy 0 < d_min < region_side", field="d_min")
 
     @property
     def lam(self) -> float:

@@ -31,7 +31,7 @@ class MechanicalWeights:
     (Z_hat + X) w = z_bar); the extended vector is [1; -w_m]."""
 
     w: np.ndarray  # (M, N) complex
-    cond: np.ndarray  # (M,) condition numbers of the solved systems
+    cond: np.ndarray  # (M,) upper bounds on cond_2, exact where a bound misses
 
     @property
     def M(self) -> int:
@@ -48,22 +48,49 @@ def _scalar(x):
 
 
 def mech_weights(block: ImpedanceBlock) -> tuple[np.ndarray, float]:
-    """Solve one antenna's coupling system; returns (w, condition number).
-    A batched block gives w (..., N) and one condition number per entry; a
-    single ill-conditioned entry fails the whole batch."""
+    """Solve one antenna's coupling system; returns (w, condition bound, see
+    ``_certified_solve``).  A batched block gives w (..., N) and one bound per
+    entry; a single ill-conditioned entry fails the whole batch."""
     batch = block.z_bar.shape[:-1]
     if block.N == 0:
         return np.zeros(batch + (0,), dtype=complex), _scalar(np.ones(batch))
-    A = block.Z_hat + block.X
+    X, cond = _certified_solve(block.Z_hat + block.X, block.z_bar[..., None], COND_LIMIT,
+                               SingularSystem, "coupling system")
+    return X[..., 0], _scalar(cond)
+
+
+def _certified_solve(A: np.ndarray, rhs, limit: float, error: type, what: str):
+    """Solve A X = [rhs | I] for matrices A (..., n, n) in one LAPACK call
+    (``rhs`` (..., n, r) or None), so X ends in A^-1.  Returns (X, cond)
+    with cond = ||A||_F ||A^-1||_F, an upper bound on cond_2(A).  The bound
+    is held to two decades below ``limit`` so rounding in A^-1 cannot pass a
+    bad entry; entries that miss it (non-finite ones included) get the exact
+    SVD value instead, and ``error`` is raised if that exceeds ``limit``."""
+    n = A.shape[-1]
+    eye = np.broadcast_to(np.eye(n, dtype=A.dtype), A.shape)
+    try:
+        X = np.linalg.solve(A, eye if rhs is None else np.concatenate([rhs, eye], axis=-1))
+    except np.linalg.LinAlgError:  # an exactly singular entry
+        _exact_cond(A, limit, error, what)
+        raise error(f"{what} is singular") from None
+    cond = np.asarray(np.linalg.norm(A, axis=(-2, -1))
+                      * np.linalg.norm(X[..., -n:], axis=(-2, -1)))
+    miss = ~(cond <= 1e-2 * limit)
+    if miss.any():
+        cond[miss] = _exact_cond(A[miss], limit, error, what)
+    return X, cond
+
+
+def _exact_cond(A: np.ndarray, limit: float, error: type, what: str) -> np.ndarray:
+    """SVD condition numbers of A (..., n, n), each finite and <= ``limit``."""
     try:
         cond = np.linalg.cond(A)
     except np.linalg.LinAlgError:  # the SVD fails on NaN entries
-        raise SingularSystem("coupling system has non-finite entries") from None
+        raise error(f"{what} has non-finite entries") from None
     worst = float(cond.max(initial=0.0))
-    if not math.isfinite(worst) or worst > COND_LIMIT:
-        raise SingularSystem(f"coupling system condition {worst:.3e} exceeds {COND_LIMIT:.0e}")
-    w = np.linalg.solve(A, block.z_bar[..., None])[..., 0]
-    return w, _scalar(cond)
+    if not math.isfinite(worst) or worst > limit:
+        raise error(f"{what} condition {worst:.3e} exceeds {limit:.0e}")
+    return cond
 
 
 def all_mech_weights(blocks: ImpedanceBlock) -> MechanicalWeights:
@@ -155,7 +182,7 @@ class PrecodingState:
     sum_rate: float
     P_max: float
     sigma2: float
-    gram_cond: float = field(default=np.nan)
+    gram_cond: float = field(default=np.nan)  # upper bound on cond_2, exact where it misses
 
     def to_dict(self) -> dict:
         return {
@@ -172,13 +199,13 @@ class PrecodingState:
 
 def _regularized_inverse(G_bar: np.ndarray, P_max: float, sigma2: float):
     """Regularized inverse of the whitened channel (..., K, ports), scaled to
-    ||F||_F^2 = P_max; returns (F, beta, alpha, Gram condition number)."""
+    ||F||_F^2 = P_max; returns (F, beta, alpha, Gram condition bound)."""
     K = G_bar.shape[-2]
     alpha = K * sigma2 / P_max
     G_bar_h = np.swapaxes(G_bar.conj(), -1, -2)
     gram = G_bar @ G_bar_h + alpha * np.eye(K)
-    cond = _gram_cond(gram)
-    F_hat = G_bar_h @ np.linalg.solve(gram, np.eye(K, dtype=complex))
+    inv, cond = _certified_solve(gram, None, GRAM_COND_LIMIT, SingularGram, "regularized Gram")
+    F_hat = G_bar_h @ inv
     # Frobenius norm per batch entry, summed as np.linalg.norm sums one matrix
     flat = F_hat.reshape(F_hat.shape[:-2] + (1, -1))
     sq = flat.real @ np.swapaxes(flat.real, -1, -2) + flat.imag @ np.swapaxes(flat.imag, -1, -2)
@@ -189,42 +216,18 @@ def _regularized_inverse(G_bar: np.ndarray, P_max: float, sigma2: float):
     return beta[..., None, None] * F_hat, beta, alpha, cond
 
 
-def _gram_cond(gram: np.ndarray) -> np.ndarray:
-    """Condition numbers of regularized Grams (..., K, K); raises
-    SingularGram if an entry is not finite or exceeds the limit."""
-    try:
-        cond = np.linalg.cond(gram)
-    except np.linalg.LinAlgError:  # the SVD fails on NaN entries
-        raise SingularGram("regularized Gram has non-finite entries") from None
-    worst = float(cond.max(initial=0.0))
-    if not math.isfinite(worst) or worst > GRAM_COND_LIMIT:
-        raise SingularGram(f"regularized Gram condition {worst:.3e}")
-    return cond
-
-
 def gram_sum_rate(W: np.ndarray, P_max: float, sigma2: float):
     """MMSE sum rate from the whitened Gram W = G_bar G_bar^H (..., K, K),
     with G_bar = G diag(B)^-1/2; one rate per batch entry.
 
     With S = (W + alpha I)^-1 the precoder is F = beta G_bar^H S, so
     G U = G_bar F = beta W S and ||F_hat||_F^2 = Re tr(S W S): the rate needs
-    only K x K algebra.  Instead of an SVD per entry, conditioning is
-    certified by cond_2 <= ||Gamma||_F ||S||_F; the bound is held to two
-    decades below the limit so rounding in S cannot pass a bad entry, and
-    only entries that miss it (non-finite ones included) get the exact
-    check of ``mmse_precoder``."""
+    only K x K algebra.  Conditioning is certified as in ``mmse_precoder``
+    (``_certified_solve``), with an SVD only for entries the bound misses."""
     K = W.shape[-1]
     alpha = K * sigma2 / P_max
-    gram = W + alpha * np.eye(K)
-    try:
-        S = np.linalg.inv(gram)
-    except np.linalg.LinAlgError:  # exactly singular entry
-        _gram_cond(gram)
-        raise SingularGram("regularized Gram is singular") from None
-    bound = np.linalg.norm(gram, axis=(-2, -1)) * np.linalg.norm(S, axis=(-2, -1))
-    uncertified = ~(bound <= 1e-2 * GRAM_COND_LIMIT)
-    if uncertified.any():
-        _gram_cond(gram[uncertified])
+    S, _ = _certified_solve(W + alpha * np.eye(K), None, GRAM_COND_LIMIT, SingularGram,
+                            "regularized Gram")
     WS = W @ S
     norm = np.sqrt(np.sum(S.conj() * WS, axis=(-2, -1)).real)  # tr(S W S), S Hermitian
     beta = np.sqrt(P_max) / np.where(norm == 0.0, np.inf, norm)

@@ -76,6 +76,10 @@ NUMBER_FIELDS = [
     "layout.d_y", "layout.A", "layout.d_min", "layout.f_c", "power.P_max_dbm",
     "power.snr_db", "sca.eps_stop", "estimation.eta", "estimation.snr_db",
 ]
+# Decibel fields and sweep lists, held to +-MAX_DB so 10 ** (x / 10) is a float.
+DB_FIELDS = ["power.P_max_dbm", "power.snr_db", "estimation.snr_db", "sweep.power_dbm",
+             "sweep.snr_db"]
+MAX_DB = 300.0
 
 
 def _is(value, kind) -> bool:
@@ -178,12 +182,18 @@ class Scenario:
                               f"unknown scheme {scheme!r}; pick from {sorted(allowed)}")
         for key, values in d["sweep"].items():
             self._require(isinstance(values, list)
-                          and all(_is(v, (int, float)) for v in values),
-                          f"sweep.{key}", "must be a list of numbers")
+                          and all(_is(v, (int, float)) and math.isfinite(v) for v in values),
+                          f"sweep.{key}", "must be a list of finite numbers")
+        for path in DB_FIELDS:
+            values = _get(d, path) if path.startswith("sweep.") else [_get(d, path)]
+            self._require(all(abs(v) <= MAX_DB for v in values), path,
+                          f"must lie within +-{MAX_DB:g} dB")
         est = d["estimation"]
         self._require(est["tau"] >= d["channel"]["K"], "estimation.tau", "must be >= K")
         self._require(est["L"] <= est["G"], "estimation.L",
                       "must be <= estimation.G (OMP picks L of the G grid atoms)")
+        self._require(est["L"] <= est["V"] * lay["M"], "estimation.L",
+                      "must be <= estimation.V * layout.M (LS fits L gains to V M samples)")
         load = d["load_impedance"]
         self._require(isinstance(load, list) and len(load) == 2
                       and all(_is(v, (int, float)) for v in load),

@@ -58,6 +58,7 @@ from fcarray.optimizer import (
     screened_initial_placement,
 )
 from fcarray.precoding import (
+    COND_LIMIT,
     GRAM_COND_LIMIT,
     antenna_parts,
     effective_column,
@@ -488,6 +489,43 @@ def test_gram_certificate_raises_exactly_when_cond_exceeds_limit():
     gram_sum_rate(W[ok], P_MAX, SIGMA2)
     with pytest.raises(SingularGram):
         gram_sum_rate(W, P_MAX, SIGMA2)
+
+
+def test_coupling_certificate_raises_exactly_when_cond_exceeds_limit():
+    # coupling systems with condition numbers straddling the limit: the
+    # certified solve must raise SingularSystem iff np.linalg.cond says so,
+    # and solve the passing entries bit for bit as np.linalg.solve does
+    rng = np.random.default_rng(9)
+    N = 3
+    conds = COND_LIMIT * np.array([1e-3, 1e-2, 0.5, 0.9, 0.99, 1.01, 1.1, 2.0, 1e3])
+    Z_hat, z_bar = [], []
+    for c in conds:
+        U, _ = np.linalg.qr(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
+        V, _ = np.linalg.qr(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
+        Z_hat.append(60.0 * (U * np.array([c, np.sqrt(c), 1.0])) @ V.conj().T)
+        z_bar.append(rng.standard_normal(N) + 1j * rng.standard_normal(N))
+    Z_hat, z_bar = np.stack(Z_hat), np.stack(z_bar)
+    X = np.zeros((N, N), dtype=complex)
+    exact = np.linalg.cond(Z_hat)
+    ok = exact <= COND_LIMIT
+    assert ok.any() and not ok.all()
+    for i in range(len(conds)):
+        block = ImpedanceBlock(73.0 + 0j, z_bar[i], Z_hat[i], X)
+        if not ok[i]:
+            with pytest.raises(SingularSystem):
+                mech_weights(block)
+            continue
+        w, cond = mech_weights(block)
+        assert np.array_equal(w, np.linalg.solve(Z_hat[i], z_bar[i]))
+        # an upper bound, and the exact value wherever the bound misses
+        assert cond >= exact[i] * (1.0 - 1e-12)
+        assert cond <= 1e-2 * COND_LIMIT or cond == exact[i]
+    w, cond = mech_weights(ImpedanceBlock(73.0 + 0j, z_bar[ok], Z_hat[ok], X))
+    assert np.array_equal(w, np.linalg.solve(Z_hat[ok], z_bar[ok][..., None])[..., 0])
+    assert np.all(cond >= exact[ok] * (1.0 - 1e-12))
+    assert np.array_equal(cond[cond > 1e-2 * COND_LIMIT], exact[ok][cond > 1e-2 * COND_LIMIT])
+    with pytest.raises(SingularSystem):
+        mech_weights(ImpedanceBlock(73.0 + 0j, z_bar, Z_hat, X))
 
 
 class TestNonFinite:

@@ -1,8 +1,10 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fcarray import chanest
 from fcarray import (
     AngularGrid,
     ArrayLayout,
@@ -43,6 +45,7 @@ from fcarray.errors import (
     RankDeficientSupport,
     TauTooShort,
 )
+from fcarray.runtime import run_algorithm3
 
 
 def on_grid_spec(grid, rng, K, L, min_bin_sep=3, sector_deg=90.0):
@@ -197,6 +200,66 @@ class TestDictionary:
             A_m = dic.local(m)
             for v in range(session.V):
                 assert np.array_equal(A_m[v], A[v * layout.M + m])
+
+
+class TestDictionaryCache:
+    """A session builds its (V, M, G) cube once; a change to anything the
+    cube depends on (placements, grid, model) builds a new one."""
+
+    def _session(self, layout):
+        return make_session(layout, K=2, tau=4, V=3, sigma2=0.1, seed=9)
+
+    def test_one_session_builds_once(self, est_setup, monkeypatch):
+        layout, model = est_setup
+        session = self._session(layout)
+        obs = run_pilot_phase(session, sample_channels(2, K=2, L=3, layout=layout),
+                              layout, model)
+        builds = []
+        real = chanest.build_block
+        monkeypatch.setattr(chanest, "build_block",
+                            lambda *args: builds.append(args) or real(*args))
+        grid = AngularGrid(32)
+        centralized_estimate(session, obs, 2, grid, layout, model)
+        distributed_estimate(session, obs, 2, grid, layout, model)
+        run_algorithm3(session, obs, 2, grid, layout, model)
+        for m in range(layout.M):
+            local_dictionary(session, m, grid, layout, model)
+        assert len(builds) == 1
+
+    def test_moved_placement_rebuilds(self, est_setup):
+        layout, model = est_setup
+        session = self._session(layout)
+        grid = AngularGrid(32)
+        M = np.arange(layout.M)
+        before = local_dictionary(session, M, grid, layout, model)
+        rng = np.random.default_rng(1)
+        session.placements[1].positions[2] = random_feasible_placement(layout, rng).positions[2]
+        after = local_dictionary(session, M, grid, layout, model)
+        assert np.array_equal(after, local_dictionary(replace(session), M, grid, layout, model))
+        assert not np.array_equal(after[1, 2], before[1, 2])
+        assert np.array_equal(np.delete(after, 2, axis=1), np.delete(before, 2, axis=1))
+
+    def test_grid_and_model_get_their_own_cube(self, est_setup):
+        layout, model = est_setup
+        session = self._session(layout)
+        grid = AngularGrid(32)
+        other_model = DipoleModel.for_layout(layout, load_impedance=1.0 + 20.0j)
+        base = local_dictionary(session, 0, grid, layout, model)
+        for g, mdl in ((AngularGrid(16), model), (grid, other_model)):
+            got = local_dictionary(session, 0, g, layout, mdl)
+            assert np.array_equal(got, local_dictionary(replace(session), 0, g, layout, mdl))
+            assert not np.array_equal(got, base)
+        assert np.array_equal(local_dictionary(session, 0, grid, layout, model), base)
+
+    def test_returned_slices_are_read_only(self, est_setup):
+        layout, model = est_setup
+        session = self._session(layout)
+        grid = AngularGrid(32)
+        for out in (local_dictionary(session, 1, grid, layout, model),
+                    local_dictionary(session, np.arange(layout.M), grid, layout, model),
+                    build_dictionary(session, grid, layout, model).A):
+            with pytest.raises(ValueError):
+                out[0, 0] = 0.0
 
 
 class TestOMP:

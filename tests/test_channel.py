@@ -11,6 +11,7 @@ from fcarray import (
     uniform_placement,
 )
 from fcarray.channel import active_channel_matrix, coupler_channel_block
+from fcarray.errors import ConfigError
 
 
 def stacked_channel(spec, k, placement, layout):
@@ -181,7 +182,13 @@ class TestSampleChannels:
         assert loaded.noise_var == spec.noise_var
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="angles"):
             MultipathSpec(angles=[[2.0]], gains=[[1.0]])  # angle out of range
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="noise_var"):
             MultipathSpec(angles=[[0.1]], gains=[[1.0]], noise_var=0.0)
+        with pytest.raises(ConfigError, match="angles"):
+            MultipathSpec(angles=[[np.nan]], gains=[[1.0]])
+        with pytest.raises(ConfigError, match="gains"):
+            MultipathSpec(angles=[[0.1, 0.2]], gains=[[1.0]])
+        with pytest.raises(ConfigError, match="L"):
+            sample_channels(0, K=1, L=0, layout=ArrayLayout(M=2, N=1))

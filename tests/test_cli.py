@@ -220,6 +220,11 @@ def test_optimize_honors_screened_init(config_path, tmp_path):
     ("sweep.users=[1,\"a\"]", "sweep.users"),
     ("layout=3", "layout"),
     ("estimation.L=300", "estimation.L"),
+    ("estimation.L=17", "estimation.L"),
+    ("estimation.snr_db=-1e300", "estimation.snr_db"),
+    ("power.P_max_dbm=4000", "power.P_max_dbm"),
+    ("sweep.snr_db=[0, NaN]", "sweep.snr_db"),
+    ("sweep.power_dbm=[1e300]", "sweep.power_dbm"),
 ])
 def test_malformed_override_is_config_error(override, field, tmp_path, capsys):
     out = tmp_path / "x"
@@ -255,10 +260,49 @@ def test_optimize_with_fuzzed_sca_overrides_exits_cleanly(overrides):
     exits 0, 2 or 3 and lets no exception escape."""
     base = ["layout.M=2", "layout.N=1", "channel.K=2", "channel.L=4", "sca.T_max=3",
             "sca.screen_points=3"]
-    sets = base + [f"{path}={value}" for path, value in overrides]
+    assert_exits_cleanly("optimize", base + [f"{path}={value}" for path, value in overrides])
+
+
+def assert_exits_cleanly(command, sets):
+    """Run ``fcarray <command>`` in-process with ``--set`` overrides ``sets``;
+    it must exit 0, 2 or 3 and print no traceback."""
     args = [x for o in sets for x in ("--set", o)]
     with (tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()),
           redirect_stderr(io.StringIO()) as err):
-        code = main(["optimize", "--out", os.path.join(tmp, "opt"), *args])
+        code = main([command, "--out", os.path.join(tmp, "out"), *args])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+# Raw --set values for estimation.*: small integers, so every valid run
+# stays tiny, then the JSON and non-JSON oddities and scheme lists.
+EST_VALUES = st.one_of(
+    st.integers(-1, 6).map(str),
+    st.integers(1, 6).map(str),
+    st.floats(-20.0, 20.0).map(repr),
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "1e300", "-1e300", "true",
+                     "null", "[]", "{}", '"3"', "", "foo", '["exhaustive"]',
+                     '["centralized", "distributed", "exhaustive"]', '["bogus"]', "[1]",
+                     '"centralized"']),
+)
+EST_OVERRIDES = st.one_of(
+    st.tuples(st.sampled_from(["estimation.V", "estimation.tau", "estimation.G",
+                               "estimation.eta", "estimation.D", "estimation.L",
+                               "estimation.snr_db", "estimation.schemes",
+                               "estimation.test_placements", "estimation.bogus"]),
+              EST_VALUES),
+    st.tuples(st.just("estimation"), st.sampled_from(['{"V": 1}', '{"L": 5}',
+                                                      '{"bogus": 1}', "3", "null"])),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(overrides=st.lists(EST_OVERRIDES, min_size=1, max_size=2))
+def test_estimate_with_fuzzed_estimation_overrides_exits_cleanly(overrides):
+    """In-process ``fcarray estimate`` under arbitrary ``estimation.*``
+    overrides exits 0, 2 or 3 and lets no exception escape."""
+    base = ["layout.M=2", "layout.N=1", "channel.K=2", "seeds.count=1", "estimation.V=2",
+            "estimation.tau=4", "estimation.G=8", "estimation.L=2", "estimation.D=4",
+            "estimation.test_placements=2"]
+    assert_exits_cleanly("estimate", base + [f"{path}={value}" for path, value in overrides])

@@ -13,6 +13,7 @@ from fcarray import (
 )
 from fcarray.errors import (
     AnchorInfeasible,
+    ConfigError,
     DimensionMismatch,
     InfeasibleLayout,
     NoConvergence,
@@ -40,9 +41,10 @@ class TestLayout:
     @pytest.mark.parametrize("kw", [
         {"M": 0, "N": 1}, {"M": 1, "N": -1}, {"M": 1, "N": 1, "d_y": 0.0},
         {"M": 1, "N": 1, "d_min": 0.0}, {"M": 1, "N": 1, "d_min": 3.0},
+        {"M": 2, "N": 1, "f_c": -1.0}, {"M": 1, "N": 1, "region_side": float("nan")},
     ])
     def test_invalid(self, kw):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ArrayLayout(**kw)
 
 
