@@ -24,7 +24,6 @@ from .impedance import (
     DipoleModel,
     ImpedanceBlock,
     build_block,
-    build_blocks,
     mutual_impedance,
     sine_cosine_integrals,
 )
@@ -32,19 +31,17 @@ from .channel import (
     MultipathSpec,
     sample_channels,
     steering_active,
-    steering_coupler,
+    steering_coupler_block,
 )
 from .precoding import (
-    MechanicalWeights,
     PrecodingState,
     active_only_state,
-    all_mech_weights,
+    antenna_chain,
     effective_channel,
     fc_state,
     fully_active_state,
     mech_weights,
     mmse_precoder,
-    power_matrix,
     sinr_and_rate,
     transmit_power,
 )
@@ -54,7 +51,6 @@ from .optimizer import (
     SCATrace,
     communication_count,
     gradient,
-    objective,
     optimize,
     screened_initial_placement,
 )

@@ -19,13 +19,15 @@ exhaustive per-candidate measurement baseline is included for comparison.
 Stacking order everywhere is block-major, antenna-minor: entry (v*M + m) of a
 stacked vector belongs to block v, antenna m.
 
-The per-antenna chain (impedance block, mechanical weights, response or
-effective column) runs batched: the pilot phase and the dictionary cube, built
-once per session for all estimators, are one chain call each over the (V, M)
-block/antenna pairs, and ``predict``, ``true_effective`` and ``nmse`` one call
-over all (test placement, antenna) pairs.  Each batch entry reads only its own
-antenna's schedule, so local estimator m's slice of the cube depends on no
-other antenna's positions.
+The per-antenna chain runs batched: one weights solve (``_weights``) feeds
+the angular responses and the effective columns, both formed by the column
+step of precoding's ``antenna_chain`` (``_column``), which the exhaustive
+baseline runs whole.  The pilot phase and the dictionary cube, built once
+per session for all estimators, are one chain call each over the (V, M)
+block/antenna pairs, and ``predict``, ``true_effective`` and ``nmse`` one
+call over all (test placement, antenna) pairs.  Each batch entry reads only
+its own antenna's schedule, so local estimator m's slice of the cube depends
+on no other antenna's positions.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import numpy as np
 from .channel import (
     MultipathSpec,
     active_channel_matrix,
+    coupler_channel_block,
     steering_active,
     steering_coupler_block,
 )
@@ -59,7 +62,7 @@ from .geometry import (
     single_coupler_moves,
 )
 from .impedance import DipoleModel, build_block
-from .precoding import _certified_solve, antenna_parts, effective_column, mech_weights
+from .precoding import _certified_solve, _column, antenna_chain, effective_column, mech_weights
 
 DEFAULT_GRID_SIZE = 256
 DEFAULT_THRESHOLD = 4.0  # ~6 dB above the effective noise floor
@@ -230,14 +233,18 @@ def response_row(
     phi = np.asarray(phi, dtype=float)
     flat = phi.reshape(-1)
     a_y = np.moveaxis(steering_active(flat, layout), -1, 0)[m]  # (batch..., P)
-    a_c = steering_coupler_block(flat, p_m, layout.lam)  # (batch..., P, N)
-    b = a_y - (a_c @ w_m[..., None])[..., 0]
+    b = _column(a_y, steering_coupler_block(flat, p_m, layout.lam), w_m)
     return b.reshape(b.shape[:-1] + phi.shape)
 
 
 def _positions(placement) -> np.ndarray:
     """Coupler positions (..., M, N, 2) of a placement or a positions array."""
     return np.asarray(getattr(placement, "positions", placement), dtype=float)
+
+
+def _weights(P: np.ndarray, layout: ArrayLayout, model: DipoleModel) -> np.ndarray:
+    """Mechanical weights (..., M, N) of all antennas at positions (..., M, N, 2)."""
+    return mech_weights(build_block(P, layout.active_positions(), model))[0]
 
 
 def local_dictionary(
@@ -257,8 +264,8 @@ def local_dictionary(
     P = session.positions
     key = (grid, layout, model, P.tobytes())
     if session._dictionary[0] != key:
-        w, _ = mech_weights(build_block(P, layout.active_positions(), model))
-        cube = response_row(grid.angles, P, w, np.arange(layout.M), layout)
+        cube = response_row(grid.angles, P, _weights(P, layout, model), np.arange(layout.M),
+                            layout)
         cube.flags.writeable = False
         session._dictionary = (key, cube)
     out = session._dictionary[1][:, m]
@@ -266,33 +273,16 @@ def local_dictionary(
     return out
 
 
-@dataclass
-class Dictionary:
-    """Stacked dictionary: ``cube[v, m, g]`` holds b_m(phi_g; p_m^[v]); the
-    flat (M V, G) matrix is the block-major reshape and per-antenna locals
-    are views, so the regrouping identity is exact by construction."""
-
-    cube: np.ndarray  # (V, M, G)
-    grid: AngularGrid
-
-    @property
-    def A(self) -> np.ndarray:
-        V, M, G = self.cube.shape
-        return self.cube.reshape(V * M, G)
-
-    def local(self, m: int) -> np.ndarray:
-        return self.cube[:, m, :]
-
-
 def build_dictionary(
     session: PilotSession,
     grid: AngularGrid,
     layout: ArrayLayout,
     model: DipoleModel,
-) -> Dictionary:
-    """Full dictionary over all blocks and antennas: the session's cube."""
-    return Dictionary(cube=local_dictionary(session, slice(None), grid, layout, model),
-                      grid=grid)
+) -> np.ndarray:
+    """Full (V M, G) dictionary over all blocks and antennas: the block-major
+    reshape of the session's read-only cube, so row v*M + m is a view of
+    antenna m's local row v."""
+    return local_dictionary(session, slice(None), grid, layout, model).reshape(-1, grid.G)
 
 
 def stack_observations(corr_blocks: list[np.ndarray], k: int) -> np.ndarray:
@@ -367,8 +357,8 @@ class EstimationResult:
         using freshly solved mechanical weights at the query positions.
         Positions (..., M, N, 2) give (..., M, K) from one chain call."""
         P = _positions(placement)
-        w, _ = mech_weights(build_block(P, layout.active_positions(), model))
-        b = response_row(self.angles, P, w, np.arange(layout.M), layout)  # (..., M, K, L)
+        b = response_row(self.angles, P, _weights(P, layout, model), np.arange(layout.M),
+                         layout)  # (..., M, K, L)
         return np.sum(self.gains * b, axis=-1)
 
 
@@ -377,8 +367,7 @@ def true_effective(spec: MultipathSpec, placement, layout: ArrayLayout,
     """Ground-truth effective channels (M, K) at a placement, or (..., M, K)
     at positions (..., M, N, 2), from one chain call."""
     P = _positions(placement)
-    w, _ = mech_weights(build_block(P, layout.active_positions(), model))
-    return effective_column(spec, P, w, np.arange(layout.M),
+    return effective_column(spec, P, _weights(P, layout, model), np.arange(layout.M),
                             active_channel_matrix(spec, layout), layout.lam)
 
 
@@ -430,8 +419,7 @@ def centralized_estimate(
     """Stack pilot-correlated observations over antennas and blocks at the
     central unit, then per user run OMP (exactly L selections) and LS gains."""
     corr_blocks = [pilot_correlate(Y, session.S, session.tau) for Y in observations]
-    dictionary = build_dictionary(session, grid, layout, model)
-    A = dictionary.A
+    A = build_dictionary(session, grid, layout, model)
     K = session.K
     supports = np.zeros((K, L), dtype=int)
     angles = np.zeros((K, L))
@@ -726,8 +714,7 @@ def exhaustive_baseline(
         y = g @ session.S + sigma * (w[..., 0, :] + 1j * w[..., 1, :])
         return pilot_correlate(y, session.S, session.tau)
 
-    base = measure(antenna_parts(spec, parked.positions, np.arange(M), layout, model,
-                                 h_active)[0])
+    base = measure(true_effective(spec, parked, layout, model))
 
     table = np.zeros((M, N, D_actual, K), dtype=complex)
     feasible = np.zeros((M, N, D_actual), dtype=bool)
@@ -736,8 +723,9 @@ def exhaustive_baseline(
                                          layout)
         feasible[m] = ok
         for n in np.flatnonzero(ok.any(axis=1)):
-            table[m, n, ok[n]] = measure(antenna_parts(spec, moved[n, ok[n]], m, layout, model,
-                                                       h_active)[0])
+            P = moved[n, ok[n]]
+            table[m, n, ok[n]] = measure(antenna_chain(coupler_channel_block(spec, P, layout.lam),
+                                                       P, m, layout, model, h_active)[2])
 
     ledger = {
         "candidate_measurements_per_user_per_block": M * N * D_actual,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import ArrayLayout, CouplerPlacement
+from .geometry import ArrayLayout
 
 GAIN_NORMALIZATION = 1.0  # average total path power per user
 
@@ -77,15 +77,12 @@ def steering_active(phi, layout: ArrayLayout) -> np.ndarray:
     return np.exp(phase)
 
 
-def steering_coupler(phi, placement: CouplerPlacement, layout: ArrayLayout) -> np.ndarray:
-    """Coupler steering vector stacked antenna-major, coupler-minor; entries
-    exp(-j k kappa(phi) . p_{n,m}) with kappa = [cos phi, sin phi]."""
-    return steering_coupler_block(phi, placement.positions.reshape(-1, 2), layout.lam)
-
-
 def steering_coupler_block(phi, p_m: np.ndarray, lam: float) -> np.ndarray:
-    """Per-antenna variant for positions p_m of shape (N, 2) or a batch
-    (..., N, 2); ``phi`` scalar or array, output (batch..., phi..., N)."""
+    """Coupler steering vectors, entries exp(-j k kappa(phi) . p_n) with
+    kappa = [cos phi, sin phi], for positions p_m of shape (N, 2) or a batch
+    (..., N, 2); ``phi`` scalar or array, output (batch..., phi..., N).  A
+    placement's (M N, 2) positions give its vector stacked antenna-major,
+    coupler-minor."""
     phi = np.asarray(phi, dtype=float)
     p_m = np.asarray(p_m, dtype=float)
     k0 = 2.0 * np.pi / lam

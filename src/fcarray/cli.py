@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import ConfigError, FcError
@@ -62,6 +63,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"must be non-negative, got {args.seed}", field="seed")
+        cpus = os.cpu_count() or 1
+        if not 1 <= args.workers <= cpus:
+            raise ConfigError(f"must lie in [1, {cpus}], got {args.workers}", field="workers")
         scenario = _load_scenario(args)
         if args.command == "optimize":
             summary = sweeps.run_optimize(scenario, args.seed, args.out)

@@ -177,12 +177,6 @@ def build_block(p_m: np.ndarray, q_m: np.ndarray, model: DipoleModel) -> Impedan
     return ImpedanceBlock(model.self_impedance, z_bar, Z_hat, X)
 
 
-def build_blocks(placement, layout: ArrayLayout, model: DipoleModel) -> ImpedanceBlock:
-    """Impedance blocks for all antennas of a placement, as one block batched
-    over the leading antenna axis."""
-    return build_block(placement.positions, layout.active_positions(), model)
-
-
 def write_impedance_table(path, distances, model: DipoleModel) -> None:
     """Export (d, Re Z, Im Z) rows as CSV for validation plots."""
     z = mutual_impedance(np.asarray(distances, dtype=float), model)

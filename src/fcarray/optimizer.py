@@ -19,8 +19,10 @@ the (M, 2N) stack.  Rows never mix, and each row stops its projection at the
 sweep where it alone would (geometry's done mask), so every antenna's update
 is, to the last bit, the one its LPU computes from its own set.
 
-The gradient is the adjoint of the forward pass (``gradient_of``), read
-from the full evaluation the iteration already holds.  The rate depends on
+The forward pass (a full evaluation or a probe) is precoding's one
+per-antenna chain, ``antenna_chain``, on coupler channels formed from cached
+steering.  The gradient is its adjoint (``gradient_of``), read from the full
+evaluation the iteration already holds.  The rate depends on
 the positions only through the whitened Gram W = sum_m g_bar_m g_bar_m^H,
 g_bar_m = g_m / sqrt(b_m), so d rate = Re tr(Psi dW) for one K x K
 Hermitian Psi (``gram_rate_adjoint``), i.e. 2 Re sum_m (Psi g_bar_m)^H
@@ -64,15 +66,13 @@ from .geometry import (
     spacing_pairs,
     uniform_placement,
 )
-from .impedance import DipoleModel, ImpedanceBlock, build_block, mutual_impedance_derivative
+from .impedance import DipoleModel, ImpedanceBlock, mutual_impedance_derivative
 from .precoding import (
     PrecodingState,
+    antenna_chain,
     gram_rate_adjoint,
     gram_sum_rate,
-    mech_weights,
     mmse_precoder,
-    power_coefficient,
-    steered_parts,
 )
 
 
@@ -229,10 +229,8 @@ class ObjectiveEvaluator:
         if self._last is None or not np.array_equal(self._last.positions, pos):
             steering = steering_coupler_block(self.spec.angles, pos, self.layout.lam)
             h_c = np.einsum("kl,...kln->...kn", self.spec.gains, steering)
-            block = build_block(pos, self.layout.active_positions(), self.model)
-            w, _ = mech_weights(block)
-            cols = self.h_active.T - (h_c @ w[..., None])[..., 0]
-            B = power_coefficient(block, w)
+            block, w, cols, B = antenna_chain(h_c, pos, slice(None), self.layout, self.model,
+                                              self.h_active)
             state = mmse_precoder(np.ascontiguousarray(cols.T), B, self.P_max, self.sigma2)
             self._last = _Forward(pos.copy(), steering, h_c, block, w, state)
         return self._last
@@ -301,7 +299,8 @@ class ObjectiveEvaluator:
         return grad
 
     def probe_parts(self, m, p_m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``antenna_parts`` at candidate positions ``p_m`` (..., N, 2) of
+        """Effective columns (..., K) and power coefficients (...) of
+        ``antenna_chain`` at candidate positions ``p_m`` (..., N, 2) of
         antenna m (an index or an index array matching the batch axes).
         Couplers that did not move keep their pinned channels; the impedance
         block, weights and power coefficient are rebuilt whole."""
@@ -312,7 +311,7 @@ class ObjectiveEvaluator:
         if moved.any():
             np.swapaxes(h_c, -1, -2)[moved] = coupler_channel_block(
                 self.spec, p_m[moved][:, None, :], self.layout.lam)[..., 0]
-        return steered_parts(h_c, p_m, m, self.layout, self.model, self.h_active)
+        return antenna_chain(h_c, p_m, m, self.layout, self.model, self.h_active)[2:]
 
     def rate_with_override(self, m, p_m: np.ndarray):
         """Rate with antenna m moved to ``p_m`` (N, 2); all else as pinned.  A
@@ -327,18 +326,6 @@ class ObjectiveEvaluator:
         W_p = (G_bar @ G_bar.conj().T - old[..., :, None] * old.conj()[..., None, :]
                + new[..., :, None] * new.conj()[..., None, :])
         return gram_sum_rate(W_p, self.P_max, self.sigma2)
-
-
-def objective(
-    placement: CouplerPlacement,
-    spec: MultipathSpec,
-    layout: ArrayLayout,
-    model: DipoleModel,
-    P_max: float,
-    sigma2: float,
-) -> float:
-    """MMSE sum rate at a placement (the function the optimizer climbs)."""
-    return ObjectiveEvaluator(spec, layout, model, P_max, sigma2).rate_of(placement)
 
 
 def gradient(

@@ -2,6 +2,11 @@
 matrix, the MMSE digital precoder, SINR/sum-rate evaluation, and the
 baseline precoders (active-only and fully active).
 
+``antenna_chain`` is the one per-antenna chain (impedance block, weights,
+effective column, power coefficient) given the coupler channels; every rate
+evaluation runs it, and ``effective_column`` and chanest's responses share
+its column step ``_column``.
+
 Convention used project-wide: row k of the effective channel matrix G is the
 row vector that multiplies the precoder in the received signal,
 ``y_k = G[k, :] @ U @ s + n_k`` with ``G[k, m] = h_A[k, m] - w_m^T h_C[k, m]``.
@@ -19,27 +24,10 @@ import numpy as np
 from .channel import MultipathSpec, active_channel_matrix, coupler_channel_block
 from .errors import ConfigError, NonPositivePower, NonPSD, SingularGram, SingularSystem
 from .geometry import ArrayLayout, CouplerPlacement, uniform_placement
-from .impedance import DipoleModel, ImpedanceBlock, build_block, build_blocks
+from .impedance import DipoleModel, ImpedanceBlock, build_block
 
 COND_LIMIT = 1e12
 GRAM_COND_LIMIT = 1e14
-
-
-@dataclass
-class MechanicalWeights:
-    """Per-antenna coupler excitation weights w_m (solution of
-    (Z_hat + X) w = z_bar); the extended vector is [1; -w_m]."""
-
-    w: np.ndarray  # (M, N) complex
-    cond: np.ndarray  # (M,) upper bounds on cond_2, exact where a bound misses
-
-    @property
-    def M(self) -> int:
-        return self.w.shape[0]
-
-    @property
-    def N(self) -> int:
-        return self.w.shape[1]
 
 
 def _scalar(x):
@@ -93,12 +81,6 @@ def _exact_cond(A: np.ndarray, limit: float, error: type, what: str) -> np.ndarr
     return cond
 
 
-def all_mech_weights(blocks: ImpedanceBlock) -> MechanicalWeights:
-    """Weights of all antennas from their batched impedance block (M, ...)."""
-    w, cond = mech_weights(blocks)
-    return MechanicalWeights(w=w, cond=cond)
-
-
 def effective_column(
     spec: MultipathSpec, p_m: np.ndarray, w_m: np.ndarray, m: int,
     h_active: np.ndarray, lam: float,
@@ -114,40 +96,29 @@ def _column(h_am: np.ndarray, h_cm: np.ndarray, w_m: np.ndarray) -> np.ndarray:
     channels (..., K, N) and the weights (..., N)."""
     if w_m.shape[-1]:
         return h_am - (h_cm @ w_m[..., None])[..., 0]
-    return np.broadcast_to(h_am, h_cm.shape[:-1]).copy()
+    return np.broadcast_to(h_am, np.broadcast_shapes(h_am.shape, h_cm.shape[:-1])).copy()
 
 
-def antenna_parts(
-    spec: MultipathSpec, p_m: np.ndarray, m, layout: ArrayLayout, model: DipoleModel,
-    h_active: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The per-antenna chain (impedance block, weights, effective column,
-    power coefficient) at coupler positions ``p_m`` (..., N, 2); returns the
-    columns (..., K) and coefficients (...).  ``m`` is one antenna index or an
-    index array matching the batch axes."""
-    return steered_parts(coupler_channel_block(spec, p_m, layout.lam), p_m, m, layout,
-                         model, h_active)
-
-
-def steered_parts(
+def antenna_chain(
     h_c: np.ndarray, p_m: np.ndarray, m, layout: ArrayLayout, model: DipoleModel,
     h_active: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``antenna_parts`` given the coupler channels ``h_c`` (..., K, N) at
-    ``p_m``, for callers that already hold most of them."""
+) -> tuple[ImpedanceBlock, np.ndarray, np.ndarray, np.ndarray]:
+    """The per-antenna chain at coupler positions ``p_m`` (..., N, 2) with
+    coupler channels ``h_c`` (..., K, N): returns the impedance block, the
+    weights (..., N), the effective columns (..., K) and the power
+    coefficients (...).  ``m`` is one antenna index, an index array matching
+    the batch axes, or ``slice(None)`` for all M antennas on the first."""
     block = build_block(p_m, layout.active_positions()[m], model)
     w, _ = mech_weights(block)
-    return _column(h_active.T[m], h_c, w), power_coefficient(block, w)
+    return block, w, _column(h_active.T[m], h_c, w), power_coefficient(block, w)
 
 
 def effective_channel(
-    spec: MultipathSpec,
-    placement: CouplerPlacement,
-    weights: MechanicalWeights,
-    layout: ArrayLayout,
+    spec: MultipathSpec, placement: CouplerPlacement, w: np.ndarray, layout: ArrayLayout,
 ) -> np.ndarray:
-    """Effective K x M channel after absorbing coupler re-radiation."""
-    cols = effective_column(spec, placement.positions, weights.w, np.arange(layout.M),
+    """Effective K x M channel after absorbing coupler re-radiation, given
+    the (M, N) mechanical weights."""
+    cols = effective_column(spec, placement.positions, w, np.arange(layout.M),
                             active_channel_matrix(spec, layout), layout.lam)
     return np.ascontiguousarray(cols.T)
 
@@ -161,11 +132,6 @@ def power_coefficient(block: ImpedanceBlock, w_m: np.ndarray) -> float:
     if np.any(val <= 0.0):
         raise NonPositivePower(f"power coefficient b_m = {np.min(val):.3e} is not positive")
     return _scalar(val)
-
-
-def power_matrix(blocks: ImpedanceBlock, weights: MechanicalWeights) -> np.ndarray:
-    """Diagonal of B(p): per-antenna radiated-power coefficients."""
-    return power_coefficient(blocks, weights.w)
 
 
 @dataclass
@@ -328,8 +294,9 @@ def fc_state(
 ) -> PrecodingState:
     """Full flexible-coupler pipeline at a fixed placement: impedance blocks,
     mechanical weights, effective channel, power matrix, MMSE precoder."""
-    cols, B = antenna_parts(spec, placement.positions, np.arange(layout.M), layout, model,
-                            active_channel_matrix(spec, layout))
+    P = placement.positions
+    _, _, cols, B = antenna_chain(coupler_channel_block(spec, P, layout.lam), P, slice(None),
+                                  layout, model, active_channel_matrix(spec, layout))
     return mmse_precoder(np.ascontiguousarray(cols.T), B, P_max, sigma2)
 
 
@@ -359,7 +326,8 @@ def fully_active_state(
     """
     if placement is None:
         placement = uniform_placement(layout)
-    Re_Z = np.real(build_blocks(placement, layout, model).full_matrix())  # (M, N+1, N+1)
+    Re_Z = np.real(build_block(placement.positions, layout.active_positions(), model)
+                   .full_matrix())  # (M, N+1, N+1)
     M, N, K = layout.M, layout.N, spec.K
     # per-antenna port channels [h_A[k, m]; h_C[k, m]], (M, K, N+1)
     h_ports = np.concatenate([active_channel_matrix(spec, layout).T[:, :, None],

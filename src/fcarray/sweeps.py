@@ -10,6 +10,7 @@ through independent named substreams, never from loop state.
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chanest
-from .channel import active_channel_matrix, sample_channels
+from .channel import active_channel_matrix, coupler_channel_block, sample_channels
 from .errors import ConfigError
 from .geometry import (
     ArrayLayout,
@@ -32,7 +33,7 @@ from .optimizer import (
 )
 from .precoding import (
     active_only_state,
-    antenna_parts,
+    antenna_chain,
     fc_state,
     fully_active_state,
 )
@@ -200,7 +201,6 @@ def _estimation_job(args) -> dict:
 
 
 RATE_AXES = {"power", "users", "region"}
-ESTIMATION_AXES = {"snr", "pilot"}
 
 _RATE_FIELDS = ["seed", "axis", "value", "scheme", "variant", "metric", "metric_value"]
 _EST_FIELDS = ["seed", "snr_db", "V", "tau", "scheme", "nmse",
@@ -214,43 +214,28 @@ def _run_jobs(jobs, worker, workers: int):
         return list(pool.map(worker, jobs, chunksize=1))
 
 
+# axis -> (sweep lists crossed into the points, type of a point, its schemes)
+SWEEP_AXES = {
+    "power": (["power_dbm"], float, lambda doc: doc["schemes"]),
+    "users": (["users"], int, lambda doc: doc["schemes"]),
+    "region": (["region_n", "region"], lambda n, a: (int(n), float(a)),
+               lambda doc: ["fc-optimized"]),
+    "snr": (["snr_db"], float, lambda doc: doc["estimation"]["schemes"]),
+    "pilot": (["pilot"], int, lambda doc: doc["estimation"]["schemes"]),
+}
+
+
 def sweep_jobs(scenario: Scenario, axis: str) -> list[tuple]:
-    sw = scenario.doc["sweep"]
-    seeds = scenario.seeds()
-    doc = scenario.doc
-    jobs = []
-    if axis == "power":
-        for value in sw["power_dbm"]:
-            for scheme in doc["schemes"]:
-                for seed in seeds:
-                    jobs.append((doc, axis, float(value), scheme, seed))
-    elif axis == "users":
-        for value in sw["users"]:
-            for scheme in doc["schemes"]:
-                for seed in seeds:
-                    jobs.append((doc, axis, int(value), scheme, seed))
-    elif axis == "region":
-        for n_value in sw["region_n"]:
-            for a_value in sw["region"]:
-                for seed in seeds:
-                    jobs.append((doc, axis, (int(n_value), float(a_value)),
-                                 "fc-optimized", seed))
-    elif axis == "snr":
-        for value in sw["snr_db"]:
-            for scheme in doc["estimation"]["schemes"]:
-                for seed in seeds:
-                    jobs.append((doc, axis, float(value), scheme, seed))
-    elif axis == "pilot":
-        for value in sw["pilot"]:
-            for scheme in doc["estimation"]["schemes"]:
-                for seed in seeds:
-                    jobs.append((doc, axis, int(value), scheme, seed))
-    else:
-        raise ConfigError(
-            f"unknown sweep axis {axis!r}; choose from "
-            f"{sorted(RATE_AXES | ESTIMATION_AXES)}", field="sweep",
-        )
-    return jobs
+    """Jobs (doc, axis, point, scheme, seed) of one sweep, point-major, then
+    scheme, then seed."""
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"unknown sweep axis {axis!r}; choose from {sorted(SWEEP_AXES)}",
+                          field="sweep")
+    doc, seeds = scenario.doc, scenario.seeds()
+    lists, point, schemes = SWEEP_AXES[axis]
+    return [(doc, axis, point(*raw), scheme, seed)
+            for raw in itertools.product(*(doc["sweep"][key] for key in lists))
+            for scheme in schemes(doc) for seed in seeds]
 
 
 def run_sweep(scenario: Scenario, axis: str, out_dir, workers: int = 1) -> list[dict]:
@@ -374,7 +359,8 @@ def compute_heatmap(scenario: Scenario, seed: int) -> HeatmapResult:
 
     # antenna a's single coupler at every feasible grid point, as one batch
     P = np.stack([xx[feasible], yy[feasible]], axis=-1)[:, None, :]
-    g_a, b = antenna_parts(spec, P, a, layout, model, active_channel_matrix(spec, layout))
+    _, _, g_a, b = antenna_chain(coupler_channel_block(spec, P, layout.lam), P, a, layout, model,
+                                 active_channel_matrix(spec, layout))
     gain = np.full((res, res), np.nan)
     gain[feasible] = 10.0 * np.log10(c0 + np.abs(g_a[:, 0]) ** 2 / b)
 

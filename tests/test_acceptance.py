@@ -312,10 +312,10 @@ def test_criterion_09_distributed_equals_centralized_ls():
         obs = run_pilot_phase(session, spec, lay, model)
         result = distributed_estimate(session, obs, 3, grid, lay, model,
                                       eps_k=0.0)
-        dic = build_dictionary(session, grid, lay, model)
+        A = build_dictionary(session, grid, lay, model)
         corr = [pilot_correlate(Y, session.S, session.tau) for Y in obs]
         for k in range(2):
-            ref = ls_gains(stack_observations(corr, k), dic.A,
+            ref = ls_gains(stack_observations(corr, k), A,
                            result.supports[k].tolist())
             err = float(np.max(np.abs(result.gains[k] - ref)))
             worst = max(worst, err)

@@ -60,7 +60,7 @@ from fcarray.optimizer import (
 from fcarray.precoding import (
     COND_LIMIT,
     GRAM_COND_LIMIT,
-    antenna_parts,
+    antenna_chain,
     effective_column,
     fc_state,
     gram_sum_rate,
@@ -403,7 +403,7 @@ def test_gram_rate_of_zero_channel_is_zero():
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
-def test_probe_parts_match_antenna_parts(N):
+def test_probe_parts_match_antenna_chain(N):
     # every single-coordinate probe of every antenna: only the moved coupler
     # gets a new channel, yet column and power coefficient match the chain
     lay = ArrayLayout(M=3, N=N)
@@ -419,7 +419,8 @@ def test_probe_parts_match_antenna_parts(N):
     P = P.reshape(m.size, N, 2)
     cols, b = ev.probe_parts(m, P)
     for i in range(m.size):
-        col_ref, b_ref = antenna_parts(spec, P[i], m[i], lay, model, h_active)
+        col_ref, b_ref = antenna_chain(coupler_channel_block(spec, P[i], lay.lam), P[i], m[i],
+                                       lay, model, h_active)[2:]
         assert rel_err(cols[i], col_ref) <= 1e-12
         assert b[i] == pytest.approx(b_ref, rel=1e-12)
 
@@ -684,11 +685,12 @@ def test_pilot_phase_and_dictionaries_match_per_antenna_loops(N, V):
         assert np.array_equal(simulate_rx(session, spec, v, lay, model), ref)
     grid = AngularGrid(32)
     dictionary = build_dictionary(session, grid, lay, model)
-    assert dictionary.cube.shape == (V, lay.M, grid.G)
+    assert dictionary.shape == (V * lay.M, grid.G)
+    assert local_dictionary(session, slice(None), grid, lay, model).shape == (V, lay.M, grid.G)
     for m in range(lay.M):
         A_m = local_dictionary(session, m, grid, lay, model)
         assert rel_err(A_m, local_dictionary_reference(session, m, grid, lay, model)) <= 4e-16
-        assert rel_err(dictionary.local(m), A_m) <= 4e-16
+        assert rel_err(dictionary.reshape(V, lay.M, grid.G)[:, m], A_m) <= 4e-16
 
 
 @pytest.mark.parametrize("V", [1, 4])

@@ -170,10 +170,10 @@ class TestDictionary:
         model = DipoleModel.for_layout(layout)
         session = make_session(layout, K=1, tau=4, V=2, sigma2=0.0, seed=3)
         grid = AngularGrid(16)
-        dic = build_dictionary(session, grid, layout, model)
+        A = build_dictionary(session, grid, layout, model)
         from fcarray import steering_active
         for g in range(grid.G):
-            col = dic.A[:, g].reshape(session.V, layout.M)
+            col = A[:, g].reshape(session.V, layout.M)
             a_y = steering_active(grid.angles[g], layout)
             assert np.allclose(col, np.tile(a_y, (session.V, 1)), atol=1e-12)
 
@@ -186,18 +186,17 @@ class TestDictionary:
         obs = run_pilot_phase(session, spec, layout, model)
         corr = [pilot_correlate(Y, session.S, session.tau) for Y in obs]
         y = stack_observations(corr, 0)
-        dic = build_dictionary(session, grid, layout, model)
+        A = build_dictionary(session, grid, layout, model)
         j = int(grid.nearest_index(spec.angles[0, 0]))
-        assert np.allclose(y, spec.gains[0, 0] * dic.A[:, j], atol=1e-10)
+        assert np.allclose(y, spec.gains[0, 0] * A[:, j], atol=1e-10)
 
     def test_local_views_match_reindexing(self, est_setup):
         layout, model = est_setup
         session = make_session(layout, K=2, tau=8, V=3, sigma2=0.1, seed=6)
         grid = AngularGrid(32)
-        dic = build_dictionary(session, grid, layout, model)
-        A = dic.A
+        A = build_dictionary(session, grid, layout, model)
         for m in range(layout.M):
-            A_m = dic.local(m)
+            A_m = local_dictionary(session, m, grid, layout, model)
             for v in range(session.V):
                 assert np.array_equal(A_m[v], A[v * layout.M + m])
 
@@ -257,7 +256,7 @@ class TestDictionaryCache:
         grid = AngularGrid(32)
         for out in (local_dictionary(session, 1, grid, layout, model),
                     local_dictionary(session, np.arange(layout.M), grid, layout, model),
-                    build_dictionary(session, grid, layout, model).A):
+                    build_dictionary(session, grid, layout, model)):
             with pytest.raises(ValueError):
                 out[0, 0] = 0.0
 
@@ -493,11 +492,11 @@ class TestDistributed:
         for seed in range(20):
             spec, session, obs, grid, result = self._run(layout, model, 0.05,
                                                          seed, eps_k=0.0)
-            dic = build_dictionary(session, grid, layout, model)
+            A = build_dictionary(session, grid, layout, model)
             corr = [pilot_correlate(Y, session.S, session.tau) for Y in obs]
             for k in range(2):
                 y_k = stack_observations(corr, k)
-                ref = ls_gains(y_k, dic.A, result.supports[k].tolist())
+                ref = ls_gains(y_k, A, result.supports[k].tolist())
                 assert np.allclose(result.gains[k], ref, atol=1e-10)
 
     def test_single_antenna_local_ls(self):

@@ -7,7 +7,7 @@ from fcarray import (
     MultipathSpec,
     sample_channels,
     steering_active,
-    steering_coupler,
+    steering_coupler_block,
     uniform_placement,
 )
 from fcarray.channel import active_channel_matrix, coupler_channel_block
@@ -53,13 +53,13 @@ class TestSteeringCoupler:
     def test_all_at_origin(self):
         lay = ArrayLayout(M=2, N=2)
         pl = CouplerPlacement(np.zeros((2, 2, 2)))  # synthetic, bypasses feasibility
-        a = steering_coupler(0.7, pl, lay)
+        a = steering_coupler_block(0.7, pl.positions.reshape(-1, 2), lay.lam)
         assert np.allclose(a, np.ones(4))
 
     def test_broadside_depends_on_x_only(self, layout, rng):
         from fcarray import random_feasible_placement
         pl = random_feasible_placement(layout, rng)
-        a = steering_coupler(0.0, pl, layout)
+        a = steering_coupler_block(0.0, pl.positions.reshape(-1, 2), layout.lam)
         k0 = 2 * np.pi / layout.lam
         expected = np.exp(-1j * k0 * pl.positions.reshape(-1, 2)[:, 0])
         assert np.allclose(a, expected, atol=1e-12)
@@ -68,7 +68,7 @@ class TestSteeringCoupler:
         from fcarray import random_feasible_placement
         pl = random_feasible_placement(layout, rng)
         phi = np.pi / 4
-        a = steering_coupler(phi, pl, layout)
+        a = steering_coupler_block(phi, pl.positions.reshape(-1, 2), layout.lam)
         k0 = 2 * np.pi / layout.lam
         i = 0
         for m in range(layout.M):
@@ -81,7 +81,8 @@ class TestSteeringCoupler:
     def test_unit_modulus(self, layout, rng):
         from fcarray import random_feasible_placement
         pl = random_feasible_placement(layout, rng)
-        a = steering_coupler(rng.uniform(-np.pi / 2, np.pi / 2, 20), pl, layout)
+        a = steering_coupler_block(rng.uniform(-np.pi / 2, np.pi / 2, 20),
+                                   pl.positions.reshape(-1, 2), layout.lam)
         assert np.max(np.abs(np.abs(a) - 1.0)) < 1e-12
 
 
@@ -91,7 +92,8 @@ class TestUserChannel:
         spec = MultipathSpec(angles=[[0.3]], gains=[[1.0 + 0.0j]])
         h = stacked_channel(spec, 0, pl, layout)
         stacked = np.concatenate([
-            steering_active(0.3, layout), steering_coupler(0.3, pl, layout)])
+            steering_active(0.3, layout),
+            steering_coupler_block(0.3, pl.positions.reshape(-1, 2), layout.lam)])
         assert np.allclose(h, stacked)
         assert np.max(np.abs(np.abs(h) - 1.0)) < 1e-12
 
@@ -111,7 +113,7 @@ class TestUserChannel:
                 phi = spec.angles[k, ell]
                 a = np.concatenate([
                     steering_active(phi, layout),
-                    steering_coupler(phi, pl, layout)])
+                    steering_coupler_block(phi, pl.positions.reshape(-1, 2), layout.lam)])
                 ref += spec.gains[k, ell] * a
             assert np.allclose(h, ref, atol=1e-12)
 

@@ -15,6 +15,7 @@ from fcarray.errors import ConfigError
 from fcarray.geometry import is_feasible, load_placement, uniform_placement
 from fcarray.optimizer import screened_initial_placement
 from fcarray.scenario import Scenario
+from fcarray import sweeps
 from fcarray.sweeps import _streams
 
 
@@ -233,6 +234,44 @@ def test_malformed_override_is_config_error(override, field, tmp_path, capsys):
     assert err.startswith(f"config error: {field}:")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["optimize"], ["estimate"], ["sweep", "power"],
+                                     ["heatmap"], ["ledger"]], ids=" ".join)
+def test_negative_seed_is_config_error(command, config_path, tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main([*command, "--config", config_path, "--seed", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: seed:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+class PoolForbidden:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a worker pool was constructed")
+
+
+@pytest.mark.parametrize("workers", [0, -3, (os.cpu_count() or 1) + 1, 10**6],
+                         ids=["zero", "negative", "cpus+1", "huge"])
+@pytest.mark.parametrize("command", [["estimate"], ["sweep", "snr"], ["optimize"]],
+                         ids=" ".join)
+def test_out_of_range_workers_is_config_error(command, workers, config_path, tmp_path,
+                                              capsys, monkeypatch):
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", PoolForbidden)
+    out = tmp_path / "x"
+    assert main([*command, "--config", config_path, "--workers", str(workers),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: workers:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_one_worker_runs_in_process(config_path, tmp_path, monkeypatch):
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", PoolForbidden)
+    assert main(["sweep", "snr", "--config", config_path, "--workers", "1",
+                 "--out", str(tmp_path / "x")]) == 0
 
 
 # Raw --set values: integers no larger than the base T_max, so every valid

@@ -6,22 +6,23 @@ from fcarray import (
     DipoleModel,
     MultipathSpec,
     SCAConfig,
-    build_blocks,
-    all_mech_weights,
+    build_block,
     communication_count,
     effective_channel,
+    fc_state,
     gradient,
     linearize_spacing,
+    mech_weights,
     mmse_precoder,
-    objective,
     optimize,
-    power_matrix,
+    random_feasible_placement,
     sample_channels,
     uniform_placement,
     is_feasible,
 )
 from fcarray.errors import ConfigError
 from fcarray.optimizer import ObjectiveEvaluator, relaxed_update, screened_initial_placement
+from fcarray.precoding import power_coefficient
 
 
 P_MAX = 1.0
@@ -39,25 +40,38 @@ def toy():
 class TestObjective:
     def test_positive_rate(self, toy):
         lay, model, spec = toy
-        r = objective(uniform_placement(lay), spec, lay, model, P_MAX, SIGMA2)
+        r = fc_state(spec, uniform_placement(lay), lay, model, P_MAX, SIGMA2).sum_rate
         assert r > 0
 
     def test_vanishing_snr(self, toy):
         lay, model, spec = toy
-        r = objective(uniform_placement(lay), spec, lay, model, P_MAX, 1e12)
+        r = fc_state(spec, uniform_placement(lay), lay, model, P_MAX, 1e12).sum_rate
         assert r < 1e-6
 
     def test_pipeline_decomposition(self, toy):
         # recompose stage by stage; must match to the last bit tolerance
         lay, model, spec = toy
         pl = uniform_placement(lay)
-        r = objective(pl, spec, lay, model, P_MAX, SIGMA2)
-        blocks = build_blocks(pl, lay, model)
-        weights = all_mech_weights(blocks)
-        G = effective_channel(spec, pl, weights, lay)
-        B = power_matrix(blocks, weights)
+        r = fc_state(spec, pl, lay, model, P_MAX, SIGMA2).sum_rate
+        blocks = build_block(pl.positions, lay.active_positions(), model)
+        w, _ = mech_weights(blocks)
+        G = effective_channel(spec, pl, w, lay)
+        B = power_coefficient(blocks, w)
         st = mmse_precoder(G, B, P_MAX, SIGMA2)
         assert abs(r - st.sum_rate) < 1e-12
+
+
+@pytest.mark.parametrize("M, N, K", [(4, 2, 3), (8, 3, 8), (2, 1, 1), (3, 0, 2), (1, 4, 2)])
+def test_fc_state_and_evaluator_agree_bit_for_bit(M, N, K):
+    # the two callers of the one chain give the same rate and precoder
+    lay = ArrayLayout(M=M, N=N)
+    model = DipoleModel.for_layout(lay)
+    spec = sample_channels(M + 10 * N + 100 * K, K=K, L=6, layout=lay)
+    ev = ObjectiveEvaluator(spec, lay, model, P_MAX, SIGMA2)
+    for pl in (uniform_placement(lay), random_feasible_placement(lay, np.random.default_rng(M))):
+        st = fc_state(spec, pl, lay, model, P_MAX, SIGMA2)
+        assert st.sum_rate == ev.rate_of(pl)
+        assert np.array_equal(st.U, ev.state_of(pl).U)
 
 
 class TestGradient:
@@ -225,19 +239,16 @@ class TestOptimize:
         pts = np.array([[x, y] for x in axis for y in axis])
         q = lay.active_position(0)
         pts = pts[np.hypot(pts[:, 0] - q[0], pts[:, 1] - q[1]) >= lay.min_sep_m]
-        n_pts = len(pts)
+        # every (i, j) pair of lattice points d_min apart, i-major, as one batch
+        i, j = np.divmod(np.arange(len(pts) ** 2), len(pts))
+        pairs = np.stack([pts[i], pts[j]], axis=1)
+        pairs = pairs[np.hypot(*(pairs[:, 0] - pairs[:, 1]).T) >= lay.min_sep_m]
         ok = 0
         for seed in range(3):
             spec = sample_channels(seed, K=1, L=15, layout=lay)
             ev = ObjectiveEvaluator(spec, lay, model, P_MAX, SIGMA2)
             ev.set_placement(uniform_placement(lay))
-            best = -np.inf
-            for i in range(n_pts):
-                for j in range(n_pts):
-                    if np.hypot(*(pts[i] - pts[j])) < lay.min_sep_m:
-                        continue
-                    r = ev.rate_with_override(0, np.vstack([pts[i], pts[j]]))
-                    best = max(best, r)
+            best = float(np.max(ev.rate_with_override(0, pairs)))
             init = screened_initial_placement(lay, spec, model, P_MAX, SIGMA2)
             res = optimize(init, SCAConfig(), spec, lay, model, P_MAX, SIGMA2)
             if res.trace.rates[-1] >= 0.98 * best:
@@ -268,15 +279,15 @@ class TestScreenedInit:
         lay = ArrayLayout(M=1, N=1)
         model = DipoleModel.for_layout(lay)
         spec = sample_channels(7, K=1, L=15, layout=lay)
-        base = objective(uniform_placement(lay), spec, lay, model, P_MAX, SIGMA2)
+        base = fc_state(spec, uniform_placement(lay), lay, model, P_MAX, SIGMA2).sum_rate
         init = screened_initial_placement(lay, spec, model, P_MAX, SIGMA2)
         assert is_feasible(init, lay).ok
-        got = objective(init, spec, lay, model, P_MAX, SIGMA2)
+        got = fc_state(spec, init, lay, model, P_MAX, SIGMA2).sum_rate
         assert got >= base
 
     def test_multi_coupler_improves(self, toy):
         lay, model, spec = toy
-        base = objective(uniform_placement(lay), spec, lay, model, P_MAX, SIGMA2)
+        base = fc_state(spec, uniform_placement(lay), lay, model, P_MAX, SIGMA2).sum_rate
         init = screened_initial_placement(lay, spec, model, P_MAX, SIGMA2)
         assert is_feasible(init, lay).ok
-        assert objective(init, spec, lay, model, P_MAX, SIGMA2) >= base
+        assert fc_state(spec, init, lay, model, P_MAX, SIGMA2).sum_rate >= base

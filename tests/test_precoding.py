@@ -5,15 +5,12 @@ from fcarray import (
     ArrayLayout,
     DipoleModel,
     active_only_state,
-    all_mech_weights,
     build_block,
-    build_blocks,
     effective_channel,
     fc_state,
     fully_active_state,
     mech_weights,
     mmse_precoder,
-    power_matrix,
     random_feasible_placement,
     sample_channels,
     sinr_and_rate,
@@ -24,7 +21,12 @@ from fcarray.channel import active_channel_matrix, coupler_channel_block
 from fcarray.chanest import response_row
 from fcarray.errors import ConfigError, NonPositivePower
 from fcarray.impedance import ImpedanceBlock
-from fcarray.precoding import MechanicalWeights, power_coefficient
+from fcarray.precoding import power_coefficient
+
+
+def blocks_of(pl, layout, model):
+    """Impedance blocks of all antennas of a placement, batched over M."""
+    return build_block(pl.positions, layout.active_positions(), model)
 
 
 def pivoted_solve(A, b):
@@ -82,29 +84,27 @@ class TestEffectiveChannel:
         lay = ArrayLayout(M=3, N=0)
         spec = sample_channels(4, K=2, L=5, layout=lay)
         pl = uniform_placement(lay)
-        weights = all_mech_weights(build_blocks(pl, lay, model))
-        G = effective_channel(spec, pl, weights, lay)
+        w, _ = mech_weights(blocks_of(pl, lay, model))
+        G = effective_channel(spec, pl, w, lay)
         assert np.allclose(G, active_channel_matrix(spec, lay))
 
     def test_zero_weights_reduce_to_active(self, layout, model):
         spec = sample_channels(4, K=2, L=5, layout=layout)
         pl = uniform_placement(layout)
-        weights = MechanicalWeights(
-            w=np.zeros((layout.M, layout.N), dtype=complex),
-            cond=np.ones(layout.M))
-        G = effective_channel(spec, pl, weights, layout)
+        w = np.zeros((layout.M, layout.N), dtype=complex)
+        G = effective_channel(spec, pl, w, layout)
         assert np.allclose(G, active_channel_matrix(spec, layout))
 
     def test_full_stack_matrix_oracle(self, layout, model, rng):
         # h^T @ [I; -W] with the explicit (M + MN) stacking
         spec = sample_channels(21, K=3, L=8, layout=layout)
         pl = random_feasible_placement(layout, rng)
-        weights = all_mech_weights(build_blocks(pl, layout, model))
-        G = effective_channel(spec, pl, weights, layout)
+        w, _ = mech_weights(blocks_of(pl, layout, model))
+        G = effective_channel(spec, pl, w, layout)
         M, N = layout.M, layout.N
         W = np.zeros((M * N, M), dtype=complex)
         for m in range(M):
-            W[m * N:(m + 1) * N, m] = weights.w[m]
+            W[m * N:(m + 1) * N, m] = w[m]
         W_tilde = np.vstack([np.eye(M, dtype=complex), -W])
         h_c = coupler_channel_block(spec, pl.positions, layout.lam)  # (M, K, N)
         for k in range(3):
@@ -116,14 +116,26 @@ class TestEffectiveChannel:
         # independent route: per-antenna angular response summed over paths
         spec = sample_channels(22, K=2, L=6, layout=layout)
         pl = random_feasible_placement(layout, rng)
-        weights = all_mech_weights(build_blocks(pl, layout, layout_model(layout)))
-        G = effective_channel(spec, pl, weights, layout)
+        w, _ = mech_weights(blocks_of(pl, layout, layout_model(layout)))
+        G = effective_channel(spec, pl, w, layout)
         for k in range(2):
             for m in range(layout.M):
-                b = response_row(spec.angles[k], pl.positions[m],
-                                 weights.w[m], m, layout)
+                b = response_row(spec.angles[k], pl.positions[m], w[m], m, layout)
                 val = np.sum(spec.gains[k] * b)
                 assert abs(G[k, m] - val) < 1e-10
+
+
+@pytest.mark.parametrize("N", [0, 1, 2])
+def test_response_row_of_several_antennas_at_shared_positions(N):
+    # one set of coupler positions seen from every antenna's active element
+    lay = ArrayLayout(M=3, N=N)
+    p_m = uniform_placement(lay).positions[1]
+    w_m = np.linspace(0.1, 0.3, N) + 0.2j
+    phi = np.array([-0.4, 0.0, 0.9])
+    got = response_row(phi, p_m, w_m, np.arange(lay.M), lay)
+    assert got.shape == (lay.M, phi.size)
+    for m in range(lay.M):
+        assert np.array_equal(got[m], response_row(phi, p_m, w_m, m, lay))
 
 
 def layout_model(layout):
@@ -134,27 +146,24 @@ class TestPowerMatrix:
     def test_no_couplers(self, model):
         lay = ArrayLayout(M=2, N=0)
         pl = uniform_placement(lay)
-        blocks = build_blocks(pl, lay, model)
-        weights = all_mech_weights(blocks)
-        B = power_matrix(blocks, weights)
+        blocks = blocks_of(pl, lay, model)
+        w, _ = mech_weights(blocks)
+        B = power_coefficient(blocks, w)
         assert np.allclose(B, np.real(model.self_impedance))
 
     def test_forced_zero_weights(self, layout, model):
         pl = uniform_placement(layout)
-        blocks = build_blocks(pl, layout, model)
-        weights = MechanicalWeights(
-            w=np.zeros((layout.M, layout.N), dtype=complex),
-            cond=np.ones(layout.M))
-        B = power_matrix(blocks, weights)
+        blocks = blocks_of(pl, layout, model)
+        B = power_coefficient(blocks, np.zeros((layout.M, layout.N), dtype=complex))
         assert np.allclose(B, 73.13)
 
     def test_full_matrix_oracle(self, layout, model, rng):
         pl = random_feasible_placement(layout, rng)
-        blocks = build_blocks(pl, layout, model)
-        weights = all_mech_weights(blocks)
-        B = power_matrix(blocks, weights)
+        blocks = blocks_of(pl, layout, model)
+        w, _ = mech_weights(blocks)
+        B = power_coefficient(blocks, w)
         for m in range(layout.M):
-            w_t = np.concatenate([[1.0 + 0j], -weights.w[m]])
+            w_t = np.concatenate([[1.0 + 0j], -w[m]])
             ref = np.real(w_t.conj() @ np.real(blocks.full_matrix()[m]) @ w_t)
             assert B[m] == pytest.approx(ref, rel=1e-12)
             assert B[m] > 0
@@ -295,11 +304,9 @@ class TestFullyActive:
 class TestConsistency:
     def test_b_reduces_to_self_resistance(self, layout, model):
         pl = uniform_placement(layout)
-        blocks = build_blocks(pl, layout, model)
-        zero_w = MechanicalWeights(
-            w=np.zeros((layout.M, layout.N), dtype=complex),
-            cond=np.ones(layout.M))
-        B = power_matrix(blocks, zero_w)
+        blocks = blocks_of(pl, layout, model)
+        zero_w = np.zeros((layout.M, layout.N), dtype=complex)
+        B = power_coefficient(blocks, zero_w)
         assert np.allclose(B, np.real(model.self_impedance))
 
     def test_fc_state_pipeline(self, layout, model):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fcarray.errors import ConfigError
 from fcarray.scenario import Scenario
 from fcarray.sweeps import (
     _estimation_job,
@@ -124,3 +125,66 @@ class TestRateMetricSchemes:
                        "fc-optimized"):
             rate = rate_metric(scheme, 0, scenario, layout, 1.0, 0.05)
             assert rate > 0.0
+
+
+def sweep_jobs_reference(scenario, axis):
+    """Frozen copy of the per-axis job loops that ``sweep_jobs`` replaced."""
+    sw, seeds, doc = scenario.doc["sweep"], scenario.seeds(), scenario.doc
+    jobs = []
+    if axis == "power":
+        for value in sw["power_dbm"]:
+            for scheme in doc["schemes"]:
+                for seed in seeds:
+                    jobs.append((doc, axis, float(value), scheme, seed))
+    elif axis == "users":
+        for value in sw["users"]:
+            for scheme in doc["schemes"]:
+                for seed in seeds:
+                    jobs.append((doc, axis, int(value), scheme, seed))
+    elif axis == "region":
+        for n_value in sw["region_n"]:
+            for a_value in sw["region"]:
+                for seed in seeds:
+                    jobs.append((doc, axis, (int(n_value), float(a_value)),
+                                 "fc-optimized", seed))
+    elif axis == "snr":
+        for value in sw["snr_db"]:
+            for scheme in doc["estimation"]["schemes"]:
+                for seed in seeds:
+                    jobs.append((doc, axis, float(value), scheme, seed))
+    elif axis == "pilot":
+        for value in sw["pilot"]:
+            for scheme in doc["estimation"]["schemes"]:
+                for seed in seeds:
+                    jobs.append((doc, axis, int(value), scheme, seed))
+    return jobs
+
+
+def value_types(value):
+    return tuple(map(type, value)) if isinstance(value, tuple) else type(value)
+
+
+# the CLI tests' config as is, then with its sweep lists mixing ints and floats
+MIXED_SWEEP = {"power_dbm": [25, 30.5], "users": [1, 2.0], "region": [0.5, 1],
+               "region_n": [1, 2.0], "snr_db": [0, -5.5], "pilot": [4, 8.0]}
+
+
+@pytest.mark.parametrize("sweep", [None, MIXED_SWEEP], ids=["cli-config", "mixed-types"])
+@pytest.mark.parametrize("axis", ["power", "users", "region", "snr", "pilot"])
+def test_sweep_jobs_match_the_per_axis_loops(axis, sweep):
+    from test_cli import SMALL
+    scenario = Scenario(dict(SMALL, sweep=sweep or SMALL["sweep"]))
+    got, ref = sweep_jobs(scenario, axis), sweep_jobs_reference(scenario, axis)
+    assert len(ref) >= 2 and got == ref
+    assert [value_types(job[2]) for job in got] == [value_types(job[2]) for job in ref]
+    assert all(job[0] is scenario.doc for job in got)
+    expected = {"power": float, "users": int, "region": (int, float), "snr": float,
+                "pilot": int}[axis]
+    assert {value_types(job[2]) for job in got} == {expected}
+    if axis == "region":
+        assert {job[3] for job in got} == {"fc-optimized"}
+
+
+def test_sweep_jobs_reject_an_unknown_axis():
+    with pytest.raises(ConfigError, match="unknown sweep axis 'bogus'"):
+        sweep_jobs(Scenario(SMALL_DOC), "bogus")
