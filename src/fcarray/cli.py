@@ -19,7 +19,8 @@ from . import sweeps
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="scenario JSON file")
-    parser.add_argument("--seed", type=int, default=0, help="seed for single-run commands")
+    parser.add_argument("--seed", type=int, help="seed of optimize, heatmap and ledger "
+                        "(default 0); estimate and sweep read seeds.start/seeds.count")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--workers", type=int, default=1, help="worker processes")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
@@ -63,14 +64,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed < 0:
-            raise ConfigError(f"must be non-negative, got {args.seed}", field="seed")
+        if args.seed is not None and args.command in ("estimate", "sweep"):
+            raise ConfigError(f"{args.command} takes its seeds from seeds.start and "
+                              "seeds.count, not --seed", field="seed")
+        seed = 0 if args.seed is None else args.seed
+        if seed < 0:
+            raise ConfigError(f"must be non-negative, got {seed}", field="seed")
         cpus = os.cpu_count() or 1
         if not 1 <= args.workers <= cpus:
             raise ConfigError(f"must lie in [1, {cpus}], got {args.workers}", field="workers")
         scenario = _load_scenario(args)
         if args.command == "optimize":
-            summary = sweeps.run_optimize(scenario, args.seed, args.out)
+            summary = sweeps.run_optimize(scenario, seed, args.out)
             print(f"optimize: rate {summary['initial_rate']:.4f} -> "
                   f"{summary['final_rate']:.4f} bits/s/Hz in "
                   f"{summary['iterations']} iterations -> {args.out}")
@@ -81,11 +86,11 @@ def main(argv=None) -> int:
             rows = sweeps.run_sweep(scenario, args.axis, args.out, workers=args.workers)
             print(f"sweep {args.axis}: {len(rows)} rows -> {args.out}")
         elif args.command == "heatmap":
-            hm = sweeps.run_heatmap(scenario, args.seed, args.out)
+            hm = sweeps.run_heatmap(scenario, seed, args.out)
             print(f"heatmap: {hm.gain_db.shape[0]}x{hm.gain_db.shape[1]} grid, "
                   f"{len(hm.trajectory)} trajectory points -> {args.out}")
         elif args.command == "ledger":
-            summary = sweeps.run_ledger(scenario, args.seed, args.out)
+            summary = sweeps.run_ledger(scenario, seed, args.out)
             print(f"ledger: algorithm1 total "
                   f"{summary['algorithm1']['ledger']['total_scalars']} scalars, "
                   f"algorithm3 total "

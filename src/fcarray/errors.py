@@ -36,10 +36,6 @@ class AnchorInfeasible(NumericalError):
     pass
 
 
-class NoConvergence(NumericalError):
-    pass
-
-
 class TooClose(NumericalError):
     pass
 

@@ -10,10 +10,10 @@ implicit pair index ``n = 0``.
 
 Every box and spacing test reads ``constraint_margins``, one call for all
 antennas or a batch of candidate positions.  The linearized sets and their
-Dykstra projection are batched over antennas: row a is built from, and
-projected onto, antenna a's set alone and is taken at the sweep where it
-converges on its own (a done mask), so a batch repeats the per-antenna results
-to the last bit.  Dot products use ``np.vecdot``, the BLAS dot of 1-D ``a @ b``.
+exact active-set projection are batched over antennas: row a is built from,
+and projected onto, antenna a's set alone and freezes at the step where
+nothing is violated, so a batch repeats the per-antenna results to the last
+bit.  Dot products use ``np.vecdot``, the BLAS dot of 1-D ``a @ b``.
 """
 
 from __future__ import annotations
@@ -29,10 +29,11 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     InfeasibleLayout,
-    NoConvergence,
+    NumericalError,
 )
 
 SPEED_OF_LIGHT = 299792458.0
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -299,7 +300,7 @@ def linearize_spacing(
     and inflates d_min.  The optimizer passes its clearance
     (``optimizer.CLEARANCE_WL`` wavelengths), which keeps the projected
     iterates off the exact d_min guard of ``mutual_impedance`` despite the
-    projection's stop tolerance.  An index array ``m`` gives the
+    projection's rounding.  An index array ``m`` gives the
     sets of those antennas from one call, stacked along a leading axis; each
     row reads only its own antenna's anchor.
     """
@@ -340,75 +341,78 @@ def linearize_spacing(
 def project_onto_set(
     point: np.ndarray,
     feas_set: LinearizedFeasibleSet,
-    tol: float | None = None,
-    max_sweeps: int = 2000,
-    lam: float | None = None,
-    return_sweeps: bool = False,
+    return_steps: bool = False,
 ):
-    """Euclidean projection onto the linearized set via Dykstra's alternating
-    projections over the box and the half-spaces.
-
-    Exact for this polytope intersection in the limit; iteration stops when a
-    full sweep moves the point by less than ``tol`` (default 1e-9 wavelengths,
-    estimated from the box size when ``lam`` is not given).  Points (A, 2N)
-    are projected row by row onto a batch of A sets in one sweep loop; a
-    row's result is taken at the sweep where it converges, the sweep it would
-    stop at alone, and ``return_sweeps`` gives the (A,) sweep counts.
-    """
+    """Euclidean projection onto the linearized set, exact in finitely many
+    steps: Goldfarb and Idnani's (1983) dual active-set method for
+    min 1/2 ||x - y||^2 over the box and the half-spaces (unit normals c,
+    c.x <= d).  A step takes the most violated constraint j and z, c_j less
+    its projection onto the working normals (by QR, never their Gram matrix,
+    so nearly parallel normals stay exact): a full step along z reaches j's
+    plane and adds j, a partial one drops the first working constraint whose
+    multiplier reaches zero, and a dependent j (z = 0) takes only partial
+    steps.  Points (A, 2N) are projected row by row onto A sets; a row freezes
+    once nothing is violated beyond rounding of its coordinates, matching its
+    single-row call to the last bit.  ``return_steps`` gives the steps."""
     single = np.ndim(point) == 1
     parts = [np.asarray(v, dtype=float) for v in (
         point, feas_set.box_lo, feas_set.box_hi, feas_set.normals, feas_set.offsets)]
-    x, lo, hi, normals, offsets = (v[None] for v in parts) if single else parts
-    if tol is None:
-        tol = 1e-9 * (lam if lam is not None else np.max(hi - lo, axis=-1, initial=1.0))
-    norms2 = np.einsum("...ij,...ij->...i", normals, normals)
-    zero, out = np.zeros_like(x), np.empty_like(x)
-    increments = [zero] * (normals.shape[1] + 1)
-    sweeps = np.zeros(len(x), dtype=int)  # the done mask: 0 until a row converges
-    for sweep in range(1, max_sweeps + 1):
-        x_start = x
-        y = x + increments[0]
-        x = np.minimum(np.maximum(y, lo), hi)
-        increments[0] = y - x
-        for i in range(1, len(increments)):
-            a = normals[:, i - 1]
-            y = x + increments[i]
-            viol = np.vecdot(a, y) - offsets[:, i - 1]
-            if np.count_nonzero(hit := viol > 0.0):
-                x = np.where(hit[:, None], y - (viol / norms2[:, i - 1])[:, None] * a, y)
-                increments[i] = y - x
-            else:  # y - y is exactly zero
-                x, increments[i] = y, zero
-        # Dykstra can plateau with the iterate still infeasible while the
-        # increments keep evolving, so gate the stop on feasibility too.
-        moved = x - x_start
-        check = (sweeps == 0) & (np.sqrt(np.vecdot(moved, moved)) <= tol)
-        if np.count_nonzero(check):
-            resid = np.concatenate([lo - x, x - hi, (normals @ x[..., None])[..., 0] - offsets],
-                                   axis=-1)
-            done = check & (np.max(resid, axis=-1, initial=0.0) <= 10.0 * tol)
-            out[done] = x[done]
-            sweeps[done] = sweep
-            if sweeps.all():
-                out, sweeps = (out[0], int(sweeps[0])) if single else (out, sweeps)
-                return (out, sweeps) if return_sweeps else out
-    tol = np.broadcast_to(tol, sweeps.shape)[np.argmin(sweeps)]  # first unconverged row
-    raise NoConvergence(f"Dykstra projection did not converge in {max_sweeps} sweeps (tol={tol})")
+    y, lo, hi, normals, offsets = (v[None] for v in parts) if single else parts
+    (B, n), unit = y.shape, 1.0 / np.sqrt(np.vecdot(normals, normals))
+    Ct = np.empty((B, n, 2 * n + normals.shape[1]))  # columns x <= hi, -x <= -lo, half-spaces
+    Ct[:, :, :n], Ct[:, :, n:2 * n] = np.eye(n), -np.eye(n)
+    np.multiply(normals.mT, unit[:, None], out=Ct[:, :, 2 * n:])
+    d = np.concatenate([hi, -lo, offsets * unit], axis=1)
+    tol = (64.0 * EPS) * d[:, :2 * n].max(axis=-1, initial=0.0)  # rounding of coordinates
+    x, R, steps, j = y.copy(), np.arange(B), np.zeros(B, dtype=int), np.full(B, -1)
+    act, mult = np.zeros(d.shape, dtype=bool), np.zeros(d.shape)  # working sets
+    while True:
+        viol = (x[:, None] @ Ct)[:, 0] - d
+        score = np.where(act, -np.inf, viol)
+        live = (j >= 0) | (score.max(axis=-1, initial=-np.inf) > tol)  # j >= 0: pending
+        if not live.any():
+            break
+        j = np.where(j < 0, score.argmax(axis=-1), j)
+        z, r = Ct[R, :, j], np.zeros(mult.shape)
+        z[~live] = 0.0  # a finished row keeps its x
+        size = np.where(live, act.sum(axis=-1), 0)
+        for k in (sizes := set(size.tolist()) - {0}):  # one size unless a row dropped one
+            g = np.flatnonzero(size == k)
+            w = np.nonzero(act[g])[1].reshape(-1, k)
+            Cw = Ct[g[:, None], :, w].mT  # working normals = Q U; one unit normal is its own Q
+            Q, U = np.linalg.qr(Cw) if k > 1 else (Cw, None)
+            a = Q.mT @ z[g, :, None]
+            z[g] -= (Q @ a)[..., 0]
+            r[g[:, None], w] = (np.linalg.solve(U, a) if k > 1 else a)[..., 0]
+        zz = np.vecdot(z, z)  # a full step along z reaches j's plane, unless j is dependent
+        full = np.divide(viol[R, j], zz, out=np.full_like(zz, np.inf), where=zz > 0.0)
+        t = np.where(live, full, 0.0)
+        if sizes:  # a partial step ends where a working multiplier reaches zero
+            ratio = np.divide(mult, r, out=np.full_like(mult, np.inf), where=r > 0.0)
+            drop = ratio.argmin(axis=-1)
+            t = np.minimum(t, ratio[R, drop])
+            if np.isinf(t).any():
+                raise NumericalError("linearized feasible set is empty")
+        r[R, j] = -1.0
+        x -= t[:, None] * z
+        mult -= t[:, None] * r
+        act[R, j] = add = live & (full <= t)
+        if (part := np.flatnonzero(live & ~add)).size:
+            act[part, drop[part]], mult[part, drop[part]] = False, 0.0
+        j = np.where(add | ~live, -1, j)
+        steps += live
+    x, steps = (x[0], int(steps[0])) if single else (x, steps)
+    return (x, steps) if return_steps else x
+
+
+# placement-file layout header key -> ArrayLayout field, in file order
+_HEADER = {"M": "M", "N": "N", "d_y": "d_y", "A": "region_side", "d_min": "d_min", "f_c": "f_c"}
 
 
 def save_placement(path, placement: CouplerPlacement, layout: ArrayLayout) -> None:
     """Serialize a placement with its layout header to JSON (meters)."""
-    doc = {
-        "layout": {
-            "M": layout.M,
-            "N": layout.N,
-            "d_y": layout.d_y,
-            "A": layout.region_side,
-            "d_min": layout.d_min,
-            "f_c": layout.f_c,
-        },
-        "placements": placement.positions.tolist(),
-    }
+    doc = {"layout": {key: getattr(layout, name) for key, name in _HEADER.items()},
+           "placements": placement.positions.tolist()}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
 
@@ -416,11 +420,7 @@ def save_placement(path, placement: CouplerPlacement, layout: ArrayLayout) -> No
 def load_placement(path) -> tuple[CouplerPlacement, ArrayLayout]:
     with open(path) as fh:
         doc = json.load(fh)
-    hdr = doc["layout"]
-    layout = ArrayLayout(
-        M=hdr["M"], N=hdr["N"], d_y=hdr["d_y"], region_side=hdr["A"],
-        d_min=hdr["d_min"], f_c=hdr["f_c"],
-    )
+    layout = ArrayLayout(**{name: doc["layout"][key] for key, name in _HEADER.items()})
     return CouplerPlacement(np.array(doc["placements"])), layout
 
 

@@ -15,8 +15,8 @@ the step vector the central unit sends it; ``optimize`` can log those
 exchanges as the message record of Algorithm 1 (runtime.run_algorithm1).
 The M updates of an iteration run as one batch: one ``linearize_spacing``
 call builds all M sets and each tried eta is one ``relaxed_update`` call on
-the (M, 2N) stack.  Rows never mix, and each row stops its projection at the
-sweep where it alone would (geometry's done mask), so every antenna's update
+the (M, 2N) stack.  Rows never mix, and each row's exact active-set
+projection freezes at the step where it alone would, so every antenna's update
 is, to the last bit, the one its LPU computes from its own set.
 
 The forward pass (a full evaluation or a probe) is precoding's one
@@ -37,7 +37,7 @@ Central differences (``gradient``) stay as the test oracle: each of the
 M * 4N probes moves one coordinate of one coupler and is scored by a rank-2
 update of the pinned whitened Gram (``rate_with_override``).  The linearized
 sets keep a clearance (``CLEARANCE_WL``) that no probe needs: it guards the
-impedance model's exact d_min check against the projection's tolerance.
+impedance model's exact d_min check against the projection's rounding.
 """
 
 from __future__ import annotations
@@ -94,10 +94,11 @@ ALPHA_SCHEDULES = {"diminishing": _diminishing, "constant": _constant}
 ETA0_WL = 10.0
 BACKTRACK_FACTOR = 2.0
 MAX_BACKTRACKS = 5
-# Clearance of the linearized feasible sets, in wavelengths.  Dykstra stops
-# within its tolerance of a set's boundary, and with a constant alpha an
-# iterate is that projection, while mutual_impedance rejects any spacing
-# below d_min exactly (TooClose); the sets stay this far inside instead.
+# Clearance of the linearized feasible sets, in wavelengths.  The projection
+# is exact only to rounding: it lands on a set's boundary, which touches d_min
+# wherever the anchor does, and with a constant alpha an iterate is that
+# projection, while mutual_impedance rejects any spacing below d_min exactly
+# (TooClose); the sets stay this far inside instead.
 CLEARANCE_WL = 1e-4
 
 
@@ -124,8 +125,11 @@ class SCAConfig:
 @dataclass
 class SCATrace:
     """Everything observable about one run: accepted-rate sequence, gradient
-    norms, projection sweeps, backtracking, the smallest box or spacing margin
-    (distance - d_min) of each accepted iterate, and the communication ledger."""
+    norms, projection work, backtracking, the smallest box or spacing margin
+    (distance - d_min) of each accepted iterate, and the communication ledger.
+    ``proj_sweeps[t]`` counts the active-set steps (each adds or drops one
+    constraint) of iteration t's accepted projection, summed over the
+    antennas."""
 
     rates: list[float] = field(default_factory=list)
     grad_norms: list[np.ndarray] = field(default_factory=list)
@@ -355,17 +359,17 @@ def relaxed_update(
     step_vec: np.ndarray,
     alpha_t: float,
     anchor_set: LinearizedFeasibleSet,
-    lam: float,
-    return_sweeps: bool = False,
+    return_steps: bool = False,
 ):
     """One antenna's full update: project p + step onto its linearized set
     (the maximizer of its surrogate), then relax toward that candidate with
     weight alpha.  This is the exact computation an LPU runs from (its own
     state, the received step vector, the public schedule).  Stacked vectors
-    (A, 2N) with a batch of A sets update A antennas, row by row."""
-    cand, sweeps = project_onto_set(p_vec + step_vec, anchor_set, lam=lam, return_sweeps=True)
+    (A, 2N) with a batch of A sets update A antennas, row by row;
+    ``return_steps`` also gives the projection's active-set step counts."""
+    cand, steps = project_onto_set(p_vec + step_vec, anchor_set, return_steps=True)
     new = p_vec + alpha_t * (cand - p_vec)
-    return (new, sweeps) if return_sweeps else new
+    return (new, steps) if return_steps else new
 
 
 @dataclass
@@ -418,12 +422,11 @@ def optimize(
         backtracks = 0
         for _ in range(MAX_BACKTRACKS + 1):
             steps = grads / eta
-            vecs, sweeps = relaxed_update(p_vecs, steps, alpha_t, sets, layout.lam,
-                                          return_sweeps=True)
+            vecs, proj_steps = relaxed_update(p_vecs, steps, alpha_t, sets, return_steps=True)
             cand = CouplerPlacement(vecs.reshape(M, N, 2))
             cand_rate = ev.rate_of(cand)
             if cand_rate >= trace.rates[-1]:
-                accepted = (cand, steps, cand_rate, int(sweeps.sum()))
+                accepted = (cand, steps, cand_rate, int(proj_steps.sum()))
                 break
             eta *= BACKTRACK_FACTOR
             backtracks += 1
@@ -436,14 +439,14 @@ def optimize(
             trace.rates.append(trace.rates[-1])
             break
 
-        cand, steps, cand_rate, sweeps_total = accepted
+        cand, steps, cand_rate, proj_steps_total = accepted
         prev = trace.rates[-1]
         p = cand
         trace.rates.append(cand_rate)
         trace.grad_norms.append(norms)
         trace.backtracks.append(backtracks)
         trace.etas.append(eta)
-        trace.proj_sweeps.append(sweeps_total)
+        trace.proj_sweeps.append(proj_steps_total)
         box, dist = constraint_margins(p.positions, layout)
         trace.min_margins.append(float(min(box.min(), (dist - layout.min_sep_m).min())))
         trace.record_round(M, N)

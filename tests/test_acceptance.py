@@ -101,17 +101,14 @@ def test_criterion_03_toy_global_optimality():
     q = lay.active_position(0)
     xs = np.linspace(lo[0], hi[0], 41)
     ys = np.linspace(lo[1], hi[1], 41)
+    lattice = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    lattice = lattice[np.hypot(lattice[:, 0] - q[0], lattice[:, 1] - q[1]) >= lay.min_sep_m]
     ratios = []
     for seed in range(10):
         spec = sample_channels(seeded(seed)[0], K=1, L=15, layout=lay)
         ev = ObjectiveEvaluator(spec, lay, model, P_max, sigma2)
         ev.set_placement(uniform_placement(lay))
-        best = -np.inf
-        for x in xs:
-            for y in ys:
-                if np.hypot(x - q[0], y - q[1]) < lay.min_sep_m:
-                    continue
-                best = max(best, ev.rate_with_override(0, np.array([[x, y]])))
+        best = ev.rate_with_override(0, lattice[:, None, :]).max()  # one batch per seed
         init = screened_initial_placement(lay, spec, model, P_max, sigma2)
         res = optimize(init, SCAConfig(), spec, lay, model, P_max, sigma2)
         ratios.append(res.trace.rates[-1] / best)

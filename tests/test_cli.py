@@ -247,6 +247,26 @@ def test_negative_seed_is_config_error(command, config_path, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["5", "0"])
+@pytest.mark.parametrize("command", [["estimate"], ["sweep", "snr"], ["sweep", "region"]],
+                         ids=" ".join)
+def test_seed_flag_of_multi_seed_commands_is_config_error(command, seed, config_path,
+                                                          tmp_path, capsys, monkeypatch):
+    # their rows come from seeds.start/seeds.count; a --seed would be ignored
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(sweeps, "run_estimate", no_work)
+    monkeypatch.setattr(sweeps, "run_sweep", no_work)
+    out = tmp_path / "x"
+    assert main([*command, "--config", config_path, "--seed", seed, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: seed:")
+    assert "seeds.start" in err and "seeds.count" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 class PoolForbidden:
     def __init__(self, *args, **kwargs):
         raise AssertionError("a worker pool was constructed")

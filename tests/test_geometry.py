@@ -1,14 +1,22 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import nnls
 
 from fcarray import (
     ArrayLayout,
+    CouplerPlacement,
+    DipoleModel,
     is_feasible,
     linearize_spacing,
     load_placement,
     project_onto_set,
     random_feasible_placement,
     save_placement,
+    sample_channels,
     uniform_placement,
 )
 from fcarray.errors import (
@@ -16,15 +24,15 @@ from fcarray.errors import (
     ConfigError,
     DimensionMismatch,
     InfeasibleLayout,
-    NoConvergence,
 )
 from fcarray.geometry import (
+    LinearizedFeasibleSet,
     Violation,
     constraint_margins,
     single_coupler_moves,
     spacing_pairs,
 )
-from fcarray.optimizer import relaxed_update
+from fcarray.optimizer import CLEARANCE_WL, ObjectiveEvaluator, relaxed_update
 
 
 class TestLayout:
@@ -186,7 +194,7 @@ class TestProjection:
         anchor = uniform_placement(layout)
         fs = linearize_spacing(anchor, 0, layout)
         x = anchor.antenna_vector(0)
-        assert np.allclose(project_onto_set(x, fs, lam=layout.lam), x)
+        assert np.allclose(project_onto_set(x, fs), x)
 
     def test_box_only_clamp(self, layout):
         anchor = uniform_placement(layout)
@@ -194,7 +202,7 @@ class TestProjection:
         x = anchor.antenna_vector(0)
         y = x.copy()
         y[0] = fs.box_hi[0] + 0.01  # push one coordinate out of the box
-        proj = project_onto_set(y, fs, lam=layout.lam)
+        proj = project_onto_set(y, fs)
         expected = np.clip(y, fs.box_lo, fs.box_hi)
         if fs.contains(expected, atol=1e-12):
             assert np.allclose(proj, expected, atol=1e-10)
@@ -208,7 +216,7 @@ class TestProjection:
         b = fs.offsets[0]
         x = anchor.antenna_vector(0) + 0.4 * lay.min_sep_m * a / np.linalg.norm(a)
         assert fs.normals @ x > fs.offsets  # actually violating
-        proj = project_onto_set(x, fs, lam=lay.lam)
+        proj = project_onto_set(x, fs)
         viol = a @ x - b
         expected = x - viol * a / (a @ a)
         assert np.allclose(proj, expected, atol=1e-9 * lay.lam)
@@ -221,9 +229,9 @@ class TestProjection:
         for _ in range(50):
             x = center + rng.uniform(-scale, scale, size=center.size)
             y = center + rng.uniform(-scale, scale, size=center.size)
-            px = project_onto_set(x, fs, lam=layout.lam)
-            py = project_onto_set(y, fs, lam=layout.lam)
-            assert np.linalg.norm(project_onto_set(px, fs, lam=layout.lam) - px) \
+            px = project_onto_set(x, fs)
+            py = project_onto_set(y, fs)
+            assert np.linalg.norm(project_onto_set(px, fs) - px) \
                 <= 1e-8 * layout.lam
             assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) * (1 + 1e-8)
 
@@ -235,7 +243,7 @@ class TestProjection:
             center = anchor.antenna_vector(m)
             for _ in range(250):
                 x = center + rng.uniform(-2, 2, size=center.size) * layout.region_side_m
-                proj = project_onto_set(x, fs, lam=layout.lam)
+                proj = project_onto_set(x, fs)
                 assert fs.contains(proj, atol=1e-7 * layout.lam)
                 pl = anchor.with_antenna_vector(m, proj)
                 assert is_feasible(pl, layout).ok
@@ -319,8 +327,9 @@ def linearize_reference(anchor, m, layout, margin=0.0):
             np.array(normals).reshape(len(pairs), 2 * N), np.array(offsets), pairs)
 
 
-def project_reference(point, box_lo, box_hi, normals, offsets, tol, max_sweeps=2000):
-    """Dykstra projection of one point; returns (x, sweeps)."""
+def project_reference(point, box_lo, box_hi, normals, offsets, tol, max_sweeps=20000):
+    """Dykstra projection of one point, the oracle of the exact projection;
+    returns (x, sweeps)."""
     x = np.asarray(point, dtype=float).copy()
     P = normals.shape[0]
     norms2 = np.einsum("ij,ij->i", normals, normals) if P else np.zeros(0)
@@ -342,9 +351,7 @@ def project_reference(point, box_lo, box_hi, normals, offsets, tol, max_sweeps=2
                 infeas = max(infeas, float(np.max(normals @ x - offsets)))
             if infeas <= 10.0 * tol:
                 return x, sweep
-    raise NoConvergence(
-        f"Dykstra projection did not converge in {max_sweeps} sweeps (tol={tol})"
-    )
+    raise AssertionError(f"Dykstra projection did not converge in {max_sweeps} sweeps")
 
 
 def is_feasible_reference(placement, layout, atol):
@@ -427,55 +434,168 @@ def test_batched_sets_and_projections_match_per_antenna_reference(N, M, margin_s
             assert same_bits(got.normals, normals) and same_bits(got.offsets, offsets)
     for scale in (1e-3, 0.05, 1.0):
         points = sca_like_points(anchor, lay, rng, scale)
-        got, sweeps = project_onto_set(points, batch, lam=lay.lam, return_sweeps=True)
+        got, steps = project_onto_set(points, batch, return_steps=True)
         for m, (lo, hi, normals, offsets, _) in enumerate(refs):
-            ref, ref_sweeps = project_reference(points[m], lo, hi, normals, offsets,
-                                                1e-9 * lay.lam)
-            assert same_bits(got[m], ref) and sweeps[m] == ref_sweeps
-            one, one_sweeps = project_onto_set(points[m], linearize_spacing(
-                anchor, m, lay, margin=margin), lam=lay.lam, return_sweeps=True)
-            assert same_bits(one, ref) and one_sweeps == ref_sweeps
-        relaxed, relaxed_sweeps = relaxed_update(
+            ref, _ = project_reference(points[m], lo, hi, normals, offsets, 1e-14 * lay.lam)
+            assert np.max(np.abs(got[m] - ref), initial=0.0) <= 1e-12 * lay.lam
+            one, one_steps = project_onto_set(points[m], linearize_spacing(
+                anchor, m, lay, margin=margin), return_steps=True)
+            assert same_bits(one, got[m]) and one_steps == steps[m]
+        relaxed, relaxed_steps = relaxed_update(
             anchor.positions.reshape(M, -1), points - anchor.positions.reshape(M, -1),
-            0.5, batch, lay.lam, return_sweeps=True)
-        assert np.array_equal(relaxed_sweeps, sweeps)
+            0.5, batch, return_steps=True)
+        assert np.array_equal(relaxed_steps, steps)
         for m in range(M):
-            assert same_bits(relaxed[m], relaxed_update(
+            one, one_steps = relaxed_update(
                 anchor.antenna_vector(m), points[m] - anchor.antenna_vector(m), 0.5,
-                linearize_spacing(anchor, m, lay, margin=margin), lay.lam))
+                linearize_spacing(anchor, m, lay, margin=margin), return_steps=True)
+            assert same_bits(relaxed[m], one) and one_steps == steps[m]
 
 
-def test_projection_default_tolerance_is_per_row():
-    lay = ArrayLayout(M=3, N=2)
+def assert_kkt_point(y, x, feas_set, lam):
+    """x is the projection of y onto the (unstacked) set: feasible, and y - x
+    is a nonnegative combination of the unit normals of the constraints that
+    hold with equality (stationarity, complementary slackness), to rounding
+    of the coordinates and of the step length."""
+    n = len(y)
+    norms = np.linalg.norm(feas_set.normals, axis=-1)
+    C = np.concatenate([np.eye(n), -np.eye(n), feas_set.normals / norms[:, None]])
+    d = np.concatenate([feas_set.box_hi, -feas_set.box_lo, feas_set.offsets / norms])
+    atol = 1e-13 * lam + 1e-14 * np.linalg.norm(y - x)
+    slack = d - C @ x
+    assert np.all(np.isfinite(x)) and slack.min(initial=0.0) >= -atol  # feasible
+    active = slack <= atol
+    mult, resid = nnls(C[active].T, y - x) if active.any() else ([], np.linalg.norm(y - x))
+    assert np.all(np.asarray(mult) >= 0.0)
+    assert resid <= atol  # stationarity with multipliers only on active constraints
+    assert np.dot(mult, np.abs(slack[active])) <= atol * max(1.0, np.sum(mult))
+
+
+def test_projection_of_a_414_wavelength_step_is_a_kkt_point():
+    # a step of 414 wavelengths in a 1-wavelength region: the sweep-limited
+    # projection gave up here; the active-set one ends in a few steps
+    lay = ArrayLayout(M=4, N=3, region_side=1.0)
+    p = uniform_placement(lay)
+    ev = ObjectiveEvaluator(sample_channels(1, K=2, L=6, layout=lay), lay,
+                            DipoleModel.for_layout(lay), 1.0, 0.05)
+    steps = ev.gradient_of(p) * lay.lam / 0.05
+    assert np.linalg.norm(steps[0]) / lay.lam == pytest.approx(414.2, abs=0.1)
+    margin = CLEARANCE_WL * lay.lam
+    points = p.positions.reshape(4, -1) + steps
+    got, counts = project_onto_set(points, linearize_spacing(p, np.arange(4), lay, margin),
+                                   return_steps=True)
+    for m in range(4):
+        fs = linearize_spacing(p, m, lay, margin=margin)
+        one, one_steps = project_onto_set(points[m], fs, return_steps=True)
+        assert same_bits(one, got[m]) and one_steps == counts[m]
+        assert 0 < one_steps < 4 * lay.N + len(fs.pairs)
+        assert_kkt_point(points[m], one, fs, lay.lam)
+        assert is_feasible(p.with_antenna_vector(m, one), lay).ok
+
+
+def kkt_case_anchor(lay, kind, margin, rng):
+    """A feasible anchor: random, the uniform arc (its middle coupler's
+    normals are axis-aligned), or random with couplers pushed onto the faces
+    of the box shrunk by ``margin``."""
+    if kind == "uniform":
+        return uniform_placement(lay)
+    pl = random_feasible_placement(lay, rng)
+    if kind == "face" and lay.N:
+        for m in range(lay.M):
+            lo, hi = lay.region_bounds(m)
+            for n in range(lay.N):
+                axis = rng.integers(2)
+                moved = pl.positions[m].copy()
+                moved[n, axis] = (lo + margin, hi - margin)[rng.integers(2)][axis]
+                if constraint_margins(moved, lay, m)[1].min() >= lay.min_sep_m + margin:
+                    pl.positions[m] = moved
+    return pl
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(M=st.integers(1, 8), N=st.integers(0, 4),
+       kind=st.sampled_from(["random", "uniform", "face"]),
+       scale=st.sampled_from([1e-3, 0.05, 1.0, 30.0, 400.0]),
+       margin_steps=st.sampled_from([0.0, 1.0]), seed=st.integers(0, 2**16))
+def test_projection_satisfies_kkt_on_random_linearized_sets(M, N, kind, scale,
+                                                            margin_steps, seed):
+    lay = ArrayLayout(M=M, N=N, region_side=2.0 if N < 4 else 3.0)
+    rng = np.random.default_rng(seed)
+    margin = margin_steps * CLEARANCE_WL * lay.lam
+    anchor = kkt_case_anchor(lay, kind, margin, rng)
+    batch = linearize_spacing(anchor, np.arange(M), lay, margin=margin)
+    vec = anchor.positions.reshape(M, -1)
+    points = vec + rng.normal(size=vec.shape) * scale * lay.lam
+    if kind != "random" and N:  # push some coordinates straight along an axis
+        axis_only = rng.random(vec.shape) < 0.5
+        points = np.where(axis_only, vec, points)
+    conds = []
+
+    def solve(a, b):  # every working-set system, far from singular
+        conds.extend(np.linalg.cond(a).ravel())
+        return np_solve(a, b)
+
+    np_solve = np.linalg.solve
+    with mock.patch.object(np.linalg, "solve", solve):
+        got, steps = project_onto_set(points, batch, return_steps=True)
+    assert max(conds, default=1.0) < 1e8
+    for m in range(M):
+        fs = linearize_spacing(anchor, m, lay, margin=margin)
+        one, one_steps = project_onto_set(points[m], fs, return_steps=True)
+        assert same_bits(one, got[m]) and one_steps == steps[m]
+        assert_kkt_point(points[m], one, fs, lay.lam)
+
+
+def test_finished_rows_keep_their_bits_while_others_move():
+    # row 0 is a member with a -0.0 coordinate and finishes at once; row 1
+    # takes several steps, which must not touch row 0 (not even its sign bit)
+    lay = ArrayLayout(M=2, N=1)
     anchor = uniform_placement(lay)
-    batch = linearize_spacing(anchor, np.arange(3), lay)
-    points = sca_like_points(anchor, lay, np.random.default_rng(1), 0.3)
-    got, sweeps = project_onto_set(points, batch, return_sweeps=True)
-    for m in range(3):
-        lo, hi, normals, offsets, _ = linearize_reference(anchor, m, lay)
-        tol = 1e-9 * max(np.max(hi - lo), 1.0)
-        ref, ref_sweeps = project_reference(points[m], lo, hi, normals, offsets, tol)
-        assert same_bits(got[m], ref) and sweeps[m] == ref_sweeps
+    batch = linearize_spacing(anchor, np.arange(2), lay)
+    for push in ([1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]):
+        points = anchor.positions.reshape(2, -1).copy()
+        points[0, 1] = -0.0
+        points[1] += 3.0 * lay.region_side_m * np.array(push)
+        got, steps = project_onto_set(points, batch, return_steps=True)
+        assert steps[0] == 0 and steps[1] > 1
+        assert same_bits(got[0], points[0])
+        assert same_bits(got[1], project_onto_set(points[1], linearize_spacing(anchor, 1, lay)))
 
 
-def test_projection_raises_no_convergence_at_small_max_sweeps():
-    lay = ArrayLayout(M=4, N=3)
-    anchor = uniform_placement(lay)
-    batch = linearize_spacing(anchor, np.arange(4), lay)
-    points = sca_like_points(anchor, lay, np.random.default_rng(2), 1.0)
-    _, sweeps = project_onto_set(points, batch, lam=lay.lam, return_sweeps=True)
-    assert sweeps.max() > 2
-    m = int(np.argmax(sweeps))
-    lo, hi, normals, offsets, _ = linearize_reference(anchor, m, lay)
-    with pytest.raises(NoConvergence) as ref:
-        project_reference(points[m], lo, hi, normals, offsets, 1e-9 * lay.lam,
-                          max_sweeps=sweeps[m] - 1)
-    with pytest.raises(NoConvergence) as one:
-        project_onto_set(points[m], linearize_spacing(anchor, m, lay), lam=lay.lam,
-                         max_sweeps=sweeps[m] - 1)
-    assert str(one.value) == str(ref.value)
-    with pytest.raises(NoConvergence):
-        project_onto_set(points, batch, lam=lay.lam, max_sweeps=sweeps.max() - 1)
+@pytest.mark.parametrize("delta", [1e-9, 5e-9, 3e-8])
+@pytest.mark.parametrize("far", [1e6, 1e8])
+@pytest.mark.parametrize("floor", [-1e-5, -1.0])
+def test_projection_onto_nearly_parallel_half_spaces(delta, far, floor):
+    # x <= 0 and (x + delta y) <= -1e-12 |(1, delta)| meet at a vertex that
+    # the box face y >= floor may cut off; the point is far along +x.  The
+    # two normals are within delta of each other, so their Gram matrix is
+    # singular to rounding: every step must still be exact.
+    fs = LinearizedFeasibleSet(0, None, np.array([-1.0, floor]), np.array([1.0, 1.0]),
+                               np.array([[1.0, 0.0], [1.0, delta]]),
+                               np.array([0.0, -1e-12 * np.hypot(1.0, delta)]), [])
+    point = np.array([far, 0.0])
+    x, steps = project_onto_set(point, fs, return_steps=True)
+    assert steps <= 6
+    assert_kkt_point(point, x, fs, 1.0)
+
+
+def test_projection_with_a_box_face_parallel_to_an_active_half_space():
+    # N=1 on boresight at the box's +x face: the active-element half-space
+    # has normal -e_x, parallel to both x faces of the box; it is the active
+    # constraint for every point pushed toward -x, the +x face for the others
+    lay = ArrayLayout(M=1, N=1, region_side=1.0)
+    lo, hi = lay.region_bounds(0)
+    anchor = CouplerPlacement(np.array([[[hi[0], 0.0]]]))
+    fs = linearize_spacing(anchor, 0, lay)
+    assert fs.normals[0, 1] == 0.0  # axis-aligned half-space normal
+    side = lay.region_side_m
+    for point in ([3 * side, 0.0], [-3 * side, 0.0], [3 * side, 2 * side],
+                  [-3 * side, -2 * side], [0.0, 2 * side], [hi[0], 5 * side]):
+        point = np.array(point)
+        x, steps = project_onto_set(point, fs, return_steps=True)
+        assert steps <= 3
+        assert_kkt_point(point, x, fs, lay.lam)
+
 
 
 def broken_placement(lay, seed):
