@@ -21,8 +21,8 @@ stacked vector belongs to block v, antenna m.
 
 The per-antenna chain runs batched: one weights solve (``_weights``) feeds
 the angular responses and the effective columns, both formed by the column
-step of precoding's ``antenna_chain`` (``_column``), which the exhaustive
-baseline runs whole.  The pilot phase and the dictionary cube, built once
+step of precoding's ``antenna_chain`` (``_column``); the exhaustive
+baseline's candidate measurements take the same two steps.  The pilot phase and the dictionary cube, built once
 per session for all estimators, are one chain call each over the (V, M)
 block/antenna pairs, and ``predict``, ``true_effective`` and ``nmse`` one
 call over all (test placement, antenna) pairs.  Each batch entry reads only
@@ -40,7 +40,6 @@ import numpy as np
 from .channel import (
     MultipathSpec,
     active_channel_matrix,
-    coupler_channel_block,
     steering_active,
     steering_coupler_block,
 )
@@ -62,7 +61,7 @@ from .geometry import (
     single_coupler_moves,
 )
 from .impedance import DipoleModel, build_block
-from .precoding import _certified_solve, _column, antenna_chain, effective_column, mech_weights
+from .precoding import _certified_solve, _column, effective_column, mech_weights
 
 DEFAULT_GRID_SIZE = 256
 DEFAULT_THRESHOLD = 4.0  # ~6 dB above the effective noise floor
@@ -724,8 +723,8 @@ def exhaustive_baseline(
         feasible[m] = ok
         for n in np.flatnonzero(ok.any(axis=1)):
             P = moved[n, ok[n]]
-            table[m, n, ok[n]] = measure(antenna_chain(coupler_channel_block(spec, P, layout.lam),
-                                                       P, m, layout, model, h_active)[2])
+            w = mech_weights(build_block(P, layout.active_positions()[m], model))[0]
+            table[m, n, ok[n]] = measure(effective_column(spec, P, w, m, h_active, layout.lam))
 
     ledger = {
         "candidate_measurements_per_user_per_block": M * N * D_actual,

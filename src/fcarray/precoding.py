@@ -182,27 +182,31 @@ def _regularized_inverse(G_bar: np.ndarray, P_max: float, sigma2: float):
     return beta[..., None, None] * F_hat, beta, alpha, cond
 
 
+def _gram_forward(W: np.ndarray, P_max: float, sigma2: float):
+    """S = (W + alpha I)^-1, certified as in ``mmse_precoder``
+    (``_certified_solve``), W S and tau = tr(S W S) = ||F_hat||_F^2."""
+    K = W.shape[-1]
+    S, _ = _certified_solve(W + (K * sigma2 / P_max) * np.eye(K), None, GRAM_COND_LIMIT,
+                            SingularGram, "regularized Gram")
+    WS = W @ S
+    return S, WS, np.sum(S.conj() * WS, axis=(-2, -1)).real  # S Hermitian
+
+
 def gram_sum_rate(W: np.ndarray, P_max: float, sigma2: float):
     """MMSE sum rate from the whitened Gram W = G_bar G_bar^H (..., K, K),
     with G_bar = G diag(B)^-1/2; one rate per batch entry.
 
     With S = (W + alpha I)^-1 the precoder is F = beta G_bar^H S, so
     G U = G_bar F = beta W S and ||F_hat||_F^2 = Re tr(S W S): the rate needs
-    only K x K algebra.  Conditioning is certified as in ``mmse_precoder``
-    (``_certified_solve``), with an SVD only for entries the bound misses."""
-    K = W.shape[-1]
-    alpha = K * sigma2 / P_max
-    S, _ = _certified_solve(W + alpha * np.eye(K), None, GRAM_COND_LIMIT, SingularGram,
-                            "regularized Gram")
-    WS = W @ S
-    norm = np.sqrt(np.sum(S.conj() * WS, axis=(-2, -1)).real)  # tr(S W S), S Hermitian
-    beta = np.sqrt(P_max) / np.where(norm == 0.0, np.inf, norm)
+    only K x K algebra (``_gram_forward``)."""
+    _, WS, tau = _gram_forward(W, P_max, sigma2)
+    beta = np.sqrt(P_max) / np.where(tau == 0.0, np.inf, np.sqrt(tau))
     return _rate_of_coupling(beta[..., None, None] * WS, sigma2)[1]
 
 
 def gram_rate_adjoint(W: np.ndarray, P_max: float, sigma2: float) -> np.ndarray:
     """Hermitian Psi (..., K, K) with d rate = Re tr(Psi dW) for Hermitian dW,
-    the adjoint of ``gram_sum_rate`` (conditioning is the forward's to check).
+    the adjoint of ``gram_sum_rate`` on the same forward (``_gram_forward``).
 
     The coupling matrix is C = beta W S with S = (W + alpha I)^-1 and
     beta^2 = P_max / tau, tau = tr(S W S); dC = d beta W S + beta alpha S dW S
@@ -212,10 +216,8 @@ def gram_rate_adjoint(W: np.ndarray, P_max: float, sigma2: float) -> np.ndarray:
     K = W.shape[-1]
     alpha = K * sigma2 / P_max
     eye = np.eye(K)
-    S = np.linalg.inv(W + alpha * eye)
-    WS = W @ S
-    tau = np.sum(S.conj() * WS, axis=(-2, -1)).real[..., None, None]
-    inv_tau = 1.0 / np.where(tau == 0.0, np.inf, tau)
+    S, WS, tau = _gram_forward(W, P_max, sigma2)
+    inv_tau = 1.0 / np.where(tau == 0.0, np.inf, tau)[..., None, None]
     beta = np.sqrt(P_max * inv_tau)
     C = beta * WS
     power = np.abs(C) ** 2

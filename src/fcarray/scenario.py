@@ -209,9 +209,8 @@ class Scenario:
 
     # typed accessors -----------------------------------------------------
 
-    def layout(self, **overrides) -> ArrayLayout:
-        lay = dict(self.doc["layout"])
-        lay.update(overrides)
+    def layout(self) -> ArrayLayout:
+        lay = self.doc["layout"]
         return ArrayLayout(M=lay["M"], N=lay["N"], d_y=lay["d_y"],
                            region_side=lay["A"], d_min=lay["d_min"], f_c=lay["f_c"])
 
@@ -228,11 +227,10 @@ class Scenario:
         """Transmit budget in watts (config is dBm)."""
         return 10.0 ** ((self.doc["power"]["P_max_dbm"] - 30.0) / 10.0)
 
-    def sigma2_rate(self, K: int, P_max: float | None = None) -> float:
+    def sigma2_rate(self, K: int) -> float:
         """User noise variance from the rate-run SNR definition."""
-        P = self.P_max if P_max is None else P_max
         snr = 10.0 ** (self.doc["power"]["snr_db"] / 10.0)
-        return P / (K * snr)
+        return self.P_max / (K * snr)
 
     @staticmethod
     def sigma2_estimation(snr_db: float) -> float:

@@ -38,7 +38,7 @@ from .precoding import (
     fully_active_state,
 )
 from .runtime import export_message_log, run_algorithm1, run_algorithm3
-from .scenario import Scenario, write_manifest
+from .scenario import ESTIMATION_SCHEMES, INT_FIELDS, Scenario, write_manifest
 
 
 def _streams(seed: int, n: int = 4) -> list[int]:
@@ -70,19 +70,12 @@ def initial_placement(scenario: Scenario, layout: ArrayLayout, spec, model,
 # rate metrics
 
 
-def rate_metric(
-    scheme: str,
-    seed: int,
-    scenario: Scenario,
-    layout: ArrayLayout,
-    P_max: float,
-    sigma2: float,
-) -> float:
-    """Sum rate of one scheme on one seeded channel draw."""
-    K = scenario.doc["channel"]["K"]
-    L = scenario.doc["channel"]["L"]
+def rate_metric(scheme: str, seed: int, scenario: Scenario, sigma2: float) -> float:
+    """Sum rate of one scheme on one seeded channel draw, at the scenario's
+    layout, ``P_max`` and ``K``."""
+    channel, layout, P_max = scenario.doc["channel"], scenario.layout(), scenario.P_max
     ch_seed, _, _, _ = _streams(seed)
-    spec = sample_channels(ch_seed, K, L, layout)
+    spec = sample_channels(ch_seed, channel["K"], channel["L"], layout)
     model = scenario.model(layout)
     if scheme == "active-only":
         return active_only_state(spec, layout, model, P_max, sigma2).sum_rate
@@ -99,48 +92,15 @@ def rate_metric(
     raise ConfigError(f"unknown rate scheme {scheme!r}", field="schemes")
 
 
-def _rate_job(args) -> dict:
-    scenario_doc, axis, value, scheme, seed = args
-    scenario = Scenario(scenario_doc)
-    K = scenario.doc["channel"]["K"]
-    P_ref = scenario.P_max
-    sigma2 = scenario.sigma2_rate(K, P_ref)
-    layout = scenario.layout()
-    P_max = P_ref
-    variant = ""
-    if axis == "power":
-        P_max = 10.0 ** ((value - 30.0) / 10.0)
-    elif axis == "users":
-        scenario.doc["channel"]["K"] = int(value)
-        sigma2 = scenario.sigma2_rate(K, P_ref)  # noise fixed at the reference K
-    elif axis == "region":
-        n_value, a_value = value
-        layout = scenario.layout(N=int(n_value), A=float(a_value))
-        variant = f"N={int(n_value)}"
-        value = a_value
-    rate = rate_metric(scheme, seed, scenario, layout, P_max, sigma2)
-    return {
-        "seed": seed, "axis": axis, "value": value, "scheme": scheme,
-        "variant": variant, "metric": "sum_rate_bps_hz", "metric_value": rate,
-    }
-
-
 # ---------------------------------------------------------------------------
 # estimation metrics
 
 
-def estimation_metrics(
-    scheme: str,
-    seed: int,
-    scenario: Scenario,
-    snr_db: float,
-    V: int | None = None,
-    tau: int | None = None,
-) -> dict:
-    """NMSE, support hit rate, and communication scalars for one trial."""
+def estimation_metrics(scheme: str, seed: int, scenario: Scenario) -> dict:
+    """NMSE, support hit rate, and communication scalars for one trial at
+    the scenario's ``K``, ``V``, ``tau`` and SNR."""
     est = scenario.doc["estimation"]
-    V = est["V"] if V is None else V
-    tau = est["tau"] if tau is None else tau
+    V, tau, snr_db = est["V"], est["tau"], est["snr_db"]
     K = scenario.doc["channel"]["K"]
     L = est["L"]
     layout = scenario.layout()
@@ -184,89 +144,96 @@ def estimation_metrics(
     }
 
 
-def _estimation_job(args) -> dict:
-    scenario_doc, axis, value, scheme, seed = args
-    scenario = Scenario(scenario_doc)
-    est = scenario.doc["estimation"]
-    if axis == "snr":
-        return estimation_metrics(scheme, seed, scenario, snr_db=value)
-    if axis == "pilot":
-        return estimation_metrics(scheme, seed, scenario,
-                                  snr_db=est["snr_db"], tau=int(value))
-    raise ConfigError(f"unknown estimation axis {axis!r}", field="sweep")
-
-
 # ---------------------------------------------------------------------------
 # sweep orchestration
 
-
-RATE_AXES = {"power", "users", "region"}
 
 _RATE_FIELDS = ["seed", "axis", "value", "scheme", "variant", "metric", "metric_value"]
 _EST_FIELDS = ["seed", "snr_db", "V", "tau", "scheme", "nmse",
                "support_hit_rate", "comm_scalars"]
 
-
-def _run_jobs(jobs, worker, workers: int):
-    if workers <= 1:
-        return [worker(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, jobs, chunksize=1))
-
-
-# axis -> (sweep lists crossed into the points, type of a point, its schemes)
+# axis -> (each sweep list crossed into the points -> the config field it
+# sets, the schemes run at a point, the CSV columns of its rows)
+_RATE = (lambda doc: doc["schemes"], _RATE_FIELDS)
+_EST = (lambda doc: doc["estimation"]["schemes"], _EST_FIELDS)
 SWEEP_AXES = {
-    "power": (["power_dbm"], float, lambda doc: doc["schemes"]),
-    "users": (["users"], int, lambda doc: doc["schemes"]),
-    "region": (["region_n", "region"], lambda n, a: (int(n), float(a)),
-               lambda doc: ["fc-optimized"]),
-    "snr": (["snr_db"], float, lambda doc: doc["estimation"]["schemes"]),
-    "pilot": (["pilot"], int, lambda doc: doc["estimation"]["schemes"]),
+    "power": ({"power_dbm": "power.P_max_dbm"}, *_RATE),
+    "users": ({"users": "channel.K"}, *_RATE),
+    "region": ({"region_n": "layout.N", "region": "layout.A"}, lambda doc: ["fc-optimized"],
+               _RATE_FIELDS),
+    "snr": ({"snr_db": "estimation.snr_db"}, *_EST),
+    "pilot": ({"pilot": "estimation.tau"}, *_EST),
 }
+
+
+def _job(args) -> dict:
+    """One CSV row: the scheme's metric once the point's config fields are
+    written into the validated scenario; rate rows keep the unswept noise."""
+    doc, axis, point, scheme, seed = args
+    scenario = Scenario(doc)
+    sigma2 = scenario.sigma2_rate(scenario.doc["channel"]["K"])
+    paths = list(SWEEP_AXES[axis][0].values())
+    values = point if isinstance(point, tuple) else (point,)
+    for path, value in zip(paths, values):
+        section, key = path.split(".")
+        scenario.doc[section][key] = value
+    if scheme in ESTIMATION_SCHEMES:
+        return estimation_metrics(scheme, seed, scenario)
+    # the last field is the row's value; the ones before it name its variant
+    variant = ",".join(f"{path.split('.')[1]}={value}"
+                       for path, value in zip(paths, values[:-1]))
+    return {"seed": seed, "axis": axis, "value": values[-1], "scheme": scheme,
+            "variant": variant, "metric": "sum_rate_bps_hz",
+            "metric_value": rate_metric(scheme, seed, scenario, sigma2)}
 
 
 def sweep_jobs(scenario: Scenario, axis: str) -> list[tuple]:
     """Jobs (doc, axis, point, scheme, seed) of one sweep, point-major, then
-    scheme, then seed."""
+    scheme, then seed.  A point holds one value per swept field, typed as
+    that field (a single value when the axis sweeps one field)."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {sorted(SWEEP_AXES)}",
                           field="sweep")
     doc, seeds = scenario.doc, scenario.seeds()
-    lists, point, schemes = SWEEP_AXES[axis]
-    return [(doc, axis, point(*raw), scheme, seed)
-            for raw in itertools.product(*(doc["sweep"][key] for key in lists))
-            for scheme in schemes(doc) for seed in seeds]
+    fields, schemes, _ = SWEEP_AXES[axis]
+    for key, path in fields.items():
+        for i, value in enumerate(doc["sweep"][key]):
+            if path in INT_FIELDS and int(value) != value:
+                raise ConfigError(f"must be an integer, got {value!r}", field=f"sweep.{key}[{i}]")
+    lists = [[int(v) if path in INT_FIELDS else float(v) for v in doc["sweep"][key]]
+             for key, path in fields.items()]
+    points = [p if len(p) > 1 else p[0] for p in itertools.product(*lists)]
+    return [(doc, axis, point, scheme, seed)
+            for point in points for scheme in schemes(doc) for seed in seeds]
 
 
 def run_sweep(scenario: Scenario, axis: str, out_dir, workers: int = 1) -> list[dict]:
-    """Run one sweep and write <axis>.csv plus manifest.json in out_dir."""
-    jobs = sweep_jobs(scenario, axis)
-    worker = _rate_job if axis in RATE_AXES else _estimation_job
-    rows = _run_jobs(jobs, worker, workers)
-    os.makedirs(out_dir, exist_ok=True)
-    fields = _RATE_FIELDS if axis in RATE_AXES else _EST_FIELDS
-    csv_path = os.path.join(out_dir, f"sweep_{axis}.csv")
-    _write_rows(csv_path, fields, rows)
-    write_manifest(
-        os.path.join(out_dir, "manifest.json"),
-        scenario.manifest(f"sweep {axis}", {"rows": len(rows), "workers": workers,
-                                            "csv": os.path.basename(csv_path)}),
-    )
-    return rows
+    """Run one sweep and write sweep_<axis>.csv plus manifest.json in out_dir."""
+    return _run_jobs(scenario, f"sweep {axis}", sweep_jobs(scenario, axis), SWEEP_AXES[axis][2],
+                     out_dir, workers, {"workers": workers, "csv": f"sweep_{axis}.csv"})
 
 
 def run_estimate(scenario: Scenario, out_dir, workers: int = 1) -> list[dict]:
     """Estimation run at the scenario's own SNR/V/tau for every scheme/seed."""
-    doc = scenario.doc
-    est = doc["estimation"]
-    jobs = [(doc, "snr", float(est["snr_db"]), scheme, seed)
+    est = scenario.doc["estimation"]
+    jobs = [(scenario.doc, "snr", float(est["snr_db"]), scheme, seed)
             for scheme in est["schemes"] for seed in scenario.seeds()]
-    rows = _run_jobs(jobs, _estimation_job, workers)
+    return _run_jobs(scenario, "estimate", jobs, _EST_FIELDS, out_dir, workers)
+
+
+def _run_jobs(scenario: Scenario, command: str, jobs, fields, out_dir, workers: int,
+              extra: dict | None = None) -> list[dict]:
+    """The rows of ``jobs``, from a pool of ``workers`` processes when there is more
+    than one, written to <command>.csv (spaces as underscores) and manifest.json."""
+    if workers <= 1:
+        rows = [_job(job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_job, jobs, chunksize=1))
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "estimate.csv")
-    _write_rows(csv_path, _EST_FIELDS, rows)
+    _write_rows(os.path.join(out_dir, command.replace(" ", "_") + ".csv"), fields, rows)
     write_manifest(os.path.join(out_dir, "manifest.json"),
-                   scenario.manifest("estimate", {"rows": len(rows)}))
+                   scenario.manifest(command, {"rows": len(rows), **(extra or {})}))
     return rows
 
 

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fcarray import ArrayLayout, DipoleModel, MultipathSpec, SCAConfig, optimize, sample_channels
-from fcarray.errors import InfeasibleLayout, NumericalError
+from fcarray.errors import InfeasibleLayout, NumericalError, SingularGram
 from fcarray.geometry import constraint_margins, random_feasible_placement, uniform_placement
 from fcarray.impedance import mutual_impedance, mutual_impedance_derivative
 from fcarray.optimizer import ObjectiveEvaluator, gradient
@@ -133,6 +133,16 @@ def test_mutual_impedance_derivative_matches_central_differences():
     fd = (mutual_impedance(d + h, model) - mutual_impedance(d - h, model)) / (2.0 * h)
     dz = mutual_impedance_derivative(d, model)
     assert np.max(np.abs(dz - fd) / np.abs(dz)) < 1e-6
+
+
+def test_gram_rate_adjoint_rejects_an_ill_conditioned_gram():
+    # a silent user and alpha = 2e-16: cond(W + alpha I) ~ 5e15 exceeds the
+    # Gram limit, so the adjoint raises where the forward does
+    W = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(SingularGram):
+        gram_sum_rate(W, 1.0, 1e-16)
+    with pytest.raises(SingularGram):
+        gram_rate_adjoint(W, 1.0, 1e-16)
 
 
 @pytest.mark.parametrize("K, sigma2", [(1, 0.1), (3, 0.01), (4, 1.0)])

@@ -294,6 +294,43 @@ def test_one_worker_runs_in_process(config_path, tmp_path, monkeypatch):
                  "--out", str(tmp_path / "x")]) == 0
 
 
+def test_sweep_users_past_the_pilot_length(config_path, tmp_path):
+    # rate rows never run the estimator, so K above estimation.tau is fine
+    assert main(["sweep", "users", "--config", config_path, "--out", str(tmp_path / "x"),
+                 "--set", "sweep.users=[5]", "--set", "estimation.tau=4"]) == 0
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores for two workers")
+def test_two_workers_write_the_bytes_of_one(config_path, tmp_path):
+    for workers in ("1", "2"):
+        assert main(["sweep", "snr", "--config", config_path, "--workers", workers,
+                     "--out", str(tmp_path / workers)]) == 0
+    a, b = ((tmp_path / w / "sweep_snr.csv").read_bytes() for w in ("1", "2"))
+    assert a == b
+
+
+@pytest.mark.parametrize("axis, override, field", [
+    ("users", "sweep.users=[1, 2.5]", "sweep.users[1]"),
+    ("pilot", "sweep.pilot=[4.7]", "sweep.pilot[0]"),
+    ("region", "sweep.region_n=[1.5]", "sweep.region_n[0]"),
+])
+def test_non_integral_sweep_point_is_config_error(axis, override, field, config_path,
+                                                  tmp_path, capsys, monkeypatch):
+    # rejected before any job runs; other commands keep the config
+    def no_work(*args, **kwargs):
+        raise AssertionError("a job ran")
+
+    monkeypatch.setattr(sweeps, "_job", no_work)
+    out = tmp_path / "x"
+    assert main(["sweep", axis, "--config", config_path, "--set", override,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}:")
+    assert "Traceback" not in err
+    assert not out.exists()
+    Scenario(dict(SMALL), overrides=[override])
+
+
 # Raw --set values: integers no larger than the base T_max, so every valid
 # run stays at three iterations or fewer, then the JSON and non-JSON oddities.
 SCA_VALUES = st.one_of(

@@ -4,13 +4,19 @@ import pytest
 from fcarray.errors import ConfigError
 from fcarray.scenario import Scenario
 from fcarray.sweeps import (
-    _estimation_job,
-    _rate_job,
+    SWEEP_AXES,
+    _EST_FIELDS,
+    _job,
+    _write_rows,
     compute_heatmap,
     estimation_metrics,
     rate_metric,
+    run_estimate,
+    run_sweep,
     sweep_jobs,
 )
+
+import job_reference
 
 
 HEAT_DOC = {
@@ -91,14 +97,14 @@ class TestRowReproducibility:
     def test_rate_row_reproducible_in_isolation(self):
         scenario = Scenario(SMALL_DOC)
         job = (scenario.doc, "power", 30.0, "fixed-coupler", 1)
-        a = _rate_job(job)
-        b = _rate_job(job)
+        a = _job(job)
+        b = _job(job)
         assert a == b
 
     def test_estimation_row_reproducible_in_isolation(self):
         scenario = Scenario(SMALL_DOC)
         job = (scenario.doc, "snr", 0.0, "centralized", 1)
-        assert _estimation_job(job) == _estimation_job(job)
+        assert _job(job) == _job(job)
 
     def test_jobs_enumerate_all_combinations(self):
         scenario = Scenario(SMALL_DOC)
@@ -110,9 +116,10 @@ class TestRowReproducibility:
     def test_exhaustive_scheme_runs(self):
         doc = dict(SMALL_DOC)
         doc["estimation"] = dict(SMALL_DOC["estimation"], D=9,
-                                 schemes=["exhaustive"])
+                                 schemes=["exhaustive"], snr_db=10.0)
         scenario = Scenario(doc)
-        row = estimation_metrics("exhaustive", 0, scenario, snr_db=10.0)
+        row = estimation_metrics("exhaustive", 0, scenario)
+        assert row["snr_db"] == 10.0
         assert row["nmse"] >= 0.0
         assert row["comm_scalars"] > 0
 
@@ -120,10 +127,10 @@ class TestRowReproducibility:
 class TestRateMetricSchemes:
     def test_all_schemes_positive(self):
         scenario = Scenario(SMALL_DOC)
-        layout = scenario.layout()
+        assert scenario.P_max == 1.0
         for scheme in ("active-only", "fixed-coupler", "fully-active",
                        "fc-optimized"):
-            rate = rate_metric(scheme, 0, scenario, layout, 1.0, 0.05)
+            rate = rate_metric(scheme, 0, scenario, 0.05)
             assert rate > 0.0
 
 
@@ -188,3 +195,44 @@ def test_sweep_jobs_match_the_per_axis_loops(axis, sweep):
 def test_sweep_jobs_reject_an_unknown_axis():
     with pytest.raises(ConfigError, match="unknown sweep axis 'bogus'"):
         sweep_jobs(Scenario(SMALL_DOC), "bogus")
+
+
+# the mixed-types sweep lists, plus integer-valued scalars, every rate scheme
+# and the exhaustive estimator
+def mixed_doc():
+    from test_cli import SMALL
+    return dict(SMALL, sweep=MIXED_SWEEP, power={"P_max_dbm": 30, "snr_db": 10},
+                schemes=["fc-optimized", "fixed-coupler", "active-only", "fully-active"],
+                estimation=dict(SMALL["estimation"], snr_db=0,
+                                schemes=["centralized", "distributed", "exhaustive"]))
+
+
+def cli_doc():
+    from test_cli import SMALL
+    return SMALL
+
+
+@pytest.mark.parametrize("make_doc", [cli_doc, mixed_doc], ids=["cli-config", "mixed-types"])
+@pytest.mark.parametrize("axis", ["power", "users", "region", "snr", "pilot", None],
+                         ids=["power", "users", "region", "snr", "pilot", "estimate"])
+def test_job_rows_match_the_per_axis_jobs(axis, make_doc, tmp_path):
+    """Every sweep axis and ``estimate`` write, byte for byte, the CSV of the
+    per-axis job functions that ``_job`` replaced."""
+    scenario = Scenario(make_doc())
+    if axis is None:
+        rows = run_estimate(scenario, tmp_path / "got")
+        est = scenario.doc["estimation"]
+        jobs = [(scenario.doc, "snr", float(est["snr_db"]), scheme, seed)
+                for scheme in est["schemes"] for seed in scenario.seeds()]
+        name, fields = "estimate.csv", _EST_FIELDS
+    else:
+        rows = run_sweep(scenario, axis, tmp_path / "got")
+        jobs = sweep_jobs(scenario, axis)
+        name, fields = f"sweep_{axis}.csv", SWEEP_AXES[axis][2]
+    ref = [job_reference.job(job) for job in jobs]
+    assert len(ref) >= 2
+    # equal types and equal reprs (the CSV's float format; NaN != NaN)
+    assert [[(k, type(v), repr(v)) for k, v in row.items()] for row in rows] == \
+        [[(k, type(v), repr(v)) for k, v in row.items()] for row in ref]
+    _write_rows(tmp_path / "ref.csv", fields, ref)
+    assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "ref.csv").read_bytes()
