@@ -42,7 +42,6 @@ from .precoding import (
     fully_active_state,
     mech_weights,
     mmse_precoder,
-    sinr_and_rate,
     transmit_power,
 )
 from .optimizer import (

@@ -65,7 +65,7 @@ from .precoding import _certified_solve, _column, effective_column, mech_weights
 
 DEFAULT_GRID_SIZE = 256
 DEFAULT_THRESHOLD = 4.0  # ~6 dB above the effective noise floor
-DEFAULT_EPS_NORM = 1e-12
+EPS_NORM = 1e-12  # keeps a proxy finite on a zero dictionary column
 AGGREGATE_COND_LIMIT = 1e12
 
 
@@ -447,7 +447,7 @@ def centralized_estimate(
 
 def local_proxy(
     A_m: np.ndarray, y_mk: np.ndarray, sigma_eff2: float, eta: float,
-    eps_n: float = DEFAULT_EPS_NORM, norms: np.ndarray | None = None,
+    norms: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Matched-filter proxy of one antenna for one user: (rho over the full
     grid, indices passing the noise-calibrated threshold rho >= eta *
@@ -455,7 +455,7 @@ def local_proxy(
     (sum over blocks of |A_m|^2) are computed from A_m when not given."""
     c = A_m.conj().T @ y_mk
     norms = np.sum(np.abs(A_m) ** 2, axis=0) if norms is None else norms
-    rho = np.abs(c) ** 2 / (norms + eps_n)
+    rho = np.abs(c) ** 2 / (norms + EPS_NORM)
     kept = np.where(rho >= eta * sigma_eff2)[0]
     return rho, kept
 
@@ -498,10 +498,10 @@ class LocalEstimator:
     def observation(self, k: int) -> np.ndarray:
         return self.corr[:, k]
 
-    def proxies(self, k: int, eta: float, eps_n: float):
+    def proxies(self, k: int, eta: float):
         """Thresholded proxy upload of user k: (kept indices, their rho)."""
         rho, kept = local_proxy(self.A_m, self.observation(k),
-                                self.session.sigma_eff2, eta, eps_n, self.norms)
+                                self.session.sigma_eff2, eta, self.norms)
         self._rho[k] = rho
         return kept, rho[kept]
 
@@ -555,7 +555,6 @@ def _algorithm3_rounds(
     layout: ArrayLayout,
     model: DipoleModel,
     eta: float,
-    eps_n: float,
     eps_k,
 ) -> tuple[EstimationResult, list[tuple]]:
     """The rounds of Algorithm 3, per user: proxy upload (plus the
@@ -578,7 +577,7 @@ def _algorithm3_rounds(
     r = 0
     for k in range(K):
         r += 1
-        uploads = [est.proxies(k, eta, eps_n) for est in estimators]
+        uploads = [est.proxies(k, eta) for est in estimators]
         records += [(r, m, "proxy_list", 2 * len(up[0]), up)
                     for m, up in enumerate(uploads)]
         support, ok = fuse_and_select(uploads, L, grid.G)
@@ -632,14 +631,13 @@ def distributed_estimate(
     layout: ArrayLayout,
     model: DipoleModel,
     eta: float = DEFAULT_THRESHOLD,
-    eps_n: float = DEFAULT_EPS_NORM,
     eps_k="auto",
 ) -> EstimationResult:
     """Full distributed pipeline: local proxies, central fusion of the
     support, local sufficient statistics, central loaded-LS gains.  The
     ledger sums the exchanges that runtime.run_algorithm3 logs."""
     return _algorithm3_rounds(session, observations, L, grid, layout, model,
-                              eta, eps_n, eps_k)[0]
+                              eta, eps_k)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ is, to the last bit, the one its LPU computes from its own set.
 The forward pass (a full evaluation or a probe) is precoding's one
 per-antenna chain, ``antenna_chain``, on coupler channels formed from cached
 steering.  The gradient is its adjoint (``gradient_of``), read from the full
-evaluation the iteration already holds.  The rate depends on
-the positions only through the whitened Gram W = sum_m g_bar_m g_bar_m^H,
-g_bar_m = g_m / sqrt(b_m), so d rate = Re tr(Psi dW) for one K x K
+evaluation the iteration already holds, Gram solve included.  The rate
+depends on the positions only through the whitened Gram W = sum_m g_bar_m
+g_bar_m^H, g_bar_m = g_m / sqrt(b_m), so d rate = Re tr(Psi dW) for one K x K
 Hermitian Psi (``gram_rate_adjoint``), i.e. 2 Re sum_m (Psi g_bar_m)^H
 d g_bar_m.  From there the chain runs per antenna, batched over all M: the
 weights w = A^-1 z_bar need one adjoint solve with A = Z_hat + X, the
@@ -263,7 +263,7 @@ class ObjectiveEvaluator:
         sqrt_b = np.sqrt(st.B)
         g = st.G.T  # (M, K) columns g_m
         g_bar = g / sqrt_b[:, None]
-        Psi = gram_rate_adjoint(g_bar.T @ g_bar.conj(), self.P_max, self.sigma2)
+        Psi = gram_rate_adjoint(st.gram, self.P_max, self.sigma2)
         v = g_bar @ Psi.T  # rows Psi g_bar_m
         # d rate = Re(c_m . dg_m) + s_m db_m, from g_bar_m = g_m / sqrt(b_m)
         c = 2.0 * v.conj() / sqrt_b[:, None]
@@ -327,7 +327,7 @@ class ObjectiveEvaluator:
         col, b = self.probe_parts(m, p_m)
         old = np.take(G_bar.T, np.broadcast_to(m, p_m.shape[:-2]), axis=0)
         new = col / np.sqrt(b)[..., None]
-        W_p = (G_bar @ G_bar.conj().T - old[..., :, None] * old.conj()[..., None, :]
+        W_p = (st.gram.W - old[..., :, None] * old.conj()[..., None, :]
                + new[..., :, None] * new.conj()[..., None, :])
         return gram_sum_rate(W_p, self.P_max, self.sigma2)
 

@@ -7,6 +7,10 @@ effective column, power coefficient) given the coupler channels; every rate
 evaluation runs it, and ``effective_column`` and chanest's responses share
 its column step ``_column``.
 
+``_gram_forward`` is the one solve of the regularized Gram of the whitened
+channel: both precoders, the probes (``gram_sum_rate``) and the adjoint read
+it, and every SINR and rate comes from its coupling matrix beta W S.
+
 Convention used project-wide: row k of the effective channel matrix G is the
 row vector that multiplies the precoder in the received signal,
 ``y_k = G[k, :] @ U @ s + n_k`` with ``G[k, m] = h_A[k, m] - w_m^T h_C[k, m]``.
@@ -17,7 +21,8 @@ without affecting any reported metric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,127 +139,111 @@ def power_coefficient(block: ImpedanceBlock, w_m: np.ndarray) -> float:
     return _scalar(val)
 
 
+class GramForward(NamedTuple):
+    """The MMSE forward pass on a whitened Gram W = G_bar G_bar^H (..., K, K)."""
+
+    W: np.ndarray
+    S: np.ndarray  # (W + alpha I)^-1
+    WS: np.ndarray
+    tau: np.ndarray  # tr(S W S) = ||G_bar^H S||_F^2
+    beta: np.ndarray  # sqrt(P_max / tau); 0 at tau = 0, the silent precoder
+    alpha: float  # K sigma2 / P_max
+    cond: np.ndarray  # condition bound of W + alpha I (``_certified_solve``)
+
+    @property
+    def coupling(self) -> np.ndarray:
+        """G U = G_bar F = beta W S, the coupling matrix of ``_rate_of_coupling``."""
+        return self.beta[..., None, None] * self.WS
+
+
+def _gram_forward(W: np.ndarray, P_max: float, sigma2: float) -> GramForward:
+    """The one solve of the regularized Gram W + alpha I, certified by
+    ``_certified_solve``.  A zero channel (tau = 0) gets beta = 0: no power
+    loading can meet the budget, so the precoder is silent."""
+    K = W.shape[-1]
+    alpha = K * sigma2 / P_max
+    S, cond = _certified_solve(W + alpha * np.eye(K), None, GRAM_COND_LIMIT,
+                               SingularGram, "regularized Gram")
+    WS = W @ S
+    tau = np.sum(S.conj() * WS, axis=(-2, -1)).real  # S Hermitian
+    beta = np.sqrt(P_max) / np.where(tau == 0.0, np.inf, np.sqrt(tau))
+    return GramForward(W, S, WS, tau, beta, alpha, cond)
+
+
 @dataclass
 class PrecodingState:
-    """Result of MMSE precoding on an effective channel."""
+    """Result of MMSE precoding on an effective channel and its Gram forward pass."""
 
     G: np.ndarray  # (K, M) effective channel rows
     B: np.ndarray  # (M,) power coefficients
     U: np.ndarray  # (M, K) digital precoder (port currents)
     F: np.ndarray  # (M, K) whitened precoder, ||F||_F^2 = P_max
-    beta: float
-    alpha: float
     sinr: np.ndarray  # (K,)
     sum_rate: float
     P_max: float
     sigma2: float
-    gram_cond: float = field(default=np.nan)  # upper bound on cond_2, exact where it misses
+    gram: GramForward
 
-    def to_dict(self) -> dict:
-        return {
-            "sum_rate": self.sum_rate,
-            "sinr": self.sinr.tolist(),
-            "b": self.B.tolist(),
-            "beta": self.beta,
-            "alpha": self.alpha,
-            "P_max": self.P_max,
-            "sigma2": self.sigma2,
-            "gram_cond": self.gram_cond,
-        }
+    @property
+    def beta(self):
+        return _scalar(self.gram.beta)
 
-
-def _regularized_inverse(G_bar: np.ndarray, P_max: float, sigma2: float):
-    """Regularized inverse of the whitened channel (..., K, ports), scaled to
-    ||F||_F^2 = P_max; returns (F, beta, alpha, Gram condition bound)."""
-    K = G_bar.shape[-2]
-    alpha = K * sigma2 / P_max
-    G_bar_h = np.swapaxes(G_bar.conj(), -1, -2)
-    gram = G_bar @ G_bar_h + alpha * np.eye(K)
-    inv, cond = _certified_solve(gram, None, GRAM_COND_LIMIT, SingularGram, "regularized Gram")
-    F_hat = G_bar_h @ inv
-    # Frobenius norm per batch entry, summed as np.linalg.norm sums one matrix
-    flat = F_hat.reshape(F_hat.shape[:-2] + (1, -1))
-    sq = flat.real @ np.swapaxes(flat.real, -1, -2) + flat.imag @ np.swapaxes(flat.imag, -1, -2)
-    norm = np.sqrt(sq[..., 0, 0])
-    # zero channel: the regularized LS solution is F = 0 and no power
-    # loading can meet the budget; degrade to the silent precoder (beta = 0)
-    beta = np.sqrt(P_max) / np.where(norm == 0.0, np.inf, norm)
-    return beta[..., None, None] * F_hat, beta, alpha, cond
-
-
-def _gram_forward(W: np.ndarray, P_max: float, sigma2: float):
-    """S = (W + alpha I)^-1, certified as in ``mmse_precoder``
-    (``_certified_solve``), W S and tau = tr(S W S) = ||F_hat||_F^2."""
-    K = W.shape[-1]
-    S, _ = _certified_solve(W + (K * sigma2 / P_max) * np.eye(K), None, GRAM_COND_LIMIT,
-                            SingularGram, "regularized Gram")
-    WS = W @ S
-    return S, WS, np.sum(S.conj() * WS, axis=(-2, -1)).real  # S Hermitian
+    @property
+    def gram_cond(self):
+        """Upper bound on cond_2 of the regularized Gram, exact where it misses."""
+        return _scalar(self.gram.cond)
 
 
 def gram_sum_rate(W: np.ndarray, P_max: float, sigma2: float):
     """MMSE sum rate from the whitened Gram W = G_bar G_bar^H (..., K, K),
-    with G_bar = G diag(B)^-1/2; one rate per batch entry.
-
-    With S = (W + alpha I)^-1 the precoder is F = beta G_bar^H S, so
-    G U = G_bar F = beta W S and ||F_hat||_F^2 = Re tr(S W S): the rate needs
-    only K x K algebra (``_gram_forward``)."""
-    _, WS, tau = _gram_forward(W, P_max, sigma2)
-    beta = np.sqrt(P_max) / np.where(tau == 0.0, np.inf, np.sqrt(tau))
-    return _rate_of_coupling(beta[..., None, None] * WS, sigma2)[1]
+    with G_bar = G diag(B)^-1/2; one rate per batch entry.  The precoder is
+    F = beta G_bar^H S, so the rate needs only K x K algebra."""
+    return _rate_of_coupling(_gram_forward(W, P_max, sigma2).coupling, sigma2)[1]
 
 
-def gram_rate_adjoint(W: np.ndarray, P_max: float, sigma2: float) -> np.ndarray:
+def gram_rate_adjoint(fwd: GramForward, P_max: float, sigma2: float) -> np.ndarray:
     """Hermitian Psi (..., K, K) with d rate = Re tr(Psi dW) for Hermitian dW,
-    the adjoint of ``gram_sum_rate`` on the same forward (``_gram_forward``).
+    the adjoint of ``gram_sum_rate`` at the forward pass ``fwd`` (``_gram_forward``).
 
     The coupling matrix is C = beta W S with S = (W + alpha I)^-1 and
-    beta^2 = P_max / tau, tau = tr(S W S); dC = d beta W S + beta alpha S dW S
-    and d tau = Re tr(S^2 (I - 2 W S) dW).  The rate pulls back through
-    d|C_kj|^2 = 2 Re(conj(C_kj) dC_kj).  A zero Gram (tau = 0) is the silent
-    precoder of ``gram_sum_rate`` and gets Psi = 0."""
-    K = W.shape[-1]
-    alpha = K * sigma2 / P_max
-    eye = np.eye(K)
-    S, WS, tau = _gram_forward(W, P_max, sigma2)
-    inv_tau = 1.0 / np.where(tau == 0.0, np.inf, tau)[..., None, None]
-    beta = np.sqrt(P_max * inv_tau)
-    C = beta * WS
+    beta^2 = P_max / tau, tau = tr(S W S); dC = d beta W S + beta alpha S dW S,
+    d beta = -(beta^3 / 2 P_max) d tau and d tau = Re tr(S^2 (I - 2 W S) dW).
+    The rate pulls back through d|C_kj|^2 = 2 Re(conj(C_kj) dC_kj).  A zero
+    Gram (tau = 0) is the silent precoder (beta = 0) and gets Psi = 0."""
+    S, WS, beta = fwd.S, fwd.WS, fwd.beta[..., None, None]
+    eye = np.eye(WS.shape[-1])
+    C = fwd.coupling
     power = np.abs(C) ** 2
     total = power.sum(axis=-1, keepdims=True) + sigma2
     interference_noise = total - np.diagonal(power, axis1=-2, axis2=-1)[..., None]
     # d rate / d|C_kj|^2: 1/total_k, less 1/interference_noise_k off the diagonal
     E = (1.0 / total - (1.0 - eye) / interference_noise) / np.log(2.0)
     Phi = np.swapaxes(2.0 * E * C.conj(), -1, -2)  # d rate = Re tr(Phi dC)
-    d_beta = -0.5 * beta * inv_tau * np.trace(Phi @ WS, axis1=-2, axis2=-1).real[..., None, None]
-    Psi = d_beta * (S @ S @ (eye - 2.0 * WS)) + beta * alpha * (S @ Phi @ S)
+    d_beta = (-0.5 / P_max) * beta**3 * np.trace(Phi @ WS, axis1=-2, axis2=-1).real[..., None, None]
+    Psi = d_beta * (S @ S @ (eye - 2.0 * WS)) + beta * fwd.alpha * (S @ Phi @ S)
     return 0.5 * (Psi + np.swapaxes(Psi.conj(), -1, -2))
 
 
 def mmse_precoder(
     G: np.ndarray, B: np.ndarray, P_max: float, sigma2: float
 ) -> PrecodingState:
-    """Regularized-inverse precoder on the whitened channel, power-loaded to
-    meet the transmit budget with equality.  Batched ``G`` (..., K, M) and
-    ``B`` (..., M) give batched state arrays and one sum rate per entry."""
+    """Regularized-inverse precoder F = beta G_bar^H S on the whitened channel
+    G_bar = G diag(B)^-1/2, power-loaded to meet the budget with equality; an
+    all-zero channel gets the silent precoder (beta = 0, U = 0, rate 0, power
+    0 < P_max).  Batched ``G`` (..., K, M) and ``B`` (..., M) give batched
+    state arrays and one sum rate per entry."""
     if not P_max > 0:  # also rejects NaN
         raise ConfigError(f"must be positive, got {P_max!r}", field="P_max")
     B = np.asarray(B, dtype=float)
     if np.any(B <= 0):
         raise NonPositivePower("power matrix must be strictly positive")
-    F, beta, alpha, cond = _regularized_inverse(G / np.sqrt(B)[..., None, :], P_max, sigma2)
-    U = F / np.sqrt(B)[..., :, None]
-    sinr, rate = sinr_and_rate(G, U, sigma2)
-    return PrecodingState(
-        G=G, B=B, U=U, F=F, beta=_scalar(beta), alpha=float(alpha),
-        sinr=sinr, sum_rate=rate, P_max=P_max, sigma2=sigma2, gram_cond=_scalar(cond),
-    )
-
-
-def sinr_and_rate(G: np.ndarray, U: np.ndarray, sigma2) -> tuple[np.ndarray, float]:
-    """Per-user SINR and sum rate for effective rows G and precoder U, each
-    optionally with leading batch axes (one sum rate per batch entry)."""
-    return _rate_of_coupling(G @ U, sigma2)
+    G_bar = G / np.sqrt(B)[..., None, :]
+    G_bar_h = np.swapaxes(G_bar.conj(), -1, -2)
+    gram = _gram_forward(G_bar @ G_bar_h, P_max, sigma2)
+    F = gram.beta[..., None, None] * (G_bar_h @ gram.S)
+    sinr, rate = _rate_of_coupling(gram.coupling, sigma2)
+    return PrecodingState(G=G, B=B, U=F / np.sqrt(B)[..., :, None], F=F, sinr=sinr,
+                          sum_rate=rate, P_max=P_max, sigma2=sigma2, gram=gram)
 
 
 def _rate_of_coupling(sig: np.ndarray, sigma2) -> tuple[np.ndarray, float]:
@@ -324,7 +313,8 @@ def fully_active_state(
 
     Ports are ordered per antenna [active; couplers] to match the
     block-diagonal Z; power is tr(U^H Re{Z} U) and whitening uses the
-    symmetric eigen square root of each Re{Z_m} block.
+    symmetric eigen square root of each Re{Z_m} block.  On an all-zero
+    channel it is the silent precoder, as in ``mmse_precoder``.
     """
     if placement is None:
         placement = uniform_placement(layout)
@@ -339,12 +329,11 @@ def fully_active_state(
     inv_roots = _real_inv_sqrt(Re_Z)
     H = h_ports.transpose(1, 0, 2).reshape(K, -1)
     G_bar = (h_ports @ inv_roots).transpose(1, 0, 2).reshape(K, -1)
-    F, beta, alpha, cond = _regularized_inverse(G_bar, P_max, sigma2)
+    gram = _gram_forward(G_bar @ G_bar.conj().T, P_max, sigma2)
+    F = gram.beta * (G_bar.conj().T @ gram.S)
     U = (inv_roots @ F.reshape(M, N + 1, K)).reshape(F.shape)
-    sinr, rate = sinr_and_rate(H, U, sigma2)
+    # H U = G_bar F blockwise, so the coupling is the forward's beta W S
+    sinr, rate = _rate_of_coupling(gram.coupling, sigma2)
     # power here is tr(U^H Re{Z} U) = ||F||_F^2, not diagonal; B is a placeholder
-    return PrecodingState(
-        G=H, B=np.ones(M * (N + 1)), U=U, F=F, beta=float(beta), alpha=float(alpha),
-        sinr=sinr, sum_rate=rate, P_max=P_max, sigma2=sigma2, gram_cond=float(cond),
-    )
-
+    return PrecodingState(G=H, B=np.ones(M * (N + 1)), U=U, F=F, sinr=sinr, sum_rate=rate,
+                          P_max=P_max, sigma2=sigma2, gram=gram)

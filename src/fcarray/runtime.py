@@ -22,7 +22,6 @@ import numpy as np
 
 from .chanest import (
     AngularGrid,
-    DEFAULT_EPS_NORM,
     DEFAULT_THRESHOLD,
     EstimationResult,
     PilotSession,
@@ -147,13 +146,12 @@ def run_algorithm3(
     layout: ArrayLayout,
     model: DipoleModel,
     eta: float = DEFAULT_THRESHOLD,
-    eps_n: float = DEFAULT_EPS_NORM,
     eps_k="auto",
 ) -> tuple[EstimationResult, list[Message], CostLedger]:
     """Distributed estimation with explicit rounds: proxy uploads (plus the
     unthresholded fallback when thresholding starves the fusion), support
     broadcast, sufficient-statistics upload, gain broadcast."""
     result, records = _algorithm3_rounds(session, observations, L, grid, layout,
-                                         model, eta, eps_n, eps_k)
+                                         model, eta, eps_k)
     messages = _messages(records)
     return result, messages, CostLedger.from_messages(messages)

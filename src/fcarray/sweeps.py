@@ -187,10 +187,23 @@ def _job(args) -> dict:
             "metric_value": rate_metric(scheme, seed, scenario, sigma2)}
 
 
+def _point_error(doc: dict, path: str, value) -> str | None:
+    """Why the job of a point setting config field ``path`` to ``value`` would
+    fail, or None: ``INT_FIELDS``, 0 < d_min < A, tau >= K (rate rows take any K)."""
+    if path in INT_FIELDS and not (int(value) == value and value >= INT_FIELDS[path]):
+        return f"must be an integer >= {INT_FIELDS[path]}, got {value!r}"
+    if path == "layout.A" and not value > doc["layout"]["d_min"]:
+        return f"must exceed layout.d_min = {doc['layout']['d_min']!r}, got {value!r}"
+    if path == "estimation.tau" and not value >= doc["channel"]["K"]:
+        return f"must be >= channel.K = {doc['channel']['K']!r}, got {value!r}"
+    return None
+
+
 def sweep_jobs(scenario: Scenario, axis: str) -> list[tuple]:
     """Jobs (doc, axis, point, scheme, seed) of one sweep, point-major, then
     scheme, then seed.  A point holds one value per swept field, typed as
-    that field (a single value when the axis sweeps one field)."""
+    that field (a single value when the axis sweeps one field); a point its
+    job would reject raises a ConfigError naming ``sweep.<list>[i]``."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {sorted(SWEEP_AXES)}",
                           field="sweep")
@@ -198,8 +211,9 @@ def sweep_jobs(scenario: Scenario, axis: str) -> list[tuple]:
     fields, schemes, _ = SWEEP_AXES[axis]
     for key, path in fields.items():
         for i, value in enumerate(doc["sweep"][key]):
-            if path in INT_FIELDS and int(value) != value:
-                raise ConfigError(f"must be an integer, got {value!r}", field=f"sweep.{key}[{i}]")
+            error = _point_error(doc, path, value)
+            if error:
+                raise ConfigError(error, field=f"sweep.{key}[{i}]")
     lists = [[int(v) if path in INT_FIELDS else float(v) for v in doc["sweep"][key]]
              for key, path in fields.items()]
     points = [p if len(p) > 1 else p[0] for p in itertools.product(*lists)]

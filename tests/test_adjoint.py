@@ -13,7 +13,7 @@ from fcarray.errors import InfeasibleLayout, NumericalError, SingularGram
 from fcarray.geometry import constraint_margins, random_feasible_placement, uniform_placement
 from fcarray.impedance import mutual_impedance, mutual_impedance_derivative
 from fcarray.optimizer import ObjectiveEvaluator, gradient
-from fcarray.precoding import fc_state, gram_rate_adjoint, gram_sum_rate
+from fcarray.precoding import _gram_forward, fc_state, gram_rate_adjoint, gram_sum_rate
 
 from test_acceptance import seeded
 
@@ -142,7 +142,7 @@ def test_gram_rate_adjoint_rejects_an_ill_conditioned_gram():
     with pytest.raises(SingularGram):
         gram_sum_rate(W, 1.0, 1e-16)
     with pytest.raises(SingularGram):
-        gram_rate_adjoint(W, 1.0, 1e-16)
+        gram_rate_adjoint(_gram_forward(W, 1.0, 1e-16), 1.0, 1e-16)
 
 
 @pytest.mark.parametrize("K, sigma2", [(1, 0.1), (3, 0.01), (4, 1.0)])
@@ -150,7 +150,7 @@ def test_gram_rate_adjoint_matches_directional_differences(K, sigma2):
     rng = np.random.default_rng(K)
     G = rng.standard_normal((K, 5)) + 1j * rng.standard_normal((K, 5))
     W = G @ G.conj().T
-    Psi = gram_rate_adjoint(W, 1.0, sigma2)
+    Psi = gram_rate_adjoint(_gram_forward(W, 1.0, sigma2), 1.0, sigma2)
     assert np.array_equal(Psi, Psi.conj().T)
     for _ in range(5):
         X = rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))

@@ -733,7 +733,7 @@ def test_bad_test_placement_fails_the_batched_nmse(N):
 
 
 def algorithm3_reference(session, observations, L, grid, layout, model, eta,
-                         eps_n=1e-12, eps_k="auto"):
+                         eps_k="auto"):
     """Algorithm 3 with every local unit calling ``local_dictionary`` for its
     own antenna and recomputing its column energies per user; returns the
     result fields, the ledger and the (round, antenna, kind, count, payload)
@@ -750,7 +750,7 @@ def algorithm3_reference(session, observations, L, grid, layout, model, eta,
         r += 1
         rhos, uploads = [], []
         for m in range(M):
-            rho, kept = local_proxy(A[m], corr[m][:, k], session.sigma_eff2, eta, eps_n)
+            rho, kept = local_proxy(A[m], corr[m][:, k], session.sigma_eff2, eta)
             rhos.append(rho)
             uploads.append((kept, rho[kept]))
             records.append((r, m, "proxy_list", 2 * len(kept), uploads[m]))
@@ -825,7 +825,7 @@ def test_algorithm3_matches_per_lpu_dictionary_reference(M, N, V, eta):
     direct = distributed_estimate(session, obs, L, grid, lay, model, eta=eta)
     routed, messages, _ = run_algorithm3(session, obs, L, grid, lay, model, eta=eta)
     rounds, got_records = _algorithm3_rounds(session, obs, L, grid, lay, model,
-                                             eta, 1e-12, "auto")
+                                             eta, "auto")
     for res in (direct, routed, rounds):
         assert np.array_equal(res.supports, supports)
         assert np.array_equal(res.gains, gains)

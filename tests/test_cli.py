@@ -309,14 +309,8 @@ def test_two_workers_write_the_bytes_of_one(config_path, tmp_path):
     assert a == b
 
 
-@pytest.mark.parametrize("axis, override, field", [
-    ("users", "sweep.users=[1, 2.5]", "sweep.users[1]"),
-    ("pilot", "sweep.pilot=[4.7]", "sweep.pilot[0]"),
-    ("region", "sweep.region_n=[1.5]", "sweep.region_n[0]"),
-])
-def test_non_integral_sweep_point_is_config_error(axis, override, field, config_path,
-                                                  tmp_path, capsys, monkeypatch):
-    # rejected before any job runs; other commands keep the config
+def assert_rejected_before_any_job(axis, override, field, config_path, tmp_path, capsys,
+                                   monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a job ran")
 
@@ -328,7 +322,32 @@ def test_non_integral_sweep_point_is_config_error(axis, override, field, config_
     assert err.startswith(f"config error: {field}:")
     assert "Traceback" not in err
     assert not out.exists()
+    # other commands keep the config
     Scenario(dict(SMALL), overrides=[override])
+
+
+@pytest.mark.parametrize("axis, override, field", [
+    ("users", "sweep.users=[1, 2.5]", "sweep.users[1]"),
+    ("pilot", "sweep.pilot=[4.7]", "sweep.pilot[0]"),
+    ("region", "sweep.region_n=[1.5]", "sweep.region_n[0]"),
+])
+def test_non_integral_sweep_point_is_config_error(axis, override, field, config_path,
+                                                  tmp_path, capsys, monkeypatch):
+    assert_rejected_before_any_job(axis, override, field, config_path, tmp_path, capsys,
+                                   monkeypatch)
+
+
+@pytest.mark.parametrize("axis, override, field", [
+    ("pilot", "sweep.pilot=[13, 1]", "sweep.pilot[1]"),  # tau < K = 2
+    ("pilot", "sweep.pilot=[0]", "sweep.pilot[0]"),
+    ("users", "sweep.users=[0]", "sweep.users[0]"),
+    ("region", "sweep.region=[1.0, 0.1]", "sweep.region[1]"),  # A <= d_min = 0.15
+    ("region", "sweep.region_n=[-1]", "sweep.region_n[0]"),
+])
+def test_out_of_range_sweep_point_is_config_error(axis, override, field, config_path,
+                                                  tmp_path, capsys, monkeypatch):
+    assert_rejected_before_any_job(axis, override, field, config_path, tmp_path, capsys,
+                                   monkeypatch)
 
 
 # Raw --set values: integers no larger than the base T_max, so every valid

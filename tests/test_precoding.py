@@ -13,7 +13,6 @@ from fcarray import (
     mmse_precoder,
     random_feasible_placement,
     sample_channels,
-    sinr_and_rate,
     transmit_power,
     uniform_placement,
 )
@@ -21,7 +20,7 @@ from fcarray.channel import active_channel_matrix, coupler_channel_block
 from fcarray.chanest import response_row
 from fcarray.errors import ConfigError, NonPositivePower
 from fcarray.impedance import ImpedanceBlock
-from fcarray.precoding import power_coefficient
+from fcarray.precoding import _rate_of_coupling, power_coefficient
 
 
 def blocks_of(pl, layout, model):
@@ -244,14 +243,14 @@ class TestSinrAndRate:
     def test_single_user(self, rng):
         G = rng.standard_normal((1, 4)) + 1j * rng.standard_normal((1, 4))
         U = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
-        gamma, rate = sinr_and_rate(G, U, 0.5)
+        gamma, rate = _rate_of_coupling(G @ U, 0.5)
         expected = abs(G[0] @ U[:, 0]) ** 2 / 0.5
         assert gamma[0] == pytest.approx(expected, rel=1e-12)
         assert rate == pytest.approx(np.log2(1 + expected), rel=1e-12)
 
     def test_zero_precoder(self):
-        gamma, rate = sinr_and_rate(np.ones((2, 3), dtype=complex),
-                                    np.zeros((3, 2), dtype=complex), 1.0)
+        gamma, rate = _rate_of_coupling(np.ones((2, 3), dtype=complex)
+                                        @ np.zeros((3, 2), dtype=complex), 1.0)
         assert np.allclose(gamma, 0.0)
         assert rate == 0.0
 
@@ -262,7 +261,7 @@ class TestSinrAndRate:
         U = G.conj().T / 2.0
         cross = G @ U
         assert abs(cross[0, 1]) ** 2 < 1e-20 and abs(cross[1, 0]) ** 2 < 1e-20
-        gamma, rate = sinr_and_rate(G, U, 0.25)
+        gamma, rate = _rate_of_coupling(G @ U, 0.25)
         assert np.allclose(gamma, 4.0, rtol=1e-12)  # |1|^2 / 0.25
         assert rate == pytest.approx(2 * np.log2(5.0), rel=1e-12)
 
