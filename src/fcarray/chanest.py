@@ -21,11 +21,13 @@ stacked vector belongs to block v, antenna m.
 
 The per-antenna chain runs batched: one weights solve (``_weights``) feeds
 the angular responses and the effective columns, both formed by the column
-step of precoding's ``antenna_chain`` (``_column``); the exhaustive
-baseline's candidate measurements take the same two steps.  The pilot phase and the dictionary cube, built once
-per session for all estimators, are one chain call each over the (V, M)
-block/antenna pairs, and ``predict``, ``true_effective`` and ``nmse`` one
-call over all (test placement, antenna) pairs.  Each batch entry reads only
+step of precoding's ``antenna_chain`` (``_column``).  The pilot phase and
+the dictionary cube, built once per session for all estimators, are one
+chain call each over the (V, M) block/antenna pairs, and ``predict``,
+``true_effective`` and ``nmse`` one call over all (test placement, antenna)
+pairs.  The exhaustive baseline steers each lattice point and each parked
+coupler once and scores all M N D candidates with one weights solve, one
+column step and one noise draw.  Each batch entry reads only
 its own antenna's schedule, so local estimator m's slice of the cube depends
 on no other antenna's positions.
 """
@@ -40,6 +42,7 @@ import numpy as np
 from .channel import (
     MultipathSpec,
     active_channel_matrix,
+    coupler_channel_block,
     steering_active,
     steering_coupler_block,
 )
@@ -685,7 +688,17 @@ def exhaustive_baseline(
     D: int = 400,
 ) -> ExhaustiveResult:
     """Measure the effective channel over a D-point lattice per coupler
-    region via pilot correlation (noise at the session's level)."""
+    region via pilot correlation (noise at the session's level).
+
+    Candidate (m, n, d) moves coupler n of antenna m to lattice point d and
+    keeps the others parked.  Couplers that did not move keep their
+    channels, so each lattice point's channels are computed once per
+    antenna and each parked coupler's once; a candidate's coupler channels
+    are its antenna's parked ones with column n replaced by point d's.
+    The feasible candidates, stacked m-major, then n, then d, take one
+    impedance assembly, one weights solve, one column step and one noise
+    draw, in the order the parked measurement and the per-candidate
+    measurements would be drawn one after another."""
     side = max(int(round(np.sqrt(D))), 1)
     D_actual = side * side
     M, N, K = layout.M, layout.N, session.K
@@ -708,21 +721,36 @@ def exhaustive_baseline(
         block holds the real then the imaginary part of each measurement in
         turn, the same stream as drawing one measurement after another."""
         w = rng.standard_normal(g.shape[:-1] + (2, session.tau))
-        y = g @ session.S + sigma * (w[..., 0, :] + 1j * w[..., 1, :])
+        w *= sigma
+        y = g @ session.S
+        y.real += w[..., 0, :]
+        y.imag += w[..., 1, :]
         return pilot_correlate(y, session.S, session.tau)
 
-    base = measure(true_effective(spec, parked, layout, model))
+    # the parked couplers' channels (M, K, N) and weights (M, N), and each
+    # lattice point's channels (M, D, K), one chain call each
+    P0 = parked.positions
+    h_parked = coupler_channel_block(spec, P0, layout.lam)
+    w_parked = _weights(P0, layout, model)
+    h_lattice = coupler_channel_block(spec, candidates[:, :, None, :], layout.lam)[..., 0]
+    base = measure(_column(h_active.T, h_parked, w_parked))
 
+    # feasible candidates (m, n, d), stacked m-major, then n, then d: antenna
+    # m's parked channels with column n replaced by lattice point d's
+    moves = [single_coupler_moves(P0[m], m, np.arange(N), candidates[m], layout)
+             for m in range(M)]
+    feasible = np.stack([ok for ok, _ in moves])  # (M, N, D)
+    P = np.concatenate([moved[ok] for ok, moved in moves])  # (F, N, 2)
+    mi, ni, di = np.nonzero(feasible)
+    w = mech_weights(build_block(P, layout.active_positions()[mi], model))[0]
+    h_c = h_parked[mi]  # (F, K, N)
+    h_c[np.arange(len(mi)), :, ni] = h_lattice[mi, di]
+    g = _column(h_active.T[mi], h_c, w)
+    # the batch is M N D candidates deep: measure's noise block is the
+    # largest array, so the positions, weights and channels go first
+    del moves, P, w, h_c
     table = np.zeros((M, N, D_actual, K), dtype=complex)
-    feasible = np.zeros((M, N, D_actual), dtype=bool)
-    for m in range(M):
-        ok, moved = single_coupler_moves(parked.positions[m], m, np.arange(N), candidates[m],
-                                         layout)
-        feasible[m] = ok
-        for n in np.flatnonzero(ok.any(axis=1)):
-            P = moved[n, ok[n]]
-            w = mech_weights(build_block(P, layout.active_positions()[m], model))[0]
-            table[m, n, ok[n]] = measure(effective_column(spec, P, w, m, h_active, layout.lam))
+    table[feasible] = measure(g)
 
     ledger = {
         "candidate_measurements_per_user_per_block": M * N * D_actual,

@@ -159,7 +159,10 @@ class GramForward(NamedTuple):
 def _gram_forward(W: np.ndarray, P_max: float, sigma2: float) -> GramForward:
     """The one solve of the regularized Gram W + alpha I, certified by
     ``_certified_solve``.  A zero channel (tau = 0) gets beta = 0: no power
-    loading can meet the budget, so the precoder is silent."""
+    loading can meet the budget, so the precoder is silent.  A budget that is
+    not positive (NaN included) is a ConfigError on ``P_max``."""
+    if not P_max > 0:  # also rejects NaN
+        raise ConfigError(f"must be positive, got {P_max!r}", field="P_max")
     K = W.shape[-1]
     alpha = K * sigma2 / P_max
     S, cond = _certified_solve(W + alpha * np.eye(K), None, GRAM_COND_LIMIT,
@@ -232,8 +235,6 @@ def mmse_precoder(
     all-zero channel gets the silent precoder (beta = 0, U = 0, rate 0, power
     0 < P_max).  Batched ``G`` (..., K, M) and ``B`` (..., M) give batched
     state arrays and one sum rate per entry."""
-    if not P_max > 0:  # also rejects NaN
-        raise ConfigError(f"must be positive, got {P_max!r}", field="P_max")
     B = np.asarray(B, dtype=float)
     if np.any(B <= 0):
         raise NonPositivePower("power matrix must be strictly positive")

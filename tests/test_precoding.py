@@ -20,7 +20,7 @@ from fcarray.channel import active_channel_matrix, coupler_channel_block
 from fcarray.chanest import response_row
 from fcarray.errors import ConfigError, NonPositivePower
 from fcarray.impedance import ImpedanceBlock
-from fcarray.precoding import _rate_of_coupling, power_coefficient
+from fcarray.precoding import _rate_of_coupling, gram_sum_rate, power_coefficient
 
 
 def blocks_of(pl, layout, model):
@@ -236,6 +236,24 @@ class TestMMSEPrecoder:
         # not the SingularGram that the regularized inverse would report
         with pytest.raises(ConfigError) as err:
             mmse_precoder(np.ones((1, 2), complex), np.ones(2), np.nan, 0.1)
+        assert err.value.field == "P_max"
+
+    @pytest.mark.parametrize("P_max", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("entry", ["mmse_precoder", "fully_active_state", "gram_sum_rate"])
+    def test_every_gram_forward_entry_rejects_the_budget(self, entry, P_max):
+        # the check sits in the one Gram forward pass, so no entry point
+        # divides by zero, returns a NaN rate or reports a singular Gram
+        lay = ArrayLayout(M=2, N=2)
+        spec = sample_channels(3, K=2, L=4, layout=lay)
+        call = {
+            "mmse_precoder": lambda: mmse_precoder(np.ones((1, 2), complex), np.ones(2),
+                                                   P_max, 0.1),
+            "fully_active_state": lambda: fully_active_state(
+                spec, lay, DipoleModel.for_layout(lay), P_max, 0.1),
+            "gram_sum_rate": lambda: gram_sum_rate(np.eye(2), P_max, 0.1),
+        }[entry]
+        with pytest.raises(ConfigError) as err:
+            call()
         assert err.value.field == "P_max"
 
 
