@@ -352,7 +352,6 @@ class EstimationResult:
     gains: np.ndarray  # (K, L) complex
     grid: AngularGrid
     ledger: dict = field(default_factory=dict)
-    residual_history: list = field(default_factory=list)
 
     def predict(self, placement, layout: ArrayLayout, model: DipoleModel) -> np.ndarray:
         """Reconstructed effective channels (M, K) at an arbitrary placement,
@@ -426,21 +425,19 @@ def centralized_estimate(
     supports = np.zeros((K, L), dtype=int)
     angles = np.zeros((K, L))
     gains = np.zeros((K, L), dtype=complex)
-    residuals = []
     for k in range(K):
         y_k = stack_observations(corr_blocks, k)
-        support, history = omp(y_k, A, L)
+        support, _ = omp(y_k, A, L)
         supports[k] = support
         angles[k] = grid.angles[supports[k]]
         gains[k] = ls_gains(y_k, A, support)
-        residuals.append(history)
     ledger = {
         "pilot_uplink_complex": layout.M * session.V * session.tau,
         "pilot_uplink_scalars": 2 * layout.M * session.V * session.tau,
     }
     return EstimationResult(
         scheme="centralized", supports=supports, angles=angles, gains=gains,
-        grid=grid, ledger=ledger, residual_history=residuals,
+        grid=grid, ledger=ledger,
     )
 
 

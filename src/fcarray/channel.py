@@ -9,7 +9,6 @@ coupler-minor.  Channel gains are normalized to unit average power
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,23 +48,6 @@ class MultipathSpec:
     def L(self) -> int:
         return self.angles.shape[1]
 
-    def to_json(self, path) -> None:
-        doc = {
-            "angles": self.angles.tolist(),
-            "gains_re": np.real(self.gains).tolist(),
-            "gains_im": np.imag(self.gains).tolist(),
-            "noise_var": self.noise_var,
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1)
-
-    @classmethod
-    def from_json(cls, path) -> "MultipathSpec":
-        with open(path) as fh:
-            doc = json.load(fh)
-        gains = np.array(doc["gains_re"]) + 1j * np.array(doc["gains_im"])
-        return cls(np.array(doc["angles"]), gains, doc["noise_var"])
-
 
 def steering_active(phi, layout: ArrayLayout) -> np.ndarray:
     """Active-array steering vector; entry m is exp(-j k (m-1) d_y sin phi).
@@ -102,8 +84,6 @@ def active_channel_matrix(spec: MultipathSpec, layout: ArrayLayout) -> np.ndarra
 def coupler_channel_block(spec: MultipathSpec, p_m: np.ndarray, lam: float) -> np.ndarray:
     """(K, N) coupler channels of one antenna for all users; a batch of
     positions (..., N, 2) gives (..., K, N)."""
-    if p_m.shape[-2] == 0:
-        return np.zeros(p_m.shape[:-2] + (spec.K, 0), dtype=complex)
     a_c = steering_coupler_block(spec.angles, p_m, lam)  # (..., K, L, N)
     return np.einsum("kl,...kln->...kn", spec.gains, a_c)
 

@@ -226,21 +226,16 @@ def constraint_margins(positions: np.ndarray, layout: ArrayLayout, m=None):
             np.hypot(d.real, d.imag))
 
 
-def is_feasible(
-    placement: CouplerPlacement,
-    layout: ArrayLayout,
-    atol: float | None = None,
-) -> FeasibilityReport:
+def is_feasible(placement: CouplerPlacement, layout: ArrayLayout) -> FeasibilityReport:
     """Check region membership and pairwise spacing (couplers and the n=0
-    active element) for every antenna.  ``atol`` absorbs projection round-off;
-    defaults to 1e-8 wavelengths."""
+    active element) for every antenna, to a tolerance of 1e-8 wavelengths
+    that absorbs projection round-off."""
     if placement.M != layout.M or placement.N != layout.N:
         raise DimensionMismatch(
             f"placement is ({placement.M}, {placement.N}), layout expects "
             f"({layout.M}, {layout.N})"
         )
-    if atol is None:
-        atol = 1e-8 * layout.lam
+    atol = 1e-8 * layout.lam
     box, dist = constraint_margins(placement.positions, layout)
     spacing = dist - layout.min_sep_m
     a, b = spacing_pairs(layout.N)
@@ -261,29 +256,17 @@ class LinearizedFeasibleSet:
     Half-spaces are stored as rows of ``normals`` with offsets ``offsets``:
     membership means ``normals @ x <= offsets`` plus the box bounds.  Any
     member satisfies the true (nonconvex) spacing constraints because the
-    linearization is a global affine upper bound of the concave ``-d``.
+    linearization is a global affine upper bound of the concave ``-d``.  Row p
+    belongs to pair p of ``spacing_pairs(N)``.
 
-    A batch of antennas stacks the sets along a leading axis (``antenna``
-    (A,), ``anchor`` (A, 2N), ``normals`` (A, P, 2N), ...); ``contains`` and
-    ``slacks`` take one antenna's set.
+    A batch of antennas stacks the sets along a leading axis (``normals``
+    (A, P, 2N), ...).
     """
 
-    antenna: int | np.ndarray
-    anchor: np.ndarray  # (2N,)
     box_lo: np.ndarray  # (2N,)
     box_hi: np.ndarray  # (2N,)
     normals: np.ndarray  # (P, 2N)
     offsets: np.ndarray  # (P,)
-    pairs: list[tuple[int, int]]
-
-    def contains(self, x: np.ndarray, atol: float = 1e-12) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.box_lo - atol) and np.all(x <= self.box_hi + atol)
-                    and np.all(self.normals @ x <= self.offsets + atol))
-
-    def slacks(self, x: np.ndarray) -> np.ndarray:
-        """Half-space slacks offsets - normals @ x (>= 0 inside)."""
-        return self.offsets - self.normals @ np.asarray(x, dtype=float)
 
 
 def linearize_spacing(
@@ -332,10 +315,10 @@ def linearize_spacing(
     p_anchor = pts.reshape(A, 2 * N)
     # -d_t - g.(p - p_t) <= -min_sep^2  <=>  (-g).p <= d_t - g.p_t - min_sep^2
     offsets = np.vecdot(diff, diff) - np.vecdot(g, p_anchor[:, None, :]) - min_sep**2
-    parts = (idx, p_anchor, box_lo, box_hi, -g, offsets)
+    parts = (box_lo, box_hi, -g, offsets)
     if np.ndim(m) == 0:  # a scalar m gives that antenna's set, unstacked
-        parts = (m, *(x[0] for x in parts[1:]))
-    return LinearizedFeasibleSet(*parts, pairs=list(zip(a.tolist(), b.tolist())))
+        parts = (x[0] for x in parts)
+    return LinearizedFeasibleSet(*parts)
 
 
 def project_onto_set(

@@ -157,13 +157,6 @@ def build_block(p_m: np.ndarray, q_m: np.ndarray, model: DipoleModel) -> Impedan
     p_m = p_m.reshape(-1, 2) if p_m.ndim < 3 else p_m
     q_m = np.asarray(q_m, dtype=float)
     batch, N = p_m.shape[:-2], p_m.shape[-2]
-    if N == 0:
-        return ImpedanceBlock(
-            z_self=model.self_impedance,
-            z_bar=np.zeros(batch + (0,), dtype=complex),
-            Z_hat=np.zeros(batch + (0, 0), dtype=complex),
-            X=np.zeros((0, 0), dtype=complex),
-        )
     q_m = q_m[..., None, :]
     d_bar = np.hypot(p_m[..., 0] - q_m[..., 0], p_m[..., 1] - q_m[..., 1])
     iu, ju = np.triu_indices(N, k=1)
@@ -175,10 +168,3 @@ def build_block(p_m: np.ndarray, q_m: np.ndarray, model: DipoleModel) -> Impedan
     Z_hat[..., ju, iu] = z[..., N:]
     X = np.diag(np.full(N, model.load_impedance, dtype=complex))
     return ImpedanceBlock(model.self_impedance, z_bar, Z_hat, X)
-
-
-def write_impedance_table(path, distances, model: DipoleModel) -> None:
-    """Export (d, Re Z, Im Z) rows as CSV for validation plots."""
-    z = mutual_impedance(np.asarray(distances, dtype=float), model)
-    table = np.column_stack([distances, np.real(z), np.imag(z)])
-    np.savetxt(path, table, delimiter=",", header="d_m,re_ohm,im_ohm", comments="")

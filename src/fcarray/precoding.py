@@ -21,7 +21,7 @@ without affecting any reported metric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -43,10 +43,8 @@ def _scalar(x):
 def mech_weights(block: ImpedanceBlock) -> tuple[np.ndarray, float]:
     """Solve one antenna's coupling system; returns (w, condition bound, see
     ``_certified_solve``).  A batched block gives w (..., N) and one bound per
-    entry; a single ill-conditioned entry fails the whole batch."""
-    batch = block.z_bar.shape[:-1]
-    if block.N == 0:
-        return np.zeros(batch + (0,), dtype=complex), _scalar(np.ones(batch))
+    entry; a single ill-conditioned entry fails the whole batch.  At N = 0 the
+    weights are empty and the bound is 0.0, the norm of the empty system."""
     X, cond = _certified_solve(block.Z_hat + block.X, block.z_bar[..., None], COND_LIMIT,
                                SingularSystem, "coupling system")
     return X[..., 0], _scalar(cond)
@@ -67,7 +65,7 @@ def _certified_solve(A: np.ndarray, rhs, limit: float, error: type, what: str):
         _exact_cond(A, limit, error, what)
         raise error(f"{what} is singular") from None
     cond = np.asarray(np.linalg.norm(A, axis=(-2, -1))
-                      * np.linalg.norm(X[..., -n:], axis=(-2, -1)))
+                      * np.linalg.norm(X[..., X.shape[-1] - n:], axis=(-2, -1)))
     miss = ~(cond <= 1e-2 * limit)
     if miss.any():
         cond[miss] = _exact_cond(A[miss], limit, error, what)
@@ -99,9 +97,7 @@ def effective_column(
 def _column(h_am: np.ndarray, h_cm: np.ndarray, w_m: np.ndarray) -> np.ndarray:
     """h_A[:, m] - h_C w_m from the active channels (..., K), the coupler
     channels (..., K, N) and the weights (..., N)."""
-    if w_m.shape[-1]:
-        return h_am - (h_cm @ w_m[..., None])[..., 0]
-    return np.broadcast_to(h_am, np.broadcast_shapes(h_am.shape, h_cm.shape[:-1])).copy()
+    return h_am - (h_cm @ w_m[..., None])[..., 0]
 
 
 def antenna_chain(
@@ -269,11 +265,11 @@ def active_only_state(
     spec: MultipathSpec, layout: ArrayLayout, model: DipoleModel,
     P_max: float, sigma2: float,
 ) -> PrecodingState:
-    """Baseline: M active elements, no couplers.  The effective channel is the
-    plain active-array channel and every port radiates with b = Re{z_self}."""
-    G = active_channel_matrix(spec, layout)
-    B = np.full(layout.M, np.real(model.self_impedance))
-    return mmse_precoder(G, B, P_max, sigma2)
+    """Baseline: M active elements, no couplers, i.e. the chain at N = 0.  Its
+    effective channel is the plain active-array channel h_A and every port
+    radiates with b = Re{z_self}, the power coefficient of a 1 x 1 block."""
+    bare = replace(layout, N=0)
+    return fc_state(spec, uniform_placement(bare), bare, model, P_max, sigma2)
 
 
 def fc_state(
@@ -308,7 +304,6 @@ def fully_active_state(
     model: DipoleModel,
     P_max: float,
     sigma2: float,
-    placement: CouplerPlacement | None = None,
 ) -> PrecodingState:
     """Baseline with all M(N+1) ports active at the uniform fixed positions.
 
@@ -317,8 +312,7 @@ def fully_active_state(
     symmetric eigen square root of each Re{Z_m} block.  On an all-zero
     channel it is the silent precoder, as in ``mmse_precoder``.
     """
-    if placement is None:
-        placement = uniform_placement(layout)
+    placement = uniform_placement(layout)
     Re_Z = np.real(build_block(placement.positions, layout.active_positions(), model)
                    .full_matrix())  # (M, N+1, N+1)
     M, N, K = layout.M, layout.N, spec.K

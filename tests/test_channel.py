@@ -174,15 +174,6 @@ class TestSampleChannels:
             draws += 5
         assert total / draws == pytest.approx(1.0, rel=0.03)
 
-    def test_json_round_trip(self, tmp_path, layout):
-        spec = sample_channels(1, K=2, L=3, layout=layout, noise_var=0.5)
-        path = tmp_path / "spec.json"
-        spec.to_json(path)
-        loaded = MultipathSpec.from_json(path)
-        assert np.allclose(loaded.angles, spec.angles)
-        assert np.allclose(loaded.gains, spec.gains)
-        assert loaded.noise_var == spec.noise_var
-
     def test_validation(self):
         with pytest.raises(ConfigError, match="angles"):
             MultipathSpec(angles=[[2.0]], gains=[[1.0]])  # angle out of range

@@ -10,7 +10,7 @@ from fcarray import (
     uniform_placement,
 )
 from fcarray.errors import DomainError, TooClose
-from fcarray.impedance import ETA_FREE_SPACE, write_impedance_table
+from fcarray.impedance import ETA_FREE_SPACE
 
 
 # --- quadrature oracles -----------------------------------------------------
@@ -175,14 +175,3 @@ class TestBuildBlock:
         pl = uniform_placement(layout)
         blk = build_block(pl.positions[0], layout.active_position(0), model)
         assert np.array_equal(blk.X, np.diag([model.load_impedance] * layout.N))
-
-
-def test_impedance_table_csv(tmp_path, model):
-    path = tmp_path / "table.csv"
-    d = np.linspace(0.2, 2.0, 10) * model.wavelength
-    write_impedance_table(path, d, model)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (10, 3)
-    z = mutual_impedance(d, model)
-    assert np.allclose(data[:, 1], z.real)
-    assert np.allclose(data[:, 2], z.imag)

@@ -311,8 +311,7 @@ class TestFullyActive:
         for seed in range(50):
             spec = sample_channels(seed, K=2, L=15, layout=layout)
             pl = uniform_placement(layout)
-            r_full = fully_active_state(spec, layout, model, P_max, sigma2,
-                                        placement=pl).sum_rate
+            r_full = fully_active_state(spec, layout, model, P_max, sigma2).sum_rate
             r_fc = fc_state(spec, pl, layout, model, P_max, sigma2).sum_rate
             diffs.append(r_full - r_fc)
         assert np.mean(diffs) > 0
