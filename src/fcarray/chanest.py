@@ -34,6 +34,7 @@ on no other antenna's positions.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -661,13 +662,48 @@ class ExhaustiveResult:
     parked: CouplerPlacement
     ledger: dict
 
+    def _nearest_feasible(self, P: np.ndarray) -> np.ndarray:
+        """Index (..., M, N) of the feasible candidate nearest to each coupler
+        of positions (..., M, N, 2), the lowest index among equal squared
+        distances; 0 for a coupler with no feasible candidate.
+
+        Candidate d = i * side + j sits on lattice row i and column j, so its
+        squared distance is dx2[j] + dy2[i] from the per-axis squares, the
+        same floats a search over all D candidates forms.  The lowest-index
+        minimum of the 3 x 3 block around the per-axis nearest row and column
+        is the answer when it is feasible and below a bound on every point
+        outside the block (from the per-axis minima outside it); only the
+        other queries search all D candidates."""
+        M, N, D, _ = self.table.shape
+        side = math.isqrt(D)
+        c = self.candidates  # (M, D, 2): row i of the lattice is c[:, i*side:(i+1)*side]
+        dx2 = (c[:, None, :side, 0] - P[..., 0, None]) ** 2  # (..., M, N, side)
+        dy2 = (c[:, None, ::side, 1] - P[..., 1, None]) ** 2
+        rows, cols = (np.clip(sq.argmin(axis=-1)[..., None] + [-1, 0, 1], 0, side - 1)
+                      for sq in (dy2, dx2))  # (..., M, N, 3), ascending
+        near = (np.take_along_axis(dx2, cols, axis=-1)[..., None, :]
+                + np.take_along_axis(dy2, rows, axis=-1)[..., :, None])  # (..., 3, 3)
+        k = near.reshape(near.shape[:-2] + (9,)).argmin(axis=-1)[..., None]
+        d_idx = (np.take_along_axis(rows, k // 3, axis=-1)[..., 0] * side
+                 + np.take_along_axis(cols, k % 3, axis=-1)[..., 0])
+        lanes = np.arange(side)
+        x_out, y_out = (np.where(np.abs(lanes - mid[..., 1:2]) > 1, sq, np.inf).min(axis=-1)
+                        for sq, mid in ((dx2, cols), (dy2, rows)))
+        bound = np.minimum(x_out + dy2.min(axis=-1), dx2.min(axis=-1) + y_out)
+        exact = ((near.min(axis=(-2, -1)) < bound)
+                 & self.feasible[np.arange(M)[:, None], np.arange(N), d_idx])
+        if not exact.all():
+            loc = np.nonzero(~exact)
+            d2 = np.sum((c[loc[-2]] - P[loc][:, None, :]) ** 2, axis=-1)  # (F, D)
+            d_idx[loc] = np.argmin(np.where(self.feasible[loc[-2:]], d2, np.inf), axis=-1)
+        return d_idx
+
     def predict(self, placement, layout: ArrayLayout, model: DipoleModel) -> np.ndarray:
         """Predicted channels (M, K) at a placement, or (..., M, K) at
         positions (..., M, N, 2)."""
         M, N, D, K = self.table.shape
         P = _positions(placement)
-        d2 = np.sum((self.candidates[:, None] - P[..., None, :]) ** 2, axis=-1)
-        d_idx = np.argmin(np.where(self.feasible, d2, np.inf), axis=-1)  # (..., M, N)
+        d_idx = self._nearest_feasible(P)  # (..., M, N)
         picked = self.table[np.arange(M)[:, None], np.arange(N), d_idx]  # (..., M, N, K)
         step = np.where(self.feasible.any(axis=-1)[..., None],
                         picked - self.base[:, None], 0.0)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +52,7 @@ class ArrayLayout:
     region_side: float = 2.0
     d_min: float = 0.15
     f_c: float = 7.0e9
+    _active: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.M < 1:
@@ -62,6 +64,10 @@ class ArrayLayout:
                 raise ConfigError("must be positive", field=name)
         if not (0 < self.d_min < self.region_side):
             raise ConfigError("must satisfy 0 < d_min < region_side", field="d_min")
+        q = np.zeros((self.M, 2))
+        q[:, 1] = np.arange(self.M) * self.spacing_m
+        q.flags.writeable = False  # one copy serves every caller
+        object.__setattr__(self, "_active", q)
 
     @property
     def lam(self) -> float:
@@ -85,10 +91,9 @@ class ArrayLayout:
         return np.array([0.0, m * self.spacing_m])
 
     def active_positions(self) -> np.ndarray:
-        """(M, 2) array of all active-element positions."""
-        q = np.zeros((self.M, 2))
-        q[:, 1] = np.arange(self.M) * self.spacing_m
-        return q
+        """(M, 2) array of all active-element positions, built once per layout
+        and read-only."""
+        return self._active
 
     def region_bounds(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi) corners of the square region C_m, each shape (2,)."""
@@ -209,6 +214,56 @@ def spacing_pairs(N: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+class PairTables(NamedTuple):
+    """Per-N tables of the spacing pairs, in ``spacing_pairs`` order over the
+    points [q_m, p_1..p_N]: the coupler pairs as 0-based coupler indices
+    (``np.triu_indices(N, 1)``), the orientation ``linearize_spacing`` takes
+    (p_n - q for the active pairs, p_a - p_b for the coupler pairs), the pair
+    rows, and the (P, N+1) incidence matrix of the differences p_b - p_a."""
+
+    coupler_a: np.ndarray
+    coupler_b: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    rows: np.ndarray
+    incidence: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def pair_tables(N: int) -> PairTables:
+    """The read-only ``PairTables`` of N couplers, built once per N."""
+    a, b = spacing_pairs(N)
+    rows = np.arange(len(a))
+    incidence = np.zeros((len(a), N + 1))
+    incidence[rows, b] = 1.0
+    incidence[rows, a] = -1.0
+    tables = PairTables(a[N:] - 1, b[N:] - 1, np.where(a == 0, b, a), np.where(a == 0, a, b),
+                        rows, incidence)
+    for arr in tables:
+        arr.flags.writeable = False
+    return tables
+
+
+@functools.lru_cache(maxsize=64)
+def _box_bounds(layout: ArrayLayout, margin: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (M, 2N) lower and upper box bounds of every antenna's
+    flattened coordinates, each region shrunk by ``margin`` meters."""
+    q = layout.active_positions()[:, None, :]
+    half = 0.5 * layout.region_side_m
+    lo, hi = (np.broadcast_to(c, (layout.M, layout.N, 2)).reshape(layout.M, -1)
+              for c in (q - half + margin, q + half - margin))
+    lo.flags.writeable = hi.flags.writeable = False
+    return lo, hi
+
+
+@functools.lru_cache(maxsize=None)
+def _box_normals(n: int) -> np.ndarray:
+    """Read-only (n, 2n) [I, -I]: the normals of x <= hi and -x <= -lo."""
+    out = np.concatenate([np.eye(n), -np.eye(n)], axis=1)
+    out.flags.writeable = False
+    return out
+
+
 def constraint_margins(positions: np.ndarray, layout: ArrayLayout, m=None):
     """Box margins (..., M, N), each coupler's distance to the nearest side of its
     region (negative outside), and pair distances (..., M, P) in ``spacing_pairs``
@@ -219,9 +274,8 @@ def constraint_margins(positions: np.ndarray, layout: ArrayLayout, m=None):
     q = layout.active_positions().view(complex)[slice(None) if m is None else m]
     half = complex(0.5 * layout.region_side_m, 0.5 * layout.region_side_m)
     lo, hi = z - (q - half), (q + half) - z
-    N = z.shape[-1]
-    a, b = spacing_pairs(N)
-    d = np.concatenate([q - z, z[..., a[N:] - 1] - z[..., b[N:] - 1]], axis=-1)
+    pairs = pair_tables(z.shape[-1])
+    d = np.concatenate([q - z, z[..., pairs.coupler_a] - z[..., pairs.coupler_b]], axis=-1)
     return (np.minimum(np.minimum(lo.real, lo.imag), np.minimum(hi.real, hi.imag)),
             np.hypot(d.real, d.imag))
 
@@ -274,6 +328,7 @@ def linearize_spacing(
     m,
     layout: ArrayLayout,
     margin: float = 0.0,
+    margins: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LinearizedFeasibleSet:
     """Linearize the spacing constraints of antenna m around a feasible anchor.
 
@@ -285,33 +340,33 @@ def linearize_spacing(
     iterates off the exact d_min guard of ``mutual_impedance`` despite the
     projection's rounding.  An index array ``m`` gives the
     sets of those antennas from one call, stacked along a leading axis; each
-    row reads only its own antenna's anchor.
+    row reads only its own antenna's anchor.  ``margins``, the
+    ``constraint_margins`` of the anchor's rows ``m`` when the caller already
+    holds them, is what the anchor check reads instead of recomputing them.
     """
     idx = np.atleast_1d(m)
     pts = anchor.positions[idx]  # (A, N, 2)
-    (A, N, _), (a, b) = pts.shape, spacing_pairs(layout.N)
+    (A, N, _), pairs = pts.shape, pair_tables(layout.N)
     min_sep = layout.min_sep_m + margin
     atol = 1e-8 * layout.lam
-    box, dist = constraint_margins(pts, layout, idx)
+    box, dist = constraint_margins(pts, layout, idx) if margins is None else margins
     bad = (box < margin - atol).any(axis=1) | (dist < min_sep - atol).any(axis=1)
     if bad.any():
         raise AnchorInfeasible(
             f"anchor at antenna {idx[np.argmax(bad)]} violates constraints (margin {margin})"
         )
     q = layout.active_positions()[idx][:, None, :]
-    half = 0.5 * layout.region_side_m
-    box_lo, box_hi = (np.broadcast_to(c, (A, N, 2)).reshape(A, -1)
-                      for c in (q - half + margin, q + half - margin))
+    box_lo, box_hi = (c[idx] for c in _box_bounds(layout, margin))
 
     # gradient g of d = ||p_first - p_second||^2 over the points [q, p_1..p_N],
     # oriented p_n - q for the active pairs and p_a - p_b for coupler pairs
-    first, second, rows = np.where(a == 0, b, a), np.where(a == 0, a, b), np.arange(len(a))
+    first, second, rows = pairs.first, pairs.second, pairs.rows
     full = np.concatenate([q, pts], axis=1)
     diff = full[:, first] - full[:, second]  # (A, P, 2)
-    g = np.zeros((A, len(a), N + 1, 2))
+    g = np.zeros((A, len(rows), N + 1, 2))
     g[:, rows, first] = 2.0 * diff
     g[:, rows, second] = -2.0 * diff
-    g = g[:, :, 1:].reshape(A, len(a), 2 * N)
+    g = g[:, :, 1:].reshape(A, len(rows), 2 * N)
     p_anchor = pts.reshape(A, 2 * N)
     # -d_t - g.(p - p_t) <= -min_sep^2  <=>  (-g).p <= d_t - g.p_t - min_sep^2
     offsets = np.vecdot(diff, diff) - np.vecdot(g, p_anchor[:, None, :]) - min_sep**2
@@ -343,7 +398,7 @@ def project_onto_set(
     y, lo, hi, normals, offsets = (v[None] for v in parts) if single else parts
     (B, n), unit = y.shape, 1.0 / np.sqrt(np.vecdot(normals, normals))
     Ct = np.empty((B, n, 2 * n + normals.shape[1]))  # columns x <= hi, -x <= -lo, half-spaces
-    Ct[:, :, :n], Ct[:, :, n:2 * n] = np.eye(n), -np.eye(n)
+    Ct[:, :, :2 * n] = _box_normals(n)
     np.multiply(normals.mT, unit[:, None], out=Ct[:, :, 2 * n:])
     d = np.concatenate([hi, -lo, offsets * unit], axis=1)
     tol = (64.0 * EPS) * d[:, :2 * n].max(axis=-1, initial=0.0)  # rounding of coordinates

@@ -15,13 +15,14 @@ half-wave resonant length used here (cos(k l / 2) = 0).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import sici
 
 from .errors import DomainError, TooClose
-from .geometry import ArrayLayout
+from .geometry import ArrayLayout, pair_tables
 
 ETA_FREE_SPACE = 120.0 * np.pi
 # Standard half-wave thin-dipole self impedance (wire radius not modeled).
@@ -126,7 +127,8 @@ class ImpedanceBlock:
     """Impedance description of one antenna: active self impedance, the
     active-to-coupler vector z_bar, the coupler-to-coupler matrix Z_hat, and
     the diagonal load matrix X.  A batched block carries leading batch axes
-    on ``z_bar`` and ``Z_hat``; ``X`` stays the shared (N, N) load matrix."""
+    on ``z_bar`` and ``Z_hat``; ``X`` stays the shared (N, N) load matrix,
+    one read-only array per N and load impedance."""
 
     z_self: complex
     z_bar: np.ndarray  # (..., N) complex
@@ -148,6 +150,21 @@ class ImpedanceBlock:
         Z[..., 1:, 1:] = self.Z_hat
         return Z
 
+    @functools.cached_property
+    def resistance(self) -> np.ndarray:
+        """Re of ``full_matrix()``, assembled once per block and read-only."""
+        re = np.real(self.full_matrix())
+        re.flags.writeable = False
+        return re
+
+
+@functools.lru_cache(maxsize=None)
+def _load_matrix(N: int, load: complex) -> np.ndarray:
+    """Read-only (N, N) diagonal load matrix X."""
+    X = np.diag(np.full(N, load, dtype=complex))
+    X.flags.writeable = False
+    return X
+
 
 def build_block(p_m: np.ndarray, q_m: np.ndarray, model: DipoleModel) -> ImpedanceBlock:
     """Impedance block for one antenna from coupler positions ``p_m`` (N, 2)
@@ -159,12 +176,13 @@ def build_block(p_m: np.ndarray, q_m: np.ndarray, model: DipoleModel) -> Impedan
     batch, N = p_m.shape[:-2], p_m.shape[-2]
     q_m = q_m[..., None, :]
     d_bar = np.hypot(p_m[..., 0] - q_m[..., 0], p_m[..., 1] - q_m[..., 1])
-    iu, ju = np.triu_indices(N, k=1)
+    pairs = pair_tables(N)
+    iu, ju = pairs.coupler_a, pairs.coupler_b
     d_pair = np.hypot(p_m[..., iu, 0] - p_m[..., ju, 0], p_m[..., iu, 1] - p_m[..., ju, 1])
     z = mutual_impedance(np.concatenate([d_bar, d_pair], axis=-1), model)
     z_bar = z[..., :N]
     Z_hat = np.full(batch + (N, N), model.self_impedance, dtype=complex)
     Z_hat[..., iu, ju] = z[..., N:]
     Z_hat[..., ju, iu] = z[..., N:]
-    X = np.diag(np.full(N, model.load_impedance, dtype=complex))
-    return ImpedanceBlock(model.self_impedance, z_bar, Z_hat, X)
+    return ImpedanceBlock(model.self_impedance, z_bar, Z_hat,
+                          _load_matrix(N, model.load_impedance))

@@ -33,6 +33,17 @@ impedances enter through the closed-form dZ/dd
 channels through d h_C[k, n] / d p_n = sum_l gain_kl (-j k [cos, sin]
 phi_kl) a_kln, from the per-path steering the forward caches.
 
+An iteration builds no array that depends only on the shape.  Per N, the
+spacing-pair tables (``geometry.pair_tables``: the coupler pairs, the
+linearization's orientation and the gradient's incidence matrix), the load
+matrix X and the identities are built once; per layout, the active positions
+and the linearized sets' box bounds.  All are read-only and shared.  Each
+full evaluation assembles Re Z once (``ImpedanceBlock.resistance``) for its
+power coefficients and the backward pass.  ``constraint_margins`` runs once
+per accepted iteration, plus once for the initial placement: the margins of
+the accepted iterate give ``SCATrace.min_margins`` and are the anchor check
+of the next ``linearize_spacing``.
+
 Central differences (``gradient``) stay as the test oracle: each of the
 M * 4N probes moves one coordinate of one coupler and is scored by a rank-2
 update of the pinned whitened Gram (``rate_with_override``).  The linearized
@@ -61,6 +72,7 @@ from .geometry import (
     LinearizedFeasibleSet,
     constraint_margins,
     linearize_spacing,
+    pair_tables,
     project_onto_set,
     single_coupler_moves,
     spacing_pairs,
@@ -270,13 +282,13 @@ class ObjectiveEvaluator:
         s = -np.sum(v.conj() * g, axis=-1).real / st.B**1.5
         # through w = A^-1 z_bar: g_m = h_A - h_C w and b_m = w_t^H Re(Z) w_t
         w_t = np.concatenate([np.ones((M, 1)), -w], axis=-1)
-        r = (np.real(fwd.block.full_matrix()) @ w_t[..., None])[:, 1:, 0]
+        r = (fwd.block.resistance @ w_t[..., None])[:, 1:, 0]
         lam_w = -(c[:, None, :] @ h_c)[:, 0] - 2.0 * s[:, None] * r.conj()
         # adjoint solve; A = Z_hat + X is complex symmetric, so A^-T = A^-1
         mu = np.linalg.solve(fwd.block.Z_hat + fwd.block.X, lam_w[..., None])[..., 0]
         # d rate / d z for each distance of build_block, in spacing_pairs order
-        a, b = spacing_pairs(N)
-        ca, cb = a[N:] - 1, b[N:] - 1
+        pairs = pair_tables(N)
+        ca, cb = pairs.coupler_a, pairs.coupler_b
         zeta = np.concatenate([
             mu - 2.0 * s[:, None] * w.real,
             2.0 * s[:, None] * (w[:, ca].conj() * w[:, cb]).real
@@ -284,14 +296,12 @@ class ObjectiveEvaluator:
         ], axis=-1)
         q = self.layout.active_positions()[:, None, :]
         full = np.concatenate([q, fwd.positions], axis=1)  # (M, N+1, 2)
+        a, b = spacing_pairs(N)
         diff = full[:, b] - full[:, a]
         dist = np.hypot(diff[..., 0], diff[..., 1])
         d_dist = np.real(zeta * mutual_impedance_derivative(dist, self.model))
         # distance d_ab moves with +u at point b and -u at point a
-        incidence = np.zeros((len(a), N + 1))
-        incidence[np.arange(len(a)), b] = 1.0
-        incidence[np.arange(len(a)), a] = -1.0
-        grad = (incidence.T @ ((d_dist / dist)[..., None] * diff))[:, 1:]
+        grad = (pairs.incidence.T @ ((d_dist / dist)[..., None] * diff))[:, 1:]
         # through the coupler channels: dh_C[k, n]/dp_n = sum_l slope_kl a_kln,
         # slope_kl = gain_kl (-j k [cos phi_kl, sin phi_kl])
         paths = (c[:, :, None, None] * self._path_slopes).reshape(M, -1, 2)
@@ -407,6 +417,9 @@ def optimize(
     if N == 0 or config.T_max == 0:
         return OptimizeResult(p, ev.state_of(p), trace)
 
+    antennas = np.arange(M)
+    clearance = CLEARANCE_WL * layout.lam
+    margins = constraint_margins(p.positions, layout)  # of the current iterate
     for t in range(config.T_max):
         grads = ev.gradient_of(p)
         norms = np.sqrt(np.vecdot(grads, grads))  # np.linalg.norm of each row
@@ -414,7 +427,7 @@ def optimize(
             gmax = float(norms.max())
             if gmax > 0:
                 eta = max(eta, gmax / (0.1 * layout.region_side_m))
-        sets = linearize_spacing(p, np.arange(M), layout, margin=CLEARANCE_WL * layout.lam)
+        sets = linearize_spacing(p, antennas, layout, margin=clearance, margins=margins)
         alpha_t = config.alpha(t)
         p_vecs = p.positions.reshape(M, 2 * N)
 
@@ -447,7 +460,7 @@ def optimize(
         trace.backtracks.append(backtracks)
         trace.etas.append(eta)
         trace.proj_sweeps.append(proj_steps_total)
-        box, dist = constraint_margins(p.positions, layout)
+        margins = box, dist = constraint_margins(p.positions, layout)
         trace.min_margins.append(float(min(box.min(), (dist - layout.min_sep_m).min())))
         trace.record_round(M, N)
         if log is not None:

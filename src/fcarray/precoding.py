@@ -20,6 +20,7 @@ without affecting any reported metric.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -40,6 +41,14 @@ def _scalar(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+@functools.lru_cache(maxsize=None)
+def _eye(n: int, dtype=float) -> np.ndarray:
+    """Read-only n x n identity, one per size and dtype."""
+    eye = np.eye(n, dtype=dtype)
+    eye.flags.writeable = False
+    return eye
+
+
 def mech_weights(block: ImpedanceBlock) -> tuple[np.ndarray, float]:
     """Solve one antenna's coupling system; returns (w, condition bound, see
     ``_certified_solve``).  A batched block gives w (..., N) and one bound per
@@ -58,9 +67,13 @@ def _certified_solve(A: np.ndarray, rhs, limit: float, error: type, what: str):
     bad entry; entries that miss it (non-finite ones included) get the exact
     SVD value instead, and ``error`` is raised if that exceeds ``limit``."""
     n = A.shape[-1]
-    eye = np.broadcast_to(np.eye(n, dtype=A.dtype), A.shape)
+    b = eye = _eye(n, A.dtype)  # solve broadcasts it over A's batch axes
+    if rhs is not None:
+        r = rhs.shape[-1]
+        b = np.empty(A.shape[:-1] + (r + n,), dtype=np.result_type(rhs, A))
+        b[..., :r], b[..., r:] = rhs, eye
     try:
-        X = np.linalg.solve(A, eye if rhs is None else np.concatenate([rhs, eye], axis=-1))
+        X = np.linalg.solve(A, b)
     except np.linalg.LinAlgError:  # an exactly singular entry
         _exact_cond(A, limit, error, what)
         raise error(f"{what} is singular") from None
@@ -128,7 +141,7 @@ def power_coefficient(block: ImpedanceBlock, w_m: np.ndarray) -> float:
     """b_m = w_tilde^H Re{Z_m} w_tilde for one antenna, or one value per
     entry of a batched block and weights (..., N)."""
     w_t = np.concatenate([np.ones(w_m.shape[:-1] + (1,), dtype=complex), -w_m], axis=-1)
-    quad = w_t.conj()[..., None, :] @ np.real(block.full_matrix()) @ w_t[..., :, None]
+    quad = w_t.conj()[..., None, :] @ block.resistance @ w_t[..., :, None]
     val = np.real(quad[..., 0, 0])
     if np.any(val <= 0.0):
         raise NonPositivePower(f"power coefficient b_m = {np.min(val):.3e} is not positive")
@@ -161,7 +174,7 @@ def _gram_forward(W: np.ndarray, P_max: float, sigma2: float) -> GramForward:
         raise ConfigError(f"must be positive, got {P_max!r}", field="P_max")
     K = W.shape[-1]
     alpha = K * sigma2 / P_max
-    S, cond = _certified_solve(W + alpha * np.eye(K), None, GRAM_COND_LIMIT,
+    S, cond = _certified_solve(W + alpha * _eye(K), None, GRAM_COND_LIMIT,
                                SingularGram, "regularized Gram")
     WS = W @ S
     tau = np.sum(S.conj() * WS, axis=(-2, -1)).real  # S Hermitian
@@ -210,7 +223,7 @@ def gram_rate_adjoint(fwd: GramForward, P_max: float, sigma2: float) -> np.ndarr
     The rate pulls back through d|C_kj|^2 = 2 Re(conj(C_kj) dC_kj).  A zero
     Gram (tau = 0) is the silent precoder (beta = 0) and gets Psi = 0."""
     S, WS, beta = fwd.S, fwd.WS, fwd.beta[..., None, None]
-    eye = np.eye(WS.shape[-1])
+    eye = _eye(WS.shape[-1])
     C = fwd.coupling
     power = np.abs(C) ** 2
     total = power.sum(axis=-1, keepdims=True) + sigma2
@@ -246,12 +259,10 @@ def mmse_precoder(
 def _rate_of_coupling(sig: np.ndarray, sigma2) -> tuple[np.ndarray, float]:
     """SINRs and sum rate from the coupling matrix sig = G U (..., K, K),
     where sig[k, j] couples stream j into user k."""
-    K = sig.shape[-1]
     power = np.abs(sig) ** 2
     desired = np.diagonal(power, axis1=-2, axis2=-1)
     interference = power.sum(axis=-1) - desired
-    noise = np.broadcast_to(np.asarray(sigma2, dtype=float), (K,))
-    gamma = desired / (interference + noise)
+    gamma = desired / (interference + sigma2)
     rate = np.sum(np.log2(1.0 + gamma), axis=-1)
     return gamma, _scalar(rate)
 
@@ -313,8 +324,7 @@ def fully_active_state(
     channel it is the silent precoder, as in ``mmse_precoder``.
     """
     placement = uniform_placement(layout)
-    Re_Z = np.real(build_block(placement.positions, layout.active_positions(), model)
-                   .full_matrix())  # (M, N+1, N+1)
+    Re_Z = build_block(placement.positions, layout.active_positions(), model).resistance
     M, N, K = layout.M, layout.N, spec.K
     # per-antenna port channels [h_A[k, m]; h_C[k, m]], (M, K, N+1)
     h_ports = np.concatenate([active_channel_matrix(spec, layout).T[:, :, None],

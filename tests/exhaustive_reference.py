@@ -2,7 +2,11 @@
 shared the lattice channels across couplers: one chain call per (antenna,
 coupler) pair, steering all N couplers of every feasible candidate, and the
 parked measurement from its own ``true_effective`` call.  The tests compare
-``chanest.exhaustive_baseline`` against it field by field, bit for bit."""
+``chanest.exhaustive_baseline`` against it field by field, bit for bit.
+
+``predict`` is the frozen predictor from before the nearest candidate was
+found on the lattice's rows and columns: it forms the full (..., M, N, D)
+squared-distance cube and takes the first feasible minimum."""
 
 import numpy as np
 
@@ -56,3 +60,16 @@ def exhaustive_baseline(session, spec, layout, model, D=400) -> dict:
     }
     return {"candidates": candidates, "feasible": feasible, "table": table, "base": base,
             "ledger": ledger}
+
+
+def predict(res, P) -> np.ndarray:
+    M, N, D, K = res.table.shape
+    P = np.asarray(P, dtype=float)
+    d2 = np.sum((res.candidates[:, None] - P[..., None, :]) ** 2, axis=-1)
+    d_idx = np.argmin(np.where(res.feasible, d2, np.inf), axis=-1)  # (..., M, N)
+    picked = res.table[np.arange(M)[:, None], np.arange(N), d_idx]  # (..., M, N, K)
+    step = np.where(res.feasible.any(axis=-1)[..., None], picked - res.base[:, None], 0.0)
+    out = np.broadcast_to(res.base, P.shape[:-2] + (K,)).copy()
+    for n in range(N):  # summed coupler by coupler, in a fixed order
+        out = out + step[..., n, :]
+    return out

@@ -199,6 +199,23 @@ class TestLinearize:
         with pytest.raises(AnchorInfeasible):
             linearize_spacing(bad, 0, layout)
 
+    def test_given_margins_build_the_same_sets(self, layout):
+        anchor = uniform_placement(layout)
+        idx, margin = np.arange(layout.M), 1e-4 * layout.lam
+        own = linearize_spacing(anchor, idx, layout, margin=margin)
+        given = linearize_spacing(anchor, idx, layout, margin=margin,
+                                  margins=constraint_margins(anchor.positions, layout))
+        for name in ("box_lo", "box_hi", "normals", "offsets"):
+            assert np.array_equal(getattr(own, name), getattr(given, name))
+
+    def test_anchor_check_reads_the_given_margins(self, layout):
+        anchor = uniform_placement(layout)
+        box, dist = constraint_margins(anchor.positions, layout)
+        dist = dist.copy()
+        dist[2, 0] = 0.5 * layout.min_sep_m  # a violation only the given margins show
+        with pytest.raises(AnchorInfeasible, match="antenna 2"):
+            linearize_spacing(anchor, np.arange(layout.M), layout, margins=(box, dist))
+
     def test_margin_shrinks_set(self, layout):
         anchor = uniform_placement(layout)
         fs0 = linearize_spacing(anchor, 0, layout)

@@ -219,6 +219,26 @@ class TestOptimize:
         assert summary["min_margin_m"] == min(margins)
         assert 0.0 < summary["min_margin_m"] < 0.01 * lay.min_sep_m
 
+    def test_margins_computed_once_per_accepted_iteration(self, toy, monkeypatch):
+        """The margins of each accepted iterate give the trace's minimum margin
+        and the next linearization's anchor check: one ``constraint_margins``
+        call for the initial placement and one per accepted iteration."""
+        from fcarray import geometry, optimizer
+        lay, model, spec = toy
+        pl = uniform_placement(lay)
+        calls, real = [], geometry.constraint_margins
+
+        def counted(positions, layout, m=None):
+            calls.append(m)
+            return real(positions, layout, m)
+
+        monkeypatch.setattr(optimizer, "constraint_margins", counted)
+        monkeypatch.setattr(geometry, "constraint_margins", counted)
+        res = optimize(pl, SCAConfig(T_max=6, eps_stop=0.0), spec, lay, model, P_MAX, SIGMA2)
+        assert res.trace.rounds == len(res.trace.min_margins) == 6
+        assert len(calls) == res.trace.rounds + 1
+        assert all(m is None for m in calls)  # all antennas, never linearize's own rows
+
     def test_summary_without_updates(self, toy):
         lay, model, spec = toy
         summary = optimize(uniform_placement(lay), SCAConfig(T_max=0), spec, lay, model,
