@@ -25,11 +25,17 @@ step of precoding's ``antenna_chain`` (``_column``).  The pilot phase and
 the dictionary cube, built once per session for all estimators, are one
 chain call each over the (V, M) block/antenna pairs, and ``predict``,
 ``true_effective`` and ``nmse`` one call over all (test placement, antenna)
-pairs.  The exhaustive baseline steers each lattice point and each parked
+pairs.  ``_weights`` keeps its last solve, so a trial solves once per
+position set: the pilot phase's weights serve the dictionary, and the first
+``predict``'s serve ``true_effective`` and every later query at the same test
+positions.  The exhaustive baseline steers each lattice point and each parked
 coupler once and scores all M N D candidates with one weights solve, one
 column step and one noise draw.  Each batch entry reads only
 its own antenna's schedule, so local estimator m's slice of the cube depends
-on no other antenna's positions.
+on no other antenna's positions.  Algorithm 3 runs its M local units as one
+bank (``LocalEstimator`` over all antennas): per user one proxy call, one
+fallback top-L and one statistics product cover every unit, each unit's
+upload carrying the bits of its own single-unit call.
 """
 
 from __future__ import annotations
@@ -198,7 +204,9 @@ def run_pilot_phase(
 
 def pilot_correlate(y_m, S: np.ndarray, tau: int) -> np.ndarray:
     """Per-antenna pilot correlation: (1/tau) y S^H.  ``y_m`` is one length-tau
-    row (returns (K,)) or a stacked (M, tau) block (returns (M, K))."""
+    row (returns (K,)) or stacked rows (..., tau) (returns (..., K)).  A
+    stacked block is one matrix product, whose bits may differ from row-by-row
+    products; rows (..., 1, tau) keep each row's own bits."""
     return np.asarray(y_m) @ S.conj().T / tau
 
 
@@ -245,9 +253,23 @@ def _positions(placement) -> np.ndarray:
     return np.asarray(getattr(placement, "positions", placement), dtype=float)
 
 
+_weights_slot: tuple = (None, None)
+
+
 def _weights(P: np.ndarray, layout: ArrayLayout, model: DipoleModel) -> np.ndarray:
-    """Mechanical weights (..., M, N) of all antennas at positions (..., M, N, 2)."""
-    return mech_weights(build_block(P, layout.active_positions(), model))[0]
+    """Mechanical weights (..., M, N) of all antennas at positions (..., M, N, 2),
+    read-only.  The last solve stays in one slot keyed on the layout, model,
+    shape and position bytes, so the pilot phase's weights serve the session's
+    dictionary and one ``predict``'s serve ``true_effective`` and the next
+    ``predict`` at the same test positions; a solve that raises is not kept."""
+    global _weights_slot
+    key = (layout, model, P.shape, P.tobytes())
+    slot = _weights_slot
+    if slot[0] != key:
+        w = mech_weights(build_block(P, layout.active_positions(), model))[0]
+        w.flags.writeable = False
+        slot = _weights_slot = (key, w)
+    return slot[1]
 
 
 def local_dictionary(
@@ -453,12 +475,17 @@ def local_proxy(
     """Matched-filter proxy of one antenna for one user: (rho over the full
     grid, indices passing the noise-calibrated threshold rho >= eta *
     sigma_eff2, sorted ascending).  The column energies ``norms``
-    (sum over blocks of |A_m|^2) are computed from A_m when not given."""
-    c = A_m.conj().T @ y_mk
-    norms = np.sum(np.abs(A_m) ** 2, axis=0) if norms is None else norms
+    (sum over blocks of |A_m|^2) are computed from A_m when not given.
+
+    Dictionaries (..., V, G) with observations (..., V) give one proxy per
+    leading entry, rho (..., G), each entry's bits those of its own call;
+    the passing indices are then ``np.nonzero`` of the (..., G) pass mask,
+    the leading entries' indices first and the grid indices last."""
+    c = (np.swapaxes(A_m.conj(), -1, -2) @ y_mk[..., None])[..., 0]
+    norms = np.sum(np.abs(A_m) ** 2, axis=-2) if norms is None else norms
     rho = np.abs(c) ** 2 / (norms + EPS_NORM)
-    kept = np.where(rho >= eta * sigma_eff2)[0]
-    return rho, kept
+    kept = np.nonzero(rho >= eta * sigma_eff2)
+    return rho, kept[0] if rho.ndim == 1 else kept
 
 
 def fuse_and_select(uploads, L: int, G: int) -> tuple[np.ndarray, bool]:
@@ -476,35 +503,54 @@ def fuse_and_select(uploads, L: int, G: int) -> tuple[np.ndarray, bool]:
 
 
 class LocalEstimator:
-    """Per-antenna half of the distributed scheme (the local unit of
-    Algorithm 3).  Owns only the antenna's observations and its (V, G)
-    dictionary, slice m of the batched cube; everything it produces for the
-    central unit is explicit (proxies, sufficient statistics), and a request
-    it has not been prepared for by an earlier exchange raises InformationLeak."""
+    """Local units of the distributed scheme (Algorithm 3): one unit for an
+    antenna index ``m``, or a bank of units, one per entry of an index array
+    ``m``.  A unit owns only its antenna's observations and its (V, G)
+    dictionary, slice m of the batched (V, M, G) cube (a bank holds the
+    (V, len(m), G) slice); everything it produces for the central unit is
+    explicit (proxies, sufficient statistics), and a request it has not
+    been prepared for by an earlier exchange of that user raises
+    InformationLeak.  A bank computes for all its units in one call each,
+    with every unit's bits those of a single unit, and returns one upload
+    per unit, in the order of ``m``."""
 
-    def __init__(self, m: int, session: PilotSession, A_m: np.ndarray):
+    def __init__(self, m, session: PilotSession, A_m: np.ndarray):
         self.m = m
         self.session = session
-        self.A_m = A_m
-        self.norms = np.sum(np.abs(A_m) ** 2, axis=0)
-        self.corr = None  # (V, K) after correlate()
+        self.A_m = np.moveaxis(A_m, 0, -2)  # (..., V, G): units first
+        self.norms = np.sum(np.abs(self.A_m) ** 2, axis=-2)
+        self.corr = None  # (..., V, K) after correlate()
         self._rho: dict[int, np.ndarray] = {}
         self._supports: dict[int, np.ndarray] = {}
 
     def correlate(self, y_rows: list[np.ndarray]) -> None:
-        """Pilot-correlate the antenna's own V received rows."""
-        self.corr = np.stack([pilot_correlate(y, self.session.S, self.session.tau)
-                              for y in y_rows])
+        """Pilot-correlate the units' own V received rows, (..., tau) each, as
+        one-row products: the bits of correlating each row alone."""
+        Y = np.stack(y_rows)[..., None, :]  # (V, ..., 1, tau)
+        corr = pilot_correlate(Y, self.session.S, self.session.tau)[..., 0, :]
+        self.corr = np.moveaxis(corr, 0, -2)
 
     def observation(self, k: int) -> np.ndarray:
-        return self.corr[:, k]
+        return self.corr[..., k]
+
+    def _per_unit(self, idx, vals):
+        """A single unit's upload, the pair (idx, vals); a bank's, one pair per
+        unit from arrays with a leading unit axis, or from the ``np.nonzero``
+        indices of a (units, G) mask with the values at them."""
+        if np.ndim(self.m) == 0:
+            return idx, vals
+        if isinstance(idx, tuple):  # nonzero of the (units, G) pass mask
+            units, idx = idx
+            ends = np.searchsorted(units, np.arange(1, len(self.m) + 1)).tolist()
+            return [(idx[a:b], vals[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+        return list(zip(idx, vals))
 
     def proxies(self, k: int, eta: float):
         """Thresholded proxy upload of user k: (kept indices, their rho)."""
         rho, kept = local_proxy(self.A_m, self.observation(k),
                                 self.session.sigma_eff2, eta, self.norms)
         self._rho[k] = rho
-        return kept, rho[kept]
+        return self._per_unit(kept, rho[kept])
 
     def top_proxies(self, k: int, L: int):
         """Fallback upload of user k: the unthresholded top-L proxies."""
@@ -513,23 +559,26 @@ class LocalEstimator:
                 f"LPU {self.m} got a fallback request before computing proxies"
             )
         rho = self._rho[k]
-        order = np.lexsort((np.arange(rho.size), -rho))
-        idx = np.sort(order[:L])
-        return idx, rho[idx]
+        lanes = np.broadcast_to(np.arange(rho.shape[-1]), rho.shape)
+        idx = np.sort(np.lexsort((lanes, -rho), axis=-1)[..., :L], axis=-1)
+        return self._per_unit(idx, np.take_along_axis(rho, idx, axis=-1))
 
     def receive_support(self, k: int, support: np.ndarray) -> None:
         self._supports[k] = support
 
-    def suff_stats(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def suff_stats(self, k: int):
         """Gram and correlation of user k on the received support."""
         if k not in self._supports:
             raise InformationLeak(
                 f"LPU {self.m} asked for statistics of user {k} without a support"
             )
-        A_g = self.A_m[:, list(self._supports[k])]
-        R = A_g.conj().T @ A_g
-        q = A_g.conj().T @ self.observation(k)
-        return R, q
+        # C-ordered (V, L) and (L, V) factors per unit: the layouts whose
+        # batched products carry the bits of the single unit's products
+        A_g = np.ascontiguousarray(self.A_m[..., list(self._supports[k])])
+        A_h = np.ascontiguousarray(np.swapaxes(A_g, -1, -2)).conj()
+        R = A_h @ A_g
+        q = (A_h @ self.observation(k)[..., None])[..., 0]
+        return self._per_unit(R, q)
 
 
 def aggregate_gains(stats: list[tuple[np.ndarray, np.ndarray]], eps_k) -> np.ndarray:
@@ -567,10 +616,9 @@ def _algorithm3_rounds(
     and a grid index as 1; the result's ledger is summed from the records."""
     M = layout.M
     K = session.K
-    cube = local_dictionary(session, slice(None), grid, layout, model)
-    estimators = [LocalEstimator(m, session, cube[:, m]) for m in range(M)]
-    for m, est in enumerate(estimators):
-        est.correlate([observations[v][m] for v in range(session.V)])
+    bank = LocalEstimator(np.arange(M), session,
+                          local_dictionary(session, slice(None), grid, layout, model))
+    bank.correlate(observations)
 
     records = []
     supports = np.zeros((K, L), dtype=int)
@@ -578,7 +626,7 @@ def _algorithm3_rounds(
     r = 0
     for k in range(K):
         r += 1
-        uploads = [est.proxies(k, eta) for est in estimators]
+        uploads = bank.proxies(k, eta)
         records += [(r, m, "proxy_list", 2 * len(up[0]), up)
                     for m, up in enumerate(uploads)]
         support, ok = fuse_and_select(uploads, L, grid.G)
@@ -586,21 +634,19 @@ def _algorithm3_rounds(
             # too little survived thresholding: one extra round of
             # unthresholded top-L proxies from every antenna
             r += 1
-            uploads = []
-            for m, est in enumerate(estimators):
-                records.append((r, m, "proxy_request", 1, L))
-                uploads.append(est.top_proxies(k, L))
-                records.append((r, m, "proxy_list", 2 * len(uploads[m][0]), uploads[m]))
+            uploads = bank.top_proxies(k, L)
+            for m, up in enumerate(uploads):
+                records += [(r, m, "proxy_request", 1, L),
+                            (r, m, "proxy_list", 2 * len(up[0]), up)]
             support, _ = fuse_and_select(uploads, L, grid.G)
         supports[k] = support
 
         r += 1
-        stats = []
-        for m, est in enumerate(estimators):
-            records.append((r, m, "support", L, support))
-            est.receive_support(k, support)
-            stats.append(est.suff_stats(k))
-            records.append((r, m, "suff_stats", 2 * (L * L + L), stats[m]))
+        bank.receive_support(k, support)
+        stats = bank.suff_stats(k)
+        for m, st in enumerate(stats):
+            records += [(r, m, "support", L, support),
+                        (r, m, "suff_stats", 2 * (L * L + L), st)]
         gains[k] = aggregate_gains(stats, eps_k)
 
         r += 1

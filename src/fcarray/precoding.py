@@ -77,12 +77,17 @@ def _certified_solve(A: np.ndarray, rhs, limit: float, error: type, what: str):
     except np.linalg.LinAlgError:  # an exactly singular entry
         _exact_cond(A, limit, error, what)
         raise error(f"{what} is singular") from None
-    cond = np.asarray(np.linalg.norm(A, axis=(-2, -1))
-                      * np.linalg.norm(X[..., X.shape[-1] - n:], axis=(-2, -1)))
+    cond = np.asarray(_frobenius(A) * _frobenius(X[..., X.shape[-1] - n:]))
     miss = ~(cond <= 1e-2 * limit)
     if miss.any():
         cond[miss] = _exact_cond(A[miss], limit, error, what)
     return X, cond
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """Frobenius norms over the last two axes: np.linalg.norm's own expression,
+    without its dispatch."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=(-2, -1)))
 
 
 def _exact_cond(A: np.ndarray, limit: float, error: type, what: str) -> np.ndarray:

@@ -7,8 +7,10 @@ rank-2 update of the whitened Gram; that path is checked against the full
 MMSE precoder and against per-probe ``fc_state`` evaluations.  The
 estimation side (pilot phase, dictionaries, reconstruction, NMSE) is checked
 against frozen per-(block, antenna) and per-(placement, antenna) loops, and
-Algorithm 3, whose local dictionaries are slices of one batched build, against
-a frozen run in which every local unit builds its own."""
+Algorithm 3, whose local dictionaries are slices of one batched build and
+whose local units run as one bank, against a frozen run in which every local
+unit builds its own and computes alone, and the bank unit by unit against
+single units."""
 
 from collections import Counter
 from dataclasses import replace
@@ -28,6 +30,7 @@ from fcarray.channel import active_channel_matrix, coupler_channel_block
 from fcarray.chanest import (
     AngularGrid,
     EstimationResult,
+    LocalEstimator,
     _algorithm3_rounds,
     aggregate_gains,
     build_dictionary,
@@ -44,6 +47,7 @@ from fcarray.chanest import (
 )
 from fcarray.errors import (
     FcError,
+    InformationLeak,
     NonPositivePower,
     SingularAggregate,
     SingularGram,
@@ -803,22 +807,37 @@ def assert_records_equal(got, ref):
         assert payload_equal(g[4], r[4]), g[:4]
 
 
-def algorithm3_setup(M, N, V):
+def algorithm3_setup(M, N, V, K=2, tau=5):
     lay = ArrayLayout(M=M, N=N)
     model = DipoleModel.for_layout(lay)
-    spec = sample_channels(60 + N, K=2, L=3, layout=lay)
-    session = make_session(lay, K=2, tau=5, V=V, sigma2=0.05, seed=70 + M + N + V)
+    spec = sample_channels(60 + N, K=K, L=3, layout=lay)
+    session = make_session(lay, K=K, tau=tau, V=V, sigma2=0.05, seed=70 + M + N + V)
     return lay, model, session, run_pilot_phase(session, spec, lay, model)
 
 
+# (M, N, V, eta) at K=2, L=3, tau=5 and G=32, or (M, N, V, eta, K, L, tau, G);
+# eta = 1e12 starves the fusion, so every user takes the fallback round
 ALGORITHM3_CASES = ([(4, N, V, 4.0) for N in (0, 1, 2, 3) for V in (1, 4)]
-                    + [(8, 2, 4, 4.0), (4, 2, 4, 1e12)])
+                    + [(8, 2, 4, 4.0), (4, 2, 4, 1e12)]
+                    + [(8, 2, 4, 4.0, 2, 3, 13, 256),  # the acceptance-8 shape
+                       (8, 2, 4, 1e12, 2, 3, 13, 256),
+                       (4, 2, 4, 4.0, 2, 1, 5, 32),  # L = 1
+                       (4, 2, 4, 1e12, 2, 1, 5, 32),
+                       (4, 2, 4, 4.0, 2, 3, 2, 32),  # tau = K
+                       (2, 2, 4, 4.0, 3, 3, 5, 32),  # K > M
+                       (2, 2, 4, 1e12, 3, 3, 5, 32)])
 
 
-@pytest.mark.parametrize("M, N, V, eta", ALGORITHM3_CASES)
-def test_algorithm3_matches_per_lpu_dictionary_reference(M, N, V, eta):
-    lay, model, session, obs = algorithm3_setup(M, N, V)
-    grid, L = AngularGrid(32), 3
+def algorithm3_case(case):
+    """(M, N, V, eta, K, L, tau, G) of an ``ALGORITHM3_CASES`` entry."""
+    return case + (2, 3, 5, 32)[len(case) - 4:]
+
+
+@pytest.mark.parametrize("case", ALGORITHM3_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_algorithm3_matches_per_lpu_dictionary_reference(case):
+    M, N, V, eta, K, L, tau, G = algorithm3_case(case)
+    lay, model, session, obs = algorithm3_setup(M, N, V, K, tau)
+    grid = AngularGrid(G)
     supports, gains, ledger, records = algorithm3_reference(session, obs, L, grid, lay,
                                                             model, eta)
     assert (ledger["fallback_rounds"] > 0) == (eta == 1e12)
@@ -834,6 +853,65 @@ def test_algorithm3_matches_per_lpu_dictionary_reference(M, N, V, eta):
     assert_records_equal(got_records, records)
     assert_records_equal([(msg.round, msg.antenna, msg.payload_kind, msg.scalar_count,
                            msg.payload) for msg in messages], records)
+
+
+@pytest.mark.parametrize("case", ALGORITHM3_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_lpu_bank_matches_single_units(case):
+    """One bank over all M antennas gives, unit by unit, the bits of M
+    single-antenna LocalEstimators: correlations, proxies, fallback top-L
+    and sufficient statistics.  The bank reads the cube as ``_algorithm3_rounds``
+    does (a view) and as an index-array copy."""
+    M, N, V, eta, K, L, tau, G = algorithm3_case(case)
+    lay, model, session, obs = algorithm3_setup(M, N, V, K, tau)
+    grid = AngularGrid(G)
+    supports = [np.sort(np.random.default_rng(k).choice(G, L, replace=False))
+                for k in range(K)]
+    want = []
+    for m in range(M):
+        unit = LocalEstimator(m, session, local_dictionary(session, m, grid, lay, model))
+        unit.correlate([obs[v][m] for v in range(V)])
+        want.append({"corr": unit.corr})
+        for k in range(K):
+            want[m][k] = [unit.proxies(k, eta), unit.top_proxies(k, L)]
+            unit.receive_support(k, supports[k])
+            want[m][k].append(unit.suff_stats(k))
+    for cube in (slice(None), np.arange(M)):
+        bank = LocalEstimator(np.arange(M), session,
+                              local_dictionary(session, cube, grid, lay, model))
+        bank.correlate(obs)
+        assert all(np.array_equal(bank.corr[m], want[m]["corr"]) for m in range(M))
+        for k in range(K):
+            got = [bank.proxies(k, eta), bank.top_proxies(k, L)]
+            bank.receive_support(k, supports[k])
+            got.append(bank.suff_stats(k))
+            for m in range(M):
+                for name, g, w in zip(("proxies", "top", "stats"), got, want[m][k]):
+                    assert payload_equal(g[m], w), (name, k, m)
+
+
+def test_lpu_bank_guards_each_user():
+    """A bank answers a fallback or statistics request only for a user whose
+    earlier exchange it has run, for every antenna at once."""
+    M = 4
+    lay, model, session, obs = algorithm3_setup(M, 2, 4)
+    grid = AngularGrid(32)
+    bank = LocalEstimator(np.arange(M), session,
+                          local_dictionary(session, slice(None), grid, lay, model))
+    bank.correlate(obs)
+    for k in range(session.K):
+        with pytest.raises(InformationLeak):
+            bank.top_proxies(k, 3)
+        bank.proxies(k, 4.0)
+        assert len(bank.top_proxies(k, 3)) == M
+        with pytest.raises(InformationLeak):
+            bank.suff_stats(k)
+        bank.receive_support(k, np.array([1, 5, 9]))
+        assert len(bank.suff_stats(k)) == M
+        if k + 1 < session.K:
+            with pytest.raises(InformationLeak):
+                bank.top_proxies(k + 1, 3)
+            with pytest.raises(InformationLeak):
+                bank.suff_stats(k + 1)
 
 
 @pytest.mark.parametrize("M, N, V", [(4, 1, 1), (4, 2, 4), (3, 3, 5), (8, 2, 4)])

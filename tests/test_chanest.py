@@ -44,7 +44,10 @@ from fcarray.errors import (
     InfeasibleLayout,
     RankDeficientSupport,
     TauTooShort,
+    TooClose,
 )
+from fcarray.impedance import build_block
+from fcarray.precoding import mech_weights
 from fcarray.runtime import run_algorithm3
 
 
@@ -201,6 +204,18 @@ class TestDictionary:
                 assert np.array_equal(A_m[v], A[v * layout.M + m])
 
 
+def count_calls(monkeypatch, *names):
+    """One list per named ``chanest`` function, filled with the arguments of
+    every call made to it until the patch is undone."""
+    logs = []
+    for name in names:
+        real, log = getattr(chanest, name), []
+        monkeypatch.setattr(chanest, name,
+                            lambda *args, real=real, log=log: log.append(args) or real(*args))
+        logs.append(log)
+    return logs
+
+
 class TestDictionaryCache:
     """A session builds its (V, M, G) cube once; a change to anything the
     cube depends on (placements, grid, model) builds a new one."""
@@ -213,17 +228,16 @@ class TestDictionaryCache:
         session = self._session(layout)
         obs = run_pilot_phase(session, sample_channels(2, K=2, L=3, layout=layout),
                               layout, model)
-        builds = []
-        real = chanest.build_block
-        monkeypatch.setattr(chanest, "build_block",
-                            lambda *args: builds.append(args) or real(*args))
+        cubes, builds = count_calls(monkeypatch, "response_row", "build_block")
         grid = AngularGrid(32)
         centralized_estimate(session, obs, 2, grid, layout, model)
         distributed_estimate(session, obs, 2, grid, layout, model)
         run_algorithm3(session, obs, 2, grid, layout, model)
         for m in range(layout.M):
             local_dictionary(session, m, grid, layout, model)
-        assert len(builds) == 1
+        assert len(cubes) == 1
+        # the cube reads the weights the pilot phase solved at the session positions
+        assert builds == []
 
     def test_moved_placement_rebuilds(self, est_setup):
         layout, model = est_setup
@@ -259,6 +273,74 @@ class TestDictionaryCache:
                     build_dictionary(session, grid, layout, model)):
             with pytest.raises(ValueError):
                 out[0, 0] = 0.0
+
+
+class TestWeightsSlot:
+    """``_weights`` keeps its last solve in one read-only slot keyed on the
+    layout, model, shape and position bytes."""
+
+    def _positions(self, layout, T=2, seed=0):
+        rng = np.random.default_rng(seed)
+        return np.stack([random_feasible_placement(layout, rng).positions
+                         for _ in range(T)])
+
+    def test_estimation_trial_solves_each_position_set_once(self, monkeypatch):
+        # the acceptance-8 trial: pilot phase, three estimators, two NMSEs
+        layout = ArrayLayout(M=8, N=2)
+        model = DipoleModel.for_layout(layout)
+        spec = sample_channels(11, K=2, L=3, layout=layout)
+        session = make_session(layout, K=2, tau=13, V=4, sigma2=1.0, seed=12)
+        rng = np.random.default_rng(13)
+        tests = [random_feasible_placement(layout, rng) for _ in range(10)]
+        grid = AngularGrid(256)
+        builds, solves = count_calls(monkeypatch, "build_block", "mech_weights")
+        obs = run_pilot_phase(session, spec, layout, model)
+        cen = centralized_estimate(session, obs, 3, grid, layout, model)
+        dist = distributed_estimate(session, obs, 3, grid, layout, model)
+        run_algorithm3(session, obs, 3, grid, layout, model)
+        nmse(cen, spec, tests, layout, model)
+        nmse(dist, spec, tests, layout, model)
+        assert len(builds) == len(solves) == 2  # session and test positions
+
+    def test_weights_are_read_only_and_reused(self, est_setup, monkeypatch):
+        layout, model = est_setup
+        P = self._positions(layout)
+        w = chanest._weights(P, layout, model)
+        builds, = count_calls(monkeypatch, "build_block")
+        assert chanest._weights(P.copy(), layout, model) is w
+        assert builds == []
+        with pytest.raises(ValueError):
+            w[0, 0, 0] = 0.0
+
+    def test_any_changed_key_field_solves_again(self, est_setup, monkeypatch):
+        layout, model = est_setup
+        P = self._positions(layout)
+        moved = P.copy()
+        moved[1, 2, 0] = self._positions(layout, T=1, seed=1)[0, 2, 0]
+        queries = [
+            (moved, layout, model),
+            (P, replace(layout, d_min=0.9 * layout.d_min), model),
+            (P, layout, DipoleModel.for_layout(layout, load_impedance=1.0 + 20.0j)),
+            (P.reshape((1,) + P.shape), layout, model),
+        ]
+        for Q, lay, mdl in queries:
+            chanest._weights(P, layout, model)
+            builds, = count_calls(monkeypatch, "build_block")
+            w = chanest._weights(Q, lay, mdl)
+            assert len(builds) == 1
+            monkeypatch.undo()
+            fresh = mech_weights(build_block(Q, lay.active_positions(), mdl))[0]
+            assert w.shape == Q.shape[:-1]
+            assert np.array_equal(w, fresh)
+
+    def test_failed_solve_is_not_kept(self, est_setup):
+        layout, model = est_setup
+        P = self._positions(layout)
+        close = P.copy()
+        close[0, 1, 0] = layout.active_position(1) + [0.5 * layout.min_sep_m, 0.0]
+        for _ in range(2):
+            with pytest.raises(TooClose):
+                chanest._weights(close, layout, model)
 
 
 class TestOMP:

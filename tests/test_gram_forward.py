@@ -109,3 +109,16 @@ def test_one_gram_solve_per_full_evaluation(monkeypatch):
         calls.clear()
         ev.gradient_of(pl)
         assert sum(calls) == 0
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 3, 3), (2, 5, 4, 4), (0, 0), (3, 0, 0)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_frobenius_is_numpys_norm(shape, dtype):
+    """The certified solve's condition bound reads the Frobenius norms of A
+    and its inverse bit for bit as ``np.linalg.norm`` forms them."""
+    rng = np.random.default_rng(len(shape))
+    for scale in (1e-150, 1e-3, 1.0, 1e5, 1e150):
+        x = scale * rng.standard_normal(shape)
+        if dtype is complex:
+            x = x + 1j * scale * rng.standard_normal(shape)
+        assert np.array_equal(precoding._frobenius(x), np.linalg.norm(x, axis=(-2, -1)))
