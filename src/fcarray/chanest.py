@@ -25,14 +25,17 @@ step of precoding's ``antenna_chain`` (``_column``).  The pilot phase and
 the dictionary cube, built once per session for all estimators, are one
 chain call each over the (V, M) block/antenna pairs, and ``predict``,
 ``true_effective`` and ``nmse`` one call over all (test placement, antenna)
-pairs.  ``_weights`` keeps its last solve, so a trial solves once per
-position set: the pilot phase's weights serve the dictionary, and the first
-``predict``'s serve ``true_effective`` and every later query at the same test
-positions.  The exhaustive baseline steers each lattice point and each parked
-coupler once and scores all M N D candidates with one weights solve, one
-column step and one noise draw.  Each batch entry reads only
-its own antenna's schedule, so local estimator m's slice of the cube depends
-on no other antenna's positions.  Algorithm 3 runs its M local units as one
+pairs.  Each batch entry reads only its own antenna's schedule, so local
+estimator m's slice of the cube depends on no other antenna's positions.
+``_weights`` keeps its last solve, so a trial solves once per position set:
+the pilot phase's weights serve the dictionary, and the first ``predict``'s
+serve ``true_effective`` and every later query at the same test positions;
+``nmse`` keeps its last ground truth the same way (``_truth``).  The
+exhaustive baseline steers each lattice point and each parked coupler once,
+takes every candidate's feasibility and impedances from one (M, N+1, D)
+table of lattice-to-anchor distances (one ``mutual_impedance`` call), and
+scores all M N D candidates with one impedance assembly, one weights solve,
+one column step and one noise draw.  Algorithm 3 runs its M local units as one
 bank (``LocalEstimator`` over all antennas): per user one proxy call, one
 fallback top-L and one statistics product cover every unit, each unit's
 upload carrying the bits of its own single-unit call.
@@ -66,11 +69,13 @@ from .errors import (
 from .geometry import (
     ArrayLayout,
     CouplerPlacement,
+    anchor_distances,
+    clear_moves,
     constraint_margins,
     random_feasible_placement,
-    single_coupler_moves,
+    spacing_pairs,
 )
-from .impedance import DipoleModel, build_block
+from .impedance import DipoleModel, assemble_block, build_block, mutual_impedance
 from .precoding import _certified_solve, _column, effective_column, mech_weights
 
 DEFAULT_GRID_SIZE = 256
@@ -253,23 +258,28 @@ def _positions(placement) -> np.ndarray:
     return np.asarray(getattr(placement, "positions", placement), dtype=float)
 
 
-_weights_slot: tuple = (None, None)
+_slots: dict[str, tuple] = {}
+
+
+def _kept(name: str, key: tuple, build) -> np.ndarray:
+    """``build()``, read-only, kept in the one slot ``name`` and reused while
+    ``key`` repeats; a build that raises is not kept."""
+    slot = _slots.get(name)
+    if slot is None or slot[0] != key:
+        value = build()
+        value.flags.writeable = False
+        slot = _slots[name] = (key, value)
+    return slot[1]
 
 
 def _weights(P: np.ndarray, layout: ArrayLayout, model: DipoleModel) -> np.ndarray:
     """Mechanical weights (..., M, N) of all antennas at positions (..., M, N, 2),
-    read-only.  The last solve stays in one slot keyed on the layout, model,
+    read-only.  The last solve is kept (``_kept``), keyed on the layout, model,
     shape and position bytes, so the pilot phase's weights serve the session's
     dictionary and one ``predict``'s serve ``true_effective`` and the next
-    ``predict`` at the same test positions; a solve that raises is not kept."""
-    global _weights_slot
-    key = (layout, model, P.shape, P.tobytes())
-    slot = _weights_slot
-    if slot[0] != key:
-        w = mech_weights(build_block(P, layout.active_positions(), model))[0]
-        w.flags.writeable = False
-        slot = _weights_slot = (key, w)
-    return slot[1]
+    ``predict`` at the same test positions."""
+    return _kept("weights", (layout, model, P.shape, P.tobytes()),
+                 lambda: mech_weights(build_block(P, layout.active_positions(), model))[0])
 
 
 def local_dictionary(
@@ -395,6 +405,17 @@ def true_effective(spec: MultipathSpec, placement, layout: ArrayLayout,
                             active_channel_matrix(spec, layout), layout.lam)
 
 
+def _truth(spec: MultipathSpec, P: np.ndarray, layout: ArrayLayout,
+           model: DipoleModel) -> np.ndarray:
+    """``true_effective`` at positions P (..., M, N, 2), read-only.  The last
+    one is kept (``_kept``), keyed on the spec's angle and gain bytes, the
+    layout, model, shape and position bytes, so the ``nmse`` calls that score
+    several estimates of one channel at the same test positions build it once."""
+    key = (spec.angles.shape, spec.angles.tobytes(), spec.gains.tobytes(), layout, model,
+           P.shape, P.tobytes())
+    return _kept("truth", key, lambda: true_effective(spec, P, layout, model))
+
+
 def nmse(
     result,
     spec: MultipathSpec,
@@ -403,12 +424,12 @@ def nmse(
     model: DipoleModel,
 ) -> float:
     """Mean over users and query placements of ||g_hat - g||^2 / ||g||^2,
-    norms taken across antennas."""
+    norms taken across antennas; the ground truth g is kept (``_truth``)."""
     if not test_placements:
         raise DimensionMismatch("need at least one test placement")
     P = np.stack([_positions(pl) for pl in test_placements])  # (T, M, N, 2)
     g_hat = result.predict(P, layout, model)
-    g = true_effective(spec, P, layout, model)
+    g = _truth(spec, P, layout, model)
     denom = np.sum(np.abs(g) ** 2, axis=-2)  # (T, K)
     if np.any(denom < 1e-300):
         raise ZeroChannel("true effective channel vanished at a test placement")
@@ -773,24 +794,30 @@ def exhaustive_baseline(
     keeps the others parked.  Couplers that did not move keep their
     channels, so each lattice point's channels are computed once per
     antenna and each parked coupler's once; a candidate's coupler channels
-    are its antenna's parked ones with column n replaced by point d's.
-    The feasible candidates, stacked m-major, then n, then d, take one
-    impedance assembly, one weights solve, one column step and one noise
-    draw, in the order the parked measurement and the per-candidate
-    measurements would be drawn one after another."""
+    are its antenna's parked ones with column n replaced by point d's.  Its
+    impedances are its antenna's parked ones with the pairs of coupler n
+    replaced by point d's distances to the other anchors of [q_m, p_1..p_N]:
+    one (M, N+1, D) table of lattice-to-anchor distances gives the
+    feasibility mask (``clear_moves``) and, with the parked pairs, every
+    distance of one ``mutual_impedance`` call.  The feasible candidates,
+    stacked m-major, then n, then d, take one impedance assembly, one
+    weights solve, one column step and one noise draw, in the order the
+    parked measurement and the per-candidate measurements would be drawn one
+    after another."""
     side = max(int(round(np.sqrt(D))), 1)
     D_actual = side * side
     M, N, K = layout.M, layout.N, session.K
     parked = session.placements[0]
     rng = np.random.default_rng([session.seed, 3])
 
-    candidates = np.zeros((M, D_actual, 2))
-    for m in range(M):
-        lo, hi = layout.region_bounds(m)
-        xs = lo[0] + (np.arange(side) + 0.5) * (hi[0] - lo[0]) / side
-        ys = lo[1] + (np.arange(side) + 0.5) * (hi[1] - lo[1]) / side
-        xx, yy = np.meshgrid(xs, ys)
-        candidates[m] = np.column_stack([xx.ravel(), yy.ravel()])
+    # lattice point d = i * side + j of antenna m: column j, row i of its region
+    q = layout.active_positions()
+    lo, hi = q - 0.5 * layout.region_side_m, q + 0.5 * layout.region_side_m
+    ticks = lo[:, None] + (np.arange(side)[:, None] + 0.5) * (hi - lo)[:, None] / side
+    candidates = np.empty((M, side, side, 2))
+    candidates[..., 0] = ticks[:, None, :, 0]
+    candidates[..., 1] = ticks[:, :, None, 1]
+    candidates = candidates.reshape(M, D_actual, 2)
 
     h_active = active_channel_matrix(spec, layout)
     sigma = np.sqrt(session.sigma2 / 2.0)
@@ -814,20 +841,32 @@ def exhaustive_baseline(
     h_lattice = coupler_channel_block(spec, candidates[:, :, None, :], layout.lam)[..., 0]
     base = measure(_column(h_active.T, h_parked, w_parked))
 
+    # distances of every lattice point to [q_m, p_1..p_N] and of the parked
+    # pairs; the impedances of those at or above d_min
+    dist = anchor_distances(candidates, np.concatenate([q[:, None], P0], axis=1))
+    feasible = clear_moves(dist, np.arange(N), layout.min_sep_m)  # (M, N, D)
+    clear = dist >= layout.min_sep_m
+    z = mutual_impedance(np.concatenate([dist[clear], constraint_margins(P0, layout)[1].ravel()]),
+                         model)
+    n_clear = np.count_nonzero(clear)
+    z_lattice = np.zeros(dist.shape, dtype=complex)
+    z_lattice[clear], z_parked = z[:n_clear], z[n_clear:].reshape(M, -1)  # (M, P)
+
     # feasible candidates (m, n, d), stacked m-major, then n, then d: antenna
-    # m's parked channels with column n replaced by lattice point d's
-    moves = [single_coupler_moves(P0[m], m, np.arange(N), candidates[m], layout)
-             for m in range(M)]
-    feasible = np.stack([ok for ok, _ in moves])  # (M, N, D)
-    P = np.concatenate([moved[ok] for ok, moved in moves])  # (F, N, 2)
+    # m's parked impedances and channels with coupler n's replaced by point d's
     mi, ni, di = np.nonzero(feasible)
-    w = mech_weights(build_block(P, layout.active_positions()[mi], model))[0]
+    a, b = spacing_pairs(N)
+    row = np.arange(1, N + 1)[:, None]  # coupler n's anchor row
+    other, touched = np.where(a == row, b, a), (a == row) | (b == row)  # (N, P)
+    z_rows = np.where(touched[ni], z_lattice[mi[:, None], other[ni], di[:, None]], z_parked[mi])
+    w = mech_weights(assemble_block(z_rows, model))[0]
     h_c = h_parked[mi]  # (F, K, N)
     h_c[np.arange(len(mi)), :, ni] = h_lattice[mi, di]
     g = _column(h_active.T[mi], h_c, w)
     # the batch is M N D candidates deep: measure's noise block is the
-    # largest array, so the positions, weights and channels go first
-    del moves, P, w, h_c
+    # largest array, so the distance and impedance tables, weights and
+    # channels go first
+    del dist, clear, z, z_lattice, z_parked, z_rows, w, h_c
     table = np.zeros((M, N, D_actual, K), dtype=complex)
     table[feasible] = measure(g)
 

@@ -462,20 +462,34 @@ def load_placement(path) -> tuple[CouplerPlacement, ArrayLayout]:
     return CouplerPlacement(np.array(doc["placements"])), layout
 
 
+def anchor_distances(points: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """Distances (..., A, D) from each of ``anchors`` (..., A, 2) to each of
+    ``points`` (..., D, 2): the floats that ``constraint_margins`` and
+    ``build_block`` form for a pair with one end at a point."""
+    return np.hypot(points[..., None, :, 0] - anchors[..., :, None, 0],
+                    points[..., None, :, 1] - anchors[..., :, None, 1])
+
+
+def clear_moves(dist: np.ndarray, n, min_dist: float) -> np.ndarray:
+    """Mask (..., K, D) of the single-coupler moves that keep ``min_dist``:
+    coupler n[k] at point d must clear every anchor of [q_m, p_1..p_N] but
+    its own, from the ``anchor_distances`` (..., N+1, D) of the points."""
+    others = np.arange(dist.shape[-2]) != np.atleast_1d(n)[:, None] + 1  # (K, N+1)
+    return np.all((dist[..., None, :, :] >= min_dist) | ~others[:, :, None], axis=-2)
+
+
 def single_coupler_moves(p_m: np.ndarray, m: int, n, points: np.ndarray,
                          layout: ArrayLayout, margin: float = 0.0):
     """Antenna m's positions ``p_m`` (N, 2) with coupler n moved to each of
     ``points`` (D, 2): the (D,) mask of the moves that keep ``d_min + margin``
-    from the active element and the other couplers, and the moved positions
-    (D, N, 2).  An index array n (K,) gives (K, D) and (K, D, N, 2) from one
-    ``constraint_margins`` call."""
+    from the active element and the other couplers (``clear_moves``), and the
+    moved positions (D, N, 2).  An index array n (K,) gives (K, D) and
+    (K, D, N, 2)."""
     ks = np.atleast_1d(n)
+    anchors = np.concatenate([layout.active_positions()[m][None], p_m])
+    ok = clear_moves(anchor_distances(points, anchors), ks, layout.min_sep_m + margin)
     moved = np.tile(p_m, (len(ks), len(points), 1, 1))
     moved[np.arange(len(ks)), :, ks] = points
-    a, b = spacing_pairs(len(p_m))
-    untouched = (a != ks[:, None] + 1) & (b != ks[:, None] + 1)  # (K, P)
-    _, dist = constraint_margins(moved, layout, m)
-    ok = np.all((dist >= layout.min_sep_m + margin) | untouched[:, None, :], axis=-1)
     return (ok[0], moved[0]) if np.ndim(n) == 0 else (ok, moved)
 
 

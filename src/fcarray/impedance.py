@@ -16,6 +16,7 @@ half-wave resonant length used here (cos(k l / 2) = 0).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,20 +170,28 @@ def _load_matrix(N: int, load: complex) -> np.ndarray:
 def build_block(p_m: np.ndarray, q_m: np.ndarray, model: DipoleModel) -> ImpedanceBlock:
     """Impedance block for one antenna from coupler positions ``p_m`` (N, 2)
     and the active-element position ``q_m`` (2,), or for a batch (..., N, 2)
-    with ``q_m`` (2,) or (..., 2); one ``mutual_impedance`` call in all."""
+    with ``q_m`` (2,) or (..., 2): the pair distances, one
+    ``mutual_impedance`` call and ``assemble_block``."""
     p_m = np.asarray(p_m, dtype=float)
     p_m = p_m.reshape(-1, 2) if p_m.ndim < 3 else p_m
-    q_m = np.asarray(q_m, dtype=float)
-    batch, N = p_m.shape[:-2], p_m.shape[-2]
-    q_m = q_m[..., None, :]
+    q_m = np.asarray(q_m, dtype=float)[..., None, :]
+    pairs = pair_tables(p_m.shape[-2])
+    iu, ju = pairs.coupler_a, pairs.coupler_b
     d_bar = np.hypot(p_m[..., 0] - q_m[..., 0], p_m[..., 1] - q_m[..., 1])
+    d_pair = np.hypot(p_m[..., iu, 0] - p_m[..., ju, 0], p_m[..., iu, 1] - p_m[..., ju, 1])
+    return assemble_block(mutual_impedance(np.concatenate([d_bar, d_pair], axis=-1), model),
+                          model)
+
+
+def assemble_block(z: np.ndarray, model: DipoleModel) -> ImpedanceBlock:
+    """The block of mutual impedances ``z`` (..., P) over the spacing pairs of
+    [q_m, p_1..p_N], in ``spacing_pairs`` order: the N active pairs form
+    z_bar and the coupler pairs fill Z_hat's off-diagonal symmetrically."""
+    N = (math.isqrt(8 * z.shape[-1] + 1) - 1) // 2  # P = N (N + 1) / 2
     pairs = pair_tables(N)
     iu, ju = pairs.coupler_a, pairs.coupler_b
-    d_pair = np.hypot(p_m[..., iu, 0] - p_m[..., ju, 0], p_m[..., iu, 1] - p_m[..., ju, 1])
-    z = mutual_impedance(np.concatenate([d_bar, d_pair], axis=-1), model)
-    z_bar = z[..., :N]
-    Z_hat = np.full(batch + (N, N), model.self_impedance, dtype=complex)
+    Z_hat = np.full(z.shape[:-1] + (N, N), model.self_impedance, dtype=complex)
     Z_hat[..., iu, ju] = z[..., N:]
     Z_hat[..., ju, iu] = z[..., N:]
-    return ImpedanceBlock(model.self_impedance, z_bar, Z_hat,
+    return ImpedanceBlock(model.self_impedance, z[..., :N], Z_hat,
                           _load_matrix(N, model.load_impedance))

@@ -343,6 +343,73 @@ class TestWeightsSlot:
                 chanest._weights(close, layout, model)
 
 
+class TestTruthSlot:
+    """``nmse`` keeps its last ground truth in one read-only slot keyed on the
+    spec's angle and gain bytes, the layout, model and position bytes."""
+
+    def _inputs(self, layout, T=3, seed=0):
+        rng = np.random.default_rng(seed)
+        spec = sample_channels(seed + 5, K=2, L=3, layout=layout)
+        return spec, [random_feasible_placement(layout, rng) for _ in range(T)]
+
+    def test_estimation_trial_builds_the_truth_once(self, monkeypatch):
+        # the acceptance-8 trial: pilot phase, two estimators, two NMSEs
+        layout = ArrayLayout(M=8, N=2)
+        model = DipoleModel.for_layout(layout)
+        spec = sample_channels(11, K=2, L=3, layout=layout)
+        session = make_session(layout, K=2, tau=13, V=4, sigma2=1.0, seed=12)
+        rng = np.random.default_rng(13)
+        tests = [random_feasible_placement(layout, rng) for _ in range(10)]
+        grid = AngularGrid(256)
+        monkeypatch.delitem(chanest._slots, "truth", raising=False)  # as in a fresh process
+        truths, = count_calls(monkeypatch, "true_effective")
+        obs = run_pilot_phase(session, spec, layout, model)
+        cen = centralized_estimate(session, obs, 3, grid, layout, model)
+        dist = distributed_estimate(session, obs, 3, grid, layout, model)
+        scores = [nmse(res, spec, tests, layout, model) for res in (cen, dist)]
+        at_tests = [args for args in truths if np.shape(args[1]) == (10, 8, 2, 2)]
+        assert len(at_tests) == 1
+        monkeypatch.delitem(chanest._slots, "truth")
+        assert scores[1] == nmse(dist, spec, tests, layout, model)
+
+    def test_truth_is_read_only_and_reused(self, est_setup, monkeypatch):
+        layout, model = est_setup
+        spec, tests = self._inputs(layout)
+        P = np.stack([pl.positions for pl in tests])
+        g = chanest._truth(spec, P, layout, model)
+        truths, = count_calls(monkeypatch, "true_effective")
+        assert chanest._truth(spec, P.copy(), layout, model) is g
+        assert truths == []
+        assert chanest._slots["truth"][1] is g
+        with pytest.raises(ValueError):
+            g[0, 0, 0] = 0.0
+
+    def test_any_changed_key_field_builds_again(self, est_setup, monkeypatch):
+        layout, model = est_setup
+        spec, tests = self._inputs(layout)
+        P = np.stack([pl.positions for pl in tests])
+        moved = P.copy()
+        moved[1, 2] = random_feasible_placement(layout, np.random.default_rng(7)).positions[2]
+        angles = spec.angles.copy()
+        angles[0, 0] *= 0.5
+        queries = [
+            (spec, moved, layout, model),
+            (MultipathSpec(angles, spec.gains), P, layout, model),
+            (MultipathSpec(spec.angles, 2.0 * spec.gains), P, layout, model),
+            (spec, P, replace(layout, f_c=1.01 * layout.f_c), model),
+            (spec, P, layout, DipoleModel.for_layout(layout, load_impedance=1.0 + 20.0j)),
+            (spec, P.reshape((1,) + P.shape), layout, model),
+        ]
+        for sp, Q, lay, mdl in queries:
+            chanest._truth(spec, P, layout, model)
+            truths, = count_calls(monkeypatch, "true_effective")
+            g = chanest._truth(sp, Q, lay, mdl)
+            assert len(truths) == 1
+            monkeypatch.undo()
+            assert g.shape == Q.shape[:-2] + (spec.K,)
+            assert np.array_equal(g, true_effective(sp, Q, lay, mdl))
+
+
 class TestOMP:
     def test_single_column(self, rng):
         A = rng.standard_normal((16, 32)) + 1j * rng.standard_normal((16, 32))

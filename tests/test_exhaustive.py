@@ -1,8 +1,9 @@
 """The exhaustive measurement baseline: bit-identical to the frozen
-per-(antenna, coupler) version in ``exhaustive_reference``, and each lattice
-point and parked coupler steered once, in two impedance assemblies.  Its
-predictions equal the frozen full-search predictor's, ties and infeasible
-nearest points included."""
+per-(antenna, coupler) version in ``exhaustive_reference``, each lattice
+point and parked coupler steered once, each distinct lattice-to-anchor
+distance's impedance computed once, and all candidates in one impedance
+assembly.  Its predictions equal the frozen full-search predictor's, ties
+and infeasible nearest points included."""
 
 import itertools
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from fcarray import ArrayLayout, DipoleModel, chanest, channel, sample_channels
+from fcarray import impedance as impedance_module
 from fcarray.chanest import exhaustive_baseline, make_session
 
 import exhaustive_reference as ref
@@ -50,28 +52,41 @@ def test_matches_the_reference_at_tau_equal_to_K(shape):
 
 @pytest.mark.parametrize("shape", [(4, 2), (2, 3)])
 def test_steers_each_lattice_point_once(shape, monkeypatch):
-    steered, blocks = [], []
-    kernel, assemble = channel.steering_coupler_block, chanest.build_block
+    steered, distances, assembled = [], [], []
+    kernel, impedance, assemble = (channel.steering_coupler_block, chanest.mutual_impedance,
+                                   chanest.assemble_block)
 
     def count_steering(phi, p_m, lam):
         steered.append(int(np.prod(np.shape(p_m)[:-1])))
         return kernel(phi, p_m, lam)
 
-    def count_blocks(*args, **kw):
-        blocks.append(args[0])
-        return assemble(*args, **kw)
+    def count_distances(d, model):
+        distances.append(np.asarray(d))
+        return impedance(d, model)
+
+    def count_assembly(z, model):
+        assembled.append(len(z))
+        return assemble(z, model)
 
     for mod in (channel, chanest):
         monkeypatch.setattr(mod, "steering_coupler_block", count_steering)
-    monkeypatch.setattr(chanest, "build_block", count_blocks)
+    for mod in (impedance_module, chanest):
+        monkeypatch.setattr(mod, "mutual_impedance", count_distances)
+    monkeypatch.setattr(chanest, "assemble_block", count_assembly)
     lay, model, spec, session = case(*shape, K=2, tau=5, sigma2=0.3)
     D = 400
     res = exhaustive_baseline(session, spec, lay, model, D=D)
     M, N = shape
+    P = N * (N - 1) // 2  # coupler pairs; with the N active pairs, one block's row
     assert sum(steered) <= M * D + M * N
-    # one assembly for the parked couplers, one for all feasible candidates
-    assert len(blocks) == 2
-    assert len(blocks[1]) == res.feasible.sum()
+    # one lattice-to-anchor table: each distinct distance's impedance once,
+    # next to the parked pairs (and the parked weights' own block)
+    for d in distances:
+        assert d.size <= M * (N + 1) * D + M * (N + P)
+        assert d.min() >= lay.min_sep_m
+    assert sum(d.size for d in distances) <= M * (N + 1) * D + 2 * M * (N + P)
+    # all feasible candidates in one assembly
+    assert assembled == [res.feasible.sum()]
 
 
 def full_search(res, P):

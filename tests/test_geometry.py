@@ -19,6 +19,7 @@ from fcarray import (
     sample_channels,
     uniform_placement,
 )
+from fcarray.chanest import exhaustive_baseline, make_session
 from fcarray.errors import (
     AnchorInfeasible,
     ConfigError,
@@ -28,11 +29,14 @@ from fcarray.errors import (
 from fcarray.geometry import (
     LinearizedFeasibleSet,
     Violation,
+    anchor_distances,
     constraint_margins,
     single_coupler_moves,
     spacing_pairs,
 )
 from fcarray.optimizer import CLEARANCE_WL, ObjectiveEvaluator, relaxed_update
+
+import exhaustive_reference
 
 
 def contains(fs, x, atol=1e-12):
@@ -711,6 +715,55 @@ def test_single_coupler_moves_match_reference(N):
                 assert np.array_equal(ok, ref_ok) and ok.any() and not ok.all()
                 assert same_bits(moved[ok], ref_moved)
                 assert np.array_equal(all_ok[n], ok) and same_bits(all_moved[n], moved)
+
+
+@pytest.mark.parametrize("pad", [0.0, 2e-4])
+def test_single_coupler_moves_keep_points_at_exactly_the_minimum_distance(pad):
+    lay = ArrayLayout(M=1, N=2)
+    s = lay.min_sep_m + pad * lay.lam
+    below = np.nextafter(s, 0.0)
+    p_m = np.array([[0.0, -3.0 * s], [0.0, 3.0 * s]])  # q_0 = (0, 0) between them
+    # s from the active element, s from coupler 1, and both just below
+    points = np.array([[s, 0.0], [s, 3.0 * s], [below, 0.0], [below, 3.0 * s]])
+    dist = anchor_distances(points, np.vstack([lay.active_position(0), p_m]))
+    assert dist[0, 0] == s and dist[2, 1] == s
+    assert dist[0, 2] < s and dist[2, 3] < s
+    ok, _ = single_coupler_moves(p_m, 0, np.arange(2), points, lay, pad * lay.lam)
+    # coupler 1 moved to the last point clears all but its own spot
+    assert ok.tolist() == [[True, True, False, False], [True, True, False, True]]
+    for n in range(2):
+        ref_ok, _ = single_coupler_moves_reference(p_m, n, lay.active_position(0), points, s)
+        assert np.array_equal(ok[n], ref_ok)
+
+
+def test_exhaustive_feasibility_keeps_points_at_exactly_the_minimum_distance():
+    # lam = 1/16 m and side-4 lattice: every coordinate below is an exact float
+    f_c = 16.0 * 299792458.0
+    probe = ArrayLayout(M=1, N=2, f_c=f_c)
+    assert probe.lam == 0.0625
+    c, c2 = np.array([0.046875, 0.015625]), np.array([-0.046875, -0.046875])
+    p2 = np.array([-0.0625, 0.0])
+    s = np.hypot(*c)  # c lies s from q_0 = (0, 0) and c2 lies s from p2
+    assert np.hypot(*(c2 - p2)) == s
+    parked = CouplerPlacement(np.array([[[0.0625, 0.0625], p2]]))
+    for d_min, kept in ((16.0 * s, True), (np.nextafter(16.0 * s, np.inf), False)):
+        lay = ArrayLayout(M=1, N=2, d_min=d_min, f_c=f_c)
+        assert (lay.min_sep_m == s) == kept
+        session = make_session(lay, K=2, tau=5, V=1, sigma2=0.3, seed=0)
+        session.placements[0] = parked
+        spec, model = sample_channels(0, K=2, L=3, layout=lay), DipoleModel.for_layout(lay)
+        res = exhaustive_baseline(session, spec, lay, model, D=16)
+        at_c = np.flatnonzero(np.all(res.candidates[0] == c, axis=1))
+        at_c2 = np.flatnonzero(np.all(res.candidates[0] == c2, axis=1))
+        assert len(at_c) == len(at_c2) == 1
+        # coupler 0 moved to c sits on the active element's boundary, to c2 on p2's
+        assert res.feasible[0, 0, at_c[0]] == kept and res.feasible[0, 0, at_c2[0]] == kept
+        ok, _ = single_coupler_moves(parked.positions[0], 0, np.arange(2), res.candidates[0],
+                                     lay)
+        assert np.array_equal(res.feasible[0], ok)
+        # the impedances at exactly d_min are measured too
+        want = exhaustive_reference.exhaustive_baseline(session, spec, lay, model, D=16)
+        assert np.array_equal(res.table, want["table"])
 
 
 def test_constraint_margins_broadcast_over_leading_axes():
