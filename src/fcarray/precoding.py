@@ -52,32 +52,55 @@ def _eye(n: int, dtype=float) -> np.ndarray:
 def mech_weights(block: ImpedanceBlock) -> tuple[np.ndarray, float]:
     """Solve one antenna's coupling system; returns (w, condition bound, see
     ``_certified_solve``).  A batched block gives w (..., N) and one bound per
-    entry; a single ill-conditioned entry fails the whole batch.  At N = 0 the
-    weights are empty and the bound is 0.0, the norm of the empty system."""
+    entry; a single ill-conditioned entry fails the whole batch.  At N = 2 the
+    solve is the one-column one and the bound is ||Z||_F**2 / |det Z|, no
+    inverse formed.  At N = 0 the weights are empty and the bound is 0.0, the
+    norm of the empty system."""
     X, cond = _certified_solve(block.Z_hat + block.X, block.z_bar[..., None], COND_LIMIT,
                                SingularSystem, "coupling system")
     return X[..., 0], _scalar(cond)
 
 
 def _certified_solve(A: np.ndarray, rhs, limit: float, error: type, what: str):
-    """Solve A X = [rhs | I] for matrices A (..., n, n) in one LAPACK call
-    (``rhs`` (..., n, r) or None), so X ends in A^-1.  Returns (X, cond)
-    with cond = ||A||_F ||A^-1||_F, an upper bound on cond_2(A).  The bound
-    is held to two decades below ``limit`` so rounding in A^-1 cannot pass a
-    bad entry; entries that miss it (non-finite ones included) get the exact
-    SVD value instead, and ``error`` is raised if that exceeds ``limit``."""
+    """Solve A X = rhs for matrices A (..., n, n) and ``rhs`` (..., n, r), or
+    form X = A^-1 when ``rhs`` is None, in one LAPACK call.  Returns (X, cond)
+    with cond = ||A||_F ||A^-1||_F, an upper bound on cond_2(A).
+
+    With a right-hand side, A^-1 feeds only the bound, so it comes from
+    solving [rhs | I], except at n = 2: there the adjugate has A's entries up
+    to sign and order, so the bound is ||A||_F**2 / |det A| with
+    det A = a00 a11 - a01 a10, and the solve takes ``rhs`` alone.  That
+    closed form rounds to a relative error of about 2 eps times the bound,
+    about 1e-6 wherever the bound passes (<= 1e-2 ``limit``, 1e10 for the
+    coupling systems).
+
+    The bound is held to two decades below ``limit`` so rounding in A^-1 or
+    det A cannot pass a bad entry; entries that miss it (non-finite ones
+    included) get the exact SVD value instead, and ``error`` is raised if
+    that exceeds ``limit``."""
     n = A.shape[-1]
-    b = eye = _eye(n, A.dtype)  # solve broadcasts it over A's batch axes
-    if rhs is not None:
-        r = rhs.shape[-1]
+    r = 0 if rhs is None else rhs.shape[-1]
+    by_det = rhs is not None and n == 2
+    if rhs is None:
+        b = _eye(n, A.dtype)  # solve broadcasts it over A's batch axes
+    elif by_det:
+        b = rhs
+    else:
         b = np.empty(A.shape[:-1] + (r + n,), dtype=np.result_type(rhs, A))
-        b[..., :r], b[..., r:] = rhs, eye
+        b[..., :r], b[..., r:] = rhs, _eye(n, A.dtype)
     try:
         X = np.linalg.solve(A, b)
     except np.linalg.LinAlgError:  # an exactly singular entry
         _exact_cond(A, limit, error, what)
         raise error(f"{what} is singular") from None
-    cond = np.asarray(_frobenius(A) * _frobenius(X[..., X.shape[-1] - n:]))
+    if by_det:
+        det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):  # det 0 or NaN misses
+            cond = np.asarray(_frobenius(A) ** 2 / np.abs(det))
+    else:
+        cond = np.asarray(_frobenius(A) * _frobenius(X[..., r:]))
+        if rhs is not None:
+            X = X[..., :r]
     miss = ~(cond <= 1e-2 * limit)
     if miss.any():
         cond[miss] = _exact_cond(A[miss], limit, error, what)

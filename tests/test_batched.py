@@ -64,6 +64,7 @@ from fcarray.optimizer import (
 from fcarray.precoding import (
     COND_LIMIT,
     GRAM_COND_LIMIT,
+    _frobenius,
     antenna_chain,
     effective_column,
     fc_state,
@@ -496,24 +497,30 @@ def test_gram_certificate_raises_exactly_when_cond_exceeds_limit():
         gram_sum_rate(W, P_MAX, SIGMA2)
 
 
-def test_coupling_certificate_raises_exactly_when_cond_exceeds_limit():
+@pytest.mark.parametrize("N", [2, 3])
+def test_coupling_certificate_raises_exactly_when_cond_exceeds_limit(N):
     # coupling systems with condition numbers straddling the limit: the
     # certified solve must raise SingularSystem iff np.linalg.cond says so,
-    # and solve the passing entries bit for bit as np.linalg.solve does
+    # and solve the passing entries bit for bit as np.linalg.solve does; at
+    # N = 2 the bound is the determinant form
     rng = np.random.default_rng(9)
-    N = 3
     conds = COND_LIMIT * np.array([1e-3, 1e-2, 0.5, 0.9, 0.99, 1.01, 1.1, 2.0, 1e3])
     Z_hat, z_bar = [], []
     for c in conds:
         U, _ = np.linalg.qr(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
         V, _ = np.linalg.qr(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
-        Z_hat.append(60.0 * (U * np.array([c, np.sqrt(c), 1.0])) @ V.conj().T)
+        s = [c, np.sqrt(c), 1.0] if N == 3 else [c, 1.0]
+        Z_hat.append(60.0 * (U * np.array(s)) @ V.conj().T)
         z_bar.append(rng.standard_normal(N) + 1j * rng.standard_normal(N))
     Z_hat, z_bar = np.stack(Z_hat), np.stack(z_bar)
     X = np.zeros((N, N), dtype=complex)
     exact = np.linalg.cond(Z_hat)
     ok = exact <= COND_LIMIT
     assert ok.any() and not ok.all()
+    # the SVD rounds the smallest singular value by about eps * sigma_max, a
+    # relative eps * cond in ``exact``; at N = 2 the bound, cond + 1 / cond,
+    # sits far closer to the exact value than that, so the check allows it there
+    slack = 1e-12 + np.finfo(float).eps * exact * (N == 2)
     for i in range(len(conds)):
         block = ImpedanceBlock(73.0 + 0j, z_bar[i], Z_hat[i], X)
         if not ok[i]:
@@ -523,14 +530,43 @@ def test_coupling_certificate_raises_exactly_when_cond_exceeds_limit():
         w, cond = mech_weights(block)
         assert np.array_equal(w, np.linalg.solve(Z_hat[i], z_bar[i]))
         # an upper bound, and the exact value wherever the bound misses
-        assert cond >= exact[i] * (1.0 - 1e-12)
+        assert cond >= exact[i] * (1.0 - slack[i])
         assert cond <= 1e-2 * COND_LIMIT or cond == exact[i]
     w, cond = mech_weights(ImpedanceBlock(73.0 + 0j, z_bar[ok], Z_hat[ok], X))
     assert np.array_equal(w, np.linalg.solve(Z_hat[ok], z_bar[ok][..., None])[..., 0])
-    assert np.all(cond >= exact[ok] * (1.0 - 1e-12))
+    assert np.all(cond >= exact[ok] * (1.0 - slack[ok]))
     assert np.array_equal(cond[cond > 1e-2 * COND_LIMIT], exact[ok][cond > 1e-2 * COND_LIMIT])
     with pytest.raises(SingularSystem):
         mech_weights(ImpedanceBlock(73.0 + 0j, z_bar, Z_hat, X))
+
+
+def test_two_by_two_coupling_systems_solve_one_column(monkeypatch):
+    # at N = 2 the bound is ||Z||_F**2 / |det Z|: no inverse is formed, so the
+    # one LAPACK solve takes the right-hand side alone
+    rng = np.random.default_rng(12)
+    F = 64
+    Z_hat = 60.0 * (rng.standard_normal((F, 2, 2)) + 1j * rng.standard_normal((F, 2, 2)))
+    Z_hat += 200.0 * np.eye(2)  # well conditioned
+    z_bar = rng.standard_normal((F, 2)) + 1j * rng.standard_normal((F, 2))
+    X = np.zeros((2, 2), dtype=complex)
+    solve, rhs_columns = np.linalg.solve, []
+
+    def counted(A, b):
+        rhs_columns.append(np.shape(b)[-1])
+        return solve(A, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    w, cond = mech_weights(ImpedanceBlock(73.0 + 0j, z_bar, Z_hat, X))
+    monkeypatch.undo()
+    assert rhs_columns == [1]
+    assert np.array_equal(w, np.linalg.solve(Z_hat, z_bar[..., None])[..., 0])
+    want = _frobenius(Z_hat) * _frobenius(np.linalg.inv(Z_hat))
+    assert np.max(np.abs(cond - want) / want) <= 1e-13
+    Z_hat[5] = [[1.0, 2.0], [2.0, 4.0]]  # exactly singular
+    with pytest.raises(SingularSystem):
+        mech_weights(ImpedanceBlock(73.0 + 0j, z_bar, Z_hat, X))
+    with pytest.raises(SingularSystem):
+        mech_weights(ImpedanceBlock(73.0 + 0j, z_bar[5], Z_hat[5], X))
 
 
 class TestNonFinite:
