@@ -22,7 +22,7 @@ stacked vector belongs to block v, antenna m.
 The per-antenna chain runs batched: one weights solve (``_weights``) feeds
 the angular responses and the effective columns, both formed by the column
 step of precoding's ``antenna_chain`` (``_column``).  The pilot phase and
-the dictionary cube, built once per session for all estimators, are one
+the dictionary cube, built once per position set for all estimators, are one
 chain call each over the (V, M) block/antenna pairs, and ``predict``,
 ``true_effective`` and ``nmse`` one call over all (test placement, antenna)
 pairs.  Each batch entry reads only its own antenna's schedule, so local
@@ -30,13 +30,14 @@ estimator m's slice of the cube depends on no other antenna's positions.
 ``_weights`` keeps its last solve, so a trial solves once per position set:
 the pilot phase's weights serve the dictionary, and the first ``predict``'s
 serve ``true_effective`` and every later query at the same test positions;
-``nmse`` keeps its last ground truth the same way (``_truth``).  The
-exhaustive baseline steers each lattice point and each parked coupler once,
-takes every candidate's feasibility and impedances from one (M, N+1, D)
-table of lattice-to-anchor distances (one ``mutual_impedance`` call), and
-scores all M N D candidates with one impedance assembly, one weights solve,
-one column step and one noise draw.  Algorithm 3 runs its M local units as one
-bank (``LocalEstimator`` over all antennas): per user one proxy call, one
+the dictionary cube and ``nmse``'s ground truth (``_truth``) are kept the
+same way, each in its own ``_kept`` slot.  The exhaustive baseline steers
+each lattice point and each parked coupler once, takes every candidate's
+feasibility and impedances from one (M, N+1, D) table of lattice-to-anchor
+distances (one ``mutual_impedance`` call), and scores all M N D candidates
+with one impedance assembly, one weights solve, one column step and one
+noise draw.  Algorithm 3 runs its M local units as one bank
+(``LocalEstimator`` over all antennas): per user one proxy call, one
 fallback top-L and one statistics product cover every unit, each unit's
 upload carrying the bits of its own single-unit call.
 """
@@ -59,7 +60,6 @@ from .channel import (
 from .errors import (
     ConfigError,
     DimensionMismatch,
-    InfeasibleLayout,
     InformationLeak,
     RankDeficientSupport,
     SingularAggregate,
@@ -72,8 +72,9 @@ from .geometry import (
     anchor_distances,
     clear_moves,
     constraint_margins,
+    pair_tables,
     random_feasible_placement,
-    spacing_pairs,
+    rejection_placement,
 )
 from .impedance import DipoleModel, assemble_block, build_block, mutual_impedance
 from .precoding import _certified_solve, _column, effective_column, mech_weights
@@ -104,7 +105,7 @@ def make_pilots(K: int, tau: int, seed) -> np.ndarray:
 @dataclass
 class PilotSession:
     """One training window: pilots, block count, per-block placements, and
-    the per-antenna noise level; caches its cube (see ``local_dictionary``)."""
+    the per-antenna noise level."""
 
     S: np.ndarray  # (K, tau)
     tau: int
@@ -112,7 +113,6 @@ class PilotSession:
     placements: list[CouplerPlacement]
     sigma2: float
     seed: int
-    _dictionary: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     @property
     def K(self) -> int:
@@ -162,22 +162,14 @@ def _annulus_placement(layout: ArrayLayout, rng: np.random.Generator,
                        spread_wl: float, max_tries: int = 50000) -> CouplerPlacement:
     r_lo = 1.01 * layout.min_sep_m
     r_hi = max(spread_wl * layout.lam, r_lo)
-    pos = np.zeros((layout.M, layout.N, 2))
-    for m in range(layout.M):
-        q = layout.active_position(m)
-        for _ in range(max_tries):
-            r = rng.uniform(r_lo, r_hi, layout.N)
-            a = rng.uniform(0.0, 2.0 * np.pi, layout.N)
-            pts = q[None, :] + np.column_stack([r * np.cos(a), r * np.sin(a)])
-            box, dist = constraint_margins(pts, layout, m)
-            if np.all(box >= 0.0) and np.all(dist >= layout.min_sep_m):
-                pos[m] = pts
-                break
-        else:
-            raise InfeasibleLayout(
-                f"could not draw an annulus placement for antenna {m} "
-                f"in {max_tries} tries")
-    return CouplerPlacement(pos)
+    q = layout.active_positions()
+
+    def draw(m):
+        r = rng.uniform(r_lo, r_hi, layout.N)
+        a = rng.uniform(0.0, 2.0 * np.pi, layout.N)
+        return q[m] + np.column_stack([r * np.cos(a), r * np.sin(a)])
+
+    return rejection_placement(layout, draw, max_tries)
 
 
 def simulate_rx(
@@ -293,17 +285,15 @@ def local_dictionary(
     response at block-v coupler positions (mechanical weights solved from
     the antenna's own schedule).  An index array ``m`` gives (V, len(m), G)
     and ``slice(None)`` the whole (V, M, G) cube.  All are read-only slices
-    of the session's one cached cube, built by one chain call over the (V, M)
-    block/antenna pairs and keyed on the grid, layout, model and placement
-    bytes, so a moved coupler or a new grid or model means a rebuild."""
+    of one cube, built by one chain call over the (V, M) block/antenna pairs
+    and kept (``_kept``) while the grid, layout, model and the positions'
+    shape and bytes repeat, so a moved coupler or a new grid or model means
+    a rebuild."""
     P = session.positions
-    key = (grid, layout, model, P.tobytes())
-    if session._dictionary[0] != key:
-        cube = response_row(grid.angles, P, _weights(P, layout, model), np.arange(layout.M),
-                            layout)
-        cube.flags.writeable = False
-        session._dictionary = (key, cube)
-    out = session._dictionary[1][:, m]
+    cube = _kept("dictionary", (grid, layout, model, P.shape, P.tobytes()),
+                 lambda: response_row(grid.angles, P, _weights(P, layout, model),
+                                      np.arange(layout.M), layout))
+    out = cube[:, m]
     out.flags.writeable = False
     return out
 
@@ -855,7 +845,7 @@ def exhaustive_baseline(
     # feasible candidates (m, n, d), stacked m-major, then n, then d: antenna
     # m's parked impedances and channels with coupler n's replaced by point d's
     mi, ni, di = np.nonzero(feasible)
-    a, b = spacing_pairs(N)
+    a, b = pair_tables(N).a, pair_tables(N).b
     row = np.arange(1, N + 1)[:, None]  # coupler n's anchor row
     other, touched = np.where(a == row, b, a), (a == row) | (b == row)  # (N, P)
     z_rows = np.where(touched[ni], z_lattice[mi[:, None], other[ni], di[:, None]], z_parked[mi])

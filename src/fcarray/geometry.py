@@ -205,22 +205,16 @@ def _arc_offsets(N: int, layout: ArrayLayout) -> np.ndarray:
     return radius * np.column_stack([np.cos(angles), np.sin(angles)])
 
 
-@functools.lru_cache(maxsize=None)
-def spacing_pairs(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (a, b), a < b, of the spacing pairs among [q_m, p_1..p_N]:
-    the active pairs (0, n), then the coupler pairs in lexicographic order."""
-    a, b = np.triu_indices(N + 1, k=1)
-    a.flags.writeable = b.flags.writeable = False  # one copy serves every caller
-    return a, b
-
-
 class PairTables(NamedTuple):
-    """Per-N tables of the spacing pairs, in ``spacing_pairs`` order over the
-    points [q_m, p_1..p_N]: the coupler pairs as 0-based coupler indices
-    (``np.triu_indices(N, 1)``), the orientation ``linearize_spacing`` takes
-    (p_n - q for the active pairs, p_a - p_b for the coupler pairs), the pair
-    rows, and the (P, N+1) incidence matrix of the differences p_b - p_a."""
+    """Per-N tables of the spacing pairs over the points [q_m, p_1..p_N]:
+    the index arrays (a, b), a < b, of the active pairs (0, n) and then the
+    coupler pairs in lexicographic order; the coupler pairs as 0-based coupler
+    indices (``np.triu_indices(N, 1)``); the orientation ``linearize_spacing``
+    takes (p_n - q for the active pairs, p_a - p_b for the coupler pairs); the
+    pair rows; and the (P, N+1) incidence matrix of the differences p_b - p_a."""
 
+    a: np.ndarray
+    b: np.ndarray
     coupler_a: np.ndarray
     coupler_b: np.ndarray
     first: np.ndarray
@@ -232,13 +226,13 @@ class PairTables(NamedTuple):
 @functools.lru_cache(maxsize=None)
 def pair_tables(N: int) -> PairTables:
     """The read-only ``PairTables`` of N couplers, built once per N."""
-    a, b = spacing_pairs(N)
+    a, b = np.triu_indices(N + 1, k=1)
     rows = np.arange(len(a))
     incidence = np.zeros((len(a), N + 1))
     incidence[rows, b] = 1.0
     incidence[rows, a] = -1.0
-    tables = PairTables(a[N:] - 1, b[N:] - 1, np.where(a == 0, b, a), np.where(a == 0, a, b),
-                        rows, incidence)
+    tables = PairTables(a, b, a[N:] - 1, b[N:] - 1, np.where(a == 0, b, a),
+                        np.where(a == 0, a, b), rows, incidence)
     for arr in tables:
         arr.flags.writeable = False
     return tables
@@ -266,7 +260,7 @@ def _box_normals(n: int) -> np.ndarray:
 
 def constraint_margins(positions: np.ndarray, layout: ArrayLayout, m=None):
     """Box margins (..., M, N), each coupler's distance to the nearest side of its
-    region (negative outside), and pair distances (..., M, P) in ``spacing_pairs``
+    region (negative outside), and pair distances (..., M, P) in ``pair_tables``
     order, for positions (..., M, N, 2).  An index or index array ``m`` names the
     antennas of the positions' antenna axis (a scalar m: positions (..., N, 2))."""
     # as complex x + iy each subtraction is one contiguous pass over both axes
@@ -292,7 +286,7 @@ def is_feasible(placement: CouplerPlacement, layout: ArrayLayout) -> Feasibility
     atol = 1e-8 * layout.lam
     box, dist = constraint_margins(placement.positions, layout)
     spacing = dist - layout.min_sep_m
-    a, b = spacing_pairs(layout.N)
+    a, b = pair_tables(layout.N).a, pair_tables(layout.N).b
     violations: list[Violation] = []
     for m in range(layout.M):  # per antenna: region violations, then spacing
         violations += [Violation("region", m, None, int(n), box[m, n])
@@ -311,7 +305,7 @@ class LinearizedFeasibleSet:
     membership means ``normals @ x <= offsets`` plus the box bounds.  Any
     member satisfies the true (nonconvex) spacing constraints because the
     linearization is a global affine upper bound of the concave ``-d``.  Row p
-    belongs to pair p of ``spacing_pairs(N)``.
+    belongs to pair p of ``pair_tables(N)``.
 
     A batch of antennas stacks the sets along a leading axis (``normals``
     (A, P, 2N), ...).
@@ -334,7 +328,7 @@ def linearize_spacing(
 
     For each unordered pair the constraint ||p_a - p_b||^2 >= d_min^2 is
     replaced by its first-order bound at the anchor, giving one half-space per
-    pair, in the ``spacing_pairs`` order.  ``margin`` (meters) shrinks the box
+    pair, in the ``pair_tables`` order.  ``margin`` (meters) shrinks the box
     and inflates d_min.  The optimizer passes its clearance
     (``optimizer.CLEARANCE_WL`` wavelengths), which keeps the projected
     iterates off the exact d_min guard of ``mutual_impedance`` despite the
@@ -376,11 +370,7 @@ def linearize_spacing(
     return LinearizedFeasibleSet(*parts)
 
 
-def project_onto_set(
-    point: np.ndarray,
-    feas_set: LinearizedFeasibleSet,
-    return_steps: bool = False,
-):
+def project_onto_set(point: np.ndarray, feas_set: LinearizedFeasibleSet):
     """Euclidean projection onto the linearized set, exact in finitely many
     steps: Goldfarb and Idnani's (1983) dual active-set method for
     min 1/2 ||x - y||^2 over the box and the half-spaces (unit normals c,
@@ -391,7 +381,8 @@ def project_onto_set(
     multiplier reaches zero, and a dependent j (z = 0) takes only partial
     steps.  Points (A, 2N) are projected row by row onto A sets; a row freezes
     once nothing is violated beyond rounding of its coordinates, matching its
-    single-row call to the last bit.  ``return_steps`` gives the steps."""
+    single-row call to the last bit.  Returns (x, steps): the projection and
+    the active-set steps each row took."""
     single = np.ndim(point) == 1
     parts = [np.asarray(v, dtype=float) for v in (
         point, feas_set.box_lo, feas_set.box_hi, feas_set.normals, feas_set.offsets)]
@@ -439,8 +430,7 @@ def project_onto_set(
             act[part, drop[part]], mult[part, drop[part]] = False, 0.0
         j = np.where(add | ~live, -1, j)
         steps += live
-    x, steps = (x[0], int(steps[0])) if single else (x, steps)
-    return (x, steps) if return_steps else x
+    return (x[0], int(steps[0])) if single else (x, steps)
 
 
 # placement-file layout header key -> ArrayLayout field, in file order
@@ -497,18 +487,25 @@ def random_feasible_placement(
     layout: ArrayLayout, rng: np.random.Generator, max_tries: int = 10000
 ) -> CouplerPlacement:
     """Rejection-sample a feasible placement: couplers uniform in each region,
-    redrawn per antenna until spacing holds."""
-    pos = np.zeros((layout.M, layout.N, 2))
+    redrawn per antenna until the draw is feasible (``rejection_placement``)."""
+    bounds = [layout.region_bounds(m) for m in range(layout.M)]
+    return rejection_placement(
+        layout, lambda m: rng.uniform(*bounds[m], size=(layout.N, 2)), max_tries)
+
+
+def rejection_placement(layout: ArrayLayout, draw, max_tries: int) -> CouplerPlacement:
+    """Placement whose antenna m holds the first ``draw(m)`` (N, 2) that is
+    feasible: every box margin >= 0 and every spacing >= d_min.  Antennas
+    draw in index order, each at most ``max_tries`` times."""
+    pos, min_sep = np.zeros((layout.M, layout.N, 2)), layout.min_sep_m
     for m in range(layout.M):
-        lo, hi = layout.region_bounds(m)
         for _ in range(max_tries):
-            pts = rng.uniform(lo, hi, size=(layout.N, 2))
-            if np.all(constraint_margins(pts, layout, m)[1] >= layout.min_sep_m):
+            pts = draw(m)
+            box, dist = constraint_margins(pts, layout, m)
+            if (dist >= min_sep).all() and (box >= 0.0).all():
                 pos[m] = pts
                 break
         else:
             raise InfeasibleLayout(
-                f"could not sample a feasible placement for antenna {m} "
-                f"in {max_tries} tries"
-            )
+                f"could not draw a feasible placement for antenna {m} in {max_tries} tries")
     return CouplerPlacement(pos)

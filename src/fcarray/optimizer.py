@@ -75,7 +75,6 @@ from .geometry import (
     pair_tables,
     project_onto_set,
     single_coupler_moves,
-    spacing_pairs,
     uniform_placement,
 )
 from .impedance import DipoleModel, ImpedanceBlock, mutual_impedance_derivative
@@ -286,7 +285,7 @@ class ObjectiveEvaluator:
         lam_w = -(c[:, None, :] @ h_c)[:, 0] - 2.0 * s[:, None] * r.conj()
         # adjoint solve; A = Z_hat + X is complex symmetric, so A^-T = A^-1
         mu = np.linalg.solve(fwd.block.Z_hat + fwd.block.X, lam_w[..., None])[..., 0]
-        # d rate / d z for each distance of build_block, in spacing_pairs order
+        # d rate / d z for each distance of build_block, in pair_tables order
         pairs = pair_tables(N)
         ca, cb = pairs.coupler_a, pairs.coupler_b
         zeta = np.concatenate([
@@ -296,8 +295,7 @@ class ObjectiveEvaluator:
         ], axis=-1)
         q = self.layout.active_positions()[:, None, :]
         full = np.concatenate([q, fwd.positions], axis=1)  # (M, N+1, 2)
-        a, b = spacing_pairs(N)
-        diff = full[:, b] - full[:, a]
+        diff = full[:, pairs.b] - full[:, pairs.a]
         dist = np.hypot(diff[..., 0], diff[..., 1])
         d_dist = np.real(zeta * mutual_impedance_derivative(dist, self.model))
         # distance d_ab moves with +u at point b and -u at point a
@@ -369,17 +367,15 @@ def relaxed_update(
     step_vec: np.ndarray,
     alpha_t: float,
     anchor_set: LinearizedFeasibleSet,
-    return_steps: bool = False,
 ):
     """One antenna's full update: project p + step onto its linearized set
     (the maximizer of its surrogate), then relax toward that candidate with
     weight alpha.  This is the exact computation an LPU runs from (its own
     state, the received step vector, the public schedule).  Stacked vectors
-    (A, 2N) with a batch of A sets update A antennas, row by row;
-    ``return_steps`` also gives the projection's active-set step counts."""
-    cand, steps = project_onto_set(p_vec + step_vec, anchor_set, return_steps=True)
-    new = p_vec + alpha_t * (cand - p_vec)
-    return (new, steps) if return_steps else new
+    (A, 2N) with a batch of A sets update A antennas, row by row.  Returns
+    the updated vector(s) and the projection's active-set step counts."""
+    cand, steps = project_onto_set(p_vec + step_vec, anchor_set)
+    return p_vec + alpha_t * (cand - p_vec), steps
 
 
 @dataclass
@@ -431,20 +427,17 @@ def optimize(
         alpha_t = config.alpha(t)
         p_vecs = p.positions.reshape(M, 2 * N)
 
-        accepted = None
         backtracks = 0
         for _ in range(MAX_BACKTRACKS + 1):
             steps = grads / eta
-            vecs, proj_steps = relaxed_update(p_vecs, steps, alpha_t, sets, return_steps=True)
+            vecs, proj_steps = relaxed_update(p_vecs, steps, alpha_t, sets)
             cand = CouplerPlacement(vecs.reshape(M, N, 2))
             cand_rate = ev.rate_of(cand)
             if cand_rate >= trace.rates[-1]:
-                accepted = (cand, steps, cand_rate, int(proj_steps.sum()))
                 break
             eta *= BACKTRACK_FACTOR
             backtracks += 1
-
-        if accepted is None:
+        else:
             # No improving step at any tested eta: stationary for our
             # purposes.  The skip keeps the rate flat, so the relative-change
             # rule fires and the run stops here.
@@ -452,14 +445,13 @@ def optimize(
             trace.rates.append(trace.rates[-1])
             break
 
-        cand, steps, cand_rate, proj_steps_total = accepted
         prev = trace.rates[-1]
         p = cand
         trace.rates.append(cand_rate)
         trace.grad_norms.append(norms)
         trace.backtracks.append(backtracks)
         trace.etas.append(eta)
-        trace.proj_sweeps.append(proj_steps_total)
+        trace.proj_sweeps.append(int(proj_steps.sum()))
         margins = box, dist = constraint_margins(p.positions, layout)
         trace.min_margins.append(float(min(box.min(), (dist - layout.min_sep_m).min())))
         trace.record_round(M, N)

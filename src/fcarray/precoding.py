@@ -93,14 +93,14 @@ def _certified_solve(A: np.ndarray, rhs, limit: float, error: type, what: str):
     except np.linalg.LinAlgError:  # an exactly singular entry
         _exact_cond(A, limit, error, what)
         raise error(f"{what} is singular") from None
-    if by_det:
-        det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):  # det 0 or NaN misses
+    with np.errstate(all="ignore"):  # a zero det or a non-finite or overflowing entry misses
+        if by_det:
+            det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
             cond = np.asarray(_frobenius(A) ** 2 / np.abs(det))
-    else:
-        cond = np.asarray(_frobenius(A) * _frobenius(X[..., r:]))
-        if rhs is not None:
-            X = X[..., :r]
+        else:
+            cond = np.asarray(_frobenius(A) * _frobenius(X[..., r:]))
+            if rhs is not None:
+                X = X[..., :r]
     miss = ~(cond <= 1e-2 * limit)
     if miss.any():
         cond[miss] = _exact_cond(A[miss], limit, error, what)

@@ -12,6 +12,7 @@ whose local units run as one bank, against a frozen run in which every local
 unit builds its own and computes alone, and the bank unit by unit against
 single units."""
 
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -64,6 +65,7 @@ from fcarray.optimizer import (
 from fcarray.precoding import (
     COND_LIMIT,
     GRAM_COND_LIMIT,
+    _certified_solve,
     _frobenius,
     antenna_chain,
     effective_column,
@@ -509,7 +511,7 @@ def test_coupling_certificate_raises_exactly_when_cond_exceeds_limit(N):
     for c in conds:
         U, _ = np.linalg.qr(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
         V, _ = np.linalg.qr(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
-        s = [c, np.sqrt(c), 1.0] if N == 3 else [c, 1.0]
+        s = [c, c, 1.0] if N == 3 else [c, 1.0]
         Z_hat.append(60.0 * (U * np.array(s)) @ V.conj().T)
         z_bar.append(rng.standard_normal(N) + 1j * rng.standard_normal(N))
     Z_hat, z_bar = np.stack(Z_hat), np.stack(z_bar)
@@ -518,8 +520,10 @@ def test_coupling_certificate_raises_exactly_when_cond_exceeds_limit(N):
     ok = exact <= COND_LIMIT
     assert ok.any() and not ok.all()
     # the SVD rounds the smallest singular value by about eps * sigma_max, a
-    # relative eps * cond in ``exact``; at N = 2 the bound, cond + 1 / cond,
-    # sits far closer to the exact value than that, so the check allows it there
+    # relative eps * cond in ``exact``; at N = 3 the singular values [c, c, 1]
+    # put the bound near sqrt(2) cond, far above that rounding, while at N = 2
+    # the bound, cond + 1 / cond, sits far closer to the exact value than that,
+    # so the check allows it there
     slack = 1e-12 + np.finfo(float).eps * exact * (N == 2)
     for i in range(len(conds)):
         block = ImpedanceBlock(73.0 + 0j, z_bar[i], Z_hat[i], X)
@@ -609,6 +613,22 @@ class TestNonFinite:
             mmse_precoder(np.array([[1.0 + 0j], [0.0]]), np.ones(1), P_MAX, 0.0)
         with pytest.raises(SingularGram):
             gram_sum_rate(W, P_MAX, 0.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e308])
+    @pytest.mark.parametrize("with_rhs", [True, False])
+    def test_bad_entry_raises_without_numpy_warnings(self, n, bad, with_rhs):
+        # a non-finite or overflowing entry turns the condition bound inf or
+        # NaN; the verdict is the package's error alone, with no numpy warning
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        A[-1, 0] = bad
+        rhs, limit, error = ((rng.standard_normal((n, 1)) + 0j, COND_LIMIT, SingularSystem)
+                             if with_rhs else (None, GRAM_COND_LIMIT, SingularGram))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                _certified_solve(A, rhs, limit, error, "system")
 
     def test_nan_in_aggregated_statistics(self):
         with pytest.raises(SingularAggregate):

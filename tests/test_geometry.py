@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
@@ -31,8 +31,8 @@ from fcarray.geometry import (
     Violation,
     anchor_distances,
     constraint_margins,
+    pair_tables,
     single_coupler_moves,
-    spacing_pairs,
 )
 from fcarray.optimizer import CLEARANCE_WL, ObjectiveEvaluator, relaxed_update
 
@@ -52,9 +52,8 @@ def slacks(fs, x):
 
 
 def pair_list(N):
-    """The ``spacing_pairs`` order as a list of (a, b) tuples."""
-    a, b = spacing_pairs(N)
-    return list(zip(a.tolist(), b.tolist()))
+    """The ``pair_tables`` order as a list of (a, b) tuples."""
+    return list(zip(pair_tables(N).a.tolist(), pair_tables(N).b.tolist()))
 
 
 class TestLayout:
@@ -233,7 +232,7 @@ class TestProjection:
         anchor = uniform_placement(layout)
         fs = linearize_spacing(anchor, 0, layout)
         x = anchor.antenna_vector(0)
-        assert np.allclose(project_onto_set(x, fs), x)
+        assert np.allclose(project_onto_set(x, fs)[0], x)
 
     def test_box_only_clamp(self, layout):
         anchor = uniform_placement(layout)
@@ -241,7 +240,7 @@ class TestProjection:
         x = anchor.antenna_vector(0)
         y = x.copy()
         y[0] = fs.box_hi[0] + 0.01  # push one coordinate out of the box
-        proj = project_onto_set(y, fs)
+        proj = project_onto_set(y, fs)[0]
         expected = np.clip(y, fs.box_lo, fs.box_hi)
         if contains(fs, expected):
             assert np.allclose(proj, expected, atol=1e-10)
@@ -255,7 +254,7 @@ class TestProjection:
         b = fs.offsets[0]
         x = anchor.antenna_vector(0) + 0.4 * lay.min_sep_m * a / np.linalg.norm(a)
         assert fs.normals @ x > fs.offsets  # actually violating
-        proj = project_onto_set(x, fs)
+        proj = project_onto_set(x, fs)[0]
         viol = a @ x - b
         expected = x - viol * a / (a @ a)
         assert np.allclose(proj, expected, atol=1e-9 * lay.lam)
@@ -268,9 +267,9 @@ class TestProjection:
         for _ in range(50):
             x = center + rng.uniform(-scale, scale, size=center.size)
             y = center + rng.uniform(-scale, scale, size=center.size)
-            px = project_onto_set(x, fs)
-            py = project_onto_set(y, fs)
-            assert np.linalg.norm(project_onto_set(px, fs) - px) \
+            px = project_onto_set(x, fs)[0]
+            py = project_onto_set(y, fs)[0]
+            assert np.linalg.norm(project_onto_set(px, fs)[0] - px) \
                 <= 1e-8 * layout.lam
             assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) * (1 + 1e-8)
 
@@ -282,7 +281,7 @@ class TestProjection:
             center = anchor.antenna_vector(m)
             for _ in range(250):
                 x = center + rng.uniform(-2, 2, size=center.size) * layout.region_side_m
-                proj = project_onto_set(x, fs)
+                proj = project_onto_set(x, fs)[0]
                 assert contains(fs, proj, atol=1e-7 * layout.lam)
                 pl = anchor.with_antenna_vector(m, proj)
                 assert is_feasible(pl, layout).ok
@@ -471,21 +470,21 @@ def test_batched_sets_and_projections_match_per_antenna_reference(N, M, margin_s
             assert same_bits(got.normals, normals) and same_bits(got.offsets, offsets)
     for scale in (1e-3, 0.05, 1.0):
         points = sca_like_points(anchor, lay, rng, scale)
-        got, steps = project_onto_set(points, batch, return_steps=True)
+        got, steps = project_onto_set(points, batch)
         for m, (lo, hi, normals, offsets, _) in enumerate(refs):
             ref, _ = project_reference(points[m], lo, hi, normals, offsets, 1e-14 * lay.lam)
             assert np.max(np.abs(got[m] - ref), initial=0.0) <= 1e-12 * lay.lam
             one, one_steps = project_onto_set(points[m], linearize_spacing(
-                anchor, m, lay, margin=margin), return_steps=True)
+                anchor, m, lay, margin=margin))
             assert same_bits(one, got[m]) and one_steps == steps[m]
         relaxed, relaxed_steps = relaxed_update(
             anchor.positions.reshape(M, -1), points - anchor.positions.reshape(M, -1),
-            0.5, batch, return_steps=True)
+            0.5, batch)
         assert np.array_equal(relaxed_steps, steps)
         for m in range(M):
             one, one_steps = relaxed_update(
                 anchor.antenna_vector(m), points[m] - anchor.antenna_vector(m), 0.5,
-                linearize_spacing(anchor, m, lay, margin=margin), return_steps=True)
+                linearize_spacing(anchor, m, lay, margin=margin))
             assert same_bits(relaxed[m], one) and one_steps == steps[m]
 
 
@@ -519,11 +518,10 @@ def test_projection_of_a_414_wavelength_step_is_a_kkt_point():
     assert np.linalg.norm(steps[0]) / lay.lam == pytest.approx(414.2, abs=0.1)
     margin = CLEARANCE_WL * lay.lam
     points = p.positions.reshape(4, -1) + steps
-    got, counts = project_onto_set(points, linearize_spacing(p, np.arange(4), lay, margin),
-                                   return_steps=True)
+    got, counts = project_onto_set(points, linearize_spacing(p, np.arange(4), lay, margin))
     for m in range(4):
         fs = linearize_spacing(p, m, lay, margin=margin)
-        one, one_steps = project_onto_set(points[m], fs, return_steps=True)
+        one, one_steps = project_onto_set(points[m], fs)
         assert same_bits(one, got[m]) and one_steps == counts[m]
         assert 0 < one_steps < 4 * lay.N + len(fs.offsets)
         assert_kkt_point(points[m], one, fs, lay.lam)
@@ -533,10 +531,16 @@ def test_projection_of_a_414_wavelength_step_is_a_kkt_point():
 def kkt_case_anchor(lay, kind, margin, rng):
     """A feasible anchor: random, the uniform arc (its middle coupler's
     normals are axis-aligned), or random with couplers pushed onto the faces
-    of the box shrunk by ``margin``."""
+    of the box shrunk by ``margin``.  A random draw is redrawn until it
+    clears ``margin`` from the box and from d_min, as the sets require."""
     if kind == "uniform":
         return uniform_placement(lay)
-    pl = random_feasible_placement(lay, rng)
+    while True:
+        pl = random_feasible_placement(lay, rng)
+        box, dist = constraint_margins(pl.positions, lay)
+        if (box.min(initial=np.inf) >= margin
+                and dist.min(initial=np.inf) >= lay.min_sep_m + margin):
+            break
     if kind == "face" and lay.N:
         for m in range(lay.M):
             lo, hi = lay.region_bounds(m)
@@ -550,6 +554,7 @@ def kkt_case_anchor(lay, kind, margin, rng):
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
+@example(M=6, N=4, kind="random", scale=1e-3, margin_steps=1.0, seed=25017)
 @given(M=st.integers(1, 8), N=st.integers(0, 4),
        kind=st.sampled_from(["random", "uniform", "face"]),
        scale=st.sampled_from([1e-3, 0.05, 1.0, 30.0, 400.0]),
@@ -574,11 +579,11 @@ def test_projection_satisfies_kkt_on_random_linearized_sets(M, N, kind, scale,
 
     np_solve = np.linalg.solve
     with mock.patch.object(np.linalg, "solve", solve):
-        got, steps = project_onto_set(points, batch, return_steps=True)
+        got, steps = project_onto_set(points, batch)
     assert max(conds, default=1.0) < 1e8
     for m in range(M):
         fs = linearize_spacing(anchor, m, lay, margin=margin)
-        one, one_steps = project_onto_set(points[m], fs, return_steps=True)
+        one, one_steps = project_onto_set(points[m], fs)
         assert same_bits(one, got[m]) and one_steps == steps[m]
         assert_kkt_point(points[m], one, fs, lay.lam)
 
@@ -593,10 +598,11 @@ def test_finished_rows_keep_their_bits_while_others_move():
         points = anchor.positions.reshape(2, -1).copy()
         points[0, 1] = -0.0
         points[1] += 3.0 * lay.region_side_m * np.array(push)
-        got, steps = project_onto_set(points, batch, return_steps=True)
+        got, steps = project_onto_set(points, batch)
         assert steps[0] == 0 and steps[1] > 1
         assert same_bits(got[0], points[0])
-        assert same_bits(got[1], project_onto_set(points[1], linearize_spacing(anchor, 1, lay)))
+        one, _ = project_onto_set(points[1], linearize_spacing(anchor, 1, lay))
+        assert same_bits(got[1], one)
 
 
 @pytest.mark.parametrize("delta", [1e-9, 5e-9, 3e-8])
@@ -611,7 +617,7 @@ def test_projection_onto_nearly_parallel_half_spaces(delta, far, floor):
                                np.array([[1.0, 0.0], [1.0, delta]]),
                                np.array([0.0, -1e-12 * np.hypot(1.0, delta)]))
     point = np.array([far, 0.0])
-    x, steps = project_onto_set(point, fs, return_steps=True)
+    x, steps = project_onto_set(point, fs)
     assert steps <= 6
     assert_kkt_point(point, x, fs, 1.0)
 
@@ -629,7 +635,7 @@ def test_projection_with_a_box_face_parallel_to_an_active_half_space():
     for point in ([3 * side, 0.0], [-3 * side, 0.0], [3 * side, 2 * side],
                   [-3 * side, -2 * side], [0.0, 2 * side], [hi[0], 5 * side]):
         point = np.array(point)
-        x, steps = project_onto_set(point, fs, return_steps=True)
+        x, steps = project_onto_set(point, fs)
         assert steps <= 3
         assert_kkt_point(point, x, fs, lay.lam)
 
@@ -690,9 +696,10 @@ def test_infeasible_anchor_and_margin_errors_name_the_same_antenna(M, N, seed):
 def test_random_feasible_placement_matches_reference(M, N, A):
     lay = ArrayLayout(M=M, N=N, region_side=A)
     for seed in range(20):
-        got = random_feasible_placement(lay, np.random.default_rng(seed))
-        ref = random_feasible_reference(lay, np.random.default_rng(seed))
-        assert same_bits(got.positions, ref)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert same_bits(random_feasible_placement(lay, rng).positions,
+                         random_feasible_reference(lay, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -771,7 +778,7 @@ def test_constraint_margins_broadcast_over_leading_axes():
     rng = np.random.default_rng(4)
     stacked = np.stack([random_feasible_placement(lay, rng).positions for _ in range(5)])
     box, dist = constraint_margins(stacked, lay)
-    a, b = spacing_pairs(lay.N)
+    a, b = pair_tables(lay.N).a, pair_tables(lay.N).b
     assert box.shape == (5, 3, 3) and dist.shape == (5, 3, len(a))
     for i in range(5):
         one_box, one_dist = constraint_margins(stacked[i], lay)

@@ -99,7 +99,7 @@ class TestAlgorithm1:
             assert msg.payload_kind == "positions"
             anchor = initial.with_antenna_vector(m, prev[m])
             feas = linearize_spacing(anchor, m, lay, margin=CLEARANCE_WL * lay.lam)
-            replayed = relaxed_update(prev[m], steps[r, m], cfg.alpha(r - 1), feas)
+            replayed, _ = relaxed_update(prev[m], steps[r, m], cfg.alpha(r - 1), feas)
             assert np.array_equal(replayed, msg.payload)
             prev[m] = msg.payload
         final = np.stack([prev[m].reshape(N, 2) for m in range(M)])

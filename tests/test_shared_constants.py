@@ -4,19 +4,18 @@ one raises ValueError, so no caller can corrupt another's constants."""
 import numpy as np
 import pytest
 
-from fcarray import ArrayLayout, DipoleModel, build_block, uniform_placement
-from fcarray.geometry import _box_bounds, _box_normals, pair_tables, spacing_pairs
+from fcarray import ArrayLayout, DipoleModel, build_block, make_session, uniform_placement
+from fcarray.chanest import AngularGrid, _slots, local_dictionary
+from fcarray.geometry import _box_bounds, _box_normals, pair_tables
 from fcarray.precoding import _eye
 
 
 def shared_arrays():
     lay = ArrayLayout(M=3, N=2)
-    block = build_block(uniform_placement(lay).positions, lay.active_positions(),
-                        DipoleModel.for_layout(lay))
+    model = DipoleModel.for_layout(lay)
+    block = build_block(uniform_placement(lay).positions, lay.active_positions(), model)
     yield "active_positions", lay.active_positions()
     for N in (0, 1, 3):
-        for i, arr in enumerate(spacing_pairs(N)):
-            yield f"spacing_pairs({N})[{i}]", arr
         for name, arr in pair_tables(N)._asdict().items():
             yield f"pair_tables({N}).{name}", arr
     for i, arr in enumerate(_box_bounds(lay, 1e-4 * lay.lam)):
@@ -26,6 +25,11 @@ def shared_arrays():
     yield "_eye(2, complex)", _eye(2, np.dtype(complex))
     yield "ImpedanceBlock.X", block.X
     yield "ImpedanceBlock.resistance", block.resistance
+    # the kept dictionary cube, a view of it and an index-array slice
+    session, grid = make_session(lay, K=2, tau=2, V=2, sigma2=0.1, seed=0), AngularGrid(16)
+    for label, m in (("slice(None)", slice(None)), ("[0, 2]", np.array([0, 2]))):
+        yield f"local_dictionary(m={label})", local_dictionary(session, m, grid, lay, model)
+    yield "kept dictionary cube", _slots["dictionary"][1]
 
 
 @pytest.mark.parametrize("name, arr", list(shared_arrays()), ids=lambda x: x
