@@ -30,16 +30,19 @@ estimator m's slice of the cube depends on no other antenna's positions.
 ``_weights`` keeps its last solve, so a trial solves once per position set:
 the pilot phase's weights serve the dictionary, and the first ``predict``'s
 serve ``true_effective`` and every later query at the same test positions;
-the dictionary cube and ``nmse``'s ground truth (``_truth``) are kept the
-same way, each in its own ``_kept`` slot.  The exhaustive baseline steers
+the dictionary cube, the grid's active steering and ``nmse``'s ground truth
+(``_truth``) are kept the same way, each in its own ``_kept`` slot.  The exhaustive baseline steers
 each lattice point and each parked coupler once, takes every candidate's
 feasibility and impedances from one (M, N+1, D) table of lattice-to-anchor
 distances (one ``mutual_impedance`` call), and scores all M N D candidates
 with one impedance assembly, one weights solve, one column step and one
-noise draw.  Algorithm 3 runs its M local units as one bank
-(``LocalEstimator`` over all antennas): per user one proxy call, one
-fallback top-L and one statistics product cover every unit, each unit's
-upload carrying the bits of its own single-unit call.
+noise draw.  Every user of a session runs in one pass: the centralized
+scheme makes one ``omp`` call and one ``ls_gains`` call on the (K, V M)
+stack of observations, and Algorithm 3 runs its M local units as one bank
+(``LocalEstimator`` over all antennas) and its K users as one batch, so one
+proxy call, one statistics product and one stacked solve cover every unit
+and user; only the fusion and its fallback top-L run per user.  Each row,
+unit and user carries the bits of its own single call.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -221,9 +225,12 @@ class AngularGrid:
         if self.G < 2:
             raise ConfigError(f"grid needs at least 2 points, got G={self.G}")
 
-    @property
+    @cached_property
     def angles(self) -> np.ndarray:
-        return np.linspace(-np.pi / 2, np.pi / 2, self.G)
+        """The G grid angles, formed once per grid and read-only."""
+        angles = np.linspace(-np.pi / 2, np.pi / 2, self.G)
+        angles.flags.writeable = False
+        return angles
 
     def nearest_index(self, phi) -> np.ndarray:
         step = np.pi / (self.G - 1)
@@ -237,10 +244,18 @@ def response_row(
     """Effective per-antenna angular response b_m(phi; p_m) for angle(s) phi:
     the active steering entry minus the coupler re-radiation seen through the
     mechanical weights.  Positions (..., N, 2), weights (..., N) and ``m`` (an
-    index, or an index array matching the batch axes) give (batch..., phi...)."""
-    phi = np.asarray(phi, dtype=float)
+    index, or an index array matching the batch axes) give (batch..., phi...).
+    An AngularGrid ``phi`` means its angles, whose active steering is kept
+    (``_kept``) per grid and layout."""
+    if isinstance(phi, AngularGrid):
+        grid = phi
+        phi = grid.angles
+        a = _kept("steering", (grid, layout), lambda: steering_active(grid.angles, layout))
+    else:
+        phi = np.asarray(phi, dtype=float)
+        a = steering_active(phi.reshape(-1), layout)
     flat = phi.reshape(-1)
-    a_y = np.moveaxis(steering_active(flat, layout), -1, 0)[m]  # (batch..., P)
+    a_y = np.moveaxis(a, -1, 0)[m]  # (batch..., P)
     b = _column(a_y, steering_coupler_block(flat, p_m, layout.lam), w_m)
     return b.reshape(b.shape[:-1] + phi.shape)
 
@@ -291,7 +306,7 @@ def local_dictionary(
     a rebuild."""
     P = session.positions
     cube = _kept("dictionary", (grid, layout, model, P.shape, P.tobytes()),
-                 lambda: response_row(grid.angles, P, _weights(P, layout, model),
+                 lambda: response_row(grid, P, _weights(P, layout, model),
                                       np.arange(layout.M), layout))
     out = cube[:, m]
     out.flags.writeable = False
@@ -320,44 +335,79 @@ def stack_observations(corr_blocks: list[np.ndarray], k: int) -> np.ndarray:
 
 
 def _ls_on_columns(y: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """QR least squares on selected columns; raises when the triangular
-    factor signals numerically dependent columns."""
-    Q, R = np.linalg.qr(cols)
-    diag = np.abs(np.diag(R))
-    if diag.size and diag.min() < 1e-10 * max(diag.max(), 1e-300):
+    """QR least squares of rows y (K, n) on their selected columns (K, n, r),
+    one stacked QR and solve (LAPACK per row, so each row has the bits of its
+    own call): coefficients (K, r) and residuals (K, n).  Raises when any
+    row's columns outnumber its samples or its triangular factor signals
+    numerically dependent columns."""
+    if cols.shape[-1] > cols.shape[-2]:
         raise RankDeficientSupport(
-            f"selected columns are numerically dependent (min |R_ii| = {diag.min():.3e})"
+            f"{cols.shape[-1]} columns on {cols.shape[-2]} samples are dependent")
+    Q, R = np.linalg.qr(cols)
+    diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+    low = diag.min(axis=-1)
+    bad = low < 1e-10 * np.maximum(diag.max(axis=-1), 1e-300)
+    if bad.any():
+        raise RankDeficientSupport(
+            f"selected columns are numerically dependent (min |R_ii| = {low[bad].min():.3e})"
         )
-    x = np.linalg.solve(R, Q.conj().T @ y)
-    return x, y - cols @ x
+    x = np.linalg.solve(R, np.swapaxes(Q.conj(), -1, -2) @ y[..., None])[..., 0]
+    return x, y - (cols @ x[..., None])[..., 0]
 
 
-def omp(y: np.ndarray, A: np.ndarray, L: int) -> tuple[list[int], list[float]]:
+def _columns(A: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Columns (K, n, r) of A at supports (K, r), each row's (n, r) block
+    laid out as ``A[:, support[k]]`` lays it out (column-major)."""
+    return np.swapaxes(A.T[support], -1, -2)
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of a complex x (..., n), each with the bits
+    of ``np.linalg.norm`` on the row."""
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+
+
+def omp(y: np.ndarray, A: np.ndarray, L: int):
     """Orthogonal matching pursuit with exactly L selections and per-round LS
     refit.  Ties in the correlation maximum break toward the lowest index.
-    Returns (support in selection order, residual norms incl. the initial)."""
+    Returns (support in selection order, residual norms incl. the initial).
+
+    Rows y (K, n) sharing the dictionary A run together: each round is one
+    correlation, one argmax per row and one stacked QR solve, and the call
+    returns a (K, L) int support and (K, L+1) residual norms, row k with the
+    bits of its own call.  A 1-D y is a batch of one and returns lists.  A
+    dependent support in any row raises RankDeficientSupport."""
     if L > A.shape[1]:
         raise DimensionMismatch(f"L={L} exceeds the dictionary size {A.shape[1]}")
-    residual = y.astype(complex).copy()
-    support: list[int] = []
-    history = [float(np.linalg.norm(residual))]
-    for _ in range(L):
-        corr = np.abs(A.conj().T @ residual)
-        corr[support] = -1.0  # already selected
-        j = int(np.argmax(corr))
-        support.append(j)
-        x, residual = _ls_on_columns(y, A[:, support])
-        history.append(float(np.linalg.norm(residual)))
+    Y = np.array(y, dtype=complex, order="C", ndmin=2)  # a 1-D y is one row
+    A_h = A.conj().T
+    rows = np.arange(len(Y))[:, None]
+    support = np.zeros((len(Y), L), dtype=int)
+    history = np.empty((len(Y), L + 1))
+    residual = Y
+    history[:, 0] = _norms(residual)
+    for r in range(L):
+        corr = np.abs((A_h @ residual[..., None])[..., 0])  # one product per row
+        corr[rows, support[:, :r]] = -1.0  # already selected
+        support[:, r] = np.argmax(corr, axis=-1)
+        _, residual = _ls_on_columns(Y, _columns(A, support[:, :r + 1]))
+        history[:, r + 1] = _norms(residual)
+    if np.ndim(y) == 1:
+        return support[0].tolist(), history[0].tolist()
     return support, history
 
 
 def ls_gains(y: np.ndarray, A: np.ndarray, support) -> np.ndarray:
-    """Least-squares gains on a fixed support."""
-    support = list(support)
-    if not support:
-        return np.zeros(0, dtype=complex)
-    x, _ = _ls_on_columns(y, A[:, support])
-    return x
+    """Least-squares gains on a fixed support.  Rows y (K, n) with supports
+    (K, L) take one stacked QR solve and give (K, L), row k with the bits of
+    its own call."""
+    Y = np.array(y, dtype=complex, order="C", ndmin=2)
+    S = np.atleast_2d(np.asarray(support, dtype=int))
+    if S.shape[-1]:
+        x, _ = _ls_on_columns(Y, _columns(A, S))
+    else:
+        x = np.zeros((max(len(Y), len(S)), 0), dtype=complex)
+    return x if max(np.ndim(y), np.ndim(support)) > 1 else x[0]
 
 
 # ---------------------------------------------------------------------------
@@ -452,25 +502,20 @@ def centralized_estimate(
     model: DipoleModel,
 ) -> EstimationResult:
     """Stack pilot-correlated observations over antennas and blocks at the
-    central unit, then per user run OMP (exactly L selections) and LS gains."""
-    corr_blocks = [pilot_correlate(Y, session.S, session.tau) for Y in observations]
+    central unit, then run OMP (exactly L selections) and LS gains for all
+    users at once: row k of the (K, V M) stack is ``stack_observations`` of
+    user k."""
+    corr = pilot_correlate(np.asarray(observations), session.S, session.tau)  # (V, M, K)
+    y = np.moveaxis(corr, -1, 0).reshape(session.K, -1)
     A = build_dictionary(session, grid, layout, model)
-    K = session.K
-    supports = np.zeros((K, L), dtype=int)
-    angles = np.zeros((K, L))
-    gains = np.zeros((K, L), dtype=complex)
-    for k in range(K):
-        y_k = stack_observations(corr_blocks, k)
-        support, _ = omp(y_k, A, L)
-        supports[k] = support
-        angles[k] = grid.angles[supports[k]]
-        gains[k] = ls_gains(y_k, A, support)
+    supports, _ = omp(y, A, L)
+    gains = ls_gains(y, A, supports)
     ledger = {
         "pilot_uplink_complex": layout.M * session.V * session.tau,
         "pilot_uplink_scalars": 2 * layout.M * session.V * session.tau,
     }
     return EstimationResult(
-        scheme="centralized", supports=supports, angles=angles, gains=gains,
+        scheme="centralized", supports=supports, angles=grid.angles[supports], gains=gains,
         grid=grid, ledger=ledger,
     )
 
@@ -488,15 +533,15 @@ def local_proxy(
     sigma_eff2, sorted ascending).  The column energies ``norms``
     (sum over blocks of |A_m|^2) are computed from A_m when not given.
 
-    Dictionaries (..., V, G) with observations (..., V) give one proxy per
-    leading entry, rho (..., G), each entry's bits those of its own call;
-    the passing indices are then ``np.nonzero`` of the (..., G) pass mask,
-    the leading entries' indices first and the grid indices last."""
+    Dictionaries (..., V, G) with observations (..., V), broadcast against
+    each other, give one proxy per leading entry, rho (..., G), each entry's
+    bits those of its own call; the second value is then the (..., G) pass
+    mask."""
     c = (np.swapaxes(A_m.conj(), -1, -2) @ y_mk[..., None])[..., 0]
     norms = np.sum(np.abs(A_m) ** 2, axis=-2) if norms is None else norms
     rho = np.abs(c) ** 2 / (norms + EPS_NORM)
-    kept = np.nonzero(rho >= eta * sigma_eff2)
-    return rho, kept[0] if rho.ndim == 1 else kept
+    passed = rho >= eta * sigma_eff2
+    return rho, np.flatnonzero(passed) if rho.ndim == 1 else passed
 
 
 def fuse_and_select(uploads, L: int, G: int) -> tuple[np.ndarray, bool]:
@@ -523,7 +568,14 @@ class LocalEstimator:
     been prepared for by an earlier exchange of that user raises
     InformationLeak.  A bank computes for all its units in one call each,
     with every unit's bits those of a single unit, and returns one upload
-    per unit, in the order of ``m``."""
+    per unit, in the order of ``m``.
+
+    A user index ``k`` asks for one user; an index array asks for all its
+    users in one call, the users a batch axis ahead of each unit's (V, G)
+    dictionary, so each (user, unit) upload has the bits of its own call.
+    Each unit's upload then holds one entry per user: a list of (indices,
+    values) pairs for the proxies, and a leading user axis on the
+    statistics.  A single user is a batch of one."""
 
     def __init__(self, m, session: PilotSession, A_m: np.ndarray):
         self.m = m
@@ -541,27 +593,30 @@ class LocalEstimator:
         corr = pilot_correlate(Y, self.session.S, self.session.tau)[..., 0, :]
         self.corr = np.moveaxis(corr, 0, -2)
 
-    def observation(self, k: int) -> np.ndarray:
-        return self.corr[..., k]
+    def observation(self, k) -> np.ndarray:
+        """The units' correlations (..., V) of user k, or (..., len(k), V) of
+        an index array of users."""
+        return np.swapaxes(self.corr[..., k], -1, -2) if np.ndim(k) else self.corr[..., k]
 
-    def _per_unit(self, idx, vals):
-        """A single unit's upload, the pair (idx, vals); a bank's, one pair per
-        unit from arrays with a leading unit axis, or from the ``np.nonzero``
-        indices of a (units, G) mask with the values at them."""
-        if np.ndim(self.m) == 0:
-            return idx, vals
-        if isinstance(idx, tuple):  # nonzero of the (units, G) pass mask
-            units, idx = idx
-            ends = np.searchsorted(units, np.arange(1, len(self.m) + 1)).tolist()
-            return [(idx[a:b], vals[a:b]) for a, b in zip([0] + ends[:-1], ends)]
-        return list(zip(idx, vals))
+    def _per_unit(self, *arrays):
+        """One upload per unit, in the order of ``m``, from arrays with a
+        leading unit axis; a single unit's upload is the tuple of arrays."""
+        return list(zip(*arrays)) if np.ndim(self.m) else arrays
 
-    def proxies(self, k: int, eta: float):
+    def proxies(self, k, eta: float):
         """Thresholded proxy upload of user k: (kept indices, their rho)."""
-        rho, kept = local_proxy(self.A_m, self.observation(k),
-                                self.session.sigma_eff2, eta, self.norms)
-        self._rho[k] = rho
-        return self._per_unit(kept, rho[kept])
+        users = np.atleast_1d(k)
+        rho, passed = local_proxy(self.A_m[..., None, :, :], self.observation(users),
+                                  self.session.sigma_eff2, eta, self.norms[..., None, :])
+        for i, u in enumerate(users.tolist()):
+            self._rho[u] = rho[..., i, :]
+        # the passing grid indices and values of each (unit, user) row, rows unit-major
+        idx, vals = np.flatnonzero(passed) % rho.shape[-1], rho[passed]
+        ends = np.cumsum(np.count_nonzero(passed, axis=-1)).ravel().tolist()
+        pairs = [(idx[a:b], vals[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+        uploads = [pairs[j:j + len(users)] if np.ndim(k) else pairs[j]
+                   for j in range(0, len(pairs), len(users))]
+        return uploads if np.ndim(self.m) else uploads[0]
 
     def top_proxies(self, k: int, L: int):
         """Fallback upload of user k: the unthresholded top-L proxies."""
@@ -574,38 +629,47 @@ class LocalEstimator:
         idx = np.sort(np.lexsort((lanes, -rho), axis=-1)[..., :L], axis=-1)
         return self._per_unit(idx, np.take_along_axis(rho, idx, axis=-1))
 
-    def receive_support(self, k: int, support: np.ndarray) -> None:
-        self._supports[k] = support
+    def receive_support(self, k, support: np.ndarray) -> None:
+        """Support (L,) of user k, or supports (len(k), L) of users k."""
+        for u, s in zip(np.atleast_1d(k).tolist(), support if np.ndim(k) else [support]):
+            self._supports[u] = s
 
-    def suff_stats(self, k: int):
+    def suff_stats(self, k):
         """Gram and correlation of user k on the received support."""
-        if k not in self._supports:
-            raise InformationLeak(
-                f"LPU {self.m} asked for statistics of user {k} without a support"
-            )
-        # C-ordered (V, L) and (L, V) factors per unit: the layouts whose
-        # batched products carry the bits of the single unit's products
-        A_g = np.ascontiguousarray(self.A_m[..., list(self._supports[k])])
+        users = np.atleast_1d(k)
+        for u in users.tolist():
+            if u not in self._supports:
+                raise InformationLeak(
+                    f"LPU {self.m} asked for statistics of user {u} without a support"
+                )
+        support = np.stack([self._supports[u] for u in users.tolist()])  # (users, L)
+        # C-ordered (V, L) and (L, V) factors per unit and user: the layouts
+        # whose batched products carry the bits of the single products
+        A_g = np.ascontiguousarray(np.swapaxes(self.A_m[..., support], -3, -2))
         A_h = np.ascontiguousarray(np.swapaxes(A_g, -1, -2)).conj()
-        R = A_h @ A_g
-        q = (A_h @ self.observation(k)[..., None])[..., 0]
+        R = A_h @ A_g  # (..., users, L, L)
+        q = (A_h @ self.observation(users)[..., None])[..., 0]
+        if np.ndim(k) == 0:
+            R, q = R[..., 0, :, :], q[..., 0, :]
         return self._per_unit(R, q)
 
 
 def aggregate_gains(stats: list[tuple[np.ndarray, np.ndarray]], eps_k) -> np.ndarray:
     """Sum per-antenna sufficient statistics and solve the loaded normal
-    equations; eps_k may be a float or "auto" (1e-8 tr(R)/L)."""
+    equations; eps_k may be a float or "auto" (1e-8 tr(R)/L).  Statistics
+    with leading batch axes, R (..., L, L) and q (..., L), take one stacked
+    certified solve, "auto" loading each entry by its own trace."""
     R = np.zeros_like(stats[0][0])
     q = np.zeros_like(stats[0][1])
     for R_m, q_m in stats:
         R = R + R_m
         q = q + q_m
-    L = R.shape[0]
+    L = R.shape[-1]
     if eps_k == "auto":
-        eps_k = 1e-8 * float(np.real(np.trace(R))) / max(L, 1)
-    X, _ = _certified_solve(R + eps_k * np.eye(L), q[:, None], AGGREGATE_COND_LIMIT,
-                            SingularAggregate, "loaded aggregated Gram")
-    return X[:, 0]
+        eps_k = 1e-8 * np.trace(R, axis1=-2, axis2=-1).real / max(L, 1)
+    X, _ = _certified_solve(R + np.multiply.outer(eps_k, np.eye(L)), q[..., None],
+                            AGGREGATE_COND_LIMIT, SingularAggregate, "loaded aggregated Gram")
+    return X[..., 0]
 
 
 def _algorithm3_rounds(
@@ -621,45 +685,49 @@ def _algorithm3_rounds(
     """The rounds of Algorithm 3, per user: proxy upload (plus the
     unthresholded fallback round when thresholding starves the fusion),
     support broadcast with the sufficient-statistics upload, gain broadcast.
+    All users' proxies, statistics and gains are computed in one pass each;
+    only the fusion and the fallback run per user.
 
     Every exchange is recorded as (round, antenna, payload kind, scalar
     count, payload) in exchange order, a complex scalar counting as 2 units
     and a grid index as 1; the result's ledger is summed from the records."""
     M = layout.M
     K = session.K
+    users = np.arange(K)
     bank = LocalEstimator(np.arange(M), session,
                           local_dictionary(session, slice(None), grid, layout, model))
     bank.correlate(observations)
 
-    records = []
+    uploads = bank.proxies(users, eta)  # per antenna, one (indices, rho) pair per user
     supports = np.zeros((K, L), dtype=int)
-    gains = np.zeros((K, L), dtype=complex)
-    r = 0
+    fallback = {}
     for k in range(K):
-        r += 1
-        uploads = bank.proxies(k, eta)
-        records += [(r, m, "proxy_list", 2 * len(up[0]), up)
-                    for m, up in enumerate(uploads)]
-        support, ok = fuse_and_select(uploads, L, grid.G)
+        support, ok = fuse_and_select([up[k] for up in uploads], L, grid.G)
         if not ok:
             # too little survived thresholding: one extra round of
             # unthresholded top-L proxies from every antenna
+            fallback[k] = bank.top_proxies(k, L)
+            support, _ = fuse_and_select(fallback[k], L, grid.G)
+        supports[k] = support
+    bank.receive_support(users, supports)
+    stats = bank.suff_stats(users)  # per antenna, R (K, L, L) and q (K, L)
+    gains = aggregate_gains(stats, eps_k)
+
+    records = []
+    r = 0
+    for k in range(K):
+        r += 1
+        records += [(r, m, "proxy_list", 2 * len(up[k][0]), up[k])
+                    for m, up in enumerate(uploads)]
+        if k in fallback:
             r += 1
-            uploads = bank.top_proxies(k, L)
-            for m, up in enumerate(uploads):
+            for m, up in enumerate(fallback[k]):
                 records += [(r, m, "proxy_request", 1, L),
                             (r, m, "proxy_list", 2 * len(up[0]), up)]
-            support, _ = fuse_and_select(uploads, L, grid.G)
-        supports[k] = support
-
         r += 1
-        bank.receive_support(k, support)
-        stats = bank.suff_stats(k)
-        for m, st in enumerate(stats):
-            records += [(r, m, "support", L, support),
-                        (r, m, "suff_stats", 2 * (L * L + L), st)]
-        gains[k] = aggregate_gains(stats, eps_k)
-
+        for m, (R_m, q_m) in enumerate(stats):
+            records += [(r, m, "support", L, supports[k]),
+                        (r, m, "suff_stats", 2 * (L * L + L), (R_m[k], q_m[k]))]
         r += 1
         records += [(r, m, "gains", 2 * L, gains[k]) for m in range(M)]
 

@@ -10,7 +10,9 @@ against frozen per-(block, antenna) and per-(placement, antenna) loops, and
 Algorithm 3, whose local dictionaries are slices of one batched build and
 whose local units run as one bank, against a frozen run in which every local
 unit builds its own and computes alone, and the bank unit by unit against
-single units."""
+single units.  The centralized estimator, which recovers all users in one
+stacked OMP and one stacked least-squares call, is checked against a frozen
+per-user loop."""
 
 import warnings
 from collections import Counter
@@ -35,21 +37,25 @@ from fcarray.chanest import (
     _algorithm3_rounds,
     aggregate_gains,
     build_dictionary,
+    centralized_estimate,
     distributed_estimate,
     exhaustive_baseline,
     fuse_and_select,
     local_dictionary,
     local_proxy,
     nmse,
+    omp,
     pilot_correlate,
     run_pilot_phase,
     simulate_rx,
+    stack_observations,
     true_effective,
 )
 from fcarray.errors import (
     FcError,
     InformationLeak,
     NonPositivePower,
+    RankDeficientSupport,
     SingularAggregate,
     SingularGram,
     SingularSystem,
@@ -943,6 +949,101 @@ def test_lpu_bank_matches_single_units(case):
             for m in range(M):
                 for name, g, w in zip(("proxies", "top", "stats"), got, want[m][k]):
                     assert payload_equal(g[m], w), (name, k, m)
+
+
+# ---------------------------------------------------------------------------
+# centralized estimation: frozen per-user loop as the oracle
+
+
+def ls_on_columns_reference(y, cols):
+    """One user's QR least squares on its selected columns."""
+    Q, R = np.linalg.qr(cols)
+    diag = np.abs(np.diag(R))
+    if diag.size and diag.min() < 1e-10 * max(diag.max(), 1e-300):
+        raise RankDeficientSupport("selected columns are numerically dependent")
+    x = np.linalg.solve(R, Q.conj().T @ y)
+    return x, y - cols @ x
+
+
+def omp_reference(y, A, L):
+    """One user's OMP: exactly L selections, ties toward the lowest index,
+    a least-squares refit per round."""
+    residual = y.astype(complex).copy()
+    support = []
+    history = [float(np.linalg.norm(residual))]
+    for _ in range(L):
+        corr = np.abs(A.conj().T @ residual)
+        corr[support] = -1.0
+        support.append(int(np.argmax(corr)))
+        _, residual = ls_on_columns_reference(y, A[:, support])
+        history.append(float(np.linalg.norm(residual)))
+    return support, history
+
+
+def centralized_reference(session, observations, L, grid, layout, model):
+    """The centralized estimator as a loop over users: each user's stacked
+    observation, OMP and least-squares gains on its own."""
+    corr_blocks = [pilot_correlate(Y, session.S, session.tau) for Y in observations]
+    A = build_dictionary(session, grid, layout, model)
+    supports = np.zeros((session.K, L), dtype=int)
+    gains = np.zeros((session.K, L), dtype=complex)
+    histories = []
+    for k in range(session.K):
+        y_k = stack_observations(corr_blocks, k)
+        support, history = omp_reference(y_k, A, L)
+        supports[k] = support
+        gains[k] = ls_on_columns_reference(y_k, A[:, support])[0]
+        histories.append(history)
+    return supports, gains, histories
+
+
+@pytest.mark.parametrize("case", ALGORITHM3_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_centralized_matches_per_user_reference(case):
+    """One stacked OMP and one stacked least-squares call give every user
+    the bits of its own loop iteration, at every Algorithm 3 shape (K > M,
+    L = 1 and tau = K included)."""
+    M, N, V, _, K, L, tau, G = algorithm3_case(case)
+    lay, model, session, obs = algorithm3_setup(M, N, V, K, tau)
+    grid = AngularGrid(G)
+    supports, gains, histories = centralized_reference(session, obs, L, grid, lay, model)
+    result = centralized_estimate(session, obs, L, grid, lay, model)
+    assert np.array_equal(result.supports, supports)
+    assert np.array_equal(result.gains, gains)
+    assert np.array_equal(result.angles, grid.angles[supports])
+    y = np.stack([stack_observations([pilot_correlate(Y, session.S, session.tau)
+                                      for Y in obs], k) for k in range(K)])
+    _, history = omp(y, build_dictionary(session, grid, lay, model), L)
+    assert np.array_equal(history, histories)
+
+
+@pytest.mark.parametrize("case", ALGORITHM3_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_lpu_bank_user_batch_matches_single_users(case):
+    """Asked for all users at once, the bank gives each user the bits of
+    asking for that user alone: each unit's proxy upload is a list with one
+    pair per user, and its statistics carry a leading user axis."""
+    M, N, V, eta, K, L, tau, G = algorithm3_case(case)
+    lay, model, session, obs = algorithm3_setup(M, N, V, K, tau)
+    grid = AngularGrid(G)
+    users = np.arange(K)
+    supports = np.array([np.sort(np.random.default_rng(k).choice(G, L, replace=False))
+                         for k in range(K)])
+    one, batch = (LocalEstimator(np.arange(M), session,
+                                 local_dictionary(session, slice(None), grid, lay, model))
+                  for _ in range(2))
+    one.correlate(obs)
+    batch.correlate(obs)
+    proxies = batch.proxies(users, eta)
+    batch.receive_support(users, supports)
+    stats = batch.suff_stats(users)
+    for k in range(K):
+        want_proxies, want_top = one.proxies(k, eta), one.top_proxies(k, L)
+        one.receive_support(k, supports[k])
+        want_stats = one.suff_stats(k)
+        top = batch.top_proxies(k, L)
+        for m in range(M):
+            assert payload_equal(proxies[m][k], want_proxies[m])
+            assert payload_equal(top[m], want_top[m])
+            assert payload_equal((stats[m][0][k], stats[m][1][k]), want_stats[m])
 
 
 def test_lpu_bank_guards_each_user():

@@ -462,6 +462,105 @@ class TestOMP:
         with pytest.raises(DimensionMismatch, match="L=5 exceeds the dictionary size 4"):
             omp(y, A, 5)
 
+    def test_more_selections_than_samples(self, rng):
+        # the fifth column of a 4-sample fit is dependent on the first four
+        A = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
+        y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        with pytest.raises(RankDeficientSupport, match="5 columns on 4 samples"):
+            omp(y, A, 5)
+
+
+class TestStackedOMP:
+    """Rows y (K, n) sharing a dictionary run as one OMP: each row's support
+    and residual history are the bits of its own call."""
+
+    @staticmethod
+    def _per_row(Y, A, L):
+        runs = [omp(y, A, L) for y in Y]
+        return np.array([s for s, _ in runs], dtype=int), np.array([h for _, h in runs])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_row_calls(self, seed):
+        rng = np.random.default_rng(seed)
+        K, n, G = int(rng.integers(1, 6)), int(rng.integers(8, 40)), int(rng.integers(8, 300))
+        L = int(rng.integers(1, min(n, G, 9) + 1))
+        A = rng.standard_normal((n, G)) + 1j * rng.standard_normal((n, G))
+        Y = rng.standard_normal((K, n)) + 1j * rng.standard_normal((K, n))
+        support, history = omp(Y, A, L)
+        want_support, want_history = self._per_row(Y, A, L)
+        assert support.shape == (K, L) and history.shape == (K, L + 1)
+        assert np.array_equal(support, want_support)
+        assert np.array_equal(history, want_history)
+
+    def test_exact_ties_break_toward_lowest_index(self):
+        A = np.eye(6, 8, dtype=complex)
+        Y = np.array([[1, 1, 1, 1, 1, 1], [0, 2, 0, 2j, 0, -2]], dtype=complex)
+        support, history = omp(Y, A, 3)
+        assert support.tolist() == [[0, 1, 2], [1, 3, 5]]
+        want_support, want_history = self._per_row(Y, A, 3)
+        assert np.array_equal(support, want_support)
+        assert np.array_equal(history, want_history)
+
+    def test_one_dependent_row_raises(self):
+        e = np.eye(4, dtype=complex)
+        A = np.column_stack([e[0], e[1], e[2], (e[0] + e[1]) / np.sqrt(2)])
+        Y = np.array([e[0] + e[1], e[2] + 0.5 * e[0]])
+        assert omp(Y[1], A, 3)[0] == [2, 0, 1]
+        with pytest.raises(RankDeficientSupport):
+            omp(Y[0], A, 3)
+        with pytest.raises(RankDeficientSupport):
+            omp(Y, A, 3)
+
+    def test_zero_selections(self, rng):
+        A = rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16))
+        Y = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+        support, history = omp(Y, A, 0)
+        assert support.shape == (3, 0)
+        assert history.tolist() == [omp(y, A, 0)[1] for y in Y]
+
+    def test_more_selections_than_atoms(self, rng):
+        A = rng.standard_normal((8, 4)).astype(complex)
+        Y = rng.standard_normal((2, 8)).astype(complex)
+        with pytest.raises(DimensionMismatch, match="L=5 exceeds the dictionary size 4"):
+            omp(Y, A, 5)
+
+    def test_ls_gains_matches_per_row_calls(self, rng):
+        A = rng.standard_normal((30, 40)) + 1j * rng.standard_normal((30, 40))
+        Y = rng.standard_normal((4, 30)) + 1j * rng.standard_normal((4, 30))
+        supports = np.array([rng.choice(40, 5, replace=False) for _ in range(4)])
+        gains = ls_gains(Y, A, supports)
+        assert np.array_equal(gains, [ls_gains(y, A, s) for y, s in zip(Y, supports)])
+        assert ls_gains(Y, A, np.zeros((4, 0), dtype=int)).shape == (4, 0)
+
+
+class TestOnePass:
+    """Every user of a call runs in one pass: no estimator loops over users
+    around OMP, least squares or the local units."""
+
+    def _inputs(self, layout, model):
+        session = make_session(layout, K=3, tau=5, V=3, sigma2=0.1, seed=4)
+        spec = sample_channels(5, K=3, L=3, layout=layout)
+        return session, run_pilot_phase(session, spec, layout, model)
+
+    def test_centralized_makes_one_omp_and_one_ls_call(self, est_setup, monkeypatch):
+        layout, model = est_setup
+        session, obs = self._inputs(layout, model)
+        omps, solves = count_calls(monkeypatch, "omp", "ls_gains")
+        centralized_estimate(session, obs, 3, AngularGrid(32), layout, model)
+        assert len(omps) == 1 and len(solves) == 1
+        assert omps[0][0].shape == (session.K, session.V * layout.M)
+
+    def test_algorithm3_makes_one_proxy_and_one_gains_call(self, est_setup, monkeypatch):
+        layout, model = est_setup
+        session, obs = self._inputs(layout, model)
+        grid = AngularGrid(32)
+        proxies, solves = count_calls(monkeypatch, "local_proxy", "aggregate_gains")
+        result = distributed_estimate(session, obs, 3, grid, layout, model)
+        assert result.ledger["fallback_rounds"] == 0
+        assert len(proxies) == 1 and len(solves) == 1
+        run_algorithm3(session, obs, 3, grid, layout, model)
+        assert len(proxies) == 2 and len(solves) == 2
+
 
 class TestLsGains:
     def test_exact_recovery(self, rng):
