@@ -41,8 +41,9 @@ scheme makes one ``omp`` call and one ``ls_gains`` call on the (K, V M)
 stack of observations, and Algorithm 3 runs its M local units as one bank
 (``LocalEstimator`` over all antennas) and its K users as one batch, so one
 proxy call, one statistics product and one stacked solve cover every unit
-and user; only the fusion and its fallback top-L run per user.  Each row,
-unit and user carries the bits of its own single call.
+and user, and one fallback top-L call every starved user; only the fusion
+runs per user.  Each row, unit and user carries the bits of its own single
+call, and one row, unit or user is a batch of one.
 """
 
 from __future__ import annotations
@@ -325,11 +326,6 @@ def build_dictionary(
     return local_dictionary(session, slice(None), grid, layout, model).reshape(-1, grid.G)
 
 
-def stack_observations(corr_blocks: list[np.ndarray], k: int) -> np.ndarray:
-    """Stacked observation of user k over blocks: (M V,), block-major."""
-    return np.concatenate([corr[:, k] for corr in corr_blocks])
-
-
 # ---------------------------------------------------------------------------
 # sparse recovery primitives
 
@@ -367,19 +363,18 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
-def omp(y: np.ndarray, A: np.ndarray, L: int):
+def omp(Y: np.ndarray, A: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonal matching pursuit with exactly L selections and per-round LS
-    refit.  Ties in the correlation maximum break toward the lowest index.
-    Returns (support in selection order, residual norms incl. the initial).
-
-    Rows y (K, n) sharing the dictionary A run together: each round is one
-    correlation, one argmax per row and one stacked QR solve, and the call
-    returns a (K, L) int support and (K, L+1) residual norms, row k with the
-    bits of its own call.  A 1-D y is a batch of one and returns lists.  A
-    dependent support in any row raises RankDeficientSupport."""
+    refit, for rows Y (K, n) sharing the dictionary A.  Ties in the
+    correlation maximum break toward the lowest index.  Returns the (K, L)
+    int supports in selection order and the (K, L+1) residual norms
+    (initial included).  Each round is one correlation, one argmax per row
+    and one stacked QR solve, row k with the bits of its own call; one row
+    is a batch of one.  A dependent support in any row raises
+    RankDeficientSupport."""
     if L > A.shape[1]:
         raise DimensionMismatch(f"L={L} exceeds the dictionary size {A.shape[1]}")
-    Y = np.array(y, dtype=complex, order="C", ndmin=2)  # a 1-D y is one row
+    Y = np.asarray(Y, dtype=complex, order="C")
     A_h = A.conj().T
     rows = np.arange(len(Y))[:, None]
     support = np.zeros((len(Y), L), dtype=int)
@@ -392,22 +387,17 @@ def omp(y: np.ndarray, A: np.ndarray, L: int):
         support[:, r] = np.argmax(corr, axis=-1)
         _, residual = _ls_on_columns(Y, _columns(A, support[:, :r + 1]))
         history[:, r + 1] = _norms(residual)
-    if np.ndim(y) == 1:
-        return support[0].tolist(), history[0].tolist()
     return support, history
 
 
-def ls_gains(y: np.ndarray, A: np.ndarray, support) -> np.ndarray:
-    """Least-squares gains on a fixed support.  Rows y (K, n) with supports
-    (K, L) take one stacked QR solve and give (K, L), row k with the bits of
-    its own call."""
-    Y = np.array(y, dtype=complex, order="C", ndmin=2)
-    S = np.atleast_2d(np.asarray(support, dtype=int))
-    if S.shape[-1]:
-        x, _ = _ls_on_columns(Y, _columns(A, S))
-    else:
-        x = np.zeros((max(len(Y), len(S)), 0), dtype=complex)
-    return x if max(np.ndim(y), np.ndim(support)) > 1 else x[0]
+def ls_gains(Y: np.ndarray, A: np.ndarray, supports) -> np.ndarray:
+    """Least-squares gains (K, L) of rows Y (K, n) on fixed supports (K, L),
+    one stacked QR solve, row k with the bits of its own call."""
+    Y = np.asarray(Y, dtype=complex, order="C")
+    supports = np.asarray(supports, dtype=int)
+    if not supports.shape[-1]:
+        return np.zeros(supports.shape, dtype=complex)
+    return _ls_on_columns(Y, _columns(A, supports))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +493,8 @@ def centralized_estimate(
 ) -> EstimationResult:
     """Stack pilot-correlated observations over antennas and blocks at the
     central unit, then run OMP (exactly L selections) and LS gains for all
-    users at once: row k of the (K, V M) stack is ``stack_observations`` of
-    user k."""
+    users at once: row k of the (K, V M) stack is user k's block-major
+    observation."""
     corr = pilot_correlate(np.asarray(observations), session.S, session.tau)  # (V, M, K)
     y = np.moveaxis(corr, -1, 0).reshape(session.K, -1)
     A = build_dictionary(session, grid, layout, model)
@@ -524,24 +514,16 @@ def centralized_estimate(
 # distributed scheme
 
 
-def local_proxy(
-    A_m: np.ndarray, y_mk: np.ndarray, sigma_eff2: float, eta: float,
-    norms: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Matched-filter proxy of one antenna for one user: (rho over the full
-    grid, indices passing the noise-calibrated threshold rho >= eta *
-    sigma_eff2, sorted ascending).  The column energies ``norms``
-    (sum over blocks of |A_m|^2) are computed from A_m when not given.
-
-    Dictionaries (..., V, G) with observations (..., V), broadcast against
-    each other, give one proxy per leading entry, rho (..., G), each entry's
-    bits those of its own call; the second value is then the (..., G) pass
-    mask."""
+def local_proxy(A_m: np.ndarray, y_mk: np.ndarray, sigma_eff2: float,
+                eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Matched-filter proxies rho (..., G) of dictionaries A_m (..., V, G)
+    for observations y_mk (..., V), broadcast against each other, each
+    entry with the bits of its own call: |A_m^H y|^2 over the column
+    energies (sum over blocks of |A_m|^2).  Returns rho and the (..., G)
+    mask of the noise-calibrated threshold rho >= eta * sigma_eff2."""
     c = (np.swapaxes(A_m.conj(), -1, -2) @ y_mk[..., None])[..., 0]
-    norms = np.sum(np.abs(A_m) ** 2, axis=-2) if norms is None else norms
-    rho = np.abs(c) ** 2 / (norms + EPS_NORM)
-    passed = rho >= eta * sigma_eff2
-    return rho, np.flatnonzero(passed) if rho.ndim == 1 else passed
+    rho = np.abs(c) ** 2 / (np.sum(np.abs(A_m) ** 2, axis=-2) + EPS_NORM)
+    return rho, rho >= eta * sigma_eff2
 
 
 def fuse_and_select(uploads, L: int, G: int) -> tuple[np.ndarray, bool]:
@@ -559,99 +541,83 @@ def fuse_and_select(uploads, L: int, G: int) -> tuple[np.ndarray, bool]:
 
 
 class LocalEstimator:
-    """Local units of the distributed scheme (Algorithm 3): one unit for an
-    antenna index ``m``, or a bank of units, one per entry of an index array
-    ``m``.  A unit owns only its antenna's observations and its (V, G)
-    dictionary, slice m of the batched (V, M, G) cube (a bank holds the
-    (V, len(m), G) slice); everything it produces for the central unit is
-    explicit (proxies, sufficient statistics), and a request it has not
+    """A bank of local units of the distributed scheme (Algorithm 3), one per
+    entry of the antenna index array ``m``; one unit is a bank of one
+    (``m=[j]``).  Unit j owns only its antenna's observations and its (V, G)
+    dictionary, slice j of the batched (V, M, G) cube (the bank holds the
+    (V, len(m), G) slice).  Everything a unit produces for the central unit
+    is explicit (proxies, sufficient statistics), and a request it has not
     been prepared for by an earlier exchange of that user raises
-    InformationLeak.  A bank computes for all its units in one call each,
-    with every unit's bits those of a single unit, and returns one upload
-    per unit, in the order of ``m``.
+    InformationLeak.
 
-    A user index ``k`` asks for one user; an index array asks for all its
-    users in one call, the users a batch axis ahead of each unit's (V, G)
-    dictionary, so each (user, unit) upload has the bits of its own call.
-    Each unit's upload then holds one entry per user: a list of (indices,
+    Every method takes a user index array ``users`` (one user is a batch of
+    one) and computes for all units and users in one call, the users a
+    batch axis ahead of each unit's (V, G) dictionary, so each (unit, user)
+    entry has the bits of its own call.  It returns one upload per unit, in
+    the order of ``m``, holding one entry per user: a list of (indices,
     values) pairs for the proxies, and a leading user axis on the
-    statistics.  A single user is a batch of one."""
+    statistics."""
 
     def __init__(self, m, session: PilotSession, A_m: np.ndarray):
         self.m = m
         self.session = session
-        self.A_m = np.moveaxis(A_m, 0, -2)  # (..., V, G): units first
-        self.norms = np.sum(np.abs(self.A_m) ** 2, axis=-2)
-        self.corr = None  # (..., V, K) after correlate()
+        self.A_m = np.moveaxis(A_m, 0, -2)  # (units, V, G)
+        self.corr = None  # (units, V, K) after correlate()
         self._rho: dict[int, np.ndarray] = {}
         self._supports: dict[int, np.ndarray] = {}
 
     def correlate(self, y_rows: list[np.ndarray]) -> None:
-        """Pilot-correlate the units' own V received rows, (..., tau) each, as
-        one-row products: the bits of correlating each row alone."""
-        Y = np.stack(y_rows)[..., None, :]  # (V, ..., 1, tau)
+        """Pilot-correlate the units' own V received rows, (units, tau) each,
+        as one-row products: the bits of correlating each row alone."""
+        Y = np.stack(y_rows)[..., None, :]  # (V, units, 1, tau)
         corr = pilot_correlate(Y, self.session.S, self.session.tau)[..., 0, :]
         self.corr = np.moveaxis(corr, 0, -2)
 
-    def observation(self, k) -> np.ndarray:
-        """The units' correlations (..., V) of user k, or (..., len(k), V) of
-        an index array of users."""
-        return np.swapaxes(self.corr[..., k], -1, -2) if np.ndim(k) else self.corr[..., k]
+    def observation(self, users) -> np.ndarray:
+        """The units' correlations (units, len(users), V) of the users."""
+        return np.swapaxes(self.corr[..., users], -1, -2)
 
-    def _per_unit(self, *arrays):
-        """One upload per unit, in the order of ``m``, from arrays with a
-        leading unit axis; a single unit's upload is the tuple of arrays."""
-        return list(zip(*arrays)) if np.ndim(self.m) else arrays
+    def _known(self, users, store: dict, what: str) -> np.ndarray:
+        """The stored entries of the users, stacked on axis -2; a user
+        without one raises InformationLeak."""
+        for u in users:
+            if u not in store:
+                raise InformationLeak(f"LPU {self.m} has no {what} of user {u}")
+        return np.stack([store[u] for u in users], axis=-2)
 
-    def proxies(self, k, eta: float):
-        """Thresholded proxy upload of user k: (kept indices, their rho)."""
-        users = np.atleast_1d(k)
-        rho, passed = local_proxy(self.A_m[..., None, :, :], self.observation(users),
-                                  self.session.sigma_eff2, eta, self.norms[..., None, :])
-        for i, u in enumerate(users.tolist()):
-            self._rho[u] = rho[..., i, :]
+    def proxies(self, users, eta: float) -> list[list[tuple]]:
+        """Thresholded proxy upload of the users: (kept indices, their rho)."""
+        rho, passed = local_proxy(self.A_m[:, None], self.observation(users),
+                                  self.session.sigma_eff2, eta)
+        for i, u in enumerate(users):
+            self._rho[u] = rho[:, i]
         # the passing grid indices and values of each (unit, user) row, rows unit-major
         idx, vals = np.flatnonzero(passed) % rho.shape[-1], rho[passed]
         ends = np.cumsum(np.count_nonzero(passed, axis=-1)).ravel().tolist()
         pairs = [(idx[a:b], vals[a:b]) for a, b in zip([0] + ends[:-1], ends)]
-        uploads = [pairs[j:j + len(users)] if np.ndim(k) else pairs[j]
-                   for j in range(0, len(pairs), len(users))]
-        return uploads if np.ndim(self.m) else uploads[0]
+        return [pairs[j:j + len(users)] for j in range(0, len(pairs), len(users))]
 
-    def top_proxies(self, k: int, L: int):
-        """Fallback upload of user k: the unthresholded top-L proxies."""
-        if k not in self._rho:
-            raise InformationLeak(
-                f"LPU {self.m} got a fallback request before computing proxies"
-            )
-        rho = self._rho[k]
+    def top_proxies(self, users, L: int) -> list[list[tuple]]:
+        """Fallback upload of the users: the unthresholded top-L proxies."""
+        rho = self._known(users, self._rho, "proxies")
         lanes = np.broadcast_to(np.arange(rho.shape[-1]), rho.shape)
         idx = np.sort(np.lexsort((lanes, -rho), axis=-1)[..., :L], axis=-1)
-        return self._per_unit(idx, np.take_along_axis(rho, idx, axis=-1))
+        return [list(zip(*unit)) for unit in zip(idx, np.take_along_axis(rho, idx, axis=-1))]
 
-    def receive_support(self, k, support: np.ndarray) -> None:
-        """Support (L,) of user k, or supports (len(k), L) of users k."""
-        for u, s in zip(np.atleast_1d(k).tolist(), support if np.ndim(k) else [support]):
-            self._supports[u] = s
+    def receive_support(self, users, supports: np.ndarray) -> None:
+        """Supports (len(users), L) of the users."""
+        self._supports.update(zip(users, supports))
 
-    def suff_stats(self, k):
-        """Gram and correlation of user k on the received support."""
-        users = np.atleast_1d(k)
-        for u in users.tolist():
-            if u not in self._supports:
-                raise InformationLeak(
-                    f"LPU {self.m} asked for statistics of user {u} without a support"
-                )
-        support = np.stack([self._supports[u] for u in users.tolist()])  # (users, L)
+    def suff_stats(self, users) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Gram R (len(users), L, L) and correlation q (len(users), L) of the
+        users on their received supports."""
+        support = self._known(users, self._supports, "support")  # (users, L)
         # C-ordered (V, L) and (L, V) factors per unit and user: the layouts
         # whose batched products carry the bits of the single products
         A_g = np.ascontiguousarray(np.swapaxes(self.A_m[..., support], -3, -2))
         A_h = np.ascontiguousarray(np.swapaxes(A_g, -1, -2)).conj()
-        R = A_h @ A_g  # (..., users, L, L)
         q = (A_h @ self.observation(users)[..., None])[..., 0]
-        if np.ndim(k) == 0:
-            R, q = R[..., 0, :, :], q[..., 0, :]
-        return self._per_unit(R, q)
+        return list(zip(A_h @ A_g, q))
 
 
 def aggregate_gains(stats: list[tuple[np.ndarray, np.ndarray]], eps_k) -> np.ndarray:
@@ -685,8 +651,8 @@ def _algorithm3_rounds(
     """The rounds of Algorithm 3, per user: proxy upload (plus the
     unthresholded fallback round when thresholding starves the fusion),
     support broadcast with the sufficient-statistics upload, gain broadcast.
-    All users' proxies, statistics and gains are computed in one pass each;
-    only the fusion and the fallback run per user.
+    All users' proxies, fallback proxies, statistics and gains are computed
+    in one pass each; only the fusion runs per user.
 
     Every exchange is recorded as (round, antenna, payload kind, scalar
     count, payload) in exchange order, a complex scalar counting as 2 units
@@ -699,16 +665,17 @@ def _algorithm3_rounds(
     bank.correlate(observations)
 
     uploads = bank.proxies(users, eta)  # per antenna, one (indices, rho) pair per user
-    supports = np.zeros((K, L), dtype=int)
+    fused = [fuse_and_select([up[k] for up in uploads], L, grid.G) for k in range(K)]
+    supports = np.array([support for support, _ in fused], dtype=int)
+    starved = [k for k, (_, ok) in enumerate(fused) if not ok]
+    # too little survived thresholding: one extra round of unthresholded
+    # top-L proxies from every antenna for each starved user
     fallback = {}
-    for k in range(K):
-        support, ok = fuse_and_select([up[k] for up in uploads], L, grid.G)
-        if not ok:
-            # too little survived thresholding: one extra round of
-            # unthresholded top-L proxies from every antenna
-            fallback[k] = bank.top_proxies(k, L)
-            support, _ = fuse_and_select(fallback[k], L, grid.G)
-        supports[k] = support
+    if starved:
+        top = bank.top_proxies(starved, L)
+        for i, k in enumerate(starved):
+            fallback[k] = [up[i] for up in top]
+            supports[k], _ = fuse_and_select(fallback[k], L, grid.G)
     bank.receive_support(users, supports)
     stats = bank.suff_stats(users)  # per antenna, R (K, L, L) and q (K, L)
     gains = aggregate_gains(stats, eps_k)

@@ -22,11 +22,10 @@ GAIN_NORMALIZATION = 1.0  # average total path power per user
 @dataclass
 class MultipathSpec:
     """Ground-truth multipath description: per-user departure angles
-    (radians, azimuth) and complex path gains, plus the user noise variance."""
+    (radians, azimuth) and complex path gains."""
 
     angles: np.ndarray  # (K, L) radians in [-pi/2, pi/2]
     gains: np.ndarray  # (K, L) complex
-    noise_var: float = 1.0
 
     def __post_init__(self):
         self.angles = np.atleast_2d(np.asarray(self.angles, dtype=float))
@@ -37,8 +36,6 @@ class MultipathSpec:
             raise ConfigError("need at least one path per user", field="angles")
         if not np.all(np.abs(self.angles) <= np.pi / 2):  # also rejects NaN
             raise ConfigError("must lie in [-pi/2, pi/2]", field="angles")
-        if not self.noise_var > 0:
-            raise ConfigError("must be positive", field="noise_var")
 
     @property
     def K(self) -> int:
@@ -88,9 +85,7 @@ def coupler_channel_block(spec: MultipathSpec, p_m: np.ndarray, lam: float) -> n
     return np.einsum("kl,...kln->...kn", spec.gains, a_c)
 
 
-def sample_channels(
-    seed, K: int, L: int, layout: ArrayLayout, noise_var: float = 1.0
-) -> MultipathSpec:
+def sample_channels(seed, K: int, L: int, layout: ArrayLayout) -> MultipathSpec:
     """Draw a random multipath spec: angles i.i.d. uniform on [-pi/2, pi/2],
     gains i.i.d. circularly-symmetric Gaussian with variance g0/L."""
     if K < 1 or L < 1:
@@ -99,4 +94,4 @@ def sample_channels(
     angles = rng.uniform(-np.pi / 2, np.pi / 2, size=(K, L))
     scale = np.sqrt(GAIN_NORMALIZATION / (2.0 * L))
     gains = scale * (rng.standard_normal((K, L)) + 1j * rng.standard_normal((K, L)))
-    return MultipathSpec(angles=angles, gains=gains, noise_var=noise_var)
+    return MultipathSpec(angles=angles, gains=gains)

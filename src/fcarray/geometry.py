@@ -87,8 +87,9 @@ class ArrayLayout:
         return self.d_min * self.lam
 
     def active_position(self, m: int) -> np.ndarray:
-        """Position q_m of the m-th active element (0-based m)."""
-        return np.array([0.0, m * self.spacing_m])
+        """Position q_m of the m-th active element (0-based m), a copy of
+        row m of ``active_positions()``."""
+        return self._active[m].copy()
 
     def active_positions(self) -> np.ndarray:
         """(M, 2) array of all active-element positions, built once per layout

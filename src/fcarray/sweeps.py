@@ -24,6 +24,7 @@ from .geometry import (
     ArrayLayout,
     CouplerPlacement,
     random_feasible_placement,
+    save_placement,
     uniform_placement,
 )
 from .optimizer import (
@@ -272,8 +273,6 @@ def _write_rows(path, fields, rows) -> None:
 def run_optimize(scenario: Scenario, seed: int, out_dir) -> dict:
     """One SCA run; writes the trace CSV, a summary JSON, and the final
     placement."""
-    from .geometry import save_placement
-
     layout = scenario.layout()
     model = scenario.model(layout)
     K = scenario.doc["channel"]["K"]
@@ -400,7 +399,7 @@ def run_ledger(scenario: Scenario, seed: int, out_dir) -> dict:
     ch_seed, sess_seed, _, _ = _streams(seed)
     spec = sample_channels(ch_seed, K, doc["channel"]["L"], layout)
     cfg = sca_config_from(scenario)
-    initial = uniform_placement(layout)
+    initial = initial_placement(scenario, layout, spec, model, scenario.P_max, sigma2)
     result1, log1, ledger1 = run_algorithm1(initial, cfg, spec, layout, model,
                                             scenario.P_max, sigma2)
 

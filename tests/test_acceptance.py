@@ -35,12 +35,12 @@ from fcarray.chanest import (
     ls_gains,
     nmse,
     pilot_correlate,
-    stack_observations,
 )
 from fcarray.geometry import random_feasible_placement
 from fcarray.optimizer import ObjectiveEvaluator, gradient, screened_initial_placement
 from fcarray.precoding import active_only_state, fc_state, fully_active_state
 
+from chanest_reference import stack_observations
 from test_chanest import on_grid_spec
 from test_impedance import ci_oracle, emf_oracle, si_oracle
 
@@ -312,8 +312,7 @@ def test_criterion_09_distributed_equals_centralized_ls():
         A = build_dictionary(session, grid, lay, model)
         corr = [pilot_correlate(Y, session.S, session.tau) for Y in obs]
         for k in range(2):
-            ref = ls_gains(stack_observations(corr, k), A,
-                           result.supports[k].tolist())
+            ref, = ls_gains(stack_observations(corr, k)[None], A, result.supports[[k]])
             err = float(np.max(np.abs(result.gains[k] - ref)))
             worst = max(worst, err)
             assert err < 1e-10

@@ -48,7 +48,6 @@ from fcarray.chanest import (
     pilot_correlate,
     run_pilot_phase,
     simulate_rx,
-    stack_observations,
     true_effective,
 )
 from fcarray.errors import (
@@ -82,6 +81,8 @@ from fcarray.precoding import (
     power_coefficient,
 )
 from fcarray.runtime import run_algorithm3
+
+from chanest_reference import stack_observations
 
 P_MAX, SIGMA2 = 1.0, 0.05
 BATCH = 6
@@ -816,7 +817,8 @@ def algorithm3_reference(session, observations, L, grid, layout, model, eta,
         r += 1
         rhos, uploads = [], []
         for m in range(M):
-            rho, kept = local_proxy(A[m], corr[m][:, k], session.sigma_eff2, eta)
+            rho, passed = local_proxy(A[m], corr[m][:, k], session.sigma_eff2, eta)
+            kept = np.flatnonzero(passed)
             rhos.append(rho)
             uploads.append((kept, rho[kept]))
             records.append((r, m, "proxy_list", 2 * len(kept), uploads[m]))
@@ -930,22 +932,23 @@ def test_lpu_bank_matches_single_units(case):
                 for k in range(K)]
     want = []
     for m in range(M):
-        unit = LocalEstimator(m, session, local_dictionary(session, m, grid, lay, model))
-        unit.correlate([obs[v][m] for v in range(V)])
-        want.append({"corr": unit.corr})
+        unit = LocalEstimator([m], session, local_dictionary(session, [m], grid, lay, model))
+        unit.correlate([obs[v][[m]] for v in range(V)])
+        want.append({"corr": unit.corr[0]})
         for k in range(K):
-            want[m][k] = [unit.proxies(k, eta), unit.top_proxies(k, L)]
-            unit.receive_support(k, supports[k])
-            want[m][k].append(unit.suff_stats(k))
+            want[m][k] = [unit.proxies([k], eta)[0][0], unit.top_proxies([k], L)[0][0]]
+            unit.receive_support([k], supports[k][None])
+            want[m][k].append(unit.suff_stats([k])[0])
     for cube in (slice(None), np.arange(M)):
         bank = LocalEstimator(np.arange(M), session,
                               local_dictionary(session, cube, grid, lay, model))
         bank.correlate(obs)
         assert all(np.array_equal(bank.corr[m], want[m]["corr"]) for m in range(M))
         for k in range(K):
-            got = [bank.proxies(k, eta), bank.top_proxies(k, L)]
-            bank.receive_support(k, supports[k])
-            got.append(bank.suff_stats(k))
+            got = [[up[0] for up in bank.proxies([k], eta)],
+                   [up[0] for up in bank.top_proxies([k], L)]]
+            bank.receive_support([k], supports[k][None])
+            got.append(bank.suff_stats([k]))
             for m in range(M):
                 for name, g, w in zip(("proxies", "top", "stats"), got, want[m][k]):
                     assert payload_equal(g[m], w), (name, k, m)
@@ -1033,17 +1036,17 @@ def test_lpu_bank_user_batch_matches_single_users(case):
     one.correlate(obs)
     batch.correlate(obs)
     proxies = batch.proxies(users, eta)
+    top = batch.top_proxies(users, L)
     batch.receive_support(users, supports)
     stats = batch.suff_stats(users)
     for k in range(K):
-        want_proxies, want_top = one.proxies(k, eta), one.top_proxies(k, L)
-        one.receive_support(k, supports[k])
-        want_stats = one.suff_stats(k)
-        top = batch.top_proxies(k, L)
+        want_proxies, want_top = one.proxies([k], eta), one.top_proxies([k], L)
+        one.receive_support([k], supports[[k]])
+        want_stats = one.suff_stats([k])
         for m in range(M):
-            assert payload_equal(proxies[m][k], want_proxies[m])
-            assert payload_equal(top[m], want_top[m])
-            assert payload_equal((stats[m][0][k], stats[m][1][k]), want_stats[m])
+            assert payload_equal(proxies[m][k], want_proxies[m][0])
+            assert payload_equal(top[m][k], want_top[m][0])
+            assert payload_equal((stats[m][0][[k]], stats[m][1][[k]]), want_stats[m])
 
 
 def test_lpu_bank_guards_each_user():
@@ -1057,18 +1060,18 @@ def test_lpu_bank_guards_each_user():
     bank.correlate(obs)
     for k in range(session.K):
         with pytest.raises(InformationLeak):
-            bank.top_proxies(k, 3)
-        bank.proxies(k, 4.0)
-        assert len(bank.top_proxies(k, 3)) == M
+            bank.top_proxies([k], 3)
+        bank.proxies([k], 4.0)
+        assert len(bank.top_proxies([k], 3)) == M
         with pytest.raises(InformationLeak):
-            bank.suff_stats(k)
-        bank.receive_support(k, np.array([1, 5, 9]))
-        assert len(bank.suff_stats(k)) == M
+            bank.suff_stats([k])
+        bank.receive_support([k], np.array([[1, 5, 9]]))
+        assert len(bank.suff_stats([k])) == M
         if k + 1 < session.K:
             with pytest.raises(InformationLeak):
-                bank.top_proxies(k + 1, 3)
+                bank.top_proxies([k + 1], 3)
             with pytest.raises(InformationLeak):
-                bank.suff_stats(k + 1)
+                bank.suff_stats([k + 1])
 
 
 @pytest.mark.parametrize("M, N, V", [(4, 1, 1), (4, 2, 4), (3, 3, 5), (8, 2, 4)])

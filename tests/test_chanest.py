@@ -33,7 +33,6 @@ from fcarray.chanest import (
     _annulus_placement,
     LocalEstimator,
     local_dictionary,
-    stack_observations,
     support_hit_rate,
     true_effective,
 )
@@ -49,6 +48,8 @@ from fcarray.errors import (
 from fcarray.impedance import build_block
 from fcarray.precoding import mech_weights
 from fcarray.runtime import run_algorithm3
+
+from chanest_reference import stack_observations
 
 
 def on_grid_spec(grid, rng, K, L, min_bin_sep=3, sector_deg=90.0):
@@ -410,11 +411,17 @@ class TestTruthSlot:
             assert np.array_equal(g, true_effective(sp, Q, lay, mdl))
 
 
+def omp_row(y, A, L):
+    """``omp`` on one row y (n,), a batch of one, as lists."""
+    support, history = omp(y[None], A, L)
+    return support[0].tolist(), history[0].tolist()
+
+
 class TestOMP:
     def test_single_column(self, rng):
         A = rng.standard_normal((16, 32)) + 1j * rng.standard_normal((16, 32))
         y = A[:, 11].copy()
-        support, hist = omp(y, A, 1)
+        support, hist = omp_row(y, A, 1)
         assert support == [11]
         assert hist[-1] < 1e-10
 
@@ -424,7 +431,7 @@ class TestOMP:
         A = rng.standard_normal((24, G)) + 1j * rng.standard_normal((24, G))
         A /= np.linalg.norm(A, axis=0)
         y = 1.3 * A[:, 5] + (0.8 - 0.6j) * A[:, 40]
-        support, hist = omp(y, A, 2)
+        support, hist = omp_row(y, A, 2)
         best_pair, best_res = None, np.inf
         for pair in itertools.combinations(range(G), 2):
             cols = A[:, list(pair)]
@@ -437,14 +444,14 @@ class TestOMP:
     def test_empty_selection(self, rng):
         A = rng.standard_normal((8, 16)).astype(complex)
         y = rng.standard_normal(8).astype(complex)
-        support, hist = omp(y, A, 0)
+        support, hist = omp_row(y, A, 0)
         assert support == []
         assert hist == [pytest.approx(np.linalg.norm(y))]
 
     def test_residuals_nonincreasing(self, rng):
         A = rng.standard_normal((20, 50)) + 1j * rng.standard_normal((20, 50))
         y = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-        _, hist = omp(y, A, 8)
+        _, hist = omp_row(y, A, 8)
         assert all(hist[i + 1] <= hist[i] + 1e-12 for i in range(len(hist) - 1))
 
     def test_rank_deficient_support(self):
@@ -454,20 +461,20 @@ class TestOMP:
         A = np.column_stack([c1, c2, c1 + c2])  # only 3 columns, dependent set
         y = c1 + 2 * c2
         with pytest.raises(RankDeficientSupport):
-            omp(y, A, 3)
+            omp_row(y, A, 3)
 
     def test_more_selections_than_atoms(self, rng):
         A = rng.standard_normal((8, 4)).astype(complex)
         y = rng.standard_normal(8).astype(complex)
         with pytest.raises(DimensionMismatch, match="L=5 exceeds the dictionary size 4"):
-            omp(y, A, 5)
+            omp_row(y, A, 5)
 
     def test_more_selections_than_samples(self, rng):
         # the fifth column of a 4-sample fit is dependent on the first four
         A = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
         y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         with pytest.raises(RankDeficientSupport, match="5 columns on 4 samples"):
-            omp(y, A, 5)
+            omp_row(y, A, 5)
 
 
 class TestStackedOMP:
@@ -476,7 +483,7 @@ class TestStackedOMP:
 
     @staticmethod
     def _per_row(Y, A, L):
-        runs = [omp(y, A, L) for y in Y]
+        runs = [omp_row(y, A, L) for y in Y]
         return np.array([s for s, _ in runs], dtype=int), np.array([h for _, h in runs])
 
     @pytest.mark.parametrize("seed", range(6))
@@ -505,9 +512,9 @@ class TestStackedOMP:
         e = np.eye(4, dtype=complex)
         A = np.column_stack([e[0], e[1], e[2], (e[0] + e[1]) / np.sqrt(2)])
         Y = np.array([e[0] + e[1], e[2] + 0.5 * e[0]])
-        assert omp(Y[1], A, 3)[0] == [2, 0, 1]
+        assert omp_row(Y[1], A, 3)[0] == [2, 0, 1]
         with pytest.raises(RankDeficientSupport):
-            omp(Y[0], A, 3)
+            omp_row(Y[0], A, 3)
         with pytest.raises(RankDeficientSupport):
             omp(Y, A, 3)
 
@@ -516,7 +523,7 @@ class TestStackedOMP:
         Y = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
         support, history = omp(Y, A, 0)
         assert support.shape == (3, 0)
-        assert history.tolist() == [omp(y, A, 0)[1] for y in Y]
+        assert history.tolist() == [omp_row(y, A, 0)[1] for y in Y]
 
     def test_more_selections_than_atoms(self, rng):
         A = rng.standard_normal((8, 4)).astype(complex)
@@ -529,7 +536,8 @@ class TestStackedOMP:
         Y = rng.standard_normal((4, 30)) + 1j * rng.standard_normal((4, 30))
         supports = np.array([rng.choice(40, 5, replace=False) for _ in range(4)])
         gains = ls_gains(Y, A, supports)
-        assert np.array_equal(gains, [ls_gains(y, A, s) for y, s in zip(Y, supports)])
+        assert np.array_equal(gains, [ls_gains(y[None], A, s[None])[0]
+                                      for y, s in zip(Y, supports)])
         assert ls_gains(Y, A, np.zeros((4, 0), dtype=int)).shape == (4, 0)
 
 
@@ -566,21 +574,21 @@ class TestLsGains:
     def test_exact_recovery(self, rng):
         A = rng.standard_normal((12, 20)) + 1j * rng.standard_normal((12, 20))
         y = (2.0 + 3.0j) * A[:, 7]
-        gains = ls_gains(y, A, [7])
+        gains, = ls_gains(y[None], A, [[7]])
         assert gains[0] == pytest.approx(2.0 + 3.0j, abs=1e-10)
 
     def test_orthogonal_rhs(self):
         A = np.eye(6, dtype=complex)
         y = np.zeros(6, dtype=complex)
         y[5] = 1.0
-        gains = ls_gains(y, A, [0, 1])
+        gains, = ls_gains(y[None], A, [[0, 1]])
         assert np.allclose(gains, 0.0)
 
     def test_qr_oracle(self, rng):
         A = rng.standard_normal((30, 12)) + 1j * rng.standard_normal((30, 12))
         y = rng.standard_normal(30) + 1j * rng.standard_normal(30)
         sup = [2, 5, 9]
-        gains = ls_gains(y, A, sup)
+        gains, = ls_gains(y[None], A, [sup])
         ref, *_ = np.linalg.lstsq(A[:, sup], y, rcond=None)
         assert np.allclose(gains, ref, atol=1e-10)
         # LS residual orthogonal to the selected columns
@@ -659,14 +667,16 @@ class TestCentralized:
 class TestLocalProxy:
     def test_zero_observation(self, rng):
         A = rng.standard_normal((4, 16)).astype(complex)
-        rho, kept = local_proxy(A, np.zeros(4, dtype=complex), 0.1, eta=4.0)
+        rho, passed = local_proxy(A, np.zeros(4, dtype=complex), 0.1, eta=4.0)
+        kept = np.flatnonzero(passed)
         assert kept.size == 0
         assert np.allclose(rho, 0.0)
 
     def test_zero_threshold_keeps_all(self, rng):
         A = rng.standard_normal((4, 16)).astype(complex)
         y = rng.standard_normal(4).astype(complex)
-        rho, kept = local_proxy(A, y, 0.1, eta=0.0)
+        rho, passed = local_proxy(A, y, 0.1, eta=0.0)
+        kept = np.flatnonzero(passed)
         assert kept.size == 16
 
     def test_argmax_matches_single_path(self, est_setup):
@@ -676,9 +686,9 @@ class TestLocalProxy:
         spec = on_grid_spec(grid, rng, K=1, L=1)
         session = make_session(layout, K=1, tau=8, V=4, sigma2=0.0, seed=6)
         obs = run_pilot_phase(session, spec, layout, model)
-        est = LocalEstimator(0, session, local_dictionary(session, 0, grid, layout, model))
-        est.correlate([obs[v][0] for v in range(4)])
-        rho, _ = local_proxy(est.A_m, est.observation(0), 1e-12, eta=0.0)
+        est = LocalEstimator([0], session, local_dictionary(session, [0], grid, layout, model))
+        est.correlate([obs[v][[0]] for v in range(4)])
+        rho, _ = local_proxy(est.A_m, est.observation([0]), 1e-12, eta=0.0)
         assert int(np.argmax(rho)) == int(grid.nearest_index(spec.angles[0, 0]))
 
 
@@ -744,7 +754,7 @@ class TestDistributed:
             corr = [pilot_correlate(Y, session.S, session.tau) for Y in obs]
             for k in range(2):
                 y_k = stack_observations(corr, k)
-                ref = ls_gains(y_k, A, result.supports[k].tolist())
+                ref, = ls_gains(y_k[None], A, result.supports[[k]])
                 assert np.allclose(result.gains[k], ref, atol=1e-10)
 
     def test_single_antenna_local_ls(self):
@@ -752,11 +762,10 @@ class TestDistributed:
         model = DipoleModel.for_layout(layout)
         spec, session, obs, grid, result = self._run(layout, model, 0.01, 3,
                                                      eps_k=0.0)
-        est = LocalEstimator(0, session, local_dictionary(session, 0, grid, layout, model))
-        est.correlate([obs[v][0] for v in range(session.V)])
+        est = LocalEstimator([0], session, local_dictionary(session, [0], grid, layout, model))
+        est.correlate([obs[v][[0]] for v in range(session.V)])
         for k in range(2):
-            ref = ls_gains(est.observation(k), est.A_m,
-                           result.supports[k].tolist())
+            ref, = ls_gains(est.observation([k])[0], est.A_m[0], result.supports[[k]])
             assert np.allclose(result.gains[k], ref, atol=1e-10)
 
     def test_suffstat_ledger_arithmetic(self, est_setup):

@@ -177,8 +177,6 @@ class TestSampleChannels:
     def test_validation(self):
         with pytest.raises(ConfigError, match="angles"):
             MultipathSpec(angles=[[2.0]], gains=[[1.0]])  # angle out of range
-        with pytest.raises(ConfigError, match="noise_var"):
-            MultipathSpec(angles=[[0.1]], gains=[[1.0]], noise_var=0.0)
         with pytest.raises(ConfigError, match="angles"):
             MultipathSpec(angles=[[np.nan]], gains=[[1.0]])
         with pytest.raises(ConfigError, match="gains"):

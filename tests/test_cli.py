@@ -209,6 +209,21 @@ def test_optimize_honors_screened_init(config_path, tmp_path):
     assert np.array_equal(placement.positions, screened.positions)
 
 
+def test_ledger_honors_screened_init(config_path, tmp_path):
+    """``fcarray ledger`` starts Algorithm 1 where ``fcarray optimize`` does:
+    with T_max=0 both report the rate of the screened start."""
+    overrides = ["sca.init=screened", "sca.screen_points=5", "sca.T_max=0"]
+    args = [x for o in overrides for x in ("--set", o)]
+    for command in ("optimize", "ledger"):
+        assert main([command, "--config", config_path, "--seed", "1",
+                     "--out", str(tmp_path / command), *args]) == 0
+    optimized = json.loads((tmp_path / "optimize" / "trace_summary.json").read_text())
+    routed = json.loads((tmp_path / "ledger" / "ledger.json").read_text())["algorithm1"]
+    manifest = json.loads((tmp_path / "ledger" / "manifest.json").read_text())
+    assert manifest["config"]["sca"]["init"] == "screened"
+    assert routed["final_rate"] == optimized["final_rate"]
+
+
 @pytest.mark.parametrize("override, field", [
     ("layout.d_y=abc", "layout.d_y"),
     ('estimation.V="4"', "estimation.V"),

@@ -160,12 +160,12 @@ class TestAlgorithm3:
 
     def test_lpu_guards(self):
         lay, model, session, obs, grid, eta = self._setup()
-        est = LocalEstimator(0, session, local_dictionary(session, 0, grid, lay, model))
-        est.correlate([obs[v][0] for v in range(session.V)])
+        est = LocalEstimator([0], session, local_dictionary(session, [0], grid, lay, model))
+        est.correlate([obs[v][[0]] for v in range(session.V)])
         with pytest.raises(InformationLeak):
-            est.suff_stats(0)  # no support received yet
+            est.suff_stats([0])  # no support received yet
         with pytest.raises(InformationLeak):
-            est.top_proxies(0, 3)  # proxies never computed
+            est.top_proxies([0], 3)  # proxies never computed
 
     @pytest.mark.parametrize("eta", [4.0, 1e12])
     def test_ledger_equals_closed_form(self, eta):
