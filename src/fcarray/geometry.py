@@ -8,12 +8,14 @@ side ``A*lam`` centered on the active element at ``q_m = [0, (m-1)*d_y*lam]``.
 The active element itself participates in the spacing constraints as the
 implicit pair index ``n = 0``.
 
-Every box and spacing test reads ``constraint_margins``, one call for all
+Every spacing-pair offset over [q_m, p_1..p_N] comes from ``pair_offsets``,
+and every box and spacing test reads ``constraint_margins``, one call for all
 antennas or a batch of candidate positions.  The linearized sets and their
-exact active-set projection are batched over antennas: row a is built from,
-and projected onto, antenna a's set alone and freezes at the step where
-nothing is violated, so a batch repeats the per-antenna results to the last
-bit.  Dot products use ``np.vecdot``, the BLAS dot of 1-D ``a @ b``.
+exact active-set projection take stacks of antennas only, one antenna being a
+batch of one: row a is built from, and projected onto, antenna a's set alone
+and freezes at the step where nothing is violated, so a batch repeats its
+rows' batch-of-one results to the last bit.  Dot products use ``np.vecdot``,
+the BLAS dot of 1-D ``a @ b``.
 """
 
 from __future__ import annotations
@@ -210,16 +212,13 @@ class PairTables(NamedTuple):
     """Per-N tables of the spacing pairs over the points [q_m, p_1..p_N]:
     the index arrays (a, b), a < b, of the active pairs (0, n) and then the
     coupler pairs in lexicographic order; the coupler pairs as 0-based coupler
-    indices (``np.triu_indices(N, 1)``); the orientation ``linearize_spacing``
-    takes (p_n - q for the active pairs, p_a - p_b for the coupler pairs); the
-    pair rows; and the (P, N+1) incidence matrix of the differences p_b - p_a."""
+    indices (``np.triu_indices(N, 1)``); the pair rows; and the (P, N+1)
+    incidence matrix of the offsets point a - point b."""
 
     a: np.ndarray
     b: np.ndarray
     coupler_a: np.ndarray
     coupler_b: np.ndarray
-    first: np.ndarray
-    second: np.ndarray
     rows: np.ndarray
     incidence: np.ndarray
 
@@ -230,13 +229,26 @@ def pair_tables(N: int) -> PairTables:
     a, b = np.triu_indices(N + 1, k=1)
     rows = np.arange(len(a))
     incidence = np.zeros((len(a), N + 1))
-    incidence[rows, b] = 1.0
-    incidence[rows, a] = -1.0
-    tables = PairTables(a, b, a[N:] - 1, b[N:] - 1, np.where(a == 0, b, a),
-                        np.where(a == 0, a, b), rows, incidence)
+    incidence[rows, a] = 1.0
+    incidence[rows, b] = -1.0
+    tables = PairTables(a, b, a[N:] - 1, b[N:] - 1, rows, incidence)
     for arr in tables:
         arr.flags.writeable = False
     return tables
+
+
+def as_complex(points: np.ndarray) -> np.ndarray:
+    """Points (..., 2) as complex x + iy (..., 1), a view of contiguous floats."""
+    return np.ascontiguousarray(points, dtype=float).view(complex)
+
+
+def pair_offsets(z: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Offsets point a - point b (..., P) of the spacing pairs over
+    [q, p_1..p_N], in ``pair_tables`` order, from the coupler points z (..., N)
+    and active points q (..., 1) ``as_complex``: each subtraction is the two
+    coordinate subtractions, and a pair distance is ``np.hypot(d.real, d.imag)``."""
+    pairs = pair_tables(z.shape[-1])
+    return np.concatenate([q - z, z[..., pairs.coupler_a] - z[..., pairs.coupler_b]], axis=-1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -265,12 +277,11 @@ def constraint_margins(positions: np.ndarray, layout: ArrayLayout, m=None):
     order, for positions (..., M, N, 2).  An index or index array ``m`` names the
     antennas of the positions' antenna axis (a scalar m: positions (..., N, 2))."""
     # as complex x + iy each subtraction is one contiguous pass over both axes
-    z = np.ascontiguousarray(positions, dtype=float).view(complex)[..., 0]
+    z = as_complex(positions)[..., 0]
     q = layout.active_positions().view(complex)[slice(None) if m is None else m]
     half = complex(0.5 * layout.region_side_m, 0.5 * layout.region_side_m)
     lo, hi = z - (q - half), (q + half) - z
-    pairs = pair_tables(z.shape[-1])
-    d = np.concatenate([q - z, z[..., pairs.coupler_a] - z[..., pairs.coupler_b]], axis=-1)
+    d = pair_offsets(z, q)
     return (np.minimum(np.minimum(lo.real, lo.imag), np.minimum(hi.real, hi.imag)),
             np.hypot(d.real, d.imag))
 
@@ -299,23 +310,20 @@ def is_feasible(placement: CouplerPlacement, layout: ArrayLayout) -> Feasibility
 
 @dataclass
 class LinearizedFeasibleSet:
-    """Convex inner approximation of one antenna's movement set, built by
-    linearizing each squared-distance spacing constraint at an anchor.
+    """Convex inner approximations of A antennas' movement sets, stacked,
+    built by linearizing each squared-distance spacing constraint at an anchor.
 
     Half-spaces are stored as rows of ``normals`` with offsets ``offsets``:
-    membership means ``normals @ x <= offsets`` plus the box bounds.  Any
-    member satisfies the true (nonconvex) spacing constraints because the
-    linearization is a global affine upper bound of the concave ``-d``.  Row p
-    belongs to pair p of ``pair_tables(N)``.
-
-    A batch of antennas stacks the sets along a leading axis (``normals``
-    (A, P, 2N), ...).
+    membership of antenna a's x means ``normals[a] @ x <= offsets[a]`` plus the
+    box bounds.  Any member satisfies the true (nonconvex) spacing constraints
+    because the linearization is a global affine upper bound of the concave
+    ``-d``.  Row p belongs to pair p of ``pair_tables(N)``.
     """
 
-    box_lo: np.ndarray  # (2N,)
-    box_hi: np.ndarray  # (2N,)
-    normals: np.ndarray  # (P, 2N)
-    offsets: np.ndarray  # (P,)
+    box_lo: np.ndarray  # (A, 2N)
+    box_hi: np.ndarray  # (A, 2N)
+    normals: np.ndarray  # (A, P, 2N)
+    offsets: np.ndarray  # (A, P)
 
 
 def linearize_spacing(
@@ -325,7 +333,9 @@ def linearize_spacing(
     margin: float = 0.0,
     margins: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LinearizedFeasibleSet:
-    """Linearize the spacing constraints of antenna m around a feasible anchor.
+    """Linearize the spacing constraints of the antennas of the index array
+    ``m`` around a feasible anchor: their sets, stacked, each row read only
+    from its own antenna's anchor.
 
     For each unordered pair the constraint ||p_a - p_b||^2 >= d_min^2 is
     replaced by its first-order bound at the anchor, giving one half-space per
@@ -333,42 +343,33 @@ def linearize_spacing(
     and inflates d_min.  The optimizer passes its clearance
     (``optimizer.CLEARANCE_WL`` wavelengths), which keeps the projected
     iterates off the exact d_min guard of ``mutual_impedance`` despite the
-    projection's rounding.  An index array ``m`` gives the
-    sets of those antennas from one call, stacked along a leading axis; each
-    row reads only its own antenna's anchor.  ``margins``, the
-    ``constraint_margins`` of the anchor's rows ``m`` when the caller already
-    holds them, is what the anchor check reads instead of recomputing them.
+    projection's rounding.  ``margins``, the ``constraint_margins`` of the
+    anchor's rows ``m`` when the caller already holds them, is what the anchor
+    check reads instead of recomputing them.
     """
-    idx = np.atleast_1d(m)
-    pts = anchor.positions[idx]  # (A, N, 2)
+    pts = anchor.positions[m]  # (A, N, 2)
     (A, N, _), pairs = pts.shape, pair_tables(layout.N)
     min_sep = layout.min_sep_m + margin
     atol = 1e-8 * layout.lam
-    box, dist = constraint_margins(pts, layout, idx) if margins is None else margins
+    box, dist = constraint_margins(pts, layout, m) if margins is None else margins
     bad = (box < margin - atol).any(axis=1) | (dist < min_sep - atol).any(axis=1)
     if bad.any():
         raise AnchorInfeasible(
-            f"anchor at antenna {idx[np.argmax(bad)]} violates constraints (margin {margin})"
+            f"anchor at antenna {m[np.argmax(bad)]} violates constraints (margin {margin})"
         )
-    q = layout.active_positions()[idx][:, None, :]
-    box_lo, box_hi = (c[idx] for c in _box_bounds(layout, margin))
+    box_lo, box_hi = (c[m] for c in _box_bounds(layout, margin))
 
-    # gradient g of d = ||p_first - p_second||^2 over the points [q, p_1..p_N],
-    # oriented p_n - q for the active pairs and p_a - p_b for coupler pairs
-    first, second, rows = pairs.first, pairs.second, pairs.rows
-    full = np.concatenate([q, pts], axis=1)
-    diff = full[:, first] - full[:, second]  # (A, P, 2)
-    g = np.zeros((A, len(rows), N + 1, 2))
-    g[:, rows, first] = 2.0 * diff
-    g[:, rows, second] = -2.0 * diff
-    g = g[:, :, 1:].reshape(A, len(rows), 2 * N)
+    # gradient g of d = ||p_a - p_b||^2 over the points [q, p_1..p_N]
+    d = pair_offsets(as_complex(pts)[..., 0], as_complex(layout.active_positions()[m]))
+    diff = d[..., None].view(float)  # (A, P, 2)
+    g = np.zeros((A, len(pairs.rows), N + 1, 2))
+    g[:, pairs.rows, pairs.a] = 2.0 * diff
+    g[:, pairs.rows, pairs.b] = -2.0 * diff
+    g = g[:, :, 1:].reshape(A, len(pairs.rows), 2 * N)
     p_anchor = pts.reshape(A, 2 * N)
     # -d_t - g.(p - p_t) <= -min_sep^2  <=>  (-g).p <= d_t - g.p_t - min_sep^2
     offsets = np.vecdot(diff, diff) - np.vecdot(g, p_anchor[:, None, :]) - min_sep**2
-    parts = (box_lo, box_hi, -g, offsets)
-    if np.ndim(m) == 0:  # a scalar m gives that antenna's set, unstacked
-        parts = (x[0] for x in parts)
-    return LinearizedFeasibleSet(*parts)
+    return LinearizedFeasibleSet(box_lo, box_hi, -g, offsets)
 
 
 def project_onto_set(point: np.ndarray, feas_set: LinearizedFeasibleSet):
@@ -380,14 +381,12 @@ def project_onto_set(point: np.ndarray, feas_set: LinearizedFeasibleSet):
     so nearly parallel normals stay exact): a full step along z reaches j's
     plane and adds j, a partial one drops the first working constraint whose
     multiplier reaches zero, and a dependent j (z = 0) takes only partial
-    steps.  Points (A, 2N) are projected row by row onto A sets; a row freezes
-    once nothing is violated beyond rounding of its coordinates, matching its
-    single-row call to the last bit.  Returns (x, steps): the projection and
-    the active-set steps each row took."""
-    single = np.ndim(point) == 1
-    parts = [np.asarray(v, dtype=float) for v in (
-        point, feas_set.box_lo, feas_set.box_hi, feas_set.normals, feas_set.offsets)]
-    y, lo, hi, normals, offsets = (v[None] for v in parts) if single else parts
+    steps.  Points (A, 2N) are projected row by row onto a stack of A sets; a
+    row freezes once nothing is violated beyond rounding of its coordinates,
+    matching its batch-of-one call to the last bit.  Returns (x, steps): the
+    projections (A, 2N) and the active-set steps each row took."""
+    y, lo, hi, normals, offsets = (np.asarray(v, dtype=float) for v in (
+        point, feas_set.box_lo, feas_set.box_hi, feas_set.normals, feas_set.offsets))
     (B, n), unit = y.shape, 1.0 / np.sqrt(np.vecdot(normals, normals))
     Ct = np.empty((B, n, 2 * n + normals.shape[1]))  # columns x <= hi, -x <= -lo, half-spaces
     Ct[:, :, :2 * n] = _box_normals(n)
@@ -431,7 +430,7 @@ def project_onto_set(point: np.ndarray, feas_set: LinearizedFeasibleSet):
             act[part, drop[part]], mult[part, drop[part]] = False, 0.0
         j = np.where(add | ~live, -1, j)
         steps += live
-    return (x[0], int(steps[0])) if single else (x, steps)
+    return x, steps
 
 
 # placement-file layout header key -> ArrayLayout field, in file order
@@ -455,33 +454,32 @@ def load_placement(path) -> tuple[CouplerPlacement, ArrayLayout]:
 
 def anchor_distances(points: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     """Distances (..., A, D) from each of ``anchors`` (..., A, 2) to each of
-    ``points`` (..., D, 2): the floats that ``constraint_margins`` and
-    ``build_block`` form for a pair with one end at a point."""
+    ``points`` (..., D, 2): the moduli of ``pair_offsets`` for a pair with one
+    end at a point."""
     return np.hypot(points[..., None, :, 0] - anchors[..., :, None, 0],
                     points[..., None, :, 1] - anchors[..., :, None, 1])
 
 
 def clear_moves(dist: np.ndarray, n, min_dist: float) -> np.ndarray:
     """Mask (..., K, D) of the single-coupler moves that keep ``min_dist``:
-    coupler n[k] at point d must clear every anchor of [q_m, p_1..p_N] but
-    its own, from the ``anchor_distances`` (..., N+1, D) of the points."""
-    others = np.arange(dist.shape[-2]) != np.atleast_1d(n)[:, None] + 1  # (K, N+1)
+    coupler n[k] of the index array n at point d must clear every anchor of
+    [q_m, p_1..p_N] but its own, from the ``anchor_distances`` (..., N+1, D)
+    of the points."""
+    others = np.arange(dist.shape[-2]) != np.asarray(n)[:, None] + 1  # (K, N+1)
     return np.all((dist[..., None, :, :] >= min_dist) | ~others[:, :, None], axis=-2)
 
 
 def single_coupler_moves(p_m: np.ndarray, m: int, n, points: np.ndarray,
                          layout: ArrayLayout, margin: float = 0.0):
-    """Antenna m's positions ``p_m`` (N, 2) with coupler n moved to each of
-    ``points`` (D, 2): the (D,) mask of the moves that keep ``d_min + margin``
-    from the active element and the other couplers (``clear_moves``), and the
-    moved positions (D, N, 2).  An index array n (K,) gives (K, D) and
-    (K, D, N, 2)."""
-    ks = np.atleast_1d(n)
+    """Antenna m's positions ``p_m`` (N, 2) with coupler n[k] of the index
+    array n (K,) moved to each of ``points`` (D, 2): the (K, D) mask of the
+    moves that keep ``d_min + margin`` from the active element and the other
+    couplers (``clear_moves``), and the moved positions (K, D, N, 2)."""
     anchors = np.concatenate([layout.active_positions()[m][None], p_m])
-    ok = clear_moves(anchor_distances(points, anchors), ks, layout.min_sep_m + margin)
-    moved = np.tile(p_m, (len(ks), len(points), 1, 1))
-    moved[np.arange(len(ks)), :, ks] = points
-    return (ok[0], moved[0]) if np.ndim(n) == 0 else (ok, moved)
+    ok = clear_moves(anchor_distances(points, anchors), n, layout.min_sep_m + margin)
+    moved = np.tile(p_m, (len(n), len(points), 1, 1))
+    moved[np.arange(len(n)), :, n] = points
+    return ok, moved
 
 
 def random_feasible_placement(

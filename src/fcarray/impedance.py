@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import sici
 
 from .errors import DomainError, TooClose
-from .geometry import ArrayLayout, pair_tables
+from .geometry import ArrayLayout, as_complex, pair_offsets, pair_tables
 
 ETA_FREE_SPACE = 120.0 * np.pi
 # Standard half-wave thin-dipole self impedance (wire radius not modeled).
@@ -168,24 +168,16 @@ def _load_matrix(N: int, load: complex) -> np.ndarray:
 
 
 def build_block(p_m: np.ndarray, q_m: np.ndarray, model: DipoleModel) -> ImpedanceBlock:
-    """Impedance block for one antenna from coupler positions ``p_m`` (N, 2)
-    and the active-element position ``q_m`` (2,), or for a batch (..., N, 2)
-    with ``q_m`` (2,) or (..., 2): the pair distances, one
-    ``mutual_impedance`` call and ``assemble_block``."""
-    p_m = np.asarray(p_m, dtype=float)
-    p_m = p_m.reshape(-1, 2) if p_m.ndim < 3 else p_m
-    q_m = np.asarray(q_m, dtype=float)[..., None, :]
-    pairs = pair_tables(p_m.shape[-2])
-    iu, ju = pairs.coupler_a, pairs.coupler_b
-    d_bar = np.hypot(p_m[..., 0] - q_m[..., 0], p_m[..., 1] - q_m[..., 1])
-    d_pair = np.hypot(p_m[..., iu, 0] - p_m[..., ju, 0], p_m[..., iu, 1] - p_m[..., ju, 1])
-    return assemble_block(mutual_impedance(np.concatenate([d_bar, d_pair], axis=-1), model),
-                          model)
+    """Impedance blocks at coupler positions ``p_m`` (..., N, 2) and
+    active-element positions ``q_m`` (2,) or (..., 2): the pair distances
+    (``pair_offsets``), one ``mutual_impedance`` call and ``assemble_block``."""
+    d = pair_offsets(as_complex(p_m)[..., 0], as_complex(q_m))
+    return assemble_block(mutual_impedance(np.hypot(d.real, d.imag), model), model)
 
 
 def assemble_block(z: np.ndarray, model: DipoleModel) -> ImpedanceBlock:
     """The block of mutual impedances ``z`` (..., P) over the spacing pairs of
-    [q_m, p_1..p_N], in ``spacing_pairs`` order: the N active pairs form
+    [q_m, p_1..p_N], in ``pair_tables`` order: the N active pairs form
     z_bar and the coupler pairs fill Z_hat's off-diagonal symmetrically."""
     N = (math.isqrt(8 * z.shape[-1] + 1) - 1) // 2  # P = N (N + 1) / 2
     pairs = pair_tables(N)

@@ -34,8 +34,8 @@ channels through d h_C[k, n] / d p_n = sum_l gain_kl (-j k [cos, sin]
 phi_kl) a_kln, from the per-path steering the forward caches.
 
 An iteration builds no array that depends only on the shape.  Per N, the
-spacing-pair tables (``geometry.pair_tables``: the coupler pairs, the
-linearization's orientation and the gradient's incidence matrix), the load
+spacing-pair tables (``geometry.pair_tables``: the pairs and the gradient's
+incidence matrix), the load
 matrix X and the identities are built once; per layout, the active positions
 and the linearized sets' box bounds.  All are read-only and shared.  Each
 full evaluation assembles Re Z once (``ImpedanceBlock.resistance``) for its
@@ -70,8 +70,10 @@ from .geometry import (
     ArrayLayout,
     CouplerPlacement,
     LinearizedFeasibleSet,
+    as_complex,
     constraint_margins,
     linearize_spacing,
+    pair_offsets,
     pair_tables,
     project_onto_set,
     single_coupler_moves,
@@ -293,12 +295,12 @@ class ObjectiveEvaluator:
             2.0 * s[:, None] * (w[:, ca].conj() * w[:, cb]).real
             - (mu[:, ca] * w[:, cb] + mu[:, cb] * w[:, ca]),
         ], axis=-1)
-        q = self.layout.active_positions()[:, None, :]
-        full = np.concatenate([q, fwd.positions], axis=1)  # (M, N+1, 2)
-        diff = full[:, pairs.b] - full[:, pairs.a]
-        dist = np.hypot(diff[..., 0], diff[..., 1])
+        d = pair_offsets(as_complex(fwd.positions)[..., 0],
+                         self.layout.active_positions().view(complex))
+        dist = np.hypot(d.real, d.imag)
         d_dist = np.real(zeta * mutual_impedance_derivative(dist, self.model))
-        # distance d_ab moves with +u at point b and -u at point a
+        # distance d_ab moves with +u at point a and -u at point b, u = (p_a - p_b) / d_ab
+        diff = d[..., None].view(float)
         grad = (pairs.incidence.T @ ((d_dist / dist)[..., None] * diff))[:, 1:]
         # through the coupler channels: dh_C[k, n]/dp_n = sum_l slope_kl a_kln,
         # slope_kl = gain_kl (-j k [cos phi_kl, sin phi_kl])
@@ -372,8 +374,9 @@ def relaxed_update(
     (the maximizer of its surrogate), then relax toward that candidate with
     weight alpha.  This is the exact computation an LPU runs from (its own
     state, the received step vector, the public schedule).  Stacked vectors
-    (A, 2N) with a batch of A sets update A antennas, row by row.  Returns
-    the updated vector(s) and the projection's active-set step counts."""
+    (A, 2N) with a stack of A sets update A antennas, row by row; one LPU is
+    a batch of one.  Returns the updated vectors and the projection's
+    active-set step counts."""
     cand, steps = project_onto_set(p_vec + step_vec, anchor_set)
     return p_vec + alpha_t * (cand - p_vec), steps
 
@@ -499,7 +502,7 @@ def screened_initial_placement(
         for n in range(layout.N):
             pts_m = best.positions[m].copy()
             best_rate = ev.rate_with_override(m, pts_m)
-            ok, moved = single_coupler_moves(pts_m, m, n, lattice, layout, margin)
+            ok, moved = single_coupler_moves(pts_m, m, [n], lattice, layout, margin)
             if ok.any():
                 probes = moved[ok]
                 rates = ev.rate_with_override(m, probes)

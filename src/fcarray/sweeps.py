@@ -25,6 +25,7 @@ from .geometry import (
     CouplerPlacement,
     random_feasible_placement,
     save_placement,
+    single_coupler_moves,
     uniform_placement,
 )
 from .optimizer import (
@@ -330,15 +331,15 @@ def compute_heatmap(scenario: Scenario, seed: int) -> HeatmapResult:
     c0 = float(np.sum(np.abs(base_state.G[0, idx_other]) ** 2
                       / base_state.B[idx_other]))
 
-    q = layout.active_position(a)
     lo, hi = layout.region_bounds(a)
     xs = np.linspace(lo[0], hi[0], res)
     ys = np.linspace(lo[1], hi[1], res)
-    xx, yy = np.meshgrid(xs, ys, indexing="ij")
-    feasible = np.hypot(xx - q[0], yy - q[1]) >= layout.min_sep_m
+    grid = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    ok, moved = single_coupler_moves(base.positions[a], a, [0], grid, layout)
+    feasible = ok[0].reshape(res, res)
 
     # antenna a's single coupler at every feasible grid point, as one batch
-    P = np.stack([xx[feasible], yy[feasible]], axis=-1)[:, None, :]
+    P = moved[0][ok[0]]
     _, _, g_a, b = antenna_chain(coupler_channel_block(spec, P, layout.lam), P, a, layout, model,
                                  active_channel_matrix(spec, layout))
     gain = np.full((res, res), np.nan)

@@ -30,10 +30,13 @@ from fcarray.geometry import (
     LinearizedFeasibleSet,
     Violation,
     anchor_distances,
+    as_complex,
     constraint_margins,
+    pair_offsets,
     pair_tables,
     single_coupler_moves,
 )
+from fcarray.impedance import build_block, mutual_impedance
 from fcarray.optimizer import CLEARANCE_WL, ObjectiveEvaluator, relaxed_update
 
 import exhaustive_reference
@@ -49,6 +52,20 @@ def contains(fs, x, atol=1e-12):
 def slacks(fs, x):
     """Half-space slacks offsets - normals @ x of one antenna's set (>= 0 inside)."""
     return fs.offsets - fs.normals @ np.asarray(x, dtype=float)
+
+
+def antenna_set(anchor, m, layout, **kw):
+    """Antenna m's linearized set: row 0 of the batch-of-one call."""
+    return LinearizedFeasibleSetRow(linearize_spacing(anchor, [m], layout, **kw), 0)
+
+
+def project_one(point, fs):
+    """(x, steps) of one point projected onto one antenna's set: the
+    batch-of-one ``project_onto_set`` call."""
+    stack = LinearizedFeasibleSet(*(np.asarray(v)[None] for v in (
+        fs.box_lo, fs.box_hi, fs.normals, fs.offsets)))
+    x, steps = project_onto_set(np.asarray(point, dtype=float)[None], stack)
+    return x[0], int(steps[0])
 
 
 def pair_list(N):
@@ -161,7 +178,7 @@ class TestLinearize:
     def test_anchor_slack(self, layout):
         anchor = uniform_placement(layout)
         for m in range(layout.M):
-            fs = linearize_spacing(anchor, m, layout)
+            fs = antenna_set(anchor, m, layout)
             slack = slacks(fs, anchor.antenna_vector(m))
             assert np.all(slack >= 0.0)
             # slack of each pair equals d(anchor) - d_min^2 exactly
@@ -174,7 +191,7 @@ class TestLinearize:
     def test_single_coupler_normal(self):
         lay = ArrayLayout(M=1, N=1)
         anchor = uniform_placement(lay)
-        fs = linearize_spacing(anchor, 0, lay)
+        fs = antenna_set(anchor, 0, lay)
         assert fs.normals.shape == (1, 2)
         expected = 2.0 * (lay.active_position(0) - anchor.positions[0, 0])
         assert np.allclose(fs.normals[0], expected)
@@ -184,7 +201,7 @@ class TestLinearize:
         # original nonconvex set (inner approximation)
         anchor = uniform_placement(layout)
         m = 1
-        fs = linearize_spacing(anchor, m, layout)
+        fs = antenna_set(anchor, m, layout)
         found = 0
         for _ in range(20000):
             x = rng.uniform(fs.box_lo, fs.box_hi)
@@ -200,7 +217,7 @@ class TestLinearize:
         bad = uniform_placement(layout)
         bad.positions[0, 1] = bad.positions[0, 0]
         with pytest.raises(AnchorInfeasible):
-            linearize_spacing(bad, 0, layout)
+            linearize_spacing(bad, [0], layout)
 
     def test_given_margins_build_the_same_sets(self, layout):
         anchor = uniform_placement(layout)
@@ -221,8 +238,8 @@ class TestLinearize:
 
     def test_margin_shrinks_set(self, layout):
         anchor = uniform_placement(layout)
-        fs0 = linearize_spacing(anchor, 0, layout)
-        fs1 = linearize_spacing(anchor, 0, layout, margin=1e-4 * layout.lam)
+        fs0 = antenna_set(anchor, 0, layout)
+        fs1 = antenna_set(anchor, 0, layout, margin=1e-4 * layout.lam)
         assert np.all(fs1.box_lo >= fs0.box_lo)
         assert np.all(fs1.offsets <= fs0.offsets)
 
@@ -230,17 +247,17 @@ class TestLinearize:
 class TestProjection:
     def test_member_unchanged(self, layout):
         anchor = uniform_placement(layout)
-        fs = linearize_spacing(anchor, 0, layout)
+        fs = antenna_set(anchor, 0, layout)
         x = anchor.antenna_vector(0)
-        assert np.allclose(project_onto_set(x, fs)[0], x)
+        assert np.allclose(project_one(x, fs)[0], x)
 
     def test_box_only_clamp(self, layout):
         anchor = uniform_placement(layout)
-        fs = linearize_spacing(anchor, 0, layout)
+        fs = antenna_set(anchor, 0, layout)
         x = anchor.antenna_vector(0)
         y = x.copy()
         y[0] = fs.box_hi[0] + 0.01  # push one coordinate out of the box
-        proj = project_onto_set(y, fs)[0]
+        proj = project_one(y, fs)[0]
         expected = np.clip(y, fs.box_lo, fs.box_hi)
         if contains(fs, expected):
             assert np.allclose(proj, expected, atol=1e-10)
@@ -248,28 +265,28 @@ class TestProjection:
     def test_single_halfspace_closed_form(self):
         lay = ArrayLayout(M=1, N=1)
         anchor = uniform_placement(lay)
-        fs = linearize_spacing(anchor, 0, lay)
+        fs = antenna_set(anchor, 0, lay)
         # a point violating only the half-space, well inside the box
         a = fs.normals[0]
         b = fs.offsets[0]
         x = anchor.antenna_vector(0) + 0.4 * lay.min_sep_m * a / np.linalg.norm(a)
         assert fs.normals @ x > fs.offsets  # actually violating
-        proj = project_onto_set(x, fs)[0]
+        proj = project_one(x, fs)[0]
         viol = a @ x - b
         expected = x - viol * a / (a @ a)
         assert np.allclose(proj, expected, atol=1e-9 * lay.lam)
 
     def test_idempotent_and_nonexpansive(self, layout, rng):
         anchor = uniform_placement(layout)
-        fs = linearize_spacing(anchor, 2, layout)
+        fs = antenna_set(anchor, 2, layout)
         scale = layout.region_side_m
         center = anchor.antenna_vector(2)
         for _ in range(50):
             x = center + rng.uniform(-scale, scale, size=center.size)
             y = center + rng.uniform(-scale, scale, size=center.size)
-            px = project_onto_set(x, fs)[0]
-            py = project_onto_set(y, fs)[0]
-            assert np.linalg.norm(project_onto_set(px, fs)[0] - px) \
+            px = project_one(x, fs)[0]
+            py = project_one(y, fs)[0]
+            assert np.linalg.norm(project_one(px, fs)[0] - px) \
                 <= 1e-8 * layout.lam
             assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) * (1 + 1e-8)
 
@@ -277,11 +294,11 @@ class TestProjection:
         # inner-approximation guarantee across many random exterior points
         anchor = uniform_placement(layout)
         for m in range(layout.M):
-            fs = linearize_spacing(anchor, m, layout)
+            fs = antenna_set(anchor, m, layout)
             center = anchor.antenna_vector(m)
             for _ in range(250):
                 x = center + rng.uniform(-2, 2, size=center.size) * layout.region_side_m
-                proj = project_onto_set(x, fs)[0]
+                proj = project_one(x, fs)[0]
                 assert contains(fs, proj, atol=1e-7 * layout.lam)
                 pl = anchor.with_antenna_vector(m, proj)
                 assert is_feasible(pl, layout).ok
@@ -345,10 +362,10 @@ def linearize_reference(anchor, m, layout, margin=0.0):
         )
     pts = p_anchor.reshape(N, 2)
     normals, offsets, pairs = [], [], []
-    for n in range(N):
-        diff = pts[n] - q
+    for n in range(N):  # every pair oriented point a - point b, here q - p_n
+        diff = q - pts[n]
         g = np.zeros(2 * N)
-        g[2 * n: 2 * n + 2] = 2.0 * diff
+        g[2 * n: 2 * n + 2] = -2.0 * diff
         normals.append(-g)
         offsets.append(float(diff @ diff) - g @ p_anchor - min_sep**2)
         pairs.append((0, n + 1))
@@ -463,7 +480,7 @@ def test_batched_sets_and_projections_match_per_antenna_reference(N, M, margin_s
     batch = linearize_spacing(anchor, np.arange(M), lay, margin=margin)
     refs = [linearize_reference(anchor, m, lay, margin) for m in range(M)]
     for m, (lo, hi, normals, offsets, pairs) in enumerate(refs):
-        one = linearize_spacing(anchor, m, lay, margin=margin)
+        one = antenna_set(anchor, m, lay, margin=margin)
         assert pairs == pair_list(N)
         for got in (one, LinearizedFeasibleSetRow(batch, m)):
             assert same_bits(got.box_lo, lo) and same_bits(got.box_hi, hi)
@@ -474,17 +491,17 @@ def test_batched_sets_and_projections_match_per_antenna_reference(N, M, margin_s
         for m, (lo, hi, normals, offsets, _) in enumerate(refs):
             ref, _ = project_reference(points[m], lo, hi, normals, offsets, 1e-14 * lay.lam)
             assert np.max(np.abs(got[m] - ref), initial=0.0) <= 1e-12 * lay.lam
-            one, one_steps = project_onto_set(points[m], linearize_spacing(
-                anchor, m, lay, margin=margin))
+            (one,), (one_steps,) = project_onto_set(points[m][None], linearize_spacing(
+                anchor, [m], lay, margin=margin))
             assert same_bits(one, got[m]) and one_steps == steps[m]
         relaxed, relaxed_steps = relaxed_update(
             anchor.positions.reshape(M, -1), points - anchor.positions.reshape(M, -1),
             0.5, batch)
         assert np.array_equal(relaxed_steps, steps)
         for m in range(M):
-            one, one_steps = relaxed_update(
-                anchor.antenna_vector(m), points[m] - anchor.antenna_vector(m), 0.5,
-                linearize_spacing(anchor, m, lay, margin=margin))
+            (one,), (one_steps,) = relaxed_update(
+                anchor.antenna_vector(m)[None], (points[m] - anchor.antenna_vector(m))[None],
+                0.5, linearize_spacing(anchor, [m], lay, margin=margin))
             assert same_bits(relaxed[m], one) and one_steps == steps[m]
 
 
@@ -520,8 +537,8 @@ def test_projection_of_a_414_wavelength_step_is_a_kkt_point():
     points = p.positions.reshape(4, -1) + steps
     got, counts = project_onto_set(points, linearize_spacing(p, np.arange(4), lay, margin))
     for m in range(4):
-        fs = linearize_spacing(p, m, lay, margin=margin)
-        one, one_steps = project_onto_set(points[m], fs)
+        fs = antenna_set(p, m, lay, margin=margin)
+        one, one_steps = project_one(points[m], fs)
         assert same_bits(one, got[m]) and one_steps == counts[m]
         assert 0 < one_steps < 4 * lay.N + len(fs.offsets)
         assert_kkt_point(points[m], one, fs, lay.lam)
@@ -582,8 +599,8 @@ def test_projection_satisfies_kkt_on_random_linearized_sets(M, N, kind, scale,
         got, steps = project_onto_set(points, batch)
     assert max(conds, default=1.0) < 1e8
     for m in range(M):
-        fs = linearize_spacing(anchor, m, lay, margin=margin)
-        one, one_steps = project_onto_set(points[m], fs)
+        fs = antenna_set(anchor, m, lay, margin=margin)
+        one, one_steps = project_one(points[m], fs)
         assert same_bits(one, got[m]) and one_steps == steps[m]
         assert_kkt_point(points[m], one, fs, lay.lam)
 
@@ -601,7 +618,7 @@ def test_finished_rows_keep_their_bits_while_others_move():
         got, steps = project_onto_set(points, batch)
         assert steps[0] == 0 and steps[1] > 1
         assert same_bits(got[0], points[0])
-        one, _ = project_onto_set(points[1], linearize_spacing(anchor, 1, lay))
+        (one,), _ = project_onto_set(points[1][None], linearize_spacing(anchor, [1], lay))
         assert same_bits(got[1], one)
 
 
@@ -617,7 +634,7 @@ def test_projection_onto_nearly_parallel_half_spaces(delta, far, floor):
                                np.array([[1.0, 0.0], [1.0, delta]]),
                                np.array([0.0, -1e-12 * np.hypot(1.0, delta)]))
     point = np.array([far, 0.0])
-    x, steps = project_onto_set(point, fs)
+    x, steps = project_one(point, fs)
     assert steps <= 6
     assert_kkt_point(point, x, fs, 1.0)
 
@@ -629,13 +646,13 @@ def test_projection_with_a_box_face_parallel_to_an_active_half_space():
     lay = ArrayLayout(M=1, N=1, region_side=1.0)
     lo, hi = lay.region_bounds(0)
     anchor = CouplerPlacement(np.array([[[hi[0], 0.0]]]))
-    fs = linearize_spacing(anchor, 0, lay)
+    fs = antenna_set(anchor, 0, lay)
     assert fs.normals[0, 1] == 0.0  # axis-aligned half-space normal
     side = lay.region_side_m
     for point in ([3 * side, 0.0], [-3 * side, 0.0], [3 * side, 2 * side],
                   [-3 * side, -2 * side], [0.0, 2 * side], [hi[0], 5 * side]):
         point = np.array(point)
-        x, steps = project_onto_set(point, fs)
+        x, steps = project_one(point, fs)
         assert steps <= 3
         assert_kkt_point(point, x, fs, lay.lam)
 
@@ -684,7 +701,7 @@ def test_infeasible_anchor_and_margin_errors_name_the_same_antenna(M, N, seed):
             except AnchorInfeasible as exc:
                 expected = expected or str(exc)
                 with pytest.raises(AnchorInfeasible) as one:
-                    linearize_spacing(pl, m, lay, margin=margin)
+                    linearize_spacing(pl, [m], lay, margin=margin)
                 assert str(one.value) == str(exc)
         with pytest.raises(AnchorInfeasible) as batch:
             linearize_spacing(pl, np.arange(M), lay, margin=margin)
@@ -716,7 +733,8 @@ def test_single_coupler_moves_match_reference(N):
                                                      lay, pad)
             assert all_ok.shape == (N, len(points)) and all_moved.shape == (N, len(points), N, 2)
             for n in range(N):
-                ok, moved = single_coupler_moves(pl.positions[m], m, n, points, lay, pad)
+                (ok,), (moved,) = single_coupler_moves(pl.positions[m], m, [n], points, lay,
+                                                       pad)
                 ref_ok, ref_moved = single_coupler_moves_reference(
                     pl.positions[m], n, lay.active_position(m), points, lay.min_sep_m + pad)
                 assert np.array_equal(ok, ref_ok) and ok.any() and not ok.all()
@@ -791,3 +809,30 @@ def test_constraint_margins_broadcast_over_leading_axes():
             assert same_bits(dist[i, m], np.hypot(*(full[a] - full[b]).T))
             m_box, m_dist = constraint_margins(pts, lay, m)
             assert same_bits(m_box, box[i, m]) and same_bits(m_dist, dist[i, m])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(M=st.integers(1, 8), N=st.integers(0, 4), d_min=st.sampled_from([0.05, 0.1, 0.15, 0.2]),
+       A=st.sampled_from([1.5, 2.0, 3.0]), f_c=st.sampled_from([2.4e9, 7.0e9, 28e9]),
+       seed=st.integers(0, 2**16))
+def test_pair_offsets_are_the_one_pair_geometry(M, N, d_min, A, f_c, seed):
+    # the kernel against a per-pair loop: order [(0, 1) .. (0, N), (1, 2) ..]
+    # and orientation point a - point b over [q_m, p_1..p_N]
+    lay = ArrayLayout(M=M, N=N, region_side=A, d_min=d_min, f_c=f_c)
+    pos = random_feasible_placement(lay, np.random.default_rng(seed)).positions
+    offsets = pair_offsets(as_complex(pos)[..., 0], as_complex(lay.active_positions()))
+    pairs = [(a, b) for a in range(N + 1) for b in range(a + 1, N + 1)]
+    assert pairs == pair_list(N)
+    ref = np.zeros((M, len(pairs)), dtype=complex)
+    for m in range(M):
+        full = np.vstack([lay.active_position(m)[None, :], pos[m]])
+        for i, (a, b) in enumerate(pairs):
+            ref[m, i] = complex(full[a, 0] - full[b, 0], full[a, 1] - full[b, 1])
+    assert same_bits(offsets, ref)
+    dist = np.hypot(ref.real, ref.imag)
+    assert same_bits(constraint_margins(pos, lay)[1], dist)
+    model = DipoleModel.for_layout(lay)
+    Z = build_block(pos, lay.active_positions(), model).full_matrix()
+    assert same_bits(Z, np.swapaxes(Z, -1, -2))
+    a, b = pair_tables(N).a, pair_tables(N).b
+    assert same_bits(Z[:, a, b], mutual_impedance(dist, model))

@@ -122,24 +122,25 @@ class TestLocalStep:
     def test_zero_gradient_identity(self, toy):
         lay, _, _ = toy
         pl = uniform_placement(lay)
-        fs = linearize_spacing(pl, 0, lay)
-        cand, _ = relaxed_update(pl.antenna_vector(0), np.zeros(2 * lay.N), 1.0, fs)
+        fs = linearize_spacing(pl, [0], lay)
+        (cand,), _ = relaxed_update(pl.antenna_vector(0)[None], np.zeros((1, 2 * lay.N)), 1.0,
+                                    fs)
         assert np.allclose(cand, pl.antenna_vector(0), atol=1e-9 * lay.lam)
 
     def test_vanishing_step(self, toy):
         lay, _, _ = toy
         pl = uniform_placement(lay)
-        fs = linearize_spacing(pl, 0, lay)
+        fs = linearize_spacing(pl, [0], lay)
         g = np.ones(2 * lay.N)
-        cand, _ = relaxed_update(pl.antenna_vector(0), g / 1e15, 1.0, fs)
+        (cand,), _ = relaxed_update(pl.antenna_vector(0)[None], (g / 1e15)[None], 1.0, fs)
         assert np.allclose(cand, pl.antenna_vector(0), atol=1e-8 * lay.lam)
 
     def test_interior_unconstrained(self, toy):
         lay, _, _ = toy
         pl = uniform_placement(lay)
-        fs = linearize_spacing(pl, 0, lay)
+        fs = linearize_spacing(pl, [0], lay)
         g = np.full(2 * lay.N, 1e-6 * lay.lam)  # tiny move, no constraint active
-        cand, _ = relaxed_update(pl.antenna_vector(0), g, 1.0, fs)
+        (cand,), _ = relaxed_update(pl.antenna_vector(0)[None], g[None], 1.0, fs)
         assert np.allclose(cand, pl.antenna_vector(0) + g, atol=1e-9 * lay.lam)
 
 

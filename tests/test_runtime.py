@@ -98,8 +98,9 @@ class TestAlgorithm1:
                 continue
             assert msg.payload_kind == "positions"
             anchor = initial.with_antenna_vector(m, prev[m])
-            feas = linearize_spacing(anchor, m, lay, margin=CLEARANCE_WL * lay.lam)
-            replayed, _ = relaxed_update(prev[m], steps[r, m], cfg.alpha(r - 1), feas)
+            feas = linearize_spacing(anchor, [m], lay, margin=CLEARANCE_WL * lay.lam)
+            (replayed,), _ = relaxed_update(prev[m][None], steps[r, m][None], cfg.alpha(r - 1),
+                                            feas)
             assert np.array_equal(replayed, msg.payload)
             prev[m] = msg.payload
         final = np.stack([prev[m].reshape(N, 2) for m in range(M)])
