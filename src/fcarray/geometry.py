@@ -8,14 +8,14 @@ side ``A*lam`` centered on the active element at ``q_m = [0, (m-1)*d_y*lam]``.
 The active element itself participates in the spacing constraints as the
 implicit pair index ``n = 0``.
 
-Every spacing-pair offset over [q_m, p_1..p_N] comes from ``pair_offsets``,
-and every box and spacing test reads ``constraint_margins``, one call for all
-antennas or a batch of candidate positions.  The linearized sets and their
-exact active-set projection take stacks of antennas only, one antenna being a
-batch of one: row a is built from, and projected onto, antenna a's set alone
-and freezes at the step where nothing is violated, so a batch repeats its
-rows' batch-of-one results to the last bit.  Dot products use ``np.vecdot``,
-the BLAS dot of 1-D ``a @ b``.
+Every spacing-pair offset over [q_m, p_1..p_N] and its distance come from
+``pair_geometry``, and every box and spacing test reads those distances and
+``box_margins``, one call for all antennas or a batch of candidate positions.
+The linearized sets and their exact active-set projection take stacks of
+antennas only, one antenna being a batch of one: row a is built from, and
+projected onto, antenna a's set alone and freezes at the step where nothing
+is violated, so a batch repeats its rows' batch-of-one results to the last
+bit.  Dot products use ``np.vecdot``, the BLAS dot of 1-D ``a @ b``.
 """
 
 from __future__ import annotations
@@ -246,9 +246,24 @@ def pair_offsets(z: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Offsets point a - point b (..., P) of the spacing pairs over
     [q, p_1..p_N], in ``pair_tables`` order, from the coupler points z (..., N)
     and active points q (..., 1) ``as_complex``: each subtraction is the two
-    coordinate subtractions, and a pair distance is ``np.hypot(d.real, d.imag)``."""
+    coordinate subtractions."""
     pairs = pair_tables(z.shape[-1])
     return np.concatenate([q - z, z[..., pairs.coupler_a] - z[..., pairs.coupler_b]], axis=-1)
+
+
+def pair_geometry(z: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``pair_offsets`` d of z and q and the pair distances |d| (..., P)."""
+    d = pair_offsets(z, q)
+    return d, np.hypot(d.real, d.imag)
+
+
+def box_margins(z: np.ndarray, q: np.ndarray, layout: ArrayLayout) -> np.ndarray:
+    """Each coupler's distance (..., N) to the nearest side of its region
+    (negative outside), from the coupler points z (..., N) and the active
+    points q (..., 1) ``as_complex``."""
+    half = complex(0.5 * layout.region_side_m, 0.5 * layout.region_side_m)
+    lo, hi = z - (q - half), (q + half) - z
+    return np.minimum(np.minimum(lo.real, lo.imag), np.minimum(hi.real, hi.imag))
 
 
 @functools.lru_cache(maxsize=64)
@@ -271,19 +286,20 @@ def _box_normals(n: int) -> np.ndarray:
     return out
 
 
-def constraint_margins(positions: np.ndarray, layout: ArrayLayout, m=None):
-    """Box margins (..., M, N), each coupler's distance to the nearest side of its
-    region (negative outside), and pair distances (..., M, P) in ``pair_tables``
-    order, for positions (..., M, N, 2).  An index or index array ``m`` names the
-    antennas of the positions' antenna axis (a scalar m: positions (..., N, 2))."""
+def constraint_geometry(positions: np.ndarray, layout: ArrayLayout, m=None):
+    """Box margins (..., M, N), pair distances (..., M, P) and pair offsets
+    (..., M, P) of positions (..., M, N, 2), the antennas of whose antenna
+    axis the index array ``m`` names (all by default)."""
     # as complex x + iy each subtraction is one contiguous pass over both axes
     z = as_complex(positions)[..., 0]
     q = layout.active_positions().view(complex)[slice(None) if m is None else m]
-    half = complex(0.5 * layout.region_side_m, 0.5 * layout.region_side_m)
-    lo, hi = z - (q - half), (q + half) - z
-    d = pair_offsets(z, q)
-    return (np.minimum(np.minimum(lo.real, lo.imag), np.minimum(hi.real, hi.imag)),
-            np.hypot(d.real, d.imag))
+    d, dist = pair_geometry(z, q)
+    return box_margins(z, q, layout), dist, d
+
+
+def constraint_margins(positions: np.ndarray, layout: ArrayLayout, m=None):
+    """The box margins and pair distances of ``constraint_geometry``."""
+    return constraint_geometry(positions, layout, m)[:2]
 
 
 def is_feasible(placement: CouplerPlacement, layout: ArrayLayout) -> FeasibilityReport:
@@ -331,7 +347,7 @@ def linearize_spacing(
     m,
     layout: ArrayLayout,
     margin: float = 0.0,
-    margins: tuple[np.ndarray, np.ndarray] | None = None,
+    margins: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> LinearizedFeasibleSet:
     """Linearize the spacing constraints of the antennas of the index array
     ``m`` around a feasible anchor: their sets, stacked, each row read only
@@ -343,15 +359,15 @@ def linearize_spacing(
     and inflates d_min.  The optimizer passes its clearance
     (``optimizer.CLEARANCE_WL`` wavelengths), which keeps the projected
     iterates off the exact d_min guard of ``mutual_impedance`` despite the
-    projection's rounding.  ``margins``, the ``constraint_margins`` of the
-    anchor's rows ``m`` when the caller already holds them, is what the anchor
-    check reads instead of recomputing them.
+    projection's rounding.  ``margins``, the ``constraint_geometry`` of the
+    anchor's rows ``m`` when the caller already holds it, is what the anchor
+    check and the normals read instead of recomputing it.
     """
     pts = anchor.positions[m]  # (A, N, 2)
     (A, N, _), pairs = pts.shape, pair_tables(layout.N)
     min_sep = layout.min_sep_m + margin
     atol = 1e-8 * layout.lam
-    box, dist = constraint_margins(pts, layout, m) if margins is None else margins
+    box, dist, d = constraint_geometry(pts, layout, m) if margins is None else margins
     bad = (box < margin - atol).any(axis=1) | (dist < min_sep - atol).any(axis=1)
     if bad.any():
         raise AnchorInfeasible(
@@ -360,7 +376,6 @@ def linearize_spacing(
     box_lo, box_hi = (c[m] for c in _box_bounds(layout, margin))
 
     # gradient g of d = ||p_a - p_b||^2 over the points [q, p_1..p_N]
-    d = pair_offsets(as_complex(pts)[..., 0], as_complex(layout.active_positions()[m]))
     diff = d[..., None].view(float)  # (A, P, 2)
     g = np.zeros((A, len(pairs.rows), N + 1, 2))
     g[:, pairs.rows, pairs.a] = 2.0 * diff
@@ -500,7 +515,7 @@ def rejection_placement(layout: ArrayLayout, draw, max_tries: int) -> CouplerPla
     for m in range(layout.M):
         for _ in range(max_tries):
             pts = draw(m)
-            box, dist = constraint_margins(pts, layout, m)
+            box, dist = constraint_margins(pts[None], layout, [m])
             if (dist >= min_sep).all() and (box >= 0.0).all():
                 pos[m] = pts
                 break

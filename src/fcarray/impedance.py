@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import sici
 
 from .errors import DomainError, TooClose
-from .geometry import ArrayLayout, as_complex, pair_offsets, pair_tables
+from .geometry import ArrayLayout, as_complex, pair_geometry, pair_tables
 
 ETA_FREE_SPACE = 120.0 * np.pi
 # Standard half-wave thin-dipole self impedance (wire radius not modeled).
@@ -129,12 +129,16 @@ class ImpedanceBlock:
     active-to-coupler vector z_bar, the coupler-to-coupler matrix Z_hat, and
     the diagonal load matrix X.  A batched block carries leading batch axes
     on ``z_bar`` and ``Z_hat``; ``X`` stays the shared (N, N) load matrix,
-    one read-only array per N and load impedance."""
+    one read-only array per N and load impedance.  A block from
+    ``build_block`` keeps the pair geometry it was built from: the offsets
+    and distances of ``geometry.pair_geometry``."""
 
     z_self: complex
     z_bar: np.ndarray  # (..., N) complex
     Z_hat: np.ndarray  # (..., N, N) complex
     X: np.ndarray  # (N, N) complex diagonal
+    offsets: np.ndarray | None = None  # (..., P) complex pair offsets
+    dist: np.ndarray | None = None  # (..., P) pair distances
 
     @property
     def N(self) -> int:
@@ -150,6 +154,11 @@ class ImpedanceBlock:
         Z[..., 1:, 0] = self.z_bar
         Z[..., 1:, 1:] = self.Z_hat
         return Z
+
+    @functools.cached_property
+    def system(self) -> np.ndarray:
+        """The coupling system A = Z_hat + X of the weights, formed once per block."""
+        return self.Z_hat + self.X
 
     @functools.cached_property
     def resistance(self) -> np.ndarray:
@@ -169,10 +178,13 @@ def _load_matrix(N: int, load: complex) -> np.ndarray:
 
 def build_block(p_m: np.ndarray, q_m: np.ndarray, model: DipoleModel) -> ImpedanceBlock:
     """Impedance blocks at coupler positions ``p_m`` (..., N, 2) and
-    active-element positions ``q_m`` (2,) or (..., 2): the pair distances
-    (``pair_offsets``), one ``mutual_impedance`` call and ``assemble_block``."""
-    d = pair_offsets(as_complex(p_m)[..., 0], as_complex(q_m))
-    return assemble_block(mutual_impedance(np.hypot(d.real, d.imag), model), model)
+    active-element positions ``q_m`` (2,) or (..., 2): the pair geometry
+    (``pair_geometry``), one ``mutual_impedance`` call and ``assemble_block``;
+    the offsets and distances stay on the block."""
+    d, dist = pair_geometry(as_complex(p_m)[..., 0], as_complex(q_m))
+    block = assemble_block(mutual_impedance(dist, model), model)
+    block.offsets, block.dist = d, dist
+    return block
 
 
 def assemble_block(z: np.ndarray, model: DipoleModel) -> ImpedanceBlock:

@@ -4,7 +4,7 @@ Per iteration the central unit evaluates the sum-rate objective and its
 gradient (one adjoint pass), every antenna maximizes a strongly
 concave local surrogate by a projected step inside the linearized feasible
 set, a relaxation with diminishing step mixes the candidate with the current
-point, and the central unit re-solves the MMSE precoder.  Acceptance is
+point, and the central unit scores the candidate's MMSE rate.  Acceptance is
 monotone: if the relaxed update lowers the rate, the inverse step size is
 doubled and the update recomputed; after ``MAX_BACKTRACKS`` failed doublings
 the iteration is skipped, which drives the relative-change stopping rule to
@@ -21,8 +21,10 @@ is, to the last bit, the one its LPU computes from its own set.
 
 The forward pass (a full evaluation or a probe) is precoding's one
 per-antenna chain, ``antenna_chain``, on coupler channels formed from cached
-steering.  The gradient is its adjoint (``gradient_of``), read from the full
-evaluation the iteration already holds, Gram solve included.  The rate
+steering; a full evaluation ends at the rate (``mmse_forward``), and F, U
+are assembled (``mmse_state``) only for the state a caller reads.  The
+gradient is its adjoint (``gradient_of``), read from the full evaluation
+the iteration already holds, G_bar and Gram solve included.  The rate
 depends on the positions only through the whitened Gram W = sum_m g_bar_m
 g_bar_m^H, g_bar_m = g_m / sqrt(b_m), so d rate = Re tr(Psi dW) for one K x K
 Hermitian Psi (``gram_rate_adjoint``), i.e. 2 Re sum_m (Psi g_bar_m)^H
@@ -38,11 +40,11 @@ spacing-pair tables (``geometry.pair_tables``: the pairs and the gradient's
 incidence matrix), the load
 matrix X and the identities are built once; per layout, the active positions
 and the linearized sets' box bounds.  All are read-only and shared.  Each
-full evaluation assembles Re Z once (``ImpedanceBlock.resistance``) for its
-power coefficients and the backward pass.  ``constraint_margins`` runs once
-per accepted iteration, plus once for the initial placement: the margins of
-the accepted iterate give ``SCATrace.min_margins`` and are the anchor check
-of the next ``linearize_spacing``.
+full evaluation forms its pair offsets and distances once, on its impedance
+blocks (``build_block``), with Re Z and Z_hat + X.  The backward pass reads
+them, and so do the margins of each iterate (``margins_of``): they give
+``SCATrace.min_margins`` and the anchor check and normals of the next
+``linearize_spacing``.
 
 Central differences (``gradient``) stay as the test oracle: each of the
 M * 4N probes moves one coordinate of one coupler and is scored by a rank-2
@@ -71,9 +73,8 @@ from .geometry import (
     CouplerPlacement,
     LinearizedFeasibleSet,
     as_complex,
-    constraint_margins,
+    box_margins,
     linearize_spacing,
-    pair_offsets,
     pair_tables,
     project_onto_set,
     single_coupler_moves,
@@ -81,11 +82,13 @@ from .geometry import (
 )
 from .impedance import DipoleModel, ImpedanceBlock, mutual_impedance_derivative
 from .precoding import (
+    MMSEForward,
     PrecodingState,
     antenna_chain,
     gram_rate_adjoint,
     gram_sum_rate,
-    mmse_precoder,
+    mmse_forward,
+    mmse_state,
 )
 
 
@@ -139,7 +142,8 @@ class SCAConfig:
 class SCATrace:
     """Everything observable about one run: accepted-rate sequence, gradient
     norms, projection work, backtracking, the smallest box or spacing margin
-    (distance - d_min) of each accepted iterate, and the communication ledger.
+    (distance - d_min) of each accepted iterate, and the communication ledger
+    (``comm``, the closed form of the accepted rounds of an M x N array).
     ``proj_sweeps[t]`` counts the active-set steps (each adds or drops one
     constraint) of iteration t's accepted projection, summed over the
     antennas."""
@@ -153,18 +157,20 @@ class SCATrace:
     rounds: int = 0
     skipped_final: bool = False
     placements: list[np.ndarray] | None = None
-    comm: dict = field(default_factory=dict)
+    M: int = 0
+    N: int = 0
 
-    def record_round(self, M: int, N: int) -> None:
-        self.rounds += 1
-        self.comm = communication_count(M, N, self.rounds)
+    @property
+    def comm(self) -> dict:
+        """``communication_count`` of the accepted rounds; empty before the first."""
+        return communication_count(self.M, self.N, self.rounds) if self.rounds else {}
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["iteration", "rate", "max_grad_norm", "backtracks",
                          "eta", "comm_scalars_cum"])
-            per_round = (self.comm.get("total_scalars", 0) / max(self.rounds, 1))
+            per_round = self.comm.get("total_scalars", 0) / max(self.rounds, 1)
             for t, rate in enumerate(self.rates):
                 if t == 0:
                     wr.writerow([0, rate, "", "", "", 0])
@@ -212,19 +218,22 @@ class _Forward:
     positions: np.ndarray  # (M, N, 2)
     steering: np.ndarray  # (M, K, L, N) per-path coupler steering
     h_c: np.ndarray  # (M, K, N) coupler channels
-    block: ImpedanceBlock  # batched over the M antennas
+    block: ImpedanceBlock  # batched over the M antennas, with its pair geometry
     w: np.ndarray  # (M, N) mechanical weights
-    state: PrecodingState
+    mmse: MMSEForward
+    state: PrecodingState | None = None  # assembled on first read
 
 
 class ObjectiveEvaluator:
     """Sum-rate objective and its gradient.  A full evaluation runs all M
     antennas as one batch and is reused while the positions stay equal.  It
-    caches the forward state that ``gradient_of`` reads back: the per-path
-    coupler steering (M, K, L, N), the coupler channels (M, K, N) formed from
-    it with ``coupler_channel_block``'s einsum, the impedance blocks, the
-    mechanical weights (M, N) and the MMSE state.  ``set_placement`` also
-    pins the evaluation that ``rate_with_override`` scores moves against."""
+    caches the forward state that ``gradient_of`` and ``margins_of`` read
+    back: the per-path coupler steering (M, K, L, N), the coupler channels
+    (M, K, N) formed from it with ``coupler_channel_block``'s einsum, the
+    impedance blocks with their pair geometry, the mechanical weights (M, N)
+    and the MMSE forward pass; F and U are assembled when ``state_of`` first
+    reads them.  ``set_placement`` also pins the evaluation that
+    ``rate_with_override`` scores moves against."""
 
     def __init__(self, spec: MultipathSpec, layout: ArrayLayout, model: DipoleModel,
                  P_max: float, sigma2: float):
@@ -248,22 +257,33 @@ class ObjectiveEvaluator:
             h_c = np.einsum("kl,...kln->...kn", self.spec.gains, steering)
             block, w, cols, B = antenna_chain(h_c, pos, slice(None), self.layout, self.model,
                                               self.h_active)
-            state = mmse_precoder(np.ascontiguousarray(cols.T), B, self.P_max, self.sigma2)
-            self._last = _Forward(pos.copy(), steering, h_c, block, w, state)
+            mmse = mmse_forward(np.ascontiguousarray(cols.T), B, self.P_max, self.sigma2)
+            self._last = _Forward(pos.copy(), steering, h_c, block, w, mmse)
         return self._last
 
     def state_of(self, placement: CouplerPlacement) -> PrecodingState:
         """MMSE state at a placement; the latest one is reused."""
-        return self._evaluate(placement).state
+        fwd = self._evaluate(placement)
+        if fwd.state is None:
+            fwd.state = mmse_state(fwd.mmse, self.P_max, self.sigma2)
+        return fwd.state
 
     def set_placement(self, placement: CouplerPlacement) -> float:
         """Full evaluation, pinned as the base of ``rate_with_override``."""
         self._pinned = self._evaluate(placement)
-        return self._pinned.state.sum_rate
+        return self._pinned.mmse.sum_rate
 
     def rate_of(self, placement: CouplerPlacement) -> float:
         """Full evaluation; the pinned one stays."""
-        return self.state_of(placement).sum_rate
+        return self._evaluate(placement).mmse.sum_rate
+
+    def margins_of(self, placement: CouplerPlacement):
+        """``constraint_geometry`` of a placement, its pair geometry read
+        from its full evaluation."""
+        fwd = self._evaluate(placement)
+        box = box_margins(as_complex(fwd.positions)[..., 0],
+                          self.layout.active_positions().view(complex), self.layout)
+        return box, fwd.block.dist, fwd.block.offsets
 
     def gradient_of(self, placement: CouplerPlacement) -> np.ndarray:
         """Gradient of the sum rate w.r.t. every antenna's flattened coupler
@@ -271,33 +291,31 @@ class ObjectiveEvaluator:
         pass through the cached forward (see the module docstring).  Raises
         NumericalError rather than return a non-finite entry."""
         fwd = self._evaluate(placement)
-        st, w, h_c = fwd.state, fwd.w, fwd.h_c
+        st, w, h_c = fwd.mmse, fwd.w, fwd.h_c
         M, N = w.shape
-        sqrt_b = np.sqrt(st.B)
+        sqrt_b = st.sqrt_B
         g = st.G.T  # (M, K) columns g_m
-        g_bar = g / sqrt_b[:, None]
+        g_bar = st.G_bar.T
         Psi = gram_rate_adjoint(st.gram, self.P_max, self.sigma2)
-        v = g_bar @ Psi.T  # rows Psi g_bar_m
+        v = (g_bar @ Psi.T).conj()  # rows conj(Psi g_bar_m)
         # d rate = Re(c_m . dg_m) + s_m db_m, from g_bar_m = g_m / sqrt(b_m)
-        c = 2.0 * v.conj() / sqrt_b[:, None]
-        s = -np.sum(v.conj() * g, axis=-1).real / st.B**1.5
+        c = 2.0 * v / sqrt_b[:, None]
+        s2 = 2.0 * (-np.sum(v * g, axis=-1).real / st.B**1.5)[:, None]  # 2 s_m
         # through w = A^-1 z_bar: g_m = h_A - h_C w and b_m = w_t^H Re(Z) w_t
         w_t = np.concatenate([np.ones((M, 1)), -w], axis=-1)
         r = (fwd.block.resistance @ w_t[..., None])[:, 1:, 0]
-        lam_w = -(c[:, None, :] @ h_c)[:, 0] - 2.0 * s[:, None] * r.conj()
+        lam_w = -(c[:, None, :] @ h_c)[:, 0] - s2 * r.conj()
         # adjoint solve; A = Z_hat + X is complex symmetric, so A^-T = A^-1
-        mu = np.linalg.solve(fwd.block.Z_hat + fwd.block.X, lam_w[..., None])[..., 0]
+        mu = np.linalg.solve(fwd.block.system, lam_w[..., None])[..., 0]
         # d rate / d z for each distance of build_block, in pair_tables order
         pairs = pair_tables(N)
         ca, cb = pairs.coupler_a, pairs.coupler_b
+        wa, wb = w[:, ca], w[:, cb]
         zeta = np.concatenate([
-            mu - 2.0 * s[:, None] * w.real,
-            2.0 * s[:, None] * (w[:, ca].conj() * w[:, cb]).real
-            - (mu[:, ca] * w[:, cb] + mu[:, cb] * w[:, ca]),
+            mu - s2 * w.real,
+            s2 * (wa.conj() * wb).real - (mu[:, ca] * wb + mu[:, cb] * wa),
         ], axis=-1)
-        d = pair_offsets(as_complex(fwd.positions)[..., 0],
-                         self.layout.active_positions().view(complex))
-        dist = np.hypot(d.real, d.imag)
+        d, dist = fwd.block.offsets, fwd.block.dist
         d_dist = np.real(zeta * mutual_impedance_derivative(dist, self.model))
         # distance d_ab moves with +u at point a and -u at point b, u = (p_a - p_b) / d_ab
         diff = d[..., None].view(float)
@@ -332,10 +350,9 @@ class ObjectiveEvaluator:
         batch of positions (..., N, 2) gives one rate per entry, and ``m`` may
         then be an index array matching the batch axes.  The moved column
         enters as a rank-2 update of the pinned whitened Gram."""
-        st = self._pinned.state
-        G_bar = st.G / np.sqrt(st.B)
+        st = self._pinned.mmse
         col, b = self.probe_parts(m, p_m)
-        old = np.take(G_bar.T, np.broadcast_to(m, p_m.shape[:-2]), axis=0)
+        old = np.take(st.G_bar.T, np.broadcast_to(m, p_m.shape[:-2]), axis=0)
         new = col / np.sqrt(b)[..., None]
         W_p = (st.gram.W - old[..., :, None] * old.conj()[..., None, :]
                + new[..., :, None] * new.conj()[..., None, :])
@@ -407,18 +424,18 @@ def optimize(
     replay through ``relaxed_update`` with alpha(r - 1)."""
     ev = ObjectiveEvaluator(spec, layout, model, P_max, sigma2)
     p = initial.copy()
-    trace = SCATrace(rates=[ev.rate_of(p)])
+    M, N = layout.M, layout.N
+    trace = SCATrace(rates=[ev.rate_of(p)], M=M, N=N)
     if config.snapshot_placements:
         trace.placements = [p.positions.copy()]
     eta = ETA0_WL / layout.lam
-    M, N = layout.M, layout.N
 
     if N == 0 or config.T_max == 0:
         return OptimizeResult(p, ev.state_of(p), trace)
 
     antennas = np.arange(M)
     clearance = CLEARANCE_WL * layout.lam
-    margins = constraint_margins(p.positions, layout)  # of the current iterate
+    margins = ev.margins_of(p)  # of the current iterate
     for t in range(config.T_max):
         grads = ev.gradient_of(p)
         norms = np.sqrt(np.vecdot(grads, grads))  # np.linalg.norm of each row
@@ -455,9 +472,9 @@ def optimize(
         trace.backtracks.append(backtracks)
         trace.etas.append(eta)
         trace.proj_sweeps.append(int(proj_steps.sum()))
-        margins = box, dist = constraint_margins(p.positions, layout)
+        margins = box, dist, _ = ev.margins_of(p)
         trace.min_margins.append(float(min(box.min(), (dist - layout.min_sep_m).min())))
-        trace.record_round(M, N)
+        trace.rounds += 1
         if log is not None:
             r = trace.rounds
             log.extend((r, m, "gradient", 2 * N, steps[m]) for m in range(M))

@@ -10,6 +10,8 @@ its column step ``_column``.
 ``_gram_forward`` is the one solve of the regularized Gram of the whitened
 channel: both precoders, the probes (``gram_sum_rate``) and the adjoint read
 it, and every SINR and rate comes from its coupling matrix beta W S.
+``mmse_precoder`` is its forward pass (``mmse_forward``) and the F/U
+assembly (``mmse_state``); the SCA evaluates candidates on the first alone.
 
 Convention used project-wide: row k of the effective channel matrix G is the
 row vector that multiplies the precoder in the received signal,
@@ -56,7 +58,7 @@ def mech_weights(block: ImpedanceBlock) -> tuple[np.ndarray, float]:
     solve is the one-column one and the bound is ||Z||_F**2 / |det Z|, no
     inverse formed.  At N = 0 the weights are empty and the bound is 0.0, the
     norm of the empty system."""
-    X, cond = _certified_solve(block.Z_hat + block.X, block.z_bar[..., None], COND_LIMIT,
+    X, cond = _certified_solve(block.system, block.z_bar[..., None], COND_LIMIT,
                                SingularSystem, "coupling system")
     return X[..., 0], _scalar(cond)
 
@@ -186,11 +188,7 @@ class GramForward(NamedTuple):
     beta: np.ndarray  # sqrt(P_max / tau); 0 at tau = 0, the silent precoder
     alpha: float  # K sigma2 / P_max
     cond: np.ndarray  # condition bound of W + alpha I (``_certified_solve``)
-
-    @property
-    def coupling(self) -> np.ndarray:
-        """G U = G_bar F = beta W S, the coupling matrix of ``_rate_of_coupling``."""
-        return self.beta[..., None, None] * self.WS
+    coupling: np.ndarray  # G U = G_bar F = beta W S, read by ``_rate_of_coupling``
 
 
 def _gram_forward(W: np.ndarray, P_max: float, sigma2: float) -> GramForward:
@@ -207,7 +205,7 @@ def _gram_forward(W: np.ndarray, P_max: float, sigma2: float) -> GramForward:
     WS = W @ S
     tau = np.sum(S.conj() * WS, axis=(-2, -1)).real  # S Hermitian
     beta = np.sqrt(P_max) / np.where(tau == 0.0, np.inf, np.sqrt(tau))
-    return GramForward(W, S, WS, tau, beta, alpha, cond)
+    return GramForward(W, S, WS, tau, beta, alpha, cond, beta[..., None, None] * WS)
 
 
 @dataclass
@@ -264,6 +262,36 @@ def gram_rate_adjoint(fwd: GramForward, P_max: float, sigma2: float) -> np.ndarr
     return 0.5 * (Psi + np.swapaxes(Psi.conj(), -1, -2))
 
 
+class MMSEForward(NamedTuple):
+    """The forward pass of ``mmse_precoder``: everything but F and U."""
+
+    G: np.ndarray  # (..., K, M) effective channel rows
+    B: np.ndarray  # (..., M) power coefficients
+    sqrt_B: np.ndarray
+    G_bar: np.ndarray  # G diag(B)^-1/2
+    gram: GramForward
+    sinr: np.ndarray
+    sum_rate: float
+
+
+def mmse_forward(G: np.ndarray, B: np.ndarray, P_max: float, sigma2: float) -> MMSEForward:
+    """Whitened channel G_bar = G diag(B)^-1/2, its Gram forward pass, the
+    SINRs and the sum rate of ``mmse_precoder``, for float power coefficients
+    B already checked positive (``power_coefficient`` checks its own)."""
+    sqrt_B = np.sqrt(B)
+    G_bar = G / sqrt_B[..., None, :]
+    gram = _gram_forward(G_bar @ np.swapaxes(G_bar.conj(), -1, -2), P_max, sigma2)
+    sinr, rate = _rate_of_coupling(gram.coupling, sigma2)
+    return MMSEForward(G, B, sqrt_B, G_bar, gram, sinr, rate)
+
+
+def mmse_state(fwd: MMSEForward, P_max: float, sigma2: float) -> PrecodingState:
+    """The F/U assembly of ``mmse_precoder`` on its forward pass ``fwd``."""
+    F = fwd.gram.beta[..., None, None] * (np.swapaxes(fwd.G_bar.conj(), -1, -2) @ fwd.gram.S)
+    return PrecodingState(G=fwd.G, B=fwd.B, U=F / fwd.sqrt_B[..., :, None], F=F, sinr=fwd.sinr,
+                          sum_rate=fwd.sum_rate, P_max=P_max, sigma2=sigma2, gram=fwd.gram)
+
+
 def mmse_precoder(
     G: np.ndarray, B: np.ndarray, P_max: float, sigma2: float
 ) -> PrecodingState:
@@ -271,17 +299,12 @@ def mmse_precoder(
     G_bar = G diag(B)^-1/2, power-loaded to meet the budget with equality; an
     all-zero channel gets the silent precoder (beta = 0, U = 0, rate 0, power
     0 < P_max).  Batched ``G`` (..., K, M) and ``B`` (..., M) give batched
-    state arrays and one sum rate per entry."""
+    state arrays and one sum rate per entry.  A caller that reads only the
+    rate can stop at its forward pass, ``mmse_forward``."""
     B = np.asarray(B, dtype=float)
     if np.any(B <= 0):
         raise NonPositivePower("power matrix must be strictly positive")
-    G_bar = G / np.sqrt(B)[..., None, :]
-    G_bar_h = np.swapaxes(G_bar.conj(), -1, -2)
-    gram = _gram_forward(G_bar @ G_bar_h, P_max, sigma2)
-    F = gram.beta[..., None, None] * (G_bar_h @ gram.S)
-    sinr, rate = _rate_of_coupling(gram.coupling, sigma2)
-    return PrecodingState(G=G, B=B, U=F / np.sqrt(B)[..., :, None], F=F, sinr=sinr,
-                          sum_rate=rate, P_max=P_max, sigma2=sigma2, gram=gram)
+    return mmse_state(mmse_forward(G, B, P_max, sigma2), P_max, sigma2)
 
 
 def _rate_of_coupling(sig: np.ndarray, sigma2) -> tuple[np.ndarray, float]:

@@ -31,6 +31,7 @@ from fcarray.geometry import (
     Violation,
     anchor_distances,
     as_complex,
+    constraint_geometry,
     constraint_margins,
     pair_offsets,
     pair_tables,
@@ -224,17 +225,17 @@ class TestLinearize:
         idx, margin = np.arange(layout.M), 1e-4 * layout.lam
         own = linearize_spacing(anchor, idx, layout, margin=margin)
         given = linearize_spacing(anchor, idx, layout, margin=margin,
-                                  margins=constraint_margins(anchor.positions, layout))
+                                  margins=constraint_geometry(anchor.positions, layout))
         for name in ("box_lo", "box_hi", "normals", "offsets"):
             assert np.array_equal(getattr(own, name), getattr(given, name))
 
     def test_anchor_check_reads_the_given_margins(self, layout):
         anchor = uniform_placement(layout)
-        box, dist = constraint_margins(anchor.positions, layout)
+        box, dist, d = constraint_geometry(anchor.positions, layout)
         dist = dist.copy()
         dist[2, 0] = 0.5 * layout.min_sep_m  # a violation only the given margins show
         with pytest.raises(AnchorInfeasible, match="antenna 2"):
-            linearize_spacing(anchor, np.arange(layout.M), layout, margins=(box, dist))
+            linearize_spacing(anchor, np.arange(layout.M), layout, margins=(box, dist, d))
 
     def test_margin_shrinks_set(self, layout):
         anchor = uniform_placement(layout)
@@ -565,7 +566,7 @@ def kkt_case_anchor(lay, kind, margin, rng):
                 axis = rng.integers(2)
                 moved = pl.positions[m].copy()
                 moved[n, axis] = (lo + margin, hi - margin)[rng.integers(2)][axis]
-                if constraint_margins(moved, lay, m)[1].min() >= lay.min_sep_m + margin:
+                if constraint_margins(moved[None], lay, [m])[1].min() >= lay.min_sep_m + margin:
                     pl.positions[m] = moved
     return pl
 
@@ -807,7 +808,7 @@ def test_constraint_margins_broadcast_over_leading_axes():
             assert same_bits(box[i, m], np.minimum(pts - lo, hi - pts).min(axis=1))
             full = np.vstack([lay.active_position(m)[None, :], pts])
             assert same_bits(dist[i, m], np.hypot(*(full[a] - full[b]).T))
-            m_box, m_dist = constraint_margins(pts, lay, m)
+            (m_box,), (m_dist,) = constraint_margins(pts[None], lay, [m])
             assert same_bits(m_box, box[i, m]) and same_bits(m_dist, dist[i, m])
 
 

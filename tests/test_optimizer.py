@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcarray import (
     ArrayLayout,
+    CouplerPlacement,
     DipoleModel,
     MultipathSpec,
     SCAConfig,
@@ -21,7 +24,13 @@ from fcarray import (
     is_feasible,
 )
 from fcarray.errors import ConfigError
-from fcarray.optimizer import ObjectiveEvaluator, relaxed_update, screened_initial_placement
+from fcarray.geometry import constraint_geometry, constraint_margins
+from fcarray.optimizer import (
+    CLEARANCE_WL,
+    ObjectiveEvaluator,
+    relaxed_update,
+    screened_initial_placement,
+)
 from fcarray.precoding import power_coefficient
 
 
@@ -222,23 +231,57 @@ class TestOptimize:
 
     def test_margins_computed_once_per_accepted_iteration(self, toy, monkeypatch):
         """The margins of each accepted iterate give the trace's minimum margin
-        and the next linearization's anchor check: one ``constraint_margins``
-        call for the initial placement and one per accepted iteration."""
+        and the next linearization's anchor check and normals, read from the
+        pair geometry of its forward pass: one ``pair_offsets`` call per full
+        evaluation and no ``constraint_margins`` call."""
         from fcarray import geometry, optimizer
         lay, model, spec = toy
         pl = uniform_placement(lay)
-        calls, real = [], geometry.constraint_margins
+        calls = {"pair_offsets": 0, "mmse_forward": 0, "constraint_geometry": 0}
 
-        def counted(positions, layout, m=None):
-            calls.append(m)
-            return real(positions, layout, m)
+        def counted(owner, name):
+            real = getattr(owner, name)
 
-        monkeypatch.setattr(optimizer, "constraint_margins", counted)
-        monkeypatch.setattr(geometry, "constraint_margins", counted)
-        res = optimize(pl, SCAConfig(T_max=6, eps_stop=0.0), spec, lay, model, P_MAX, SIGMA2)
-        assert res.trace.rounds == len(res.trace.min_margins) == 6
-        assert len(calls) == res.trace.rounds + 1
-        assert all(m is None for m in calls)  # all antennas, never linearize's own rows
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(geometry, "pair_offsets")
+        counted(optimizer, "mmse_forward")
+        counted(geometry, "constraint_geometry")
+        res = optimize(pl, SCAConfig(T_max=6, eps_stop=0.0, snapshot_placements=True),
+                       spec, lay, model, P_MAX, SIGMA2)
+        trace = res.trace
+        assert trace.rounds == len(trace.min_margins) == 6
+        assert calls["mmse_forward"] == 1 + trace.rounds + sum(trace.backtracks)
+        assert calls["pair_offsets"] == calls["mmse_forward"]
+        assert calls["constraint_geometry"] == 0
+        for pos, got in zip(trace.placements[1:], trace.min_margins):
+            box, dist = constraint_margins(pos, lay)
+            assert got == float(min(box.min(), (dist - lay.min_sep_m).min()))
+
+    def test_precoder_assembled_once_per_run(self, toy, monkeypatch):
+        """Candidate evaluations stop at the rate; F and U are assembled once,
+        for the final state, and match ``fc_state`` there."""
+        from fcarray import optimizer
+        lay, model, spec = toy
+        calls, real = [], optimizer.mmse_state
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(optimizer, "mmse_state", counted)
+        for T_max in (0, 4):
+            calls.clear()
+            res = optimize(uniform_placement(lay), SCAConfig(T_max=T_max, eps_stop=0.0),
+                           spec, lay, model, P_MAX, SIGMA2)
+            assert len(calls) == 1
+            ref = fc_state(spec, res.placement, lay, model, P_MAX, SIGMA2)
+            for name in ("G", "B", "U", "F", "sinr"):
+                assert np.array_equal(getattr(res.state, name), getattr(ref, name))
+            assert res.state.sum_rate == ref.sum_rate == res.trace.rates[-1]
 
     def test_summary_without_updates(self, toy):
         lay, model, spec = toy
@@ -274,6 +317,40 @@ class TestOptimize:
             if res.trace.rates[-1] >= 0.98 * best:
                 ok += 1
         assert ok >= 2
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(M=st.integers(1, 8), N=st.integers(1, 4), d_min=st.sampled_from([0.05, 0.1, 0.15, 0.2]),
+       A=st.sampled_from([1.0, 1.5, 2.0, 3.0]), f_c=st.sampled_from([2.4e9, 7.0e9, 28e9]),
+       K=st.integers(1, 4), T_max=st.integers(1, 8), seed=st.integers(0, 2**16))
+def test_sca_iterates_are_feasible_monotone_and_read_the_forward_geometry(
+        M, N, d_min, A, f_c, K, T_max, seed):
+    lay = ArrayLayout(M=M, N=N, region_side=A, d_min=d_min, f_c=f_c)
+    model = DipoleModel.for_layout(lay)
+    rng = np.random.default_rng(seed)
+    clear = 2.0 * CLEARANCE_WL * lay.lam  # the linearized sets keep a clearance
+    while True:
+        initial = random_feasible_placement(lay, rng)
+        box, dist = constraint_margins(initial.positions, lay)
+        if box.min() >= clear and dist.min() >= lay.min_sep_m + clear:
+            break
+    spec = sample_channels(seed, K=K, L=5, layout=lay)
+    res = optimize(initial, SCAConfig(T_max=T_max, eps_stop=0.0, snapshot_placements=True),
+                   spec, lay, model, P_MAX, SIGMA2)
+    rates = np.asarray(res.trace.rates)
+    assert np.all(np.diff(rates) >= 0.0)
+    assert len(res.trace.placements) == res.trace.rounds + 1
+    ev = ObjectiveEvaluator(spec, lay, model, P_MAX, SIGMA2)
+    for pos, rate, got in zip(res.trace.placements, rates, [None] + res.trace.min_margins):
+        placement = CouplerPlacement(pos)
+        assert is_feasible(placement, lay).ok
+        assert ev.rate_of(placement) == rate
+        # the margins the loop reads: box margins, and the forward's pair geometry
+        margins = ev.margins_of(placement)
+        for kept, ref in zip(margins, constraint_geometry(pos, lay)):
+            assert (kept.shape, kept.dtype, kept.tobytes()) == (ref.shape, ref.dtype, ref.tobytes())
+        box, dist = constraint_margins(pos, lay)
+        assert got is None or got == float(min(box.min(), (dist - lay.min_sep_m).min()))
 
 
 class TestCommunicationCount:
