@@ -31,14 +31,20 @@ estimator m's slice of the cube depends on no other antenna's positions.
 the pilot phase's weights serve the dictionary, and the first ``predict``'s
 serve ``true_effective`` and every later query at the same test positions;
 the dictionary cube, the grid's active steering and ``nmse``'s ground truth
-(``_truth``) are kept the same way, each in its own ``_kept`` slot.  The exhaustive baseline steers
-each lattice point and each parked coupler once, takes every candidate's
-feasibility and impedances from one (M, N+1, D) table of lattice-to-anchor
-distances (one ``mutual_impedance`` call), and scores all M N D candidates
-with one impedance assembly, one weights solve, one column step and one
-noise draw.  Every user of a session runs in one pass: the centralized
-scheme makes one ``omp`` call and one ``ls_gains`` call on the (K, V M)
-stack of observations, and Algorithm 3 runs its M local units as one bank
+(``_truth``) are kept the same way, each in its own ``_kept`` slot.  The
+exhaustive baseline takes every candidate's feasibility and impedances from
+one (M, N+1, D) table of lattice-to-anchor distances (one
+``mutual_impedance`` call), then assembles and certifies the coupling
+systems of all feasible candidates at once and draws all their noise at
+once; those are the steps that can raise or that set the noise stream.  A
+candidate's weights solve, lattice-point steering, column step and pilot
+correlation run when its row of the result is first read, so ``nmse`` (one
+row per test placement and coupler) measures a few rows and only a read of
+the whole ``table`` measures them all.
+
+Every user of a session runs in one pass: the centralized scheme makes one
+``omp`` call and one ``ls_gains`` call on the (K, V M) stack of
+observations, and Algorithm 3 runs its M local units as one bank
 (``LocalEstimator`` over all antennas) and its K users as one batch, so one
 proxy call, one statistics product and one stacked solve cover every unit
 and user, and one fallback top-L call every starved user; only the fusion
@@ -82,7 +88,13 @@ from .geometry import (
     rejection_placement,
 )
 from .impedance import DipoleModel, assemble_block, build_block, mutual_impedance
-from .precoding import _certified_solve, _column, effective_column, mech_weights
+from .precoding import (
+    _certified_solve,
+    _column,
+    effective_column,
+    mech_weights,
+    system_condition,
+)
 
 DEFAULT_GRID_SIZE = 256
 DEFAULT_THRESHOLD = 4.0  # ~6 dB above the effective noise floor
@@ -738,21 +750,99 @@ def distributed_estimate(
 
 
 @dataclass
+class _PendingRows:
+    """What the rows of an exhaustive table are measured from: the F feasible
+    candidates (m, n, d), stacked m-major, then n, then d, with their
+    certified impedance pairs, their noise and the channels their antennas
+    share.  Calling it with row indices measures those candidates."""
+
+    index: tuple[np.ndarray, np.ndarray, np.ndarray]  # (mi, ni, di), each (F,)
+    z: np.ndarray  # (F, P) impedances of each candidate's spacing pairs
+    model: DipoleModel
+    spec: MultipathSpec
+    lam: float
+    lattice: np.ndarray  # (M, D, 2) candidate points
+    h_active: np.ndarray  # (K, M)
+    h_parked: np.ndarray  # (M, K, N) parked couplers' channels
+    noise: np.ndarray  # (F, 2, tau), sigma times the real then imaginary parts
+    S: np.ndarray  # (K, tau) pilots
+    tau: int
+
+    def __len__(self) -> int:
+        return len(self.z)
+
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        """Measurements (len(rows), K) of the candidates ``rows``: antenna m's
+        parked channels with coupler n's replaced by lattice point d's, the
+        weights of its impedance block, and its own noise."""
+        mi, ni, di = (i[rows] for i in self.index)
+        w = mech_weights(assemble_block(self.z[rows], self.model))[0]
+        h_c = self.h_parked[mi]  # (R, K, N)
+        h_c[np.arange(len(rows)), :, ni] = coupler_channel_block(
+            self.spec, self.lattice[mi, di][:, None], self.lam)[..., 0]
+        return _correlate_noisy(_column(self.h_active.T[mi], h_c, w), self.noise[rows], self.S,
+                                self.tau)
+
+
+def _correlate_noisy(g: np.ndarray, noise: np.ndarray, S: np.ndarray, tau: int) -> np.ndarray:
+    """Pilot-correlated measurements of channels g (..., K) with noise
+    (..., 2, tau), the real then the imaginary part of each measurement."""
+    y = g @ S
+    y.real += noise[..., 0, :]
+    y.imag += noise[..., 1, :]
+    return pilot_correlate(y, S, tau)
+
+
+@dataclass
 class ExhaustiveResult:
     """Direct per-candidate measurement table.  For each antenna and each
     coupler, the effective channel is measured with that coupler at every
     lattice candidate and the remaining couplers parked at the reference
     placement.  Prediction snaps each coupler to its nearest feasible
     candidate and applies the first-order correction around the parked
-    measurement (exact lookup for N = 1)."""
+    measurement (exact lookup for N = 1).
+
+    ``exhaustive_baseline`` leaves the candidates' rows unmeasured
+    (``pending``); a row is measured when it is first read and kept.
+    ``predict`` measures the rows its queries pick, and ``table`` every row,
+    which costs about what measuring all candidates at once does.  The
+    result holds each candidate's noise, F 2 tau floats for its F feasible
+    candidates (about 0.65 MB at M = 4, N = 2, D = 400, tau = 13, where F
+    is about 3,100)."""
 
     scheme: str
     candidates: np.ndarray  # (M, D, 2) lattice points per antenna region
     feasible: np.ndarray  # (M, N, D) bool
-    table: np.ndarray  # (M, N, D, K) complex
     base: np.ndarray  # (M, K) complex, parked measurement
     parked: CouplerPlacement
     ledger: dict
+    pending: _PendingRows = field(repr=False)
+
+    def __post_init__(self):
+        self._table = np.zeros(self.feasible.shape + self.base.shape[-1:], dtype=complex)
+        self._measured = np.zeros(len(self.pending), dtype=bool)
+        self._row = np.cumsum(self.feasible).reshape(self.feasible.shape) - 1
+
+    @property
+    def table(self) -> np.ndarray:
+        """The (M, N, D, K) measurement table, zero at infeasible candidates,
+        with every row measured; read-only."""
+        self._measure(np.arange(len(self._measured)))
+        table = self._table.view()
+        table.flags.writeable = False
+        return table
+
+    def _measure(self, rows: np.ndarray) -> None:
+        """Measure the rows not measured yet.  A one-row product (gemv) rounds
+        differently from the rows of a larger one (gemm), so a lone row is
+        measured next to another whenever there are two."""
+        rows = np.unique(rows)
+        rows = rows[~self._measured[rows]]
+        if len(rows) == 1 and len(self._measured) > 1:
+            rows = np.append(rows, (rows[0] + 1) % len(self._measured))
+        if len(rows):
+            self._table[tuple(i[rows] for i in self.pending.index)] = self.pending(rows)
+            self._measured[rows] = True
 
     def _nearest_feasible(self, P: np.ndarray) -> np.ndarray:
         """Index (..., M, N) of the feasible candidate nearest to each coupler
@@ -766,7 +856,7 @@ class ExhaustiveResult:
         is the answer when it is feasible and below a bound on every point
         outside the block (from the per-axis minima outside it); only the
         other queries search all D candidates."""
-        M, N, D, _ = self.table.shape
+        M, N, D = self.feasible.shape
         side = math.isqrt(D)
         c = self.candidates  # (M, D, 2): row i of the lattice is c[:, i*side:(i+1)*side]
         dx2 = (c[:, None, :side, 0] - P[..., 0, None]) ** 2  # (..., M, N, side)
@@ -793,10 +883,12 @@ class ExhaustiveResult:
     def predict(self, placement, layout: ArrayLayout, model: DipoleModel) -> np.ndarray:
         """Predicted channels (M, K) at a placement, or (..., M, K) at
         positions (..., M, N, 2)."""
-        M, N, D, K = self.table.shape
+        M, N, _ = self.feasible.shape
+        K = self.base.shape[-1]
         P = _positions(placement)
-        d_idx = self._nearest_feasible(P)  # (..., M, N)
-        picked = self.table[np.arange(M)[:, None], np.arange(N), d_idx]  # (..., M, N, K)
+        at = np.arange(M)[:, None], np.arange(N), self._nearest_feasible(P)  # (..., M, N)
+        self._measure(self._row[at][self.feasible[at]])
+        picked = self._table[at]  # (..., M, N, K)
         step = np.where(self.feasible.any(axis=-1)[..., None],
                         picked - self.base[:, None], 0.0)
         out = np.broadcast_to(self.base, P.shape[:-2] + (K,)).copy()
@@ -813,27 +905,32 @@ def exhaustive_baseline(
     D: int = 400,
 ) -> ExhaustiveResult:
     """Measure the effective channel over a D-point lattice per coupler
-    region via pilot correlation (noise at the session's level).
+    region via pilot correlation (noise at the session's level).  ``D`` must
+    be a positive perfect square (a side x side lattice), else ConfigError.
 
     Candidate (m, n, d) moves coupler n of antenna m to lattice point d and
     keeps the others parked.  Couplers that did not move keep their
-    channels, so each lattice point's channels are computed once per
-    antenna and each parked coupler's once; a candidate's coupler channels
-    are its antenna's parked ones with column n replaced by point d's.  Its
-    impedances are its antenna's parked ones with the pairs of coupler n
-    replaced by point d's distances to the other anchors of [q_m, p_1..p_N]:
-    one (M, N+1, D) table of lattice-to-anchor distances gives the
-    feasibility mask (``clear_moves``) and, with the parked pairs, every
-    distance of one ``mutual_impedance`` call.  The feasible candidates,
-    stacked m-major, then n, then d, take one impedance assembly, one
-    weights solve, one column step and one noise draw, in the order the
-    parked measurement and the per-candidate measurements would be drawn one
-    after another."""
-    side = max(int(round(np.sqrt(D))), 1)
-    D_actual = side * side
-    M, N, K = layout.M, layout.N, session.K
+    channels, so each parked coupler's are computed once and a candidate's
+    coupler channels are its antenna's parked ones with column n replaced by
+    point d's.  Its impedances are its antenna's parked ones with the pairs of
+    coupler n replaced by point d's distances to the other anchors of
+    [q_m, p_1..p_N]: one (M, N+1, D) table of lattice-to-anchor distances
+    gives the feasibility mask (``clear_moves``) and, with the parked pairs,
+    every distance of one ``mutual_impedance`` call.
+
+    Everything that can raise or that draws noise runs here: the distance
+    table and its impedances (TooClose), one impedance assembly of the
+    feasible candidates, stacked m-major, then n, then d, with every
+    candidate's coupling-system certificate (``system_condition``,
+    SingularSystem), the parked measurement and one noise draw for it and
+    all candidates, in the order they would be measured one after another.
+    Each candidate's weights solve, lattice-point channels, column step and
+    pilot correlation run when its row of the result is first read."""
+    side = math.isqrt(max(D, 0))
+    if D < 1 or side * side != D:
+        raise ConfigError(f"must be a positive perfect square, got {D}", field="D")
+    M, N = layout.M, layout.N
     parked = session.placements[0]
-    rng = np.random.default_rng([session.seed, 3])
 
     # lattice point d = i * side + j of antenna m: column j, row i of its region
     q = layout.active_positions()
@@ -842,32 +939,11 @@ def exhaustive_baseline(
     candidates = np.empty((M, side, side, 2))
     candidates[..., 0] = ticks[:, None, :, 0]
     candidates[..., 1] = ticks[:, :, None, 1]
-    candidates = candidates.reshape(M, D_actual, 2)
-
-    h_active = active_channel_matrix(spec, layout)
-    sigma = np.sqrt(session.sigma2 / 2.0)
-
-    def measure(g):
-        """Pilot-correlated measurements of channels g (..., K).  The noise
-        block holds the real then the imaginary part of each measurement in
-        turn, the same stream as drawing one measurement after another."""
-        w = rng.standard_normal(g.shape[:-1] + (2, session.tau))
-        w *= sigma
-        y = g @ session.S
-        y.real += w[..., 0, :]
-        y.imag += w[..., 1, :]
-        return pilot_correlate(y, session.S, session.tau)
-
-    # the parked couplers' channels (M, K, N) and weights (M, N), and each
-    # lattice point's channels (M, D, K), one chain call each
-    P0 = parked.positions
-    h_parked = coupler_channel_block(spec, P0, layout.lam)
-    w_parked = _weights(P0, layout, model)
-    h_lattice = coupler_channel_block(spec, candidates[:, :, None, :], layout.lam)[..., 0]
-    base = measure(_column(h_active.T, h_parked, w_parked))
+    candidates = candidates.reshape(M, D, 2)
 
     # distances of every lattice point to [q_m, p_1..p_N] and of the parked
     # pairs; the impedances of those at or above d_min
+    P0 = parked.positions
     dist = anchor_distances(candidates, np.concatenate([q[:, None], P0], axis=1))
     feasible = clear_moves(dist, np.arange(N), layout.min_sep_m)  # (M, N, D)
     clear = dist >= layout.min_sep_m
@@ -878,29 +954,30 @@ def exhaustive_baseline(
     z_lattice[clear], z_parked = z[:n_clear], z[n_clear:].reshape(M, -1)  # (M, P)
 
     # feasible candidates (m, n, d), stacked m-major, then n, then d: antenna
-    # m's parked impedances and channels with coupler n's replaced by point d's
+    # m's parked impedances with coupler n's replaced by point d's
     mi, ni, di = np.nonzero(feasible)
     a, b = pair_tables(N).a, pair_tables(N).b
     row = np.arange(1, N + 1)[:, None]  # coupler n's anchor row
     other, touched = np.where(a == row, b, a), (a == row) | (b == row)  # (N, P)
     z_rows = np.where(touched[ni], z_lattice[mi[:, None], other[ni], di[:, None]], z_parked[mi])
-    w = mech_weights(assemble_block(z_rows, model))[0]
-    h_c = h_parked[mi]  # (F, K, N)
-    h_c[np.arange(len(mi)), :, ni] = h_lattice[mi, di]
-    g = _column(h_active.T[mi], h_c, w)
-    # the batch is M N D candidates deep: measure's noise block is the
-    # largest array, so the distance and impedance tables, weights and
-    # channels go first
-    del dist, clear, z, z_lattice, z_parked, z_rows, w, h_c
-    table = np.zeros((M, N, D_actual, K), dtype=complex)
-    table[feasible] = measure(g)
+    system_condition(assemble_block(z_rows, model))
+
+    # the parked measurement's noise first, then the candidates'
+    noise = np.random.default_rng([session.seed, 3]).standard_normal(
+        (M + len(mi), 2, session.tau))
+    noise *= np.sqrt(session.sigma2 / 2.0)
+    h_active = active_channel_matrix(spec, layout)
+    h_parked = coupler_channel_block(spec, P0, layout.lam)
+    base = _correlate_noisy(_column(h_active.T, h_parked, _weights(P0, layout, model)),
+                            noise[:M], session.S, session.tau)
 
     ledger = {
-        "candidate_measurements_per_user_per_block": M * N * D_actual,
+        "candidate_measurements_per_user_per_block": M * N * D,
         "baseline_measurements_per_user_per_block": M,
         "lattice_side": side,
     }
-    return ExhaustiveResult(
-        scheme="exhaustive", candidates=candidates, feasible=feasible,
-        table=table, base=base, parked=parked, ledger=ledger,
-    )
+    pending = _PendingRows(index=(mi, ni, di), z=z_rows, model=model, spec=spec, lam=layout.lam,
+                           lattice=candidates, h_active=h_active, h_parked=h_parked,
+                           noise=noise[M:], S=session.S, tau=session.tau)
+    return ExhaustiveResult(scheme="exhaustive", candidates=candidates, feasible=feasible,
+                            base=base, parked=parked, ledger=ledger, pending=pending)

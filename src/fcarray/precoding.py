@@ -63,26 +63,25 @@ def mech_weights(block: ImpedanceBlock) -> tuple[np.ndarray, float]:
     return X[..., 0], _scalar(cond)
 
 
+def system_condition(block: ImpedanceBlock) -> np.ndarray:
+    """The certificate of ``mech_weights`` without its weights: the condition
+    bound (``_condition_bound``) of each coupling system of a batched block,
+    raising SingularSystem where ``mech_weights`` would.  At N = 2 it solves
+    nothing."""
+    return _condition_bound(block.system, None, COND_LIMIT, SingularSystem, "coupling system")
+
+
 def _certified_solve(A: np.ndarray, rhs, limit: float, error: type, what: str):
     """Solve A X = rhs for matrices A (..., n, n) and ``rhs`` (..., n, r), or
     form X = A^-1 when ``rhs`` is None, in one LAPACK call.  Returns (X, cond)
-    with cond = ||A||_F ||A^-1||_F, an upper bound on cond_2(A).
+    with cond from ``_condition_bound``.
 
     With a right-hand side, A^-1 feeds only the bound, so it comes from
-    solving [rhs | I], except at n = 2: there the adjugate has A's entries up
-    to sign and order, so the bound is ||A||_F**2 / |det A| with
-    det A = a00 a11 - a01 a10, and the solve takes ``rhs`` alone.  That
-    closed form rounds to a relative error of about 2 eps times the bound,
-    about 1e-6 wherever the bound passes (<= 1e-2 ``limit``, 1e10 for the
-    coupling systems).
-
-    The bound is held to two decades below ``limit`` so rounding in A^-1 or
-    det A cannot pass a bad entry; entries that miss it (non-finite ones
-    included) get the exact SVD value instead, and ``error`` is raised if
-    that exceeds ``limit``."""
+    solving [rhs | I], unless the bound needs no inverse at this n
+    (``_bound_needs_inverse``); the solve then takes ``rhs`` alone."""
     n = A.shape[-1]
     r = 0 if rhs is None else rhs.shape[-1]
-    by_det = rhs is not None and n == 2
+    by_det = rhs is not None and not _bound_needs_inverse(n)
     if rhs is None:
         b = _eye(n, A.dtype)  # solve broadcasts it over A's batch axes
     elif by_det:
@@ -90,23 +89,50 @@ def _certified_solve(A: np.ndarray, rhs, limit: float, error: type, what: str):
     else:
         b = np.empty(A.shape[:-1] + (r + n,), dtype=np.result_type(rhs, A))
         b[..., :r], b[..., r:] = rhs, _eye(n, A.dtype)
+    X = _solve(A, b, limit, error, what)
+    cond = _condition_bound(A, None if by_det else X[..., r:], limit, error, what)
+    return (X[..., :r] if r and not by_det else X), cond
+
+
+def _bound_needs_inverse(n: int) -> bool:
+    """Whether ``_condition_bound`` reads A^-1 for n x n matrices: at n = 2
+    the adjugate has A's entries up to sign and order, so det A serves."""
+    return n != 2
+
+
+def _solve(A: np.ndarray, b: np.ndarray, limit: float, error: type, what: str) -> np.ndarray:
+    """np.linalg.solve(A, b); an exactly singular entry raises ``error``."""
     try:
-        X = np.linalg.solve(A, b)
+        return np.linalg.solve(A, b)
     except np.linalg.LinAlgError:  # an exactly singular entry
         _exact_cond(A, limit, error, what)
         raise error(f"{what} is singular") from None
+
+
+def _condition_bound(A: np.ndarray, inverse, limit: float, error: type, what: str) -> np.ndarray:
+    """cond = ||A||_F ||A^-1||_F, an upper bound on cond_2(A), one per matrix
+    of A (..., n, n), from its ``inverse``.  Without one it is
+    ||A||_F**2 / |det A| with det A = a00 a11 - a01 a10 at n = 2, and at any
+    other n the inverse comes from one solve.  That closed form rounds to a
+    relative error of about 2 eps times the bound, about 1e-6 wherever the
+    bound passes (<= 1e-2 ``limit``, 1e10 for the coupling systems).
+
+    The bound is held to two decades below ``limit`` so rounding in A^-1 or
+    det A cannot pass a bad entry; entries that miss it (non-finite ones
+    included) get the exact SVD value instead, and ``error`` is raised if
+    that exceeds ``limit``."""
+    if inverse is None and _bound_needs_inverse(A.shape[-1]):
+        inverse = _solve(A, _eye(A.shape[-1], A.dtype), limit, error, what)
     with np.errstate(all="ignore"):  # a zero det or a non-finite or overflowing entry misses
-        if by_det:
+        if inverse is None:
             det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
             cond = np.asarray(_frobenius(A) ** 2 / np.abs(det))
         else:
-            cond = np.asarray(_frobenius(A) * _frobenius(X[..., r:]))
-            if rhs is not None:
-                X = X[..., :r]
+            cond = np.asarray(_frobenius(A) * _frobenius(inverse))
     miss = ~(cond <= 1e-2 * limit)
     if miss.any():
         cond[miss] = _exact_cond(A[miss], limit, error, what)
-    return X, cond
+    return cond
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:

@@ -190,6 +190,8 @@ class Scenario:
                           f"must lie within +-{MAX_DB:g} dB")
         est = d["estimation"]
         self._require(est["tau"] >= d["channel"]["K"], "estimation.tau", "must be >= K")
+        self._require(math.isqrt(est["D"]) ** 2 == est["D"], "estimation.D",
+                      f"must be a perfect square (a side x side lattice), got {est['D']}")
         self._require(est["L"] <= est["G"], "estimation.L",
                       "must be <= estimation.G (OMP picks L of the G grid atoms)")
         self._require(est["L"] <= est["V"] * lay["M"], "estimation.L",

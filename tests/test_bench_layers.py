@@ -50,9 +50,10 @@ def test_layer_list_loaded():
 
 
 def test_tracer_hooks_read_every_traced_layer():
-    """One small centralized, distributed, routed and exhaustive estimation
-    and one short SCA run under the installed tracer: every ``ON_RETURN``
-    hook runs on its layer's result, and the exact counters hold."""
+    """One small centralized, distributed, routed and exhaustive estimation,
+    each scored by ``nmse``, and one short SCA run under the installed
+    tracer: every ``ON_RETURN`` hook runs on its layer's result, and the
+    exact counters hold."""
     lay = ArrayLayout(M=2, N=1)
     model = DipoleModel.for_layout(lay)
     spec = sample_channels(0, 2, 3, lay)
@@ -67,7 +68,8 @@ def test_tracer_hooks_read_every_traced_layer():
                        chanest.distributed_estimate(session, obs, 2, grid, lay, model),
                        runtime.run_algorithm3(session, obs, 2, grid, lay, model)[0]):
             chanest.nmse(result, spec, tests, lay, model)
-        chanest.exhaustive_baseline(session, spec, lay, model, D=9)
+        chanest.nmse(chanest.exhaustive_baseline(session, spec, lay, model, D=9), spec, tests,
+                     lay, model)
         optimizer.optimize(uniform_placement(lay), optimizer.SCAConfig(T_max=2), spec,
                            lay, model, 1.0, 0.1)
     assert all(tracer.calls[name] >= 1 for name in spans.ON_RETURN)
@@ -77,3 +79,4 @@ def test_tracer_hooks_read_every_traced_layer():
     assert counts["chanest.local_proxy.calls"] == 2
     assert counts["optimizer.iterations"] >= 1
     assert counts["chanest.exhaustive.candidates_total"] == lay.M * lay.N * 9
+    assert counts["chanest.ExhaustiveResult.predict.calls"] == 1

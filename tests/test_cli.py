@@ -251,6 +251,17 @@ def test_malformed_override_is_config_error(override, field, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("D", [3, 500, 1000])
+def test_lattice_size_that_is_not_a_square_is_config_error(D, config_path, tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["estimate", "--config", config_path, "--out", str(out),
+                 "--set", f"estimation.D={D}", "--set", 'estimation.schemes=["exhaustive"]']) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: estimation.D: must be a perfect square")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [["optimize"], ["estimate"], ["sweep", "power"],
                                      ["heatmap"], ["ledger"]], ids=" ".join)
 def test_negative_seed_is_config_error(command, config_path, tmp_path, capsys):

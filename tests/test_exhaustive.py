@@ -3,7 +3,9 @@ per-(antenna, coupler) version in ``exhaustive_reference``, each lattice
 point and parked coupler steered once, each distinct lattice-to-anchor
 distance's impedance computed once, and all candidates in one impedance
 assembly.  Its predictions equal the frozen full-search predictor's, ties
-and infeasible nearest points included."""
+and infeasible nearest points included, whether the rows they read were
+measured on the read or with the whole table; the checks that can raise
+run before any row is read."""
 
 import itertools
 
@@ -12,7 +14,11 @@ import pytest
 
 from fcarray import ArrayLayout, DipoleModel, chanest, channel, sample_channels
 from fcarray import impedance as impedance_module
-from fcarray.chanest import exhaustive_baseline, make_session
+from fcarray.chanest import exhaustive_baseline, make_session, nmse
+from fcarray.errors import ConfigError, SingularSystem
+from fcarray.geometry import random_feasible_placement
+from fcarray.impedance import build_block
+from fcarray.precoding import mech_weights
 
 import exhaustive_reference as ref
 
@@ -168,3 +174,90 @@ def test_a_coupler_without_feasible_candidates_keeps_index_zero():
     P = np.random.default_rng(0).uniform(-0.05, 0.05, size=(7, 1, 1, 2))
     assert np.array_equal(res._nearest_feasible(P), np.zeros((7, 1, 1), dtype=int))
     assert_predicts_as_reference(res, lay, model, P)
+
+
+def random_queries(res, lay, count, seed):
+    """``count`` query positions (count, M, N, 2), some outside their region."""
+    rng = np.random.default_rng(seed)
+    lo = np.stack([lay.region_bounds(m)[0] for m in range(lay.M)])[:, None]
+    hi = np.stack([lay.region_bounds(m)[1] for m in range(lay.M)])[:, None]
+    pad = 0.3 * (hi - lo)
+    return rng.uniform(lo - pad, hi + pad, size=(count,) + res.feasible.shape[:2] + (2,))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("D", [1, 4, 25, 400])
+def test_rows_measured_on_read_equal_the_whole_table(shape, D):
+    """``predict`` before any ``table`` read measures only the rows it picks;
+    those rows, its predictions and the predictions after a ``table`` read
+    equal the reference's on a table measured all at once, bit for bit."""
+    lay, model, spec, session = case(*shape, K=2, tau=5, sigma2=0.3)
+    res = exhaustive_baseline(session, spec, lay, model, D=D)
+    whole = exhaustive_baseline(session, spec, lay, model, D=D)
+    P = random_queries(res, lay, 20, D + 10 * shape[0] + shape[1])
+    before = res.predict(P, lay, model)
+    assert res._measured.sum() <= min(len(res._measured), max(P[..., 0].size, 2))
+    want = ref.predict(whole, P)
+    assert np.array_equal(before, want)
+    assert np.array_equal(res.predict(P[0], lay, model), ref.predict(whole, P[0]))
+    assert np.array_equal(res.table, whole.table)
+    assert res._measured.all()
+    assert np.array_equal(res.predict(P, lay, model), want)
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (2, 3)])
+def test_nmse_leaves_the_table_unmeasured(shape):
+    lay, model, spec, session = case(*shape, K=2, tau=5, sigma2=0.3)
+    res = exhaustive_baseline(session, spec, lay, model, D=400)
+    rng = np.random.default_rng(1)
+    tests = [random_feasible_placement(lay, rng) for _ in range(10)]
+    value = nmse(res, spec, tests, lay, model)
+    # at most one row per (test placement, coupler)
+    assert 0 < res._measured.sum() <= 10 * lay.M * lay.N < len(res._measured)
+    assert value == nmse(exhaustive_baseline(session, spec, lay, model, D=400), spec, tests,
+                         lay, model)
+
+
+def test_a_lone_row_read_rounds_as_in_the_whole_table():
+    """A one-row matrix product rounds differently from the rows of a larger
+    one: single-placement queries that each pick one row of a fresh result
+    must still predict what the whole table does."""
+    lay, model, spec, session = case(1, 1, K=2, tau=13, sigma2=0.3)
+    whole = exhaustive_baseline(session, spec, lay, model, D=400)
+    (d,) = np.nonzero(whole.feasible[0, 0])
+    assert len(d) >= 2
+    for i in d[::len(d) // 60]:
+        res = exhaustive_baseline(session, spec, lay, model, D=400)
+        P = whole.candidates[:, i][:, None]  # (M, N, 2) at candidate i
+        assert np.array_equal(res.predict(P, lay, model), ref.predict(whole, P))
+        assert np.array_equal(res._nearest_feasible(P), [[i]])
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_an_unread_singular_candidate_raises_in_the_baseline(N):
+    """The load impedance that makes one candidate's coupling system
+    singular: ``exhaustive_baseline`` raises before any row is read, though
+    no query would pick that candidate's row and the parked system is
+    well-conditioned."""
+    lay, model, spec, session = case(2, N, K=2, tau=5, sigma2=0.3)
+    res = exhaustive_baseline(session, spec, lay, model, D=25)
+    m, n, d = (i[-1] for i in np.nonzero(res.feasible))
+    moved = res.parked.positions[m].copy()
+    moved[n] = res.candidates[m, d]
+    q = lay.active_positions()[m]
+    Z_hat = build_block(moved, q, model).Z_hat
+    # the load that cancels an eigenvalue of the couplers' mutual impedances
+    lam = np.linalg.eigvals(Z_hat - model.self_impedance * np.eye(N))[0]
+    bad = DipoleModel.for_layout(lay, load_impedance=-lam - model.self_impedance)
+    with pytest.raises(SingularSystem):
+        mech_weights(build_block(moved, q, bad))
+    mech_weights(build_block(res.parked.positions, lay.active_positions(), bad))
+    with pytest.raises(SingularSystem):
+        exhaustive_baseline(session, spec, lay, bad, D=25)
+
+
+@pytest.mark.parametrize("D", [0, 2, 3, 24, 500, 1000])
+def test_a_lattice_size_that_is_not_a_square_is_rejected(D):
+    lay, model, spec, session = case(2, 1, K=2, tau=5, sigma2=0.3)
+    with pytest.raises(ConfigError, match="^D: must be a positive perfect square"):
+        exhaustive_baseline(session, spec, lay, model, D=D)
