@@ -36,7 +36,11 @@ exhaustive baseline takes every candidate's feasibility and impedances from
 one (M, N+1, D) table of lattice-to-anchor distances (one
 ``mutual_impedance`` call), then assembles and certifies the coupling
 systems of all feasible candidates at once and draws all their noise at
-once; those are the steps that can raise or that set the noise stream.  A
+once; those are the steps that can raise or that set the noise stream.  The
+noise is drawn where a measurement sees it, after the pilot correlation:
+for pilots with S S^H = tau I (``make_pilots``) the correlated noise
+n S^H / tau of white n ~ CN(0, sigma^2 I_tau) is exactly CN(0, sigma^2/tau
+I_K), so each measurement takes K complex normals instead of tau.  A
 candidate's weights solve, lattice-point steering, column step and pilot
 correlation run when its row of the result is first read, so ``nmse`` (one
 row per test placement and coupler) measures a few rows and only a read of
@@ -754,7 +758,11 @@ class _PendingRows:
     """What the rows of an exhaustive table are measured from: the F feasible
     candidates (m, n, d), stacked m-major, then n, then d, with their
     certified impedance pairs, their noise and the channels their antennas
-    share.  Calling it with row indices measures those candidates."""
+    share.  Calling it with row indices measures those candidates.
+
+    The noise is the post-correlation noise of each measurement, K complex
+    values of variance ``sigma_eff2`` (``exhaustive_baseline``), so the block
+    holds F 2 K floats whatever tau is."""
 
     index: tuple[np.ndarray, np.ndarray, np.ndarray]  # (mi, ni, di), each (F,)
     z: np.ndarray  # (F, P) impedances of each candidate's spacing pairs
@@ -764,7 +772,7 @@ class _PendingRows:
     lattice: np.ndarray  # (M, D, 2) candidate points
     h_active: np.ndarray  # (K, M)
     h_parked: np.ndarray  # (M, K, N) parked couplers' channels
-    noise: np.ndarray  # (F, 2, tau), sigma times the real then imaginary parts
+    noise: np.ndarray  # (F, 2, K), real then imaginary parts of the correlated noise
     S: np.ndarray  # (K, tau) pilots
     tau: int
 
@@ -785,12 +793,13 @@ class _PendingRows:
 
 
 def _correlate_noisy(g: np.ndarray, noise: np.ndarray, S: np.ndarray, tau: int) -> np.ndarray:
-    """Pilot-correlated measurements of channels g (..., K) with noise
-    (..., 2, tau), the real then the imaginary part of each measurement."""
-    y = g @ S
+    """Pilot-correlated measurements of channels g (..., K): the correlation
+    of the noiseless received block g S, plus the correlated noise (..., 2, K),
+    the real then the imaginary part of each measurement."""
+    y = pilot_correlate(g @ S, S, tau)
     y.real += noise[..., 0, :]
     y.imag += noise[..., 1, :]
-    return pilot_correlate(y, S, tau)
+    return y
 
 
 @dataclass
@@ -806,9 +815,9 @@ class ExhaustiveResult:
     (``pending``); a row is measured when it is first read and kept.
     ``predict`` measures the rows its queries pick, and ``table`` every row,
     which costs about what measuring all candidates at once does.  The
-    result holds each candidate's noise, F 2 tau floats for its F feasible
-    candidates (about 0.65 MB at M = 4, N = 2, D = 400, tau = 13, where F
-    is about 3,100)."""
+    result holds each candidate's post-correlation noise, F 2 K floats for
+    its F feasible candidates whatever tau is (about 0.1 MB at M = 4, N = 2,
+    K = 2, D = 400, where F is about 3,100)."""
 
     scheme: str
     candidates: np.ndarray  # (M, D, 2) lattice points per antenna region
@@ -925,7 +934,17 @@ def exhaustive_baseline(
     SingularSystem), the parked measurement and one noise draw for it and
     all candidates, in the order they would be measured one after another.
     Each candidate's weights solve, lattice-point channels, column step and
-    pilot correlation run when its row of the result is first read."""
+    pilot correlation run when its row of the result is first read.
+
+    A measurement is the pilot correlation (1/tau) (g S + n) S^H of white
+    noise n ~ CN(0, sigma^2 I_tau).  Its noise term n S^H / tau is drawn
+    directly: K complex normals of variance ``session.sigma_eff2`` =
+    sigma^2/tau per measurement, one (M + F, 2, K) block of standard normals
+    scaled by sqrt(sigma_eff2 / 2) and added after the correlation of the
+    noiseless g S.  That is exact because the session's pilots satisfy
+    S S^H = tau I, the contract of ``make_pilots``, so the correlated noise
+    is white across the K users with that variance; the noiseless
+    measurements are the same bits either way."""
     side = math.isqrt(max(D, 0))
     if D < 1 or side * side != D:
         raise ConfigError(f"must be a positive perfect square, got {D}", field="D")
@@ -962,10 +981,9 @@ def exhaustive_baseline(
     z_rows = np.where(touched[ni], z_lattice[mi[:, None], other[ni], di[:, None]], z_parked[mi])
     system_condition(assemble_block(z_rows, model))
 
-    # the parked measurement's noise first, then the candidates'
-    noise = np.random.default_rng([session.seed, 3]).standard_normal(
-        (M + len(mi), 2, session.tau))
-    noise *= np.sqrt(session.sigma2 / 2.0)
+    # the parked measurement's correlated noise first, then the candidates'
+    noise = np.random.default_rng([session.seed, 3]).standard_normal((M + len(mi), 2, session.K))
+    noise *= np.sqrt(session.sigma_eff2 / 2.0)
     h_active = active_channel_matrix(spec, layout)
     h_parked = coupler_channel_block(spec, P0, layout.lam)
     base = _correlate_noisy(_column(h_active.T, h_parked, _weights(P0, layout, model)),

@@ -33,12 +33,12 @@ def exhaustive_baseline(session, spec, layout, model, D=400) -> dict:
         candidates[m] = np.column_stack([xx.ravel(), yy.ravel()])
 
     h_active = active_channel_matrix(spec, layout)
-    sigma = np.sqrt(session.sigma2 / 2.0)
+    sigma = np.sqrt(session.sigma_eff2 / 2.0)
 
     def measure(g):
-        w = rng.standard_normal(g.shape[:-1] + (2, session.tau))
-        y = g @ session.S + sigma * (w[..., 0, :] + 1j * w[..., 1, :])
-        return pilot_correlate(y, session.S, session.tau)
+        w = rng.standard_normal(g.shape[:-1] + (2, K))
+        return (pilot_correlate(g @ session.S, session.S, session.tau)
+                + sigma * (w[..., 0, :] + 1j * w[..., 1, :]))
 
     base = measure(true_effective(spec, parked, layout, model))
 

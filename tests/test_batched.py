@@ -354,9 +354,9 @@ def exhaustive_reference(session, spec, layout, model, D):
 
     def measure_row(placement, m):
         g = true_effective(spec, placement, layout, model)[m]
-        noise = np.sqrt(session.sigma2 / 2.0) * (
-            rng.standard_normal(session.tau) + 1j * rng.standard_normal(session.tau))
-        return pilot_correlate(g @ session.S + noise, session.S, session.tau)
+        noise = np.sqrt(session.sigma_eff2 / 2.0) * (
+            rng.standard_normal(K) + 1j * rng.standard_normal(K))
+        return pilot_correlate(g @ session.S, session.S, session.tau) + noise
 
     base = stack([measure_row(parked, m) for m in range(M)])
     table = np.zeros((M, N, side * side, K), dtype=complex)

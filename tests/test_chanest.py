@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcarray import chanest
 from fcarray import (
@@ -94,6 +96,16 @@ class TestPilots:
     def test_tau_too_short(self):
         with pytest.raises(TauTooShort):
             make_pilots(5, 4, seed=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 64).flatmap(lambda tau: st.tuples(st.integers(1, tau), st.just(tau))),
+           st.integers(0, 2**32 - 1))
+    def test_rows_are_orthogonal_for_every_shape(self, shape, seed):
+        # the exhaustive baseline's direct draw of the correlated noise rests on it
+        K, tau = shape
+        S = make_pilots(K, tau, seed)
+        assert S.shape == (K, tau)
+        assert np.max(np.abs(S @ S.conj().T - tau * np.eye(K))) <= 1e-12
 
 
 class TestSimulateRx:

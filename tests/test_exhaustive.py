@@ -5,7 +5,8 @@ distance's impedance computed once, and all candidates in one impedance
 assembly.  Its predictions equal the frozen full-search predictor's, ties
 and infeasible nearest points included, whether the rows they read were
 measured on the read or with the whole table; the checks that can raise
-run before any row is read."""
+run before any row is read.  The noise drawn after the pilot correlation has
+the moments of the correlated time-domain noise it stands for."""
 
 import itertools
 
@@ -14,7 +15,7 @@ import pytest
 
 from fcarray import ArrayLayout, DipoleModel, chanest, channel, sample_channels
 from fcarray import impedance as impedance_module
-from fcarray.chanest import exhaustive_baseline, make_session, nmse
+from fcarray.chanest import exhaustive_baseline, make_session, nmse, pilot_correlate
 from fcarray.errors import ConfigError, SingularSystem
 from fcarray.geometry import random_feasible_placement
 from fcarray.impedance import build_block
@@ -261,3 +262,46 @@ def test_a_lattice_size_that_is_not_a_square_is_rejected(D):
     lay, model, spec, session = case(2, 1, K=2, tau=5, sigma2=0.3)
     with pytest.raises(ConfigError, match="^D: must be a positive perfect square"):
         exhaustive_baseline(session, spec, lay, model, D=D)
+
+
+Z = 6.0  # standard errors a sample moment may stray, fixed before any draw
+
+
+def assert_white(n, v):
+    """Sample moments of R draws n (R, K) against CN(0, v I_K), each within
+    Z standard errors of R independent draws."""
+    R, K = n.shape
+    mean = n.mean(axis=0)
+    assert np.all(np.abs([mean.real, mean.imag]) <= Z * np.sqrt(v / 2 / R))
+    # |n_k|^2 is exponential with mean v and standard deviation v
+    assert np.all(np.abs(np.mean(np.abs(n) ** 2, axis=0) - v) <= Z * v / np.sqrt(R))
+    # each part of n_j conj(n_k), j != k, has standard deviation v / sqrt(2)
+    cross = (n.T @ n.conj() / R)[~np.eye(K, dtype=bool)]
+    assert np.all(np.abs([cross.real, cross.imag]) <= Z * v / np.sqrt(2 * R))
+    # Re n_k Im n_k has standard deviation v / 2
+    assert np.all(np.abs(np.mean(n.real * n.imag, axis=0)) <= Z * v / 2 / np.sqrt(R))
+
+
+def test_the_noise_is_the_correlated_white_noise():
+    """table(sigma2) - table(0) is each measurement's noise: white across the
+    K users with variance sigma_eff2 = sigma2 / tau, within the same bounds
+    as the correlation n S^H / tau of white time-domain noise n that it
+    stands for."""
+    sigma2 = 0.3
+    lay, model, spec, noisy = case(4, 2, K=3, tau=13, sigma2=sigma2)
+    clean = case(4, 2, K=3, tau=13, sigma2=0.0)[3]
+    res, res0 = (exhaustive_baseline(s, spec, lay, model, D=400) for s in (noisy, clean))
+    noise = np.concatenate([res.base - res0.base, (res.table - res0.table)[res.feasible]])
+    assert len(noise) > 3000
+    assert_white(noise, noisy.sigma_eff2)
+    rng = np.random.default_rng(7)
+    n = np.sqrt(sigma2 / 2.0) * (rng.standard_normal((len(noise), noisy.tau))
+                                 + 1j * rng.standard_normal((len(noise), noisy.tau)))
+    assert_white(pilot_correlate(n, noisy.S, noisy.tau), noisy.sigma_eff2)
+
+
+@pytest.mark.parametrize("tau", [13, 64])
+def test_the_kept_noise_does_not_grow_with_tau(tau):
+    lay, model, spec, session = case(4, 2, K=2, tau=tau, sigma2=0.3)
+    res = exhaustive_baseline(session, spec, lay, model, D=400)
+    assert res.pending.noise.shape == (res.feasible.sum(), 2, 2)
