@@ -943,8 +943,7 @@ def exhaustive_baseline(
     scaled by sqrt(sigma_eff2 / 2) and added after the correlation of the
     noiseless g S.  That is exact because the session's pilots satisfy
     S S^H = tau I, the contract of ``make_pilots``, so the correlated noise
-    is white across the K users with that variance; the noiseless
-    measurements are the same bits either way."""
+    is white across the K users with that variance."""
     side = math.isqrt(max(D, 0))
     if D < 1 or side * side != D:
         raise ConfigError(f"must be a positive perfect square, got {D}", field="D")
