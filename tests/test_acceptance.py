@@ -3,6 +3,11 @@ its measured margin.  Run with ``pytest tests/test_acceptance.py -v -s``.
 
 Statistical criteria use fixed seed lists, so every check here is
 deterministic; tolerances are stated inline next to each assertion.
+
+Criteria 5, 6 and 8 take their values from the rows the CLI writes for
+``fcarray sweep power`` (5), ``fcarray sweep region`` (6), and ``fcarray
+sweep snr``, ``fcarray estimate`` and ``fcarray sweep pilot`` (8); the
+``--set`` lists of these commands are the module constants below.
 """
 
 import numpy as np
@@ -26,31 +31,53 @@ from fcarray import (
     run_pilot_phase,
     sample_channels,
     sine_cosine_integrals,
+    sweeps,
     transmit_power,
     uniform_placement,
 )
-from fcarray.chanest import (
-    build_dictionary,
-    centralized_estimate,
-    ls_gains,
-    nmse,
-    pilot_correlate,
-)
+from fcarray.chanest import build_dictionary, centralized_estimate, ls_gains, pilot_correlate
 from fcarray.geometry import random_feasible_placement
 from fcarray.optimizer import ObjectiveEvaluator, gradient, screened_initial_placement
-from fcarray.precoding import active_only_state, fc_state, fully_active_state
+from fcarray.precoding import fc_state
+from fcarray.scenario import Scenario
+from fcarray.sweeps import _streams
 
 from chanest_reference import stack_observations
 from test_chanest import on_grid_spec
 from test_impedance import ci_oracle, emf_oracle, si_oracle
+
+# (subcommand, --set list) of each command criteria 5, 6 and 8 read; the CLI runs
+# each at two seeds in test_cli.py::test_acceptance_command_lines_run_through_the_cli
+RATE_ORDERING = (["sweep", "power"], ["layout.M=6", "channel.K=3", "seeds.count=50",
+                                      "sweep.power_dbm=[30]"])
+REGION_TREND = (["sweep", "region"], ["channel.K=3", "seeds.count=50"])
+NMSE_OVER_SNR = (["sweep", "snr"], ["layout.M=8", "seeds.count=200"])
+NMSE_AT_V2 = (["estimate"], ["layout.M=8", "seeds.count=200", "estimation.V=2",
+                             'estimation.schemes=["centralized"]'])
+NMSE_OVER_TAU = (["sweep", "pilot"], ["layout.M=8", "seeds.count=200",
+                                      'estimation.schemes=["distributed"]'])
 
 
 def report(criterion, message):
     print(f"\nACCEPTANCE {criterion}: PASS — {message}")
 
 
-def seeded(seed, n=4):
-    return [int(s) for s in np.random.SeedSequence(seed).generate_state(n)]
+def command_rows(command, overrides, out_dir):
+    """The rows ``fcarray <command> --set <override>...`` writes to out_dir,
+    from the function the CLI calls for it."""
+    scenario = Scenario({}, overrides=overrides)
+    if command == ["estimate"]:
+        return sweeps.run_estimate(scenario, out_dir)
+    return sweeps.run_sweep(scenario, command[1], out_dir)
+
+
+def means(rows, key, column):
+    """Mean of ``column`` over each group of rows with equal ``key(row)``,
+    in row (seed) order."""
+    groups = {}
+    for row in rows:
+        groups.setdefault(key(row), []).append(row[column])
+    return {k: float(np.mean(v)) for k, v in groups.items()}
 
 
 def test_criterion_01_power_equality():
@@ -79,7 +106,7 @@ def test_criterion_02_monotone_sca():
     sigma2 = P_max / (2 * 10.0)  # 10 dB
     gains = []
     for seed in range(20):
-        spec = sample_channels(seeded(seed)[0], K=2, L=15, layout=lay)
+        spec = sample_channels(_streams(seed)[0], K=2, L=15, layout=lay)
         initial = uniform_placement(lay)
         baseline = fc_state(spec, initial, lay, model, P_max, sigma2).sum_rate
         res = optimize(initial, SCAConfig(), spec, lay, model, P_max, sigma2)
@@ -105,7 +132,7 @@ def test_criterion_03_toy_global_optimality():
     lattice = lattice[np.hypot(lattice[:, 0] - q[0], lattice[:, 1] - q[1]) >= lay.min_sep_m]
     ratios = []
     for seed in range(10):
-        spec = sample_channels(seeded(seed)[0], K=1, L=15, layout=lay)
+        spec = sample_channels(_streams(seed)[0], K=1, L=15, layout=lay)
         ev = ObjectiveEvaluator(spec, lay, model, P_max, sigma2)
         ev.set_placement(uniform_placement(lay))
         best = ev.rate_with_override(0, lattice[:, None, :]).max()  # one batch per seed
@@ -126,7 +153,7 @@ def test_criterion_04_gradient_validity():
     h = 1e-4 * lay.lam
     ratios, dir_errs = [], []
     for seed in range(10):
-        spec = sample_channels(seeded(seed)[0], K=2, L=15, layout=lay)
+        spec = sample_channels(_streams(seed)[0], K=2, L=15, layout=lay)
         pl = uniform_placement(lay)
         ev = ObjectiveEvaluator(spec, lay, model, P_max, sigma2)
         ev.set_placement(pl)
@@ -151,59 +178,35 @@ def test_criterion_04_gradient_validity():
 
 
 @pytest.mark.slow
-def test_criterion_05_rate_ordering():
+def test_criterion_05_rate_ordering(tmp_path):
     """mean(fully-active) >= mean(fc-optimized) >= mean(fixed-coupler) >=
-    mean(active-only) over 50 paired seeds at M=6, N=2, K=3, 30 dBm."""
-    lay = ArrayLayout(M=6, N=2)
-    model = DipoleModel.for_layout(lay)
-    K = 3
-    P_max = 1.0  # 30 dBm
-    sigma2 = P_max / (K * 10.0)  # 10 dB
-    rows = {name: [] for name in ("fully", "fcopt", "fixed", "active")}
-    for seed in range(50):
-        spec = sample_channels(seeded(seed)[0], K=K, L=15, layout=lay)
-        initial = uniform_placement(lay)
-        rows["fixed"].append(fc_state(spec, initial, lay, model, P_max,
-                                      sigma2).sum_rate)
-        rows["active"].append(active_only_state(spec, lay, model, P_max,
-                                                sigma2).sum_rate)
-        rows["fully"].append(fully_active_state(spec, lay, model, P_max,
-                                                sigma2).sum_rate)
-        res = optimize(initial, SCAConfig(), spec, lay, model, P_max, sigma2)
-        rows["fcopt"].append(res.trace.rates[-1])
-    means = {name: float(np.mean(vals)) for name, vals in rows.items()}
-    assert means["fully"] >= means["fcopt"] >= means["fixed"] >= means["active"]
-    report(5, "mean rates ordered: fully-active {fully:.3f} >= fc-optimized "
-              "{fcopt:.3f} >= fixed-coupler {fixed:.3f} >= active-only "
-              "{active:.3f}".format(**means))
+    mean(active-only) over 50 paired seeds at M=6, N=2, K=3, 30 dBm, from
+    the rows of ``fcarray sweep power --set layout.M=6 --set channel.K=3
+    --set seeds.count=50 --set 'sweep.power_dbm=[30]'``."""
+    rates = means(command_rows(*RATE_ORDERING, tmp_path), lambda row: row["scheme"],
+                  "metric_value")
+    assert (rates["fully-active"] >= rates["fc-optimized"] >= rates["fixed-coupler"]
+            >= rates["active-only"])
+    report(5, "mean rates ordered: " + " >= ".join(
+        f"{scheme} {rates[scheme]:.3f}"
+        for scheme in ("fully-active", "fc-optimized", "fixed-coupler", "active-only")))
 
 
 @pytest.mark.slow
-def test_criterion_06_region_size_trend():
+def test_criterion_06_region_size_trend(tmp_path):
     """Mean rate nondecreasing over A in {0.5, 1, 2} wavelengths for N=2 and
-    N=3, with N=3 above N=2 at every A (50 seeds, M=4, K=3)."""
-    K = 3
-    P_max = 1.0
-    sigma2 = P_max / (K * 10.0)
-    means = {}
+    N=3, with N=3 above N=2 at every A (50 seeds, M=4, K=3), from the rows
+    of ``fcarray sweep region --set channel.K=3 --set seeds.count=50``."""
+    rates = means(command_rows(*REGION_TREND, tmp_path),
+                  lambda row: (row["variant"], row["value"]), "metric_value")
+    mean = {(N, A): rates[f"N={N}", A] for N in (2, 3) for A in (0.5, 1.0, 2.0)}
     for N in (2, 3):
-        for A in (0.5, 1.0, 2.0):
-            lay = ArrayLayout(M=4, N=N, region_side=A)
-            model = DipoleModel.for_layout(lay)
-            vals = []
-            for seed in range(50):
-                spec = sample_channels(seeded(seed)[0], K=K, L=15, layout=lay)
-                res = optimize(uniform_placement(lay), SCAConfig(), spec, lay,
-                               model, P_max, sigma2)
-                vals.append(res.trace.rates[-1])
-            means[(N, A)] = float(np.mean(vals))
-    for N in (2, 3):
-        assert means[(N, 0.5)] <= means[(N, 1.0)] <= means[(N, 2.0)]
+        assert mean[(N, 0.5)] <= mean[(N, 1.0)] <= mean[(N, 2.0)]
     for A in (0.5, 1.0, 2.0):
-        assert means[(3, A)] >= means[(2, A)]
+        assert mean[(3, A)] >= mean[(2, A)]
     report(6, "mean rate vs A: N=2 {:.3f}/{:.3f}/{:.3f}, N=3 {:.3f}/{:.3f}/{:.3f}"
-           .format(*(means[(2, a)] for a in (0.5, 1.0, 2.0)),
-                   *(means[(3, a)] for a in (0.5, 1.0, 2.0))))
+           .format(*(mean[(2, a)] for a in (0.5, 1.0, 2.0)),
+                   *(mean[(3, a)] for a in (0.5, 1.0, 2.0))))
 
 
 def test_criterion_07_noiseless_exact_recovery():
@@ -246,46 +249,32 @@ def test_criterion_07_noiseless_exact_recovery():
 
 
 @pytest.mark.slow
-def test_criterion_08_nmse_trends():
+def test_criterion_08_nmse_trends(tmp_path):
     """Over 200 paired trials (Fig. 7 parameters K=2, M=8, N=2, tau=13, L=3):
     (a) centralized NMSE strictly decreasing over SNR {-10, 0, 10, 20} dB;
     (b) mean NMSE(V=4) < mean NMSE(V=2) at 0 dB;
     (c) centralized <= distributed at every SNR;
-    (d) distributed NMSE decreasing over tau {4, 13, 32} at 0 dB."""
-    lay = ArrayLayout(M=8, N=2)
-    model = DipoleModel.for_layout(lay)
-    K, L = 2, 3
-    grid = AngularGrid(256)
-    trials = 200
+    (d) distributed NMSE decreasing over tau {4, 13, 32} at 0 dB.
 
-    def one(scheme, seed, snr_db, V, tau):
-        sigma2 = 10.0 ** (-snr_db / 10.0)
-        ch, sess, ev, _ = seeded(seed)
-        spec = sample_channels(ch, K, L, lay)
-        session = make_session(lay, K, tau, V, sigma2, sess)
-        obs = run_pilot_phase(session, spec, lay, model)
-        if scheme == "centralized":
-            result = centralized_estimate(session, obs, L, grid, lay, model)
-        else:
-            result = distributed_estimate(session, obs, L, grid, lay, model)
-        rng = np.random.default_rng(ev)
-        placements = [random_feasible_placement(lay, rng) for _ in range(10)]
-        return nmse(result, spec, placements, lay, model)
-
+    (a) and (c) read the rows of ``fcarray sweep snr``, (b) those of
+    ``fcarray estimate --set estimation.V=2 --set
+    'estimation.schemes=["centralized"]'`` and (d) those of ``fcarray sweep
+    pilot --set 'estimation.schemes=["distributed"]'``, each command with
+    ``--set layout.M=8 --set seeds.count=200``."""
     snrs = [-10.0, 0.0, 10.0, 20.0]
-    cen = {s: np.mean([one("centralized", t, s, 4, 13) for t in range(trials)])
-           for s in snrs}
-    dist = {s: np.mean([one("distributed", t, s, 4, 13) for t in range(trials)])
-            for s in snrs}
+    by_snr = means(command_rows(*NMSE_OVER_SNR, tmp_path / "snr"),
+                   lambda row: (row["scheme"], row["snr_db"]), "nmse")
+    cen = {s: by_snr["centralized", s] for s in snrs}
+    dist = {s: by_snr["distributed", s] for s in snrs}
     assert all(cen[snrs[i + 1]] < cen[snrs[i]] for i in range(3)), cen
     assert all(cen[s] <= dist[s] for s in snrs), (cen, dist)
 
-    v2 = np.mean([one("centralized", t, 0.0, 2, 13) for t in range(trials)])
+    v2 = means(command_rows(*NMSE_AT_V2, tmp_path / "v2"), lambda row: row["V"], "nmse")[2]
     assert cen[0.0] < v2, (cen[0.0], v2)
 
     taus = [4, 13, 32]
-    dtau = {tau: np.mean([one("distributed", t, 0.0, 4, tau)
-                          for t in range(trials)]) for tau in taus}
+    dtau = means(command_rows(*NMSE_OVER_TAU, tmp_path / "tau"), lambda row: row["tau"],
+                 "nmse")
     assert dtau[13] < dtau[4] and dtau[32] < dtau[13], dtau
 
     report(8, "centralized NMSE over SNR: "
@@ -303,7 +292,7 @@ def test_criterion_09_distributed_equals_centralized_ls():
     grid = AngularGrid(64)
     worst = 0.0
     for seed in range(100):
-        ch, sess, _, _ = seeded(seed)
+        ch, sess, _, _ = _streams(seed)
         spec = sample_channels(ch, 2, 3, lay)
         session = make_session(lay, 2, 13, 4, sigma2=0.05, seed=sess)
         obs = run_pilot_phase(session, spec, lay, model)
@@ -360,7 +349,7 @@ def test_criterion_11_runtime_transparency_and_ledgers():
         for (M, N) in ((2, 1), (3, 2)):
             lay = ArrayLayout(M=M, N=N)
             model = DipoleModel.for_layout(lay)
-            spec = sample_channels(seeded(seed)[0], K=2, L=8, layout=lay)
+            spec = sample_channels(_streams(seed)[0], K=2, L=8, layout=lay)
             cfg = SCAConfig(T_max=4, eps_stop=0.0)
             initial = uniform_placement(lay)
             direct = optimize(initial, cfg, spec, lay, model, P_max, sigma2)
@@ -380,7 +369,7 @@ def test_criterion_11_runtime_transparency_and_ledgers():
     grid = AngularGrid(64)
     L = 3
     for seed in (0, 1, 2):
-        ch, sess, _, _ = seeded(seed)
+        ch, sess, _, _ = _streams(seed)
         spec = sample_channels(ch, 2, L, lay)
         session = make_session(lay, 2, 13, 4, sigma2=0.05, seed=sess)
         obs = run_pilot_phase(session, spec, lay, model)

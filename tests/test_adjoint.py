@@ -14,8 +14,7 @@ from fcarray.geometry import constraint_margins, random_feasible_placement, unif
 from fcarray.impedance import mutual_impedance, mutual_impedance_derivative
 from fcarray.optimizer import ObjectiveEvaluator, gradient
 from fcarray.precoding import _gram_forward, fc_state, gram_rate_adjoint, gram_sum_rate
-
-from test_acceptance import seeded
+from fcarray.sweeps import _streams
 
 
 def relative_error(g, ref):
@@ -33,7 +32,7 @@ def test_matches_fd_on_acceptance_4_instances():
     h = 1e-4 * lay.lam
     pl = uniform_placement(lay)
     for seed in range(10):
-        spec = sample_channels(seeded(seed)[0], K=2, L=15, layout=lay)
+        spec = sample_channels(_streams(seed)[0], K=2, L=15, layout=lay)
         ev = ObjectiveEvaluator(spec, lay, model, 1.0, 0.05)
         ev.set_placement(pl)
         g = ev.gradient_of(pl)

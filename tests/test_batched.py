@@ -81,6 +81,7 @@ from fcarray.precoding import (
     power_coefficient,
 )
 from fcarray.runtime import run_algorithm3
+from fcarray.sweeps import _streams
 
 from chanest_reference import stack_observations
 
@@ -256,8 +257,7 @@ def test_gradient_matches_per_probe_oracle():
     model = DipoleModel.for_layout(lay)
     h = 1e-4 * lay.lam
     for seed in range(10):
-        ch_seed = int(np.random.SeedSequence(seed).generate_state(1)[0])
-        spec = sample_channels(ch_seed, K=2, L=15, layout=lay)
+        spec = sample_channels(_streams(seed)[0], K=2, L=15, layout=lay)
         pl = uniform_placement(lay)
         ev = ObjectiveEvaluator(spec, lay, model, P_MAX, SIGMA2)
         ev.set_placement(pl)
@@ -465,8 +465,7 @@ def test_all_antenna_gradient_matches_fc_state_oracle():
     model = DipoleModel.for_layout(lay)
     h = 1e-4 * lay.lam
     for seed in range(10):
-        ch_seed = int(np.random.SeedSequence(seed).generate_state(1)[0])
-        spec = sample_channels(ch_seed, K=2, L=15, layout=lay)
+        spec = sample_channels(_streams(seed)[0], K=2, L=15, layout=lay)
         pl = uniform_placement(lay)
         ev = ObjectiveEvaluator(spec, lay, model, P_MAX, SIGMA2)
         ev.set_placement(pl)

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -17,6 +18,15 @@ from fcarray.optimizer import screened_initial_placement
 from fcarray.scenario import Scenario
 from fcarray import sweeps
 from fcarray.sweeps import _streams
+
+from test_acceptance import (
+    NMSE_AT_V2,
+    NMSE_OVER_SNR,
+    NMSE_OVER_TAU,
+    RATE_ORDERING,
+    REGION_TREND,
+    command_rows,
+)
 
 
 SMALL = {
@@ -333,6 +343,26 @@ def test_two_workers_write_the_bytes_of_one(config_path, tmp_path):
                      "--out", str(tmp_path / workers)]) == 0
     a, b = ((tmp_path / w / "sweep_snr.csv").read_bytes() for w in ("1", "2"))
     assert a == b
+
+
+@pytest.mark.parametrize("gate, points_x_schemes", [
+    (RATE_ORDERING, 1 * 4), (REGION_TREND, 6 * 1), (NMSE_OVER_SNR, 4 * 2),
+    (NMSE_AT_V2, 1 * 1), (NMSE_OVER_TAU, 3 * 1),
+], ids=["5-sweep-power", "6-sweep-region", "8-sweep-snr", "8-estimate", "8-sweep-pilot"])
+def test_acceptance_command_lines_run_through_the_cli(gate, points_x_schemes, tmp_path):
+    """The command lines of acceptance 5, 6 and 8 at two seeds: each exits 0
+    with points x schemes x seeds rows, whose metric column is the repr of
+    the rows the gate reads from the same scenario."""
+    command, overrides = gate
+    overrides = [*overrides, "seeds.count=2"]
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    assert main([*command, "--out", str(tmp_path / "cli"), *sets]) == 0
+    with open(tmp_path / "cli" / ("_".join(command) + ".csv")) as fh:
+        written = list(csv.DictReader(fh))
+    assert len(written) == points_x_schemes * 2
+    rows = command_rows(command, overrides, tmp_path / "direct")
+    column = "nmse" if "nmse" in written[0] else "metric_value"
+    assert [row[column] for row in written] == [repr(row[column]) for row in rows]
 
 
 def assert_rejected_before_any_job(axis, override, field, config_path, tmp_path, capsys,
