@@ -30,21 +30,26 @@ estimator m's slice of the cube depends on no other antenna's positions.
 ``_weights`` keeps its last solve, so a trial solves once per position set:
 the pilot phase's weights serve the dictionary, and the first ``predict``'s
 serve ``true_effective`` and every later query at the same test positions;
-the dictionary cube, the grid's active steering and ``nmse``'s ground truth
-(``_truth``) are kept the same way, each in its own ``_kept`` slot.  The
-exhaustive baseline takes every candidate's feasibility and impedances from
-one (M, N+1, D) table of lattice-to-anchor distances (one
-``mutual_impedance`` call), then assembles and certifies the coupling
-systems of all feasible candidates at once and draws all their noise at
-once; those are the steps that can raise or that set the noise stream.  The
-noise is drawn where a measurement sees it, after the pilot correlation:
+the dictionary cube, the grid's active steering, ``nmse``'s ground truth
+(``_truth``) and the exhaustive baseline's lattice half (``_lattice``) are
+kept the same way, each in its own ``_kept`` slot.  The exhaustive baseline
+takes every candidate's feasibility and impedances from one (M, N+1, D)
+table of lattice-to-anchor distances: the lattice and its distances and
+impedances to the active elements depend only on the layout, model and D
+and are kept, so a trial computes the distances to the parked couplers and
+their impedances (one ``mutual_impedance`` call).  It certifies every
+feasible candidate's coupling system a I + E by Weyl's bound from ||E||_F
+(``shift_certified``) and assembles only the ones the bound leaves open for
+``system_condition``, then draws all the candidates' noise at once; those
+are the steps that can raise or that set the noise stream.  The noise is
+drawn where a measurement sees it, after the pilot correlation:
 for pilots with S S^H = tau I (``make_pilots``) the correlated noise
 n S^H / tau of white n ~ CN(0, sigma^2 I_tau) is exactly CN(0, sigma^2/tau
 I_K), so each measurement takes K complex normals instead of tau.  A
-candidate's weights solve, lattice-point steering, column step and pilot
-correlation run when its row of the result is first read, so ``nmse`` (one
-row per test placement and coupler) measures a few rows and only a read of
-the whole ``table`` measures them all.
+candidate's impedance pairs, weights solve, lattice-point steering, column
+step and pilot correlation run when its row of the result is first read, so
+``nmse`` (one row per test placement and coupler) measures a few rows and
+only a read of the whole ``table`` measures them all.
 
 Every user of a session runs in one pass: the centralized scheme makes one
 ``omp`` call and one ``ls_gains`` call on the (K, V M) stack of
@@ -58,6 +63,7 @@ call, and one row, unit or user is a batch of one.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -97,6 +103,7 @@ from .precoding import (
     _column,
     effective_column,
     mech_weights,
+    shift_certified,
     system_condition,
 )
 
@@ -285,13 +292,15 @@ def _positions(placement) -> np.ndarray:
 _slots: dict[str, tuple] = {}
 
 
-def _kept(name: str, key: tuple, build) -> np.ndarray:
-    """``build()``, read-only, kept in the one slot ``name`` and reused while
-    ``key`` repeats; a build that raises is not kept."""
+def _kept(name: str, key: tuple, build):
+    """``build()``, an array or a tuple of arrays, read-only, kept in the one
+    slot ``name`` and reused while ``key`` repeats; a build that raises is not
+    kept."""
     slot = _slots.get(name)
     if slot is None or slot[0] != key:
         value = build()
-        value.flags.writeable = False
+        for array in value if isinstance(value, tuple) else (value,):
+            array.flags.writeable = False
         slot = _slots[name] = (key, value)
     return slot[1]
 
@@ -756,16 +765,18 @@ def distributed_estimate(
 @dataclass
 class _PendingRows:
     """What the rows of an exhaustive table are measured from: the F feasible
-    candidates (m, n, d), stacked m-major, then n, then d, with their
-    certified impedance pairs, their noise and the channels their antennas
-    share.  Calling it with row indices measures those candidates.
+    candidates (m, n, d), stacked m-major, then n, then d, the impedance
+    table their pairs are gathered from, their noise and the channels their
+    antennas share.  Calling it with row indices measures those candidates;
+    only then are their impedance pairs gathered (``_candidate_pairs``).
 
     The noise is the post-correlation noise of each measurement, K complex
     values of variance ``sigma_eff2`` (``exhaustive_baseline``), so the block
     holds F 2 K floats whatever tau is."""
 
     index: tuple[np.ndarray, np.ndarray, np.ndarray]  # (mi, ni, di), each (F,)
-    z: np.ndarray  # (F, P) impedances of each candidate's spacing pairs
+    z_table: np.ndarray  # (M, N+1, D) lattice-to-anchor impedances, 0 below d_min
+    z_parked: np.ndarray  # (M, P) impedances of the parked spacing pairs
     model: DipoleModel
     spec: MultipathSpec
     lam: float
@@ -777,19 +788,81 @@ class _PendingRows:
     tau: int
 
     def __len__(self) -> int:
-        return len(self.z)
+        return len(self.index[0])
 
     def __call__(self, rows: np.ndarray) -> np.ndarray:
         """Measurements (len(rows), K) of the candidates ``rows``: antenna m's
         parked channels with coupler n's replaced by lattice point d's, the
         weights of its impedance block, and its own noise."""
         mi, ni, di = (i[rows] for i in self.index)
-        w = mech_weights(assemble_block(self.z[rows], self.model))[0]
+        z = _candidate_pairs(self.z_table, self.z_parked, mi, ni, di)
+        w = mech_weights(assemble_block(z, self.model))[0]
         h_c = self.h_parked[mi]  # (R, K, N)
         h_c[np.arange(len(rows)), :, ni] = coupler_channel_block(
             self.spec, self.lattice[mi, di][:, None], self.lam)[..., 0]
         return _correlate_noisy(_column(self.h_active.T[mi], h_c, w), self.noise[rows], self.S,
                                 self.tau)
+
+
+@functools.lru_cache(maxsize=None)
+def _moved_pairs(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """For coupler n (row n) and spacing pair p of [q_m, p_1..p_N], in
+    ``pair_tables`` order: the anchor at the pair's other end and whether the
+    pair touches coupler n, both (N, P), read-only and formed once per N."""
+    a, b = pair_tables(N).a, pair_tables(N).b
+    row = np.arange(1, N + 1)[:, None]  # coupler n's anchor row
+    other, touched = np.where(a == row, b, a), (a == row) | (b == row)
+    other.flags.writeable = touched.flags.writeable = False
+    return other, touched
+
+
+def _candidate_pairs(z_table: np.ndarray, z_parked: np.ndarray, mi, ni, di) -> np.ndarray:
+    """Impedances (R, P) of the spacing pairs of candidates (mi, ni, di):
+    antenna m's parked pairs (``z_parked``, (M, P)) with the pairs of coupler
+    n replaced by lattice point d's to the other anchors (``z_table``,
+    (M, N+1, D))."""
+    other, touched = _moved_pairs(z_table.shape[1] - 1)
+    return np.where(touched[ni], z_table[mi[:, None], other[ni], di[:, None]], z_parked[mi])
+
+
+def _coupler_norms(z_table: np.ndarray, z_parked: np.ndarray) -> np.ndarray:
+    """Frobenius norms (M, N, D) of the couplers' off-diagonal impedances E
+    of every candidate (m, n, d): the coupler pairs of ``_candidate_pairs``,
+    each on both sides of the diagonal, formed without gathering the pairs."""
+    N = z_table.shape[1] - 1
+    other, touched = (x[:, N:] for x in _moved_pairs(N))  # the coupler pairs
+    sq_table = z_table.real ** 2 + z_table.imag ** 2  # (M, N+1, D)
+    sq_parked = z_parked[:, N:].real ** 2 + z_parked[:, N:].imag ** 2  # (M, P - N)
+    moved = np.sum(np.where(touched[..., None], sq_table[:, other], 0.0), axis=2)
+    kept = np.sum(np.where(touched, 0.0, sq_parked[:, None]), axis=-1)  # (M, N)
+    return np.sqrt(2.0 * (moved + kept[..., None]))
+
+
+def _lattice(layout: ArrayLayout, model: DipoleModel, D: int):
+    """The candidate lattice (M, D, 2), its distances (M, D) to the active
+    elements and the impedances of those at or above d_min (zero below), all
+    read-only.  They depend on no trial, so they are kept (``_kept``) on the
+    layout, model and D; a build that raises TooClose is not kept.
+
+    Lattice point d = i * side + j of antenna m sits at column j, row i of
+    its region."""
+
+    def build():
+        side = math.isqrt(D)
+        q = layout.active_positions()
+        lo, hi = q - 0.5 * layout.region_side_m, q + 0.5 * layout.region_side_m
+        ticks = lo[:, None] + (np.arange(side)[:, None] + 0.5) * (hi - lo)[:, None] / side
+        lattice = np.empty((layout.M, side, side, 2))
+        lattice[..., 0] = ticks[:, None, :, 0]
+        lattice[..., 1] = ticks[:, :, None, 1]
+        lattice = lattice.reshape(layout.M, D, 2)
+        dist = anchor_distances(lattice, q[:, None])[:, 0]
+        clear = dist >= layout.min_sep_m
+        z = np.zeros(dist.shape, dtype=complex)
+        z[clear] = mutual_impedance(dist[clear], model)
+        return lattice, dist, z
+
+    return _kept("lattice", (layout, model, D), build)
 
 
 def _correlate_noisy(g: np.ndarray, noise: np.ndarray, S: np.ndarray, tau: int) -> np.ndarray:
@@ -924,17 +997,23 @@ def exhaustive_baseline(
     point d's.  Its impedances are its antenna's parked ones with the pairs of
     coupler n replaced by point d's distances to the other anchors of
     [q_m, p_1..p_N]: one (M, N+1, D) table of lattice-to-anchor distances
-    gives the feasibility mask (``clear_moves``) and, with the parked pairs,
-    every distance of one ``mutual_impedance`` call.
+    gives the feasibility mask (``clear_moves``) and their impedances.  Its
+    active row, with the lattice, is the kept lattice half (``_lattice``), so
+    a trial sends ``mutual_impedance`` only the M N D distances to the parked
+    couplers and the parked pairs.
 
     Everything that can raise or that draws noise runs here: the distance
-    table and its impedances (TooClose), one impedance assembly of the
-    feasible candidates, stacked m-major, then n, then d, with every
-    candidate's coupling-system certificate (``system_condition``,
-    SingularSystem), the parked measurement and one noise draw for it and
-    all candidates, in the order they would be measured one after another.
-    Each candidate's weights solve, lattice-point channels, column step and
-    pilot correlation run when its row of the result is first read.
+    table and its impedances (TooClose), every feasible candidate's
+    coupling-system certificate (SingularSystem), the parked measurement and
+    one noise draw for it and all candidates, stacked m-major, then n, then
+    d, in the order they would be measured one after another.  A candidate's
+    system is a I + E with a = z_self + z_load, and E its coupler pairs'
+    impedances; Weyl's bound from ||E||_F (``shift_certified``) certifies
+    it without assembly, and only the candidates it leaves open are
+    assembled for ``system_condition``, whose exact SVD still decides.  Each
+    candidate's impedance pairs, weights solve, lattice-point channels,
+    column step and pilot correlation run when its row of the result is
+    first read.
 
     A measurement is the pilot correlation (1/tau) (g S + n) S^H of white
     noise n ~ CN(0, sigma^2 I_tau).  Its noise term n S^H / tau is drawn
@@ -949,36 +1028,29 @@ def exhaustive_baseline(
         raise ConfigError(f"must be a positive perfect square, got {D}", field="D")
     M, N = layout.M, layout.N
     parked = session.placements[0]
+    candidates, to_active, z_active = _lattice(layout, model, D)
 
-    # lattice point d = i * side + j of antenna m: column j, row i of its region
-    q = layout.active_positions()
-    lo, hi = q - 0.5 * layout.region_side_m, q + 0.5 * layout.region_side_m
-    ticks = lo[:, None] + (np.arange(side)[:, None] + 0.5) * (hi - lo)[:, None] / side
-    candidates = np.empty((M, side, side, 2))
-    candidates[..., 0] = ticks[:, None, :, 0]
-    candidates[..., 1] = ticks[:, :, None, 1]
-    candidates = candidates.reshape(M, D, 2)
-
-    # distances of every lattice point to [q_m, p_1..p_N] and of the parked
-    # pairs; the impedances of those at or above d_min
+    # distances of every lattice point to the parked couplers and of the
+    # parked pairs; the impedances of those at or above d_min
     P0 = parked.positions
-    dist = anchor_distances(candidates, np.concatenate([q[:, None], P0], axis=1))
-    feasible = clear_moves(dist, np.arange(N), layout.min_sep_m)  # (M, N, D)
-    clear = dist >= layout.min_sep_m
-    z = mutual_impedance(np.concatenate([dist[clear], constraint_margins(P0, layout)[1].ravel()]),
-                         model)
+    to_parked = anchor_distances(candidates, P0)  # (M, N, D)
+    feasible = clear_moves(np.concatenate([to_active[:, None], to_parked], axis=1),
+                           np.arange(N), layout.min_sep_m)  # (M, N, D)
+    clear = to_parked >= layout.min_sep_m
+    z = mutual_impedance(np.concatenate([to_parked[clear],
+                                         constraint_margins(P0, layout)[1].ravel()]), model)
     n_clear = np.count_nonzero(clear)
-    z_lattice = np.zeros(dist.shape, dtype=complex)
-    z_lattice[clear], z_parked = z[:n_clear], z[n_clear:].reshape(M, -1)  # (M, P)
+    z_table = np.zeros((M, N + 1, D), dtype=complex)
+    z_table[:, 0] = z_active
+    z_table[:, 1:][clear], z_parked = z[:n_clear], z[n_clear:].reshape(M, -1)  # (M, P)
 
-    # feasible candidates (m, n, d), stacked m-major, then n, then d: antenna
-    # m's parked impedances with coupler n's replaced by point d's
+    # feasible candidates (m, n, d), stacked m-major, then n, then d; the
+    # coupling systems Weyl's bound leaves open are assembled and certified
     mi, ni, di = np.nonzero(feasible)
-    a, b = pair_tables(N).a, pair_tables(N).b
-    row = np.arange(1, N + 1)[:, None]  # coupler n's anchor row
-    other, touched = np.where(a == row, b, a), (a == row) | (b == row)  # (N, P)
-    z_rows = np.where(touched[ni], z_lattice[mi[:, None], other[ni], di[:, None]], z_parked[mi])
-    system_condition(assemble_block(z_rows, model))
+    a = model.self_impedance + model.load_impedance
+    uncertified = np.nonzero(feasible & ~shift_certified(a, _coupler_norms(z_table, z_parked)))
+    if len(uncertified[0]):
+        system_condition(assemble_block(_candidate_pairs(z_table, z_parked, *uncertified), model))
 
     # the parked measurement's correlated noise first, then the candidates'
     noise = np.random.default_rng([session.seed, 3]).standard_normal((M + len(mi), 2, session.K))
@@ -993,8 +1065,8 @@ def exhaustive_baseline(
         "baseline_measurements_per_user_per_block": M,
         "lattice_side": side,
     }
-    pending = _PendingRows(index=(mi, ni, di), z=z_rows, model=model, spec=spec, lam=layout.lam,
-                           lattice=candidates, h_active=h_active, h_parked=h_parked,
-                           noise=noise[M:], S=session.S, tau=session.tau)
+    pending = _PendingRows(index=(mi, ni, di), z_table=z_table, z_parked=z_parked, model=model,
+                           spec=spec, lam=layout.lam, lattice=candidates, h_active=h_active,
+                           h_parked=h_parked, noise=noise[M:], S=session.S, tau=session.tau)
     return ExhaustiveResult(scheme="exhaustive", candidates=candidates, feasible=feasible,
                             base=base, parked=parked, ledger=ledger, pending=pending)

@@ -71,6 +71,20 @@ def system_condition(block: ImpedanceBlock) -> np.ndarray:
     return _condition_bound(block.system, None, COND_LIMIT, SingularSystem, "coupling system")
 
 
+def shift_certified(a: complex, e: np.ndarray) -> np.ndarray:
+    """Mask of the coupling systems A = a I + E, given e = ||E||_F, that pass
+    ``system_condition``'s gate without being formed.  By Weyl's perturbation
+    bound for singular values (Horn & Johnson, Matrix Analysis, 2nd ed.,
+    Cor. 7.3.5) each sigma_i(A) lies within ||E||_2 <= e of |a|, so
+    cond_2(A) <= (|a| + e) / (|a| - e) where e < |a|.  That bound is gated as
+    ``_condition_bound`` gates its own, two decades below ``COND_LIMIT``; an
+    entry that misses (a non-finite one included) is left to
+    ``system_condition``."""
+    r = abs(a)
+    with np.errstate(all="ignore"):  # e >= |a| or a non-finite entry misses
+        return (e < r) & _within((r + e) / (r - e), COND_LIMIT)
+
+
 def _certified_solve(A: np.ndarray, rhs, limit: float, error: type, what: str):
     """Solve A X = rhs for matrices A (..., n, n) and ``rhs`` (..., n, r), or
     form X = A^-1 when ``rhs`` is None, in one LAPACK call.  Returns (X, cond)
@@ -129,10 +143,15 @@ def _condition_bound(A: np.ndarray, inverse, limit: float, error: type, what: st
             cond = np.asarray(_frobenius(A) ** 2 / np.abs(det))
         else:
             cond = np.asarray(_frobenius(A) * _frobenius(inverse))
-    miss = ~(cond <= 1e-2 * limit)
+    miss = ~_within(cond, limit)
     if miss.any():
         cond[miss] = _exact_cond(A[miss], limit, error, what)
     return cond
+
+
+def _within(cond, limit: float):
+    """The gate of a condition bound: two decades below ``limit``."""
+    return cond <= 1e-2 * limit
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:

@@ -6,7 +6,11 @@ parked measurement from its own ``true_effective`` call.  The tests compare
 
 ``predict`` is the frozen predictor from before the nearest candidate was
 found on the lattice's rows and columns: it forms the full (..., M, N, D)
-squared-distance cube and takes the first feasible minimum."""
+squared-distance cube and takes the first feasible minimum.
+
+``certify`` is the coupling-system certificate as it was before Weyl's
+bound screened the candidates: ``system_condition`` on the impedance blocks
+of all feasible candidates, each built from its own positions."""
 
 import numpy as np
 
@@ -14,7 +18,7 @@ from fcarray.chanest import pilot_correlate, true_effective
 from fcarray.channel import active_channel_matrix
 from fcarray.geometry import single_coupler_moves
 from fcarray.impedance import build_block
-from fcarray.precoding import effective_column, mech_weights
+from fcarray.precoding import effective_column, mech_weights, system_condition
 
 
 def exhaustive_baseline(session, spec, layout, model, D=400) -> dict:
@@ -24,14 +28,7 @@ def exhaustive_baseline(session, spec, layout, model, D=400) -> dict:
     parked = session.placements[0]
     rng = np.random.default_rng([session.seed, 3])
 
-    candidates = np.zeros((M, D_actual, 2))
-    for m in range(M):
-        lo, hi = layout.region_bounds(m)
-        xs = lo[0] + (np.arange(side) + 0.5) * (hi[0] - lo[0]) / side
-        ys = lo[1] + (np.arange(side) + 0.5) * (hi[1] - lo[1]) / side
-        xx, yy = np.meshgrid(xs, ys)
-        candidates[m] = np.column_stack([xx.ravel(), yy.ravel()])
-
+    candidates = lattice(layout, side)
     h_active = active_channel_matrix(spec, layout)
     sigma = np.sqrt(session.sigma_eff2 / 2.0)
 
@@ -60,6 +57,35 @@ def exhaustive_baseline(session, spec, layout, model, D=400) -> dict:
     }
     return {"candidates": candidates, "feasible": feasible, "table": table, "base": base,
             "ledger": ledger}
+
+
+def lattice(layout, side) -> np.ndarray:
+    """The (M, side**2, 2) candidate points of every antenna's region."""
+    candidates = np.zeros((layout.M, side * side, 2))
+    for m in range(layout.M):
+        lo, hi = layout.region_bounds(m)
+        xs = lo[0] + (np.arange(side) + 0.5) * (hi[0] - lo[0]) / side
+        ys = lo[1] + (np.arange(side) + 0.5) * (hi[1] - lo[1]) / side
+        xx, yy = np.meshgrid(xs, ys)
+        candidates[m] = np.column_stack([xx.ravel(), yy.ravel()])
+    return candidates
+
+
+def certify(session, layout, model, D=400) -> None:
+    """``system_condition`` on one block of every feasible candidate's
+    positions (parked couplers, one moved to a lattice point); raises
+    SingularSystem where that certificate fails."""
+    side = max(int(round(np.sqrt(D))), 1)
+    candidates = lattice(layout, side)
+    parked = session.placements[0].positions
+    q = layout.active_positions()
+    moved, anchors = [], []
+    for m in range(layout.M):
+        ok, P = single_coupler_moves(parked[m], m, np.arange(layout.N), candidates[m], layout)
+        moved.append(P[ok])
+        anchors.append(np.repeat(q[m][None], np.count_nonzero(ok), axis=0))
+    if sum(len(P) for P in moved):
+        system_condition(build_block(np.concatenate(moved), np.concatenate(anchors), model))
 
 
 def predict(res, P) -> np.ndarray:

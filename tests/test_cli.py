@@ -477,3 +477,30 @@ def test_estimate_with_fuzzed_estimation_overrides_exits_cleanly(overrides):
             "estimation.tau=4", "estimation.G=8", "estimation.L=2", "estimation.D=4",
             "estimation.test_placements=2"]
     assert_exits_cleanly("estimate", base + [f"{path}={value}" for path, value in overrides])
+
+
+# Raw --set values for layout.*: small array shapes and regions, so every
+# valid run stays tiny, then the JSON and non-JSON oddities.
+LAYOUT_OVERRIDES = st.one_of(
+    st.tuples(st.sampled_from(["layout.M", "layout.N"]), st.integers(-1, 3).map(str)),
+    st.tuples(st.sampled_from(["layout.A", "layout.d_y"]), st.floats(0.2, 3.0).map(repr)),
+    st.tuples(st.just("layout.d_min"), st.floats(0.02, 0.6).map(repr)),
+    st.tuples(st.just("layout.f_c"), st.sampled_from(["1e9", "7e9", "2.8e10", "0", "-7e9"])),
+    st.tuples(st.sampled_from(["layout.M", "layout.N", "layout.A", "layout.d_min",
+                               "layout.f_c", "layout.bogus"]),
+              st.sampled_from(["NaN", "Infinity", "1e400", "true", "null", "[]", '"2"', "",
+                               "foo"])),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(overrides=st.lists(LAYOUT_OVERRIDES, min_size=1, max_size=3))
+def test_exhaustive_estimate_with_fuzzed_layout_overrides_exits_cleanly(overrides):
+    """In-process ``fcarray estimate`` of the exhaustive scheme under
+    arbitrary ``layout.*`` overrides exits 0, 2 or 3 and lets no exception
+    escape; most examples hand the kept lattice slot a new layout."""
+    base = ["layout.M=2", "layout.N=1", "channel.K=2", "seeds.count=1", "estimation.V=2",
+            "estimation.tau=4", "estimation.G=8", "estimation.L=2", "estimation.D=9",
+            "estimation.test_placements=2", 'estimation.schemes=["exhaustive"]']
+    assert_exits_cleanly("estimate", base + [f"{path}={value}" for path, value in overrides])

@@ -1,12 +1,16 @@
 """The exhaustive measurement baseline: bit-identical to the frozen
 per-(antenna, coupler) version in ``exhaustive_reference``, each lattice
-point and parked coupler steered once, each distinct lattice-to-anchor
-distance's impedance computed once, and all candidates in one impedance
-assembly.  Its predictions equal the frozen full-search predictor's, ties
-and infeasible nearest points included, whether the rows they read were
-measured on the read or with the whole table; the checks that can raise
-run before any row is read.  The noise drawn after the pilot correlation has
-the moments of the correlated time-domain noise it stands for."""
+point and parked coupler steered once, and each trial's impedances only
+those of the distances to the parked couplers and the parked pairs: the
+lattice half is kept per (layout, model, D), rebuilt as a fresh process
+builds it and not kept when its build raises.  Weyl's bound certifies the
+coupling systems without assembly and the baseline raises SingularSystem
+exactly where certifying every candidate does.  Its predictions equal the
+frozen full-search predictor's, ties and infeasible nearest points
+included, whether the rows they read were measured on the read or with the
+whole table; the checks that can raise run before any row is read.  The
+noise drawn after the pilot correlation has the moments of the correlated
+time-domain noise it stands for."""
 
 import itertools
 
@@ -16,8 +20,8 @@ import pytest
 from fcarray import ArrayLayout, DipoleModel, chanest, channel, sample_channels
 from fcarray import impedance as impedance_module
 from fcarray.chanest import exhaustive_baseline, make_session, nmse, pilot_correlate
-from fcarray.errors import ConfigError, SingularSystem
-from fcarray.geometry import random_feasible_placement
+from fcarray.errors import ConfigError, SingularSystem, TooClose
+from fcarray.geometry import anchor_distances, random_feasible_placement
 from fcarray.impedance import build_block
 from fcarray.precoding import mech_weights
 
@@ -59,6 +63,11 @@ def test_matches_the_reference_at_tau_equal_to_K(shape):
 
 @pytest.mark.parametrize("shape", [(4, 2), (2, 3)])
 def test_steers_each_lattice_point_once(shape, monkeypatch):
+    """Each lattice point and parked coupler is steered once.  A second call
+    on the same (layout, model, D) reads the kept lattice half and sends
+    ``mutual_impedance`` only the distances to the parked couplers and the
+    parked pairs; on the default model Weyl's bound certifies every
+    candidate, so none is assembled before a row is read."""
     steered, distances, assembled = [], [], []
     kernel, impedance, assemble = (channel.steering_coupler_block, chanest.mutual_impedance,
                                    chanest.assemble_block)
@@ -77,23 +86,81 @@ def test_steers_each_lattice_point_once(shape, monkeypatch):
 
     for mod in (channel, chanest):
         monkeypatch.setattr(mod, "steering_coupler_block", count_steering)
-    for mod in (impedance_module, chanest):
-        monkeypatch.setattr(mod, "mutual_impedance", count_distances)
+    monkeypatch.setattr(chanest, "mutual_impedance", count_distances)
     monkeypatch.setattr(chanest, "assemble_block", count_assembly)
+    monkeypatch.delitem(chanest._slots, "lattice", raising=False)  # as in a fresh process
     lay, model, spec, session = case(*shape, K=2, tau=5, sigma2=0.3)
     D = 400
-    res = exhaustive_baseline(session, spec, lay, model, D=D)
     M, N = shape
-    P = N * (N - 1) // 2  # coupler pairs; with the N active pairs, one block's row
+    pairs = N * (N + 1) // 2  # spacing pairs of [q_m, p_1..p_N]
+    first = exhaustive_baseline(session, spec, lay, model, D=D)
     assert sum(steered) <= M * D + M * N
-    # one lattice-to-anchor table: each distinct distance's impedance once,
-    # next to the parked pairs (and the parked weights' own block)
-    for d in distances:
-        assert d.size <= M * (N + 1) * D + M * (N + P)
-        assert d.min() >= lay.min_sep_m
-    assert sum(d.size for d in distances) <= M * (N + 1) * D + 2 * M * (N + P)
-    # all feasible candidates in one assembly
-    assert assembled == [res.feasible.sum()]
+    assert assembled == []
+    # the kept half: the lattice-to-active distances, at most M D
+    assert len(distances) == 2 and distances[0].size <= M * D
+    steered.clear(), distances.clear()
+    res = exhaustive_baseline(session, spec, lay, model, D=D)
+    assert sum(steered) <= M * D + M * N
+    assert assembled == []
+    (d,) = distances
+    to_parked = anchor_distances(res.candidates, res.parked.positions)
+    assert d.size == np.count_nonzero(to_parked >= lay.min_sep_m) + M * pairs
+    assert d.size <= M * N * D + M * pairs
+    assert d.min() >= lay.min_sep_m
+    # reading a whole table assembles its feasible candidates in one call
+    assert np.array_equal(res.table, first.table)
+    assert assembled == [res.feasible.sum()] * 2
+
+
+def kept_lattice():
+    """The lattice slot's key and arrays."""
+    return chanest._slots["lattice"]
+
+
+def assert_bit_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_a_changed_lattice_key_rebuilds_the_slot_as_a_fresh_process(monkeypatch):
+    """A changed D, model or layout rebuilds the kept lattice half; the slot
+    and the result equal those of a process that never built a slot."""
+    lay, model, spec, session = case(2, 2, K=2, tau=5, sigma2=0.3)
+    wide = ArrayLayout(M=2, N=2, region_side=1.5, d_min=0.2)
+    steps = [(lay, model, spec, session, 25), (lay, model, spec, session, 16),
+             (lay, DipoleModel.for_layout(lay, load_impedance=1.0 + 30.0j), spec, session, 16),
+             (wide, DipoleModel.for_layout(wide), spec,
+              make_session(wide, K=2, tau=5, V=1, sigma2=0.3, seed=3), 16),
+             (lay, model, spec, session, 25)]
+    for lay, model, spec, session, D in steps:
+        res = exhaustive_baseline(session, spec, lay, model, D=D)
+        key, arrays = kept_lattice()
+        assert key == (lay, model, D)
+        monkeypatch.delitem(chanest._slots, "lattice")  # as in a fresh process
+        fresh = exhaustive_baseline(session, spec, lay, model, D=D)
+        assert kept_lattice()[1] is not arrays
+        for got, want in zip(arrays, kept_lattice()[1]):
+            assert_bit_equal(got, want)
+        for name in ("candidates", "feasible", "table", "base"):
+            assert_bit_equal(getattr(res, name), getattr(fresh, name))
+
+
+def test_a_lattice_build_that_raises_is_not_kept():
+    """A model whose guard exceeds a lattice-to-active distance fails the
+    lattice build with TooClose; the slot keeps the last good build, and the
+    next call raises again."""
+    lay, model, spec, session = case(2, 2, K=2, tau=5, sigma2=0.3)
+    exhaustive_baseline(session, spec, lay, model, D=25)
+    good = kept_lattice()
+    to_active = good[1][1]
+    nearest = to_active[to_active >= lay.min_sep_m].min()  # the lattice's closest clear point
+    strict = DipoleModel.for_layout(lay, min_separation=1.01 * nearest)
+    for _ in range(2):
+        with pytest.raises(TooClose):
+            exhaustive_baseline(session, spec, lay, strict, D=25)
+        assert kept_lattice() is good
+    exhaustive_baseline(session, spec, lay, model, D=25)
+    assert kept_lattice() is good
 
 
 def full_search(res, P):
@@ -255,6 +322,85 @@ def test_an_unread_singular_candidate_raises_in_the_baseline(N):
     mech_weights(build_block(res.parked.positions, lay.active_positions(), bad))
     with pytest.raises(SingularSystem):
         exhaustive_baseline(session, spec, lay, bad, D=25)
+
+
+def singular_load(lay, model, res, i, shift=0.0):
+    """The load impedance that cancels an eigenvalue of the couplers' mutual
+    impedances of feasible candidate i of ``res``, moved off by ``shift``
+    (relative to that eigenvalue)."""
+    m, n, d = (idx[i] for idx in np.nonzero(res.feasible))
+    moved = res.parked.positions[m].copy()
+    moved[n] = res.candidates[m, d]
+    Z_hat = build_block(moved, lay.active_positions()[m], model).Z_hat
+    lam = np.linalg.eigvals(Z_hat - model.self_impedance * np.eye(lay.N))[0]
+    return -lam - model.self_impedance + shift * abs(lam)
+
+
+def farthest(res):
+    """Index of the feasible candidate farthest from the other parked couplers
+    of its antenna, whose coupling system the parked pairs dominate."""
+    m, n, d = np.nonzero(res.feasible)
+    dist = anchor_distances(res.candidates, res.parked.positions)[m, :, d]  # (F, N)
+    return np.argmax(np.where(np.arange(dist.shape[1]) != n[:, None], dist, np.inf).min(-1))
+
+
+def certificate_cases():
+    """Seeded random layouts (M 1-4, N 1-3, A 0.5-2.5, d_min up to A/4) with
+    the default load, a load that makes one candidate's coupling system
+    singular (some candidates farthest from the other couplers), and loads
+    near it whose condition numbers straddle
+    ``COND_LIMIT``; then the two resonant cases of
+    ``test_an_unread_singular_candidate_raises_in_the_baseline``."""
+    rng = np.random.default_rng(29)
+    for i in range(48):
+        M, N = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        A = float(rng.uniform(0.5, 2.5))
+        lay = ArrayLayout(M=M, N=N, region_side=A, d_min=float(rng.uniform(0.05, A / 4)))
+        model = DipoleModel.for_layout(lay)
+        session = make_session(lay, K=2, tau=5, V=1, sigma2=0.3, seed=i)
+        spec = sample_channels(i, K=2, L=4, layout=lay)
+        D = int(rng.choice([25, 100]))
+        if i % 3:
+            res = exhaustive_baseline(session, spec, lay, model, D=D)
+            shift = 0.0 if i % 3 == 1 else float(10.0 ** -rng.uniform(6.0, 15.0))
+            pick = farthest(res) if i % 6 == 1 else rng.integers(res.feasible.sum())
+            load = singular_load(lay, model, res, pick, shift)
+            model = DipoleModel.for_layout(lay, load_impedance=load)
+        yield lay, model, spec, session, D
+    for N in (2, 3):
+        lay, model, spec, session = case(2, N, K=2, tau=5, sigma2=0.3)
+        res = exhaustive_baseline(session, spec, lay, model, D=25)
+        bad = DipoleModel.for_layout(lay, load_impedance=singular_load(lay, model, res, -1))
+        yield lay, bad, spec, session, 25
+
+
+def test_the_certificate_raises_where_every_candidate_certified_raises(monkeypatch):
+    """Weyl's bound screens the candidates and only those it leaves open are
+    assembled and certified: ``exhaustive_baseline`` raises SingularSystem
+    exactly where ``system_condition`` on every feasible candidate does."""
+    assembled = []
+    assemble = chanest.assemble_block
+    monkeypatch.setattr(chanest, "assemble_block",
+                        lambda z, model: assembled.append(len(z)) or assemble(z, model))
+    outcomes = []
+    for lay, model, spec, session, D in certificate_cases():
+        assembled.clear()
+        try:
+            ref.certify(session, lay, model, D=D)
+            want = False
+        except SingularSystem:
+            want = True
+        try:
+            exhaustive_baseline(session, spec, lay, model, D=D)
+            got = False
+        except SingularSystem:
+            got = True
+        assert got == want, (lay, model, D)
+        outcomes.append((got, sum(assembled)))
+    # both verdicts, and candidates left open by the bound but certified
+    assert {got for got, _ in outcomes} == {False, True}
+    assert any(not got and opened for got, opened in outcomes)
+    assert all(got for got, _ in outcomes[-2:])
 
 
 @pytest.mark.parametrize("D", [0, 2, 3, 24, 500, 1000])

@@ -4,8 +4,21 @@ one raises ValueError, so no caller can corrupt another's constants."""
 import numpy as np
 import pytest
 
-from fcarray import ArrayLayout, DipoleModel, build_block, make_session, uniform_placement
-from fcarray.chanest import AngularGrid, _slots, local_dictionary
+from fcarray import (
+    ArrayLayout,
+    DipoleModel,
+    build_block,
+    make_session,
+    sample_channels,
+    uniform_placement,
+)
+from fcarray.chanest import (
+    AngularGrid,
+    _moved_pairs,
+    _slots,
+    exhaustive_baseline,
+    local_dictionary,
+)
 from fcarray.geometry import _box_bounds, _box_normals, pair_tables
 from fcarray.precoding import _eye
 
@@ -21,6 +34,8 @@ def shared_arrays():
     for i, arr in enumerate(_box_bounds(lay, 1e-4 * lay.lam)):
         yield f"_box_bounds[{i}]", arr
     yield "_box_normals(4)", _box_normals(4)
+    for i, arr in enumerate(_moved_pairs(3)):
+        yield f"_moved_pairs(3)[{i}]", arr
     yield "_eye(3)", _eye(3)
     yield "_eye(2, complex)", _eye(2, np.dtype(complex))
     yield "ImpedanceBlock.X", block.X
@@ -30,6 +45,14 @@ def shared_arrays():
     for label, m in (("slice(None)", slice(None)), ("[0, 2]", np.array([0, 2]))):
         yield f"local_dictionary(m={label})", local_dictionary(session, m, grid, lay, model)
     yield "kept dictionary cube", _slots["dictionary"][1]
+    # the kept lattice half of the exhaustive baseline, handed out as the
+    # result's candidates
+    spec = sample_channels(0, K=2, L=3, layout=lay)
+    res = exhaustive_baseline(session, spec, lay, model, D=16)
+    for name, arr in zip(("lattice", "distances to the active elements", "their impedances"),
+                         _slots["lattice"][1]):
+        yield f"kept lattice slot: {name}", arr
+    yield "ExhaustiveResult.candidates", res.candidates
 
 
 @pytest.mark.parametrize("name, arr", list(shared_arrays()), ids=lambda x: x
