@@ -834,8 +834,8 @@ def _coupler_norms(z_table: np.ndarray, z_parked: np.ndarray) -> np.ndarray:
     sq_table = z_table.real ** 2 + z_table.imag ** 2  # (M, N+1, D)
     sq_parked = z_parked[:, N:].real ** 2 + z_parked[:, N:].imag ** 2  # (M, P - N)
     moved = np.sum(np.where(touched[..., None], sq_table[:, other], 0.0), axis=2)
-    kept = np.sum(np.where(touched, 0.0, sq_parked[:, None]), axis=-1)  # (M, N)
-    return np.sqrt(2.0 * (moved + kept[..., None]))
+    unmoved = np.sum(np.where(touched, 0.0, sq_parked[:, None]), axis=-1)  # (M, N)
+    return np.sqrt(2.0 * (moved + unmoved[..., None]))
 
 
 def _lattice(layout: ArrayLayout, model: DipoleModel, D: int):
