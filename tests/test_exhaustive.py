@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from fcarray import ArrayLayout, DipoleModel, chanest, channel, sample_channels
-from fcarray import impedance as impedance_module
 from fcarray.chanest import exhaustive_baseline, make_session, nmse, pilot_correlate
 from fcarray.errors import ConfigError, SingularSystem, TooClose
 from fcarray.geometry import anchor_distances, random_feasible_placement
@@ -348,9 +347,8 @@ def certificate_cases():
     """Seeded random layouts (M 1-4, N 1-3, A 0.5-2.5, d_min up to A/4) with
     the default load, a load that makes one candidate's coupling system
     singular (some candidates farthest from the other couplers), and loads
-    near it whose condition numbers straddle
-    ``COND_LIMIT``; then the two resonant cases of
-    ``test_an_unread_singular_candidate_raises_in_the_baseline``."""
+    near it whose condition numbers straddle ``COND_LIMIT``; then the two
+    resonant cases of ``test_an_unread_singular_candidate_raises_in_the_baseline``."""
     rng = np.random.default_rng(29)
     for i in range(48):
         M, N = int(rng.integers(1, 5)), int(rng.integers(1, 4))
