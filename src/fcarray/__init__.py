@@ -63,7 +63,6 @@ from .chanest import (
     exhaustive_baseline,
     fuse_and_select,
     local_proxy,
-    ls_gains,
     make_pilots,
     make_session,
     nmse,

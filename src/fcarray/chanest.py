@@ -39,25 +39,27 @@ impedances to the active elements depend only on the layout, model and D
 and are kept, so a trial computes the distances to the parked couplers and
 their impedances (one ``mutual_impedance`` call).  It certifies every
 feasible candidate's coupling system a I + E by Weyl's bound from ||E||_F
-(``shift_certified``) and assembles only the ones the bound leaves open for
-``system_condition``, then draws all the candidates' noise at once; those
-are the steps that can raise or that set the noise stream.  The noise is
+(``shift_certified``) and solves only the ones the bound leaves open with
+``mech_weights``, then draws all the candidates' noise at once; those are
+the steps that can raise or that set the noise stream.  The noise is
 drawn where a measurement sees it, after the pilot correlation:
 for pilots with S S^H = tau I (``make_pilots``) the correlated noise
 n S^H / tau of white n ~ CN(0, sigma^2 I_tau) is exactly CN(0, sigma^2/tau
-I_K), so each measurement takes K complex normals instead of tau.  A
-candidate's impedance pairs, weights solve, lattice-point steering, column
-step and pilot correlation run when its row of the result is first read, so
-``nmse`` (one row per test placement and coupler) measures a few rows and
-only a read of the whole ``table`` measures them all.
+I_K), so each measurement takes K complex normals instead of tau.  One
+routine (``_measure``) takes a measurement from its channels and its
+impedance pairs: the parked one from the trial's parked pairs, and a
+candidate's when its row of the result is first read, with its impedance
+pairs and lattice-point steering formed then, so ``nmse`` (one row per test
+placement and coupler) measures a few rows and only a read of the whole
+``table`` measures them all.
 
 Every user of a session runs in one pass: the centralized scheme makes one
-``omp`` call and one ``ls_gains`` call on the (K, V M) stack of
-observations, and Algorithm 3 runs its M local units as one bank
-(``LocalEstimator`` over all antennas) and its K users as one batch, so one
-proxy call, one statistics product and one stacked solve cover every unit
-and user, and one fallback top-L call every starved user; only the fusion
-runs per user.  Each row, unit and user carries the bits of its own single
+``omp`` call on the (K, V M) stack of observations, whose last round's
+least squares gives the gains, and Algorithm 3 runs its M local units as
+one bank (``LocalEstimator`` over all antennas) and its K users as one
+batch, so one proxy call, one statistics product and one stacked solve
+cover every unit and user, and one fallback top-L call every starved user;
+only the fusion runs per user.  Each row, unit and user carries the bits of its own single
 call, and one row, unit or user is a batch of one.
 """
 
@@ -104,7 +106,6 @@ from .precoding import (
     effective_column,
     mech_weights,
     shift_certified,
-    system_condition,
 )
 
 DEFAULT_GRID_SIZE = 256
@@ -382,20 +383,15 @@ def _columns(A: np.ndarray, support: np.ndarray) -> np.ndarray:
     return np.swapaxes(A.T[support], -1, -2)
 
 
-def _norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of a complex x (..., n), each with the bits
-    of ``np.linalg.norm`` on the row."""
-    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
-
-
 def omp(Y: np.ndarray, A: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonal matching pursuit with exactly L selections and per-round LS
     refit, for rows Y (K, n) sharing the dictionary A.  Ties in the
     correlation maximum break toward the lowest index.  Returns the (K, L)
-    int supports in selection order and the (K, L+1) residual norms
-    (initial included).  Each round is one correlation, one argmax per row
-    and one stacked QR solve, row k with the bits of its own call; one row
-    is a batch of one.  A dependent support in any row raises
+    int supports in selection order and the (K, L) complex gains, the
+    coefficients of the last round's refit (Tropp & Gilbert, IEEE Trans.
+    Inf. Theory 53(12), 2007).  Each round is one correlation, one argmax per
+    row and one stacked QR solve, row k with the bits of its own call; one
+    row is a batch of one.  A dependent support in any row raises
     RankDeficientSupport."""
     if L > A.shape[1]:
         raise DimensionMismatch(f"L={L} exceeds the dictionary size {A.shape[1]}")
@@ -403,26 +399,13 @@ def omp(Y: np.ndarray, A: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
     A_h = A.conj().T
     rows = np.arange(len(Y))[:, None]
     support = np.zeros((len(Y), L), dtype=int)
-    history = np.empty((len(Y), L + 1))
-    residual = Y
-    history[:, 0] = _norms(residual)
+    gains, residual = np.zeros((len(Y), 0), dtype=complex), Y
     for r in range(L):
         corr = np.abs((A_h @ residual[..., None])[..., 0])  # one product per row
         corr[rows, support[:, :r]] = -1.0  # already selected
         support[:, r] = np.argmax(corr, axis=-1)
-        _, residual = _ls_on_columns(Y, _columns(A, support[:, :r + 1]))
-        history[:, r + 1] = _norms(residual)
-    return support, history
-
-
-def ls_gains(Y: np.ndarray, A: np.ndarray, supports) -> np.ndarray:
-    """Least-squares gains (K, L) of rows Y (K, n) on fixed supports (K, L),
-    one stacked QR solve, row k with the bits of its own call."""
-    Y = np.asarray(Y, dtype=complex, order="C")
-    supports = np.asarray(supports, dtype=int)
-    if not supports.shape[-1]:
-        return np.zeros(supports.shape, dtype=complex)
-    return _ls_on_columns(Y, _columns(A, supports))[0]
+        gains, residual = _ls_on_columns(Y, _columns(A, support[:, :r + 1]))
+    return support, gains
 
 
 # ---------------------------------------------------------------------------
@@ -517,14 +500,13 @@ def centralized_estimate(
     model: DipoleModel,
 ) -> EstimationResult:
     """Stack pilot-correlated observations over antennas and blocks at the
-    central unit, then run OMP (exactly L selections) and LS gains for all
-    users at once: row k of the (K, V M) stack is user k's block-major
-    observation."""
+    central unit, then run OMP (exactly L selections) for all users at once,
+    its last least-squares refit giving the gains: row k of the (K, V M)
+    stack is user k's block-major observation."""
     corr = pilot_correlate(np.asarray(observations), session.S, session.tau)  # (V, M, K)
     y = np.moveaxis(corr, -1, 0).reshape(session.K, -1)
     A = build_dictionary(session, grid, layout, model)
-    supports, _ = omp(y, A, L)
-    gains = ls_gains(y, A, supports)
+    supports, gains = omp(y, A, L)
     ledger = {
         "pilot_uplink_complex": layout.M * session.V * session.tau,
         "pilot_uplink_scalars": 2 * layout.M * session.V * session.tau,
@@ -795,13 +777,12 @@ class _PendingRows:
         parked channels with coupler n's replaced by lattice point d's, the
         weights of its impedance block, and its own noise."""
         mi, ni, di = (i[rows] for i in self.index)
-        z = _candidate_pairs(self.z_table, self.z_parked, mi, ni, di)
-        w = mech_weights(assemble_block(z, self.model))[0]
         h_c = self.h_parked[mi]  # (R, K, N)
         h_c[np.arange(len(rows)), :, ni] = coupler_channel_block(
             self.spec, self.lattice[mi, di][:, None], self.lam)[..., 0]
-        return _correlate_noisy(_column(self.h_active.T[mi], h_c, w), self.noise[rows], self.S,
-                                self.tau)
+        return _measure(self.h_active.T[mi], h_c,
+                        _candidate_pairs(self.z_table, self.z_parked, mi, ni, di), self.model,
+                        self.noise[rows], self.S, self.tau)
 
 
 @functools.lru_cache(maxsize=None)
@@ -865,11 +846,15 @@ def _lattice(layout: ArrayLayout, model: DipoleModel, D: int):
     return _kept("lattice", (layout, model, D), build)
 
 
-def _correlate_noisy(g: np.ndarray, noise: np.ndarray, S: np.ndarray, tau: int) -> np.ndarray:
-    """Pilot-correlated measurements of channels g (..., K): the correlation
-    of the noiseless received block g S, plus the correlated noise (..., 2, K),
-    the real then the imaginary part of each measurement."""
-    y = pilot_correlate(g @ S, S, tau)
+def _measure(h_a: np.ndarray, h_c: np.ndarray, z: np.ndarray, model: DipoleModel,
+             noise: np.ndarray, S: np.ndarray, tau: int) -> np.ndarray:
+    """Pilot-correlated measurements (..., K) of antennas with active channels
+    h_a (..., K), coupler channels h_c (..., K, N) and spacing-pair impedances
+    z (..., P): the effective channel g at the weights of ``assemble_block(z)``,
+    the correlation of the noiseless received block g S, plus the correlated
+    noise (..., 2, K), the real then the imaginary part of each measurement."""
+    w = mech_weights(assemble_block(z, model))[0]
+    y = pilot_correlate(_column(h_a, h_c, w) @ S, S, tau)
     y.real += noise[..., 0, :]
     y.imag += noise[..., 1, :]
     return y
@@ -1000,7 +985,7 @@ def exhaustive_baseline(
     gives the feasibility mask (``clear_moves``) and their impedances.  Its
     active row, with the lattice, is the kept lattice half (``_lattice``), so
     a trial sends ``mutual_impedance`` only the M N D distances to the parked
-    couplers and the parked pairs.
+    couplers and the parked pairs, in one call and no ``build_block`` call.
 
     Everything that can raise or that draws noise runs here: the distance
     table and its impedances (TooClose), every feasible candidate's
@@ -1010,10 +995,11 @@ def exhaustive_baseline(
     system is a I + E with a = z_self + z_load, and E its coupler pairs'
     impedances; Weyl's bound from ||E||_F (``shift_certified``) certifies
     it without assembly, and only the candidates it leaves open are
-    assembled for ``system_condition``, whose exact SVD still decides.  Each
-    candidate's impedance pairs, weights solve, lattice-point channels,
-    column step and pilot correlation run when its row of the result is
-    first read.
+    assembled and solved by ``mech_weights``, whose exact SVD still decides;
+    the weights are dropped.  Every measurement is one ``_measure`` call:
+    the parked one on the parked pairs' impedances, and each candidate's
+    when its row of the result is first read, with its impedance pairs and
+    lattice-point channels formed then.
 
     A measurement is the pilot correlation (1/tau) (g S + n) S^H of white
     noise n ~ CN(0, sigma^2 I_tau).  Its noise term n S^H / tau is drawn
@@ -1050,15 +1036,14 @@ def exhaustive_baseline(
     a = model.self_impedance + model.load_impedance
     uncertified = np.nonzero(feasible & ~shift_certified(a, _coupler_norms(z_table, z_parked)))
     if len(uncertified[0]):
-        system_condition(assemble_block(_candidate_pairs(z_table, z_parked, *uncertified), model))
+        mech_weights(assemble_block(_candidate_pairs(z_table, z_parked, *uncertified), model))
 
     # the parked measurement's correlated noise first, then the candidates'
     noise = np.random.default_rng([session.seed, 3]).standard_normal((M + len(mi), 2, session.K))
     noise *= np.sqrt(session.sigma_eff2 / 2.0)
     h_active = active_channel_matrix(spec, layout)
     h_parked = coupler_channel_block(spec, P0, layout.lam)
-    base = _correlate_noisy(_column(h_active.T, h_parked, _weights(P0, layout, model)),
-                            noise[:M], session.S, session.tau)
+    base = _measure(h_active.T, h_parked, z_parked, model, noise[:M], session.S, session.tau)
 
     ledger = {
         "candidate_measurements_per_user_per_block": M * N * D,

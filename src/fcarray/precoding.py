@@ -54,32 +54,22 @@ def _eye(n: int, dtype=float) -> np.ndarray:
 def mech_weights(block: ImpedanceBlock) -> tuple[np.ndarray, float]:
     """Solve one antenna's coupling system; returns (w, condition bound, see
     ``_certified_solve``).  A batched block gives w (..., N) and one bound per
-    entry; a single ill-conditioned entry fails the whole batch.  At N = 2 the
-    solve is the one-column one and the bound is ||Z||_F**2 / |det Z|, no
-    inverse formed.  At N = 0 the weights are empty and the bound is 0.0, the
-    norm of the empty system."""
+    entry; a single ill-conditioned entry fails the whole batch.  At N = 0 the
+    weights are empty and the bound is 0.0, the norm of the empty system."""
     X, cond = _certified_solve(block.system, block.z_bar[..., None], COND_LIMIT,
                                SingularSystem, "coupling system")
     return X[..., 0], _scalar(cond)
 
 
-def system_condition(block: ImpedanceBlock) -> np.ndarray:
-    """The certificate of ``mech_weights`` without its weights: the condition
-    bound (``_condition_bound``) of each coupling system of a batched block,
-    raising SingularSystem where ``mech_weights`` would.  At N = 2 it solves
-    nothing."""
-    return _condition_bound(block.system, None, COND_LIMIT, SingularSystem, "coupling system")
-
-
 def shift_certified(a: complex, e: np.ndarray) -> np.ndarray:
     """Mask of the coupling systems A = a I + E, given e = ||E||_F, that pass
-    ``system_condition``'s gate without being formed.  By Weyl's perturbation
+    ``mech_weights``'s gate without being formed.  By Weyl's perturbation
     bound for singular values (Horn & Johnson, Matrix Analysis, 2nd ed.,
     Cor. 7.3.5) each sigma_i(A) lies within ||E||_2 <= e of |a|, so
     cond_2(A) <= (|a| + e) / (|a| - e) where e < |a|.  That bound is gated as
     ``_condition_bound`` gates its own, two decades below ``COND_LIMIT``; an
     entry that misses (a non-finite one included) is left to
-    ``system_condition``."""
+    ``mech_weights``."""
     r = abs(a)
     with np.errstate(all="ignore"):  # e >= |a| or a non-finite entry misses
         return (e < r) & _within((r + e) / (r - e), COND_LIMIT)
@@ -88,30 +78,18 @@ def shift_certified(a: complex, e: np.ndarray) -> np.ndarray:
 def _certified_solve(A: np.ndarray, rhs, limit: float, error: type, what: str):
     """Solve A X = rhs for matrices A (..., n, n) and ``rhs`` (..., n, r), or
     form X = A^-1 when ``rhs`` is None, in one LAPACK call.  Returns (X, cond)
-    with cond from ``_condition_bound``.
-
-    With a right-hand side, A^-1 feeds only the bound, so it comes from
-    solving [rhs | I], unless the bound needs no inverse at this n
-    (``_bound_needs_inverse``); the solve then takes ``rhs`` alone."""
+    with cond from ``_condition_bound``.  With a right-hand side, A^-1 feeds
+    only the bound, so it comes from solving [rhs | I]."""
     n = A.shape[-1]
     r = 0 if rhs is None else rhs.shape[-1]
-    by_det = rhs is not None and not _bound_needs_inverse(n)
     if rhs is None:
         b = _eye(n, A.dtype)  # solve broadcasts it over A's batch axes
-    elif by_det:
-        b = rhs
     else:
         b = np.empty(A.shape[:-1] + (r + n,), dtype=np.result_type(rhs, A))
         b[..., :r], b[..., r:] = rhs, _eye(n, A.dtype)
     X = _solve(A, b, limit, error, what)
-    cond = _condition_bound(A, None if by_det else X[..., r:], limit, error, what)
-    return (X[..., :r] if r and not by_det else X), cond
-
-
-def _bound_needs_inverse(n: int) -> bool:
-    """Whether ``_condition_bound`` reads A^-1 for n x n matrices: at n = 2
-    the adjugate has A's entries up to sign and order, so det A serves."""
-    return n != 2
+    cond = _condition_bound(A, X[..., r:], limit, error, what)
+    return (X if rhs is None else X[..., :r]), cond
 
 
 def _solve(A: np.ndarray, b: np.ndarray, limit: float, error: type, what: str) -> np.ndarray:
@@ -125,24 +103,12 @@ def _solve(A: np.ndarray, b: np.ndarray, limit: float, error: type, what: str) -
 
 def _condition_bound(A: np.ndarray, inverse, limit: float, error: type, what: str) -> np.ndarray:
     """cond = ||A||_F ||A^-1||_F, an upper bound on cond_2(A), one per matrix
-    of A (..., n, n), from its ``inverse``.  Without one it is
-    ||A||_F**2 / |det A| with det A = a00 a11 - a01 a10 at n = 2, and at any
-    other n the inverse comes from one solve.  That closed form rounds to a
-    relative error of about 2 eps times the bound, about 1e-6 wherever the
-    bound passes (<= 1e-2 ``limit``, 1e10 for the coupling systems).
-
-    The bound is held to two decades below ``limit`` so rounding in A^-1 or
-    det A cannot pass a bad entry; entries that miss it (non-finite ones
-    included) get the exact SVD value instead, and ``error`` is raised if
-    that exceeds ``limit``."""
-    if inverse is None and _bound_needs_inverse(A.shape[-1]):
-        inverse = _solve(A, _eye(A.shape[-1], A.dtype), limit, error, what)
-    with np.errstate(all="ignore"):  # a zero det or a non-finite or overflowing entry misses
-        if inverse is None:
-            det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
-            cond = np.asarray(_frobenius(A) ** 2 / np.abs(det))
-        else:
-            cond = np.asarray(_frobenius(A) * _frobenius(inverse))
+    of A (..., n, n), from its ``inverse``.  The bound is held to two decades
+    below ``limit`` so rounding in A^-1 cannot pass a bad entry; entries that
+    miss it (non-finite ones included) get the exact SVD value instead, and
+    ``error`` is raised if that exceeds ``limit``."""
+    with np.errstate(all="ignore"):  # a non-finite or overflowing entry misses
+        cond = np.asarray(_frobenius(A) * _frobenius(inverse))
     miss = ~_within(cond, limit)
     if miss.any():
         cond[miss] = _exact_cond(A[miss], limit, error, what)

@@ -9,8 +9,8 @@ found on the lattice's rows and columns: it forms the full (..., M, N, D)
 squared-distance cube and takes the first feasible minimum.
 
 ``certify`` is the coupling-system certificate as it was before Weyl's
-bound screened the candidates: ``system_condition`` on the impedance blocks
-of all feasible candidates, each built from its own positions."""
+bound screened the candidates: ``mech_weights`` on the impedance blocks of
+all feasible candidates, each built from its own positions."""
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from fcarray.chanest import pilot_correlate, true_effective
 from fcarray.channel import active_channel_matrix
 from fcarray.geometry import single_coupler_moves
 from fcarray.impedance import build_block
-from fcarray.precoding import effective_column, mech_weights, system_condition
+from fcarray.precoding import effective_column, mech_weights
 
 
 def exhaustive_baseline(session, spec, layout, model, D=400) -> dict:
@@ -72,7 +72,7 @@ def lattice(layout, side) -> np.ndarray:
 
 
 def certify(session, layout, model, D=400) -> None:
-    """``system_condition`` on one block of every feasible candidate's
+    """``mech_weights`` on one block of every feasible candidate's
     positions (parked couplers, one moved to a lattice point); raises
     SingularSystem where that certificate fails."""
     side = max(int(round(np.sqrt(D))), 1)
@@ -85,7 +85,7 @@ def certify(session, layout, model, D=400) -> None:
         moved.append(P[ok])
         anchors.append(np.repeat(q[m][None], np.count_nonzero(ok), axis=0))
     if sum(len(P) for P in moved):
-        system_condition(build_block(np.concatenate(moved), np.concatenate(anchors), model))
+        mech_weights(build_block(np.concatenate(moved), np.concatenate(anchors), model))
 
 
 def predict(res, P) -> np.ndarray:

@@ -35,14 +35,14 @@ from fcarray import (
     transmit_power,
     uniform_placement,
 )
-from fcarray.chanest import build_dictionary, centralized_estimate, ls_gains, pilot_correlate
+from fcarray.chanest import build_dictionary, centralized_estimate, pilot_correlate
 from fcarray.geometry import random_feasible_placement
 from fcarray.optimizer import ObjectiveEvaluator, gradient, screened_initial_placement
 from fcarray.precoding import fc_state
 from fcarray.scenario import Scenario
 from fcarray.sweeps import _streams
 
-from chanest_reference import stack_observations
+from chanest_reference import ls_gains, stack_observations
 from test_chanest import on_grid_spec
 from test_impedance import ci_oracle, emf_oracle, si_oracle
 

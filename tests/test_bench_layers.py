@@ -80,3 +80,35 @@ def test_tracer_hooks_read_every_traced_layer():
     assert counts["optimizer.iterations"] >= 1
     assert counts["chanest.exhaustive.candidates_total"] == lay.M * lay.N * 9
     assert counts["chanest.ExhaustiveResult.predict.calls"] == 1
+
+
+def test_tracer_reads_the_one_solve_paths(monkeypatch):
+    """``_omp_counts`` unpacks ``omp``'s (supports, gains), so
+    ``chanest.omp.selections`` adds the K users of the one stacked call.  An
+    exhaustive trial on a kept lattice half makes one ``build_block`` call,
+    for ``nmse``'s ground truth, and two ``mutual_impedance`` calls: the
+    trial's distances to the parked couplers and pairs, and that block's."""
+    lay = ArrayLayout(M=2, N=2)
+    model = DipoleModel.for_layout(lay)
+    spec = sample_channels(0, 2, 3, lay)
+    session = chanest.make_session(lay, 2, 4, 2, 0.05, seed=1)
+    tests = [random_feasible_placement(lay, np.random.default_rng(2))]
+    obs = chanest.run_pilot_phase(session, spec, lay, model)
+    chanest.exhaustive_baseline(session, spec, lay, model, D=9)  # keeps the lattice half
+    for slot in ("weights", "truth"):  # each trial queries new test placements
+        monkeypatch.delitem(chanest._slots, slot, raising=False)
+
+    tracer = spans.Tracer(time.perf_counter)
+    with tracer.installed():
+        chanest.centralized_estimate(session, obs, 2, chanest.AngularGrid(16), lay, model)
+    counts = tracer.snapshot_counts()
+    assert counts["chanest.omp.calls"] == 1
+    assert counts["chanest.omp.selections"] == session.K
+
+    tracer = spans.Tracer(time.perf_counter)
+    with tracer.installed():
+        chanest.nmse(chanest.exhaustive_baseline(session, spec, lay, model, D=9), spec, tests,
+                     lay, model)
+    counts = tracer.snapshot_counts()
+    assert counts["impedance.build_block.calls"] == 1
+    assert counts["impedance.mutual_impedance.calls"] == 2

@@ -18,7 +18,6 @@ from fcarray import (
     exhaustive_baseline,
     fuse_and_select,
     local_proxy,
-    ls_gains,
     make_pilots,
     make_session,
     nmse,
@@ -51,7 +50,7 @@ from fcarray.impedance import build_block
 from fcarray.precoding import mech_weights
 from fcarray.runtime import run_algorithm3
 
-from chanest_reference import stack_observations
+from chanest_reference import ls_gains, stack_observations
 
 
 def on_grid_spec(grid, rng, K, L, min_bin_sep=3, sector_deg=90.0):
@@ -426,17 +425,17 @@ class TestTruthSlot:
 
 def omp_row(y, A, L):
     """``omp`` on one row y (n,), a batch of one, as lists."""
-    support, history = omp(y[None], A, L)
-    return support[0].tolist(), history[0].tolist()
+    support, gains = omp(y[None], A, L)
+    return support[0].tolist(), gains[0].tolist()
 
 
 class TestOMP:
     def test_single_column(self, rng):
         A = rng.standard_normal((16, 32)) + 1j * rng.standard_normal((16, 32))
         y = A[:, 11].copy()
-        support, hist = omp_row(y, A, 1)
+        support, gains = omp_row(y, A, 1)
         assert support == [11]
-        assert hist[-1] < 1e-10
+        assert np.linalg.norm(y - A[:, support] @ gains) < 1e-10
 
     def test_two_paths_vs_brute_force(self, rng):
         # well-separated columns; oracle enumerates all pairs with LS fits
@@ -444,7 +443,7 @@ class TestOMP:
         A = rng.standard_normal((24, G)) + 1j * rng.standard_normal((24, G))
         A /= np.linalg.norm(A, axis=0)
         y = 1.3 * A[:, 5] + (0.8 - 0.6j) * A[:, 40]
-        support, hist = omp_row(y, A, 2)
+        support, _ = omp_row(y, A, 2)
         best_pair, best_res = None, np.inf
         for pair in itertools.combinations(range(G), 2):
             cols = A[:, list(pair)]
@@ -457,15 +456,38 @@ class TestOMP:
     def test_empty_selection(self, rng):
         A = rng.standard_normal((8, 16)).astype(complex)
         y = rng.standard_normal(8).astype(complex)
-        support, hist = omp_row(y, A, 0)
-        assert support == []
-        assert hist == [pytest.approx(np.linalg.norm(y))]
+        support, gains = omp_row(y, A, 0)
+        assert support == [] and gains == []
 
     def test_residuals_nonincreasing(self, rng):
+        # the greedy picks at l selections are a prefix of those at L, so the
+        # residual of each l's gains is the residual after round l
         A = rng.standard_normal((20, 50)) + 1j * rng.standard_normal((20, 50))
         y = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-        _, hist = omp_row(y, A, 8)
+        support, _ = omp_row(y, A, 8)
+        hist = [np.linalg.norm(y)]
+        for l in range(1, 9):
+            prefix, gains = omp_row(y, A, l)
+            assert prefix == support[:l]
+            hist.append(np.linalg.norm(y - A[:, prefix] @ gains))
         assert all(hist[i + 1] <= hist[i] + 1e-12 for i in range(len(hist) - 1))
+
+    def test_exact_recovery(self, rng):
+        A = rng.standard_normal((12, 20)) + 1j * rng.standard_normal((12, 20))
+        y = (2.0 + 3.0j) * A[:, 7]
+        support, gains = omp_row(y, A, 1)
+        assert support == [7]
+        assert gains[0] == pytest.approx(2.0 + 3.0j, abs=1e-10)
+
+    def test_gains_match_the_qr_oracle(self, rng):
+        A = rng.standard_normal((30, 12)) + 1j * rng.standard_normal((30, 12))
+        y = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+        support, gains = omp_row(y, A, 3)
+        ref, *_ = np.linalg.lstsq(A[:, support], y, rcond=None)
+        assert np.allclose(gains, ref, atol=1e-10)
+        # LS residual orthogonal to the selected columns
+        resid = y - A[:, support] @ np.array(gains)
+        assert np.linalg.norm(A[:, support].conj().T @ resid) < 1e-10 * np.linalg.norm(y)
 
     def test_rank_deficient_support(self):
         rng = np.random.default_rng(0)
@@ -492,12 +514,14 @@ class TestOMP:
 
 class TestStackedOMP:
     """Rows y (K, n) sharing a dictionary run as one OMP: each row's support
-    and residual history are the bits of its own call."""
+    and gains are the bits of its own call, and the gains those of the
+    least squares on the support."""
 
     @staticmethod
     def _per_row(Y, A, L):
         runs = [omp_row(y, A, L) for y in Y]
-        return np.array([s for s, _ in runs], dtype=int), np.array([h for _, h in runs])
+        return (np.array([s for s, _ in runs], dtype=int),
+                np.array([g for _, g in runs], dtype=complex).reshape(len(Y), L))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_per_row_calls(self, seed):
@@ -506,20 +530,21 @@ class TestStackedOMP:
         L = int(rng.integers(1, min(n, G, 9) + 1))
         A = rng.standard_normal((n, G)) + 1j * rng.standard_normal((n, G))
         Y = rng.standard_normal((K, n)) + 1j * rng.standard_normal((K, n))
-        support, history = omp(Y, A, L)
-        want_support, want_history = self._per_row(Y, A, L)
-        assert support.shape == (K, L) and history.shape == (K, L + 1)
+        support, gains = omp(Y, A, L)
+        want_support, want_gains = self._per_row(Y, A, L)
+        assert support.shape == (K, L) and gains.shape == (K, L)
         assert np.array_equal(support, want_support)
-        assert np.array_equal(history, want_history)
+        assert np.array_equal(gains, want_gains)
+        assert np.array_equal(gains, ls_gains(Y, A, support))
 
     def test_exact_ties_break_toward_lowest_index(self):
         A = np.eye(6, 8, dtype=complex)
         Y = np.array([[1, 1, 1, 1, 1, 1], [0, 2, 0, 2j, 0, -2]], dtype=complex)
-        support, history = omp(Y, A, 3)
+        support, gains = omp(Y, A, 3)
         assert support.tolist() == [[0, 1, 2], [1, 3, 5]]
-        want_support, want_history = self._per_row(Y, A, 3)
+        want_support, want_gains = self._per_row(Y, A, 3)
         assert np.array_equal(support, want_support)
-        assert np.array_equal(history, want_history)
+        assert np.array_equal(gains, want_gains)
 
     def test_one_dependent_row_raises(self):
         e = np.eye(4, dtype=complex)
@@ -534,9 +559,9 @@ class TestStackedOMP:
     def test_zero_selections(self, rng):
         A = rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16))
         Y = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
-        support, history = omp(Y, A, 0)
+        support, gains = omp(Y, A, 0)
         assert support.shape == (3, 0)
-        assert history.tolist() == [omp_row(y, A, 0)[1] for y in Y]
+        assert gains.shape == (3, 0) and gains.dtype == complex
 
     def test_more_selections_than_atoms(self, rng):
         A = rng.standard_normal((8, 4)).astype(complex)
@@ -563,12 +588,14 @@ class TestOnePass:
         spec = sample_channels(5, K=3, L=3, layout=layout)
         return session, run_pilot_phase(session, spec, layout, model)
 
-    def test_centralized_makes_one_omp_and_one_ls_call(self, est_setup, monkeypatch):
+    def test_centralized_makes_one_omp_call_and_one_ls_per_round(self, est_setup, monkeypatch):
+        # one least-squares refit per OMP round, the last one giving the gains
         layout, model = est_setup
         session, obs = self._inputs(layout, model)
-        omps, solves = count_calls(monkeypatch, "omp", "ls_gains")
-        centralized_estimate(session, obs, 3, AngularGrid(32), layout, model)
-        assert len(omps) == 1 and len(solves) == 1
+        omps, solves = count_calls(monkeypatch, "omp", "_ls_on_columns")
+        L = 3
+        centralized_estimate(session, obs, L, AngularGrid(32), layout, model)
+        assert len(omps) == 1 and len(solves) == L
         assert omps[0][0].shape == (session.K, session.V * layout.M)
 
     def test_algorithm3_makes_one_proxy_and_one_gains_call(self, est_setup, monkeypatch):
@@ -584,6 +611,8 @@ class TestOnePass:
 
 
 class TestLsGains:
+    """The tests' least-squares reference on fixed supports."""
+
     def test_exact_recovery(self, rng):
         A = rng.standard_normal((12, 20)) + 1j * rng.standard_normal((12, 20))
         y = (2.0 + 3.0j) * A[:, 7]

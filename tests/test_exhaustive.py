@@ -66,8 +66,9 @@ def test_steers_each_lattice_point_once(shape, monkeypatch):
     on the same (layout, model, D) reads the kept lattice half and sends
     ``mutual_impedance`` only the distances to the parked couplers and the
     parked pairs; on the default model Weyl's bound certifies every
-    candidate, so none is assembled before a row is read."""
-    steered, distances, assembled = [], [], []
+    candidate, so only the M parked systems are assembled before a row is
+    read, from those impedances: no call builds a block."""
+    steered, distances, assembled, built = [], [], [], []
     kernel, impedance, assemble = (channel.steering_coupler_block, chanest.mutual_impedance,
                                    chanest.assemble_block)
 
@@ -87,6 +88,7 @@ def test_steers_each_lattice_point_once(shape, monkeypatch):
         monkeypatch.setattr(mod, "steering_coupler_block", count_steering)
     monkeypatch.setattr(chanest, "mutual_impedance", count_distances)
     monkeypatch.setattr(chanest, "assemble_block", count_assembly)
+    monkeypatch.setattr(chanest, "build_block", lambda *args: built.append(args))
     monkeypatch.delitem(chanest._slots, "lattice", raising=False)  # as in a fresh process
     lay, model, spec, session = case(*shape, K=2, tau=5, sigma2=0.3)
     D = 400
@@ -94,13 +96,14 @@ def test_steers_each_lattice_point_once(shape, monkeypatch):
     pairs = N * (N + 1) // 2  # spacing pairs of [q_m, p_1..p_N]
     first = exhaustive_baseline(session, spec, lay, model, D=D)
     assert sum(steered) <= M * D + M * N
-    assert assembled == []
+    assert assembled == [M]
     # the kept half: the lattice-to-active distances, at most M D
     assert len(distances) == 2 and distances[0].size <= M * D
-    steered.clear(), distances.clear()
+    steered.clear(), distances.clear(), assembled.clear()
     res = exhaustive_baseline(session, spec, lay, model, D=D)
     assert sum(steered) <= M * D + M * N
-    assert assembled == []
+    assert assembled == [M]
+    assembled.clear()
     (d,) = distances
     to_parked = anchor_distances(res.candidates, res.parked.positions)
     assert d.size == np.count_nonzero(to_parked >= lay.min_sep_m) + M * pairs
@@ -109,6 +112,7 @@ def test_steers_each_lattice_point_once(shape, monkeypatch):
     # reading a whole table assembles its feasible candidates in one call
     assert np.array_equal(res.table, first.table)
     assert assembled == [res.feasible.sum()] * 2
+    assert built == []
 
 
 def kept_lattice():
@@ -375,7 +379,7 @@ def certificate_cases():
 def test_the_certificate_raises_where_every_candidate_certified_raises(monkeypatch):
     """Weyl's bound screens the candidates and only those it leaves open are
     assembled and certified: ``exhaustive_baseline`` raises SingularSystem
-    exactly where ``system_condition`` on every feasible candidate does."""
+    exactly where ``mech_weights`` on every feasible candidate does."""
     assembled = []
     assemble = chanest.assemble_block
     monkeypatch.setattr(chanest, "assemble_block",
@@ -399,6 +403,26 @@ def test_the_certificate_raises_where_every_candidate_certified_raises(monkeypat
     assert {got for got, _ in outcomes} == {False, True}
     assert any(not got and opened for got, opened in outcomes)
     assert all(got for got, _ in outcomes[-2:])
+
+
+def test_the_bound_leaves_candidates_open_that_then_pass(monkeypatch):
+    """Some certificate cases that do not raise leave candidates open to
+    Weyl's bound: more systems are assembled than the M parked ones, which
+    the parked measurement assembles after the certificate."""
+    assembled = []
+    assemble = chanest.assemble_block
+    monkeypatch.setattr(chanest, "assemble_block",
+                        lambda z, model: assembled.append(len(z)) or assemble(z, model))
+    opened = []
+    for lay, model, spec, session, D in certificate_cases():
+        assembled.clear()
+        try:
+            exhaustive_baseline(session, spec, lay, model, D=D)
+        except SingularSystem:
+            continue
+        assert assembled[-1] == lay.M
+        opened.append(sum(assembled[:-1]))
+    assert any(opened)
 
 
 @pytest.mark.parametrize("D", [0, 2, 3, 24, 500, 1000])
