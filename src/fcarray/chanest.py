@@ -97,7 +97,6 @@ from .geometry import (
     constraint_margins,
     pair_tables,
     random_feasible_placement,
-    rejection_placement,
 )
 from .impedance import DipoleModel, assemble_block, build_block, mutual_impedance
 from .precoding import (
@@ -165,40 +164,13 @@ def make_session(
     V: int,
     sigma2: float,
     seed: int,
-    placement_spread: float | None = None,
 ) -> PilotSession:
-    """Draw pilots and V random feasible placements (rejection sampling).
-
-    With ``placement_spread`` (wavelengths) the couplers are drawn in the
-    annulus [1.01 d_min, spread] around each active element instead of
-    uniformly over the box.  Mutual coupling decays fast with distance, so
-    concentrating the training placements in the strong-coupling zone makes
-    the angular dictionary far better conditioned; the recovered angles and
-    gains are global, so reconstruction anywhere in the region is unaffected.
-    """
+    """Draw pilots and V random feasible placements (rejection sampling)."""
     S = make_pilots(K, tau, seed)
     rng = np.random.default_rng([seed, 1])
-    if placement_spread is None:
-        placements = [random_feasible_placement(layout, rng) for _ in range(V)]
-    else:
-        placements = [_annulus_placement(layout, rng, placement_spread)
-                      for _ in range(V)]
+    placements = [random_feasible_placement(layout, rng) for _ in range(V)]
     return PilotSession(S=S, tau=tau, V=V, placements=placements,
                         sigma2=sigma2, seed=seed)
-
-
-def _annulus_placement(layout: ArrayLayout, rng: np.random.Generator,
-                       spread_wl: float, max_tries: int = 50000) -> CouplerPlacement:
-    r_lo = 1.01 * layout.min_sep_m
-    r_hi = max(spread_wl * layout.lam, r_lo)
-    q = layout.active_positions()
-
-    def draw(m):
-        r = rng.uniform(r_lo, r_hi, layout.N)
-        a = rng.uniform(0.0, 2.0 * np.pi, layout.N)
-        return q[m] + np.column_stack([r * np.cos(a), r * np.sin(a)])
-
-    return rejection_placement(layout, draw, max_tries)
 
 
 def simulate_rx(

@@ -500,21 +500,15 @@ def single_coupler_moves(p_m: np.ndarray, m: int, n, points: np.ndarray,
 def random_feasible_placement(
     layout: ArrayLayout, rng: np.random.Generator, max_tries: int = 10000
 ) -> CouplerPlacement:
-    """Rejection-sample a feasible placement: couplers uniform in each region,
-    redrawn per antenna until the draw is feasible (``rejection_placement``)."""
-    bounds = [layout.region_bounds(m) for m in range(layout.M)]
-    return rejection_placement(
-        layout, lambda m: rng.uniform(*bounds[m], size=(layout.N, 2)), max_tries)
-
-
-def rejection_placement(layout: ArrayLayout, draw, max_tries: int) -> CouplerPlacement:
-    """Placement whose antenna m holds the first ``draw(m)`` (N, 2) that is
-    feasible: every box margin >= 0 and every spacing >= d_min.  Antennas
-    draw in index order, each at most ``max_tries`` times."""
+    """Rejection-sample a feasible placement: antenna m holds the first draw
+    of N couplers uniform in its region that keeps every box margin >= 0 and
+    every spacing >= d_min.  Antennas draw in index order, each at most
+    ``max_tries`` times."""
     pos, min_sep = np.zeros((layout.M, layout.N, 2)), layout.min_sep_m
     for m in range(layout.M):
+        lo, hi = layout.region_bounds(m)
         for _ in range(max_tries):
-            pts = draw(m)
+            pts = rng.uniform(lo, hi, size=(layout.N, 2))
             box, dist = constraint_margins(pts[None], layout, [m])
             if (dist >= min_sep).all() and (box >= 0.0).all():
                 pos[m] = pts

@@ -305,10 +305,13 @@ class HeatmapResult:
     trajectory: list[dict]
 
 
-def whitened_gain(spec, placement, layout, model) -> float:
-    """sum_m |g_m|^2 / b_m: the K=1 rate is monotone in this quantity."""
-    state = fc_state(spec, placement, layout, model, P_max=1.0, sigma2=1.0)
-    return float(np.sum(np.abs(state.G[0]) ** 2 / state.B))
+def _whitened_gains(spec, positions, m, layout, model) -> np.ndarray:
+    """|g_m|^2 / b_m of the one user at coupler positions ``positions``
+    (..., N, 2) of antenna m, as ``antenna_chain`` indexes it (``slice(None)``
+    for all M on the last batch axis): the K=1 rate is monotone in their sum."""
+    _, _, cols, b = antenna_chain(coupler_channel_block(spec, positions, layout.lam), positions,
+                                  m, layout, model, active_channel_matrix(spec, layout))
+    return np.abs(cols[..., 0]) ** 2 / b
 
 
 def compute_heatmap(scenario: Scenario, seed: int) -> HeatmapResult:
@@ -326,10 +329,8 @@ def compute_heatmap(scenario: Scenario, seed: int) -> HeatmapResult:
     spec = sample_channels(ch_seed, 1, doc["channel"]["L"], layout)
 
     base = uniform_placement(layout)
-    base_state = fc_state(spec, base, layout, model, P_max=1.0, sigma2=1.0)
     idx_other = [m for m in range(layout.M) if m != a]
-    c0 = float(np.sum(np.abs(base_state.G[0, idx_other]) ** 2
-                      / base_state.B[idx_other]))
+    c0 = float(np.sum(_whitened_gains(spec, base.positions, slice(None), layout, model)[idx_other]))
 
     lo, hi = layout.region_bounds(a)
     xs = np.linspace(lo[0], hi[0], res)
@@ -339,26 +340,18 @@ def compute_heatmap(scenario: Scenario, seed: int) -> HeatmapResult:
     feasible = ok[0].reshape(res, res)
 
     # antenna a's single coupler at every feasible grid point, as one batch
-    P = moved[0][ok[0]]
-    _, _, g_a, b = antenna_chain(coupler_channel_block(spec, P, layout.lam), P, a, layout, model,
-                                 active_channel_matrix(spec, layout))
     gain = np.full((res, res), np.nan)
-    gain[feasible] = 10.0 * np.log10(c0 + np.abs(g_a[:, 0]) ** 2 / b)
+    gain[feasible] = 10.0 * np.log10(c0 + _whitened_gains(spec, moved[0][ok[0]], a, layout, model))
 
     cfg = sca_config_from(scenario)
     cfg.snapshot_placements = True
     sigma2 = scenario.sigma2_rate(1)
     result = optimize(base, cfg, spec, layout, model, scenario.P_max, sigma2)
-    trajectory = []
-    for t, snap in enumerate(result.trace.placements):
-        placement = CouplerPlacement(snap)
-        trajectory.append({
-            "iteration": t,
-            "x": float(snap[a, 0, 0]),
-            "y": float(snap[a, 0, 1]),
-            "gain_db": 10.0 * np.log10(whitened_gain(spec, placement, layout, model)),
-            "rate": result.trace.rates[t],
-        })
+    snaps = np.stack(result.trace.placements)
+    totals = np.sum(_whitened_gains(spec, snaps, slice(None), layout, model), axis=-1)
+    trajectory = [{"iteration": t, "x": float(snap[a, 0, 0]), "y": float(snap[a, 0, 1]),
+                   "gain_db": 10.0 * np.log10(total), "rate": result.trace.rates[t]}
+                  for t, (snap, total) in enumerate(zip(snaps, totals))]
     return HeatmapResult(xs=xs, ys=ys, gain_db=gain, trajectory=trajectory)
 
 

@@ -215,8 +215,7 @@ def test_criterion_07_noiseless_exact_recovery():
 
     Free parameters sit in the scheme's identifiable regime: alias-free
     element spacing d_y = 0.45, G = 14 bins, draws inside |phi| <= 50 deg
-    (away from the endfire blur of a linear array), N = 6 couplers trained
-    in the strong-coupling annulus (spread 0.7 wavelengths)."""
+    (away from the endfire blur of a linear array), N = 6 couplers."""
     lay = ArrayLayout(M=8, N=6, d_y=0.45)
     model = DipoleModel.for_layout(lay)
     grid = AngularGrid(14)
@@ -225,8 +224,7 @@ def test_criterion_07_noiseless_exact_recovery():
     for seed in range(50):
         rng = np.random.default_rng(1000 + seed)
         spec = on_grid_spec(grid, rng, K=2, L=3, min_bin_sep=3, sector_deg=50.0)
-        session = make_session(lay, K=2, tau=13, V=4, sigma2=0.0, seed=seed,
-                               placement_spread=0.7)
+        session = make_session(lay, K=2, tau=13, V=4, sigma2=0.0, seed=seed)
         obs = run_pilot_phase(session, spec, lay, model)
         result = centralized_estimate(session, obs, 3, grid, lay, model)
         ok = True

@@ -31,7 +31,6 @@ from fcarray import (
 )
 from fcarray.chanest import (
     EstimationResult,
-    _annulus_placement,
     LocalEstimator,
     local_dictionary,
     support_hit_rate,
@@ -640,9 +639,8 @@ class TestLsGains:
 
 class TestCentralized:
     # Exact-recovery regime: alias-free element spacing (d_y < 0.5), a grid
-    # commensurate with the aperture, angles away from the endfire blur, and
-    # training placements in the strong-coupling annulus.
-    RECOVERY = dict(d_y=0.45, G=14, N=6, spread=0.7, sector_deg=50.0)
+    # commensurate with the aperture and angles away from the endfire blur.
+    RECOVERY = dict(d_y=0.45, G=14, N=6, sector_deg=50.0)
 
     def test_noiseless_exact_recovery(self):
         p = self.RECOVERY
@@ -651,8 +649,7 @@ class TestCentralized:
         grid = AngularGrid(p["G"])
         rng = np.random.default_rng(17)
         spec = on_grid_spec(grid, rng, K=2, L=3, sector_deg=p["sector_deg"])
-        session = make_session(layout, K=2, tau=13, V=4, sigma2=0.0, seed=21,
-                               placement_spread=p["spread"])
+        session = make_session(layout, K=2, tau=13, V=4, sigma2=0.0, seed=21)
         obs = run_pilot_phase(session, spec, layout, model)
         result = centralized_estimate(session, obs, 3, grid, layout, model)
         for k in range(2):
@@ -963,55 +960,12 @@ class TestExhaustive:
         assert result.ledger["candidate_measurements_per_user_per_block"] == 3200
 
 
-def test_annulus_draw_failure_is_fc_error():
-    # spread 0 pins every coupler to radius 1.01 d_min, where at most six
-    # fit at d_min spacing: seven can never be drawn
-    lay = ArrayLayout(M=1, N=7)
+def test_sampler_failure_is_fc_error():
+    # nine cells of 0.1033 wavelengths, each with a diagonal under d_min =
+    # 0.15, hold at most one point each: the active element and nine couplers
+    # (ten points) can never be drawn
+    lay = ArrayLayout(M=1, N=9, region_side=0.31)
     with pytest.raises(InfeasibleLayout) as err:
-        _annulus_placement(lay, np.random.default_rng(0), 0.0, max_tries=20)
+        random_feasible_placement(lay, np.random.default_rng(0), max_tries=20)
     assert isinstance(err.value, FcError)
     assert "antenna 0" in str(err.value)
-
-
-def annulus_reference(layout, rng, spread_wl, max_tries=50000):
-    """The annulus draw with its own distance and box tests, as before it
-    read ``constraint_margins``; also returns the number of rejected draws."""
-    r_lo = 1.01 * layout.min_sep_m
-    r_hi = max(spread_wl * layout.lam, r_lo)
-    pos = np.zeros((layout.M, layout.N, 2))
-    rejected = 0
-    for m in range(layout.M):
-        q = layout.active_position(m)
-        lo, hi = layout.region_bounds(m)
-        for _ in range(max_tries):
-            r = rng.uniform(r_lo, r_hi, layout.N)
-            a = rng.uniform(0.0, 2.0 * np.pi, layout.N)
-            pts = q[None, :] + np.column_stack([r * np.cos(a), r * np.sin(a)])
-            full = np.vstack([q[None, :], pts])
-            dists = np.linalg.norm(full[:, None, :] - full[None, :, :], axis=-1)
-            iu = np.triu_indices(layout.N + 1, k=1)
-            if (layout.N == 0 or (np.all(dists[iu] >= layout.min_sep_m)
-                                  and np.all(pts >= lo) and np.all(pts <= hi))):
-                pos[m] = pts
-                break
-            rejected += 1
-        else:
-            raise InfeasibleLayout(f"antenna {m}")
-    return pos, rejected
-
-
-def test_annulus_placement_matches_reference():
-    """Same draws, same accepted placements and the same generator state
-    after the draw, over shapes that reject on spacing (many couplers in a
-    tight annulus) and on the box (a wide annulus in a small region)."""
-    rejected = 0
-    for M, N, A, spread in [(8, 2, 2.0, 0.7), (4, 0, 2.0, 0.7), (4, 1, 2.0, 0.7),
-                            (4, 3, 1.0, 0.7), (3, 5, 2.0, 0.3), (4, 2, 0.5, 2.0)]:
-        lay = ArrayLayout(M=M, N=N, region_side=A)
-        for seed in range(10):
-            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            ref, n = annulus_reference(lay, ref_rng, spread)
-            assert np.array_equal(_annulus_placement(lay, rng, spread).positions, ref)
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
-            rejected += n
-    assert rejected > 1000

@@ -504,3 +504,39 @@ def test_exhaustive_estimate_with_fuzzed_layout_overrides_exits_cleanly(override
             "estimation.tau=4", "estimation.G=8", "estimation.L=2", "estimation.D=9",
             "estimation.test_placements=2", 'estimation.schemes=["exhaustive"]']
     assert_exits_cleanly("estimate", base + [f"{path}={value}" for path, value in overrides])
+
+
+# Raw --set values for the fields the heatmap reads: small resolutions, array
+# sizes and path counts, so every valid run stays tiny, then the JSON and
+# non-JSON oddities.  A region too small for the reference arc (A near 0.2)
+# exits 3 with InfeasibleLayout, and so does a power.snr_db of about 180 dB or
+# more, on the non-finite adjoint gradient of ``gram_rate_adjoint`` (an open
+# fault, not a range to avoid).
+HEATMAP_ODDITIES = st.sampled_from(["NaN", "Infinity", "1e400", "true", "null", "[]", '"2"',
+                                    "", "foo"])
+HEATMAP_OVERRIDES = st.one_of(
+    st.tuples(st.just("heatmap.resolution"), st.integers(-1, 11).map(str)),
+    st.tuples(st.sampled_from(["heatmap.antenna", "layout.M"]), st.integers(-1, 3).map(str)),
+    st.tuples(st.sampled_from(["layout.N", "channel.L"]), st.integers(-1, 4).map(str)),
+    st.tuples(st.sampled_from(["layout.A", "layout.d_y"]), st.floats(0.2, 3.0).map(repr)),
+    st.tuples(st.just("layout.d_min"), st.floats(0.02, 0.6).map(repr)),
+    st.tuples(st.just("layout.f_c"), st.sampled_from(["1e9", "7e9", "2.8e10", "0", "-7e9"])),
+    st.tuples(st.just("power.snr_db"), st.floats(-300.0, 300.0).map(repr)),
+    st.tuples(st.sampled_from(["heatmap.resolution", "heatmap.antenna", "heatmap.bogus",
+                               "layout.M", "layout.A", "layout.d_min", "channel.L",
+                               "power.snr_db"]), HEATMAP_ODDITIES),
+    st.tuples(st.just("heatmap"), st.sampled_from(['{"resolution": 5}', '{"antenna": 1}',
+                                                   '{"bogus": 1}', "3", "null"])),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(overrides=st.lists(HEATMAP_OVERRIDES, min_size=1, max_size=3))
+def test_heatmap_with_fuzzed_overrides_exits_cleanly(overrides):
+    """In-process ``fcarray heatmap`` under arbitrary ``heatmap.*``,
+    ``layout.*``, ``channel.L`` and ``power.snr_db`` overrides exits 0, 2 or 3
+    and lets no exception escape."""
+    base = ["layout.M=2", "layout.N=1", "channel.K=1", "channel.L=4", "sca.T_max=3",
+            "heatmap.resolution=7"]
+    assert_exits_cleanly("heatmap", base + [f"{path}={value}" for path, value in overrides])

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from fcarray.sweeps import (
     estimation_metrics,
     rate_metric,
     run_estimate,
+    run_heatmap,
     run_sweep,
     sweep_jobs,
 )
@@ -80,6 +83,33 @@ class TestHeatmap:
         with pytest.raises(Exception):
             compute_heatmap(Scenario({"layout": {"N": 2}, "channel": {"K": 1}}),
                             seed=0)
+
+
+# sha256 of the heatmap.csv and trajectory.csv that ``fcarray heatmap`` writes:
+# the default array at three seeds, and a wider array tracking an inner
+# antenna in a smaller region
+HEAT_BASE = {"layout": {"N": 1}, "channel": {"K": 1}, "heatmap": {"resolution": 21}}
+HEAT_WIDE = {"layout": {"M": 6, "N": 1, "A": 1.0}, "channel": {"K": 1},
+             "heatmap": {"resolution": 21, "antenna": 3}}
+HEAT_GOLDEN = [
+    (HEAT_BASE, 1, "93469030c22aeba898a6dd511995d3c8a4ca4f5f3c357a9d4c2009f2a49d418b",
+     "39691d9a2c81dc45acab4c9f9db1f1d7c910b58d3943163f7e08ccd38b558556"),
+    (HEAT_BASE, 2, "4f8a614a45d6bed3d599b78c5296359847a361a2f9ac18e1bf5660a8af7b9b71",
+     "9d2bec9e296b0ba81c9242e24878922270c53da1e095326c1401cba89d6f78a5"),
+    (HEAT_BASE, 3, "05cd04e52a369fadd4a290ac00f0a0214774f8ff56d82b7d6d853e14b9fe55e7",
+     "0cb452e2be3417739d66cad7d9f486ae13f13a551a44aa5492192c9f667dace8"),
+    (HEAT_WIDE, 7, "2f5aa3e8d2b30bab3b7c112362c4b01d725bd1ec8db91751012c5838c4942595",
+     "980b601ae081bd36729b641e12cac5c82a9de8447f3c0660968fb73dbe4f260d"),
+]
+
+
+@pytest.mark.parametrize("doc, seed, heat_sha, traj_sha", HEAT_GOLDEN,
+                         ids=["base-seed1", "base-seed2", "base-seed3", "wide-seed7"])
+def test_heatmap_files_are_byte_identical_to_the_record(doc, seed, heat_sha, traj_sha, tmp_path):
+    run_heatmap(Scenario(doc), seed, tmp_path)
+    digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+              for name in ("heatmap.csv", "trajectory.csv")}
+    assert digest == {"heatmap.csv": heat_sha, "trajectory.csv": traj_sha}
 
 
 SMALL_DOC = {
