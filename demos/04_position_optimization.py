@@ -28,8 +28,7 @@ P_max, sigma2 = 1.0, 0.05
 
 spec = sample_channels(7, K=K, L=15, layout=layout)
 initial = uniform_placement(layout)
-res = optimize(initial, SCAConfig(snapshot_placements=True), spec, layout,
-               model, P_max, sigma2)
+res = optimize(initial, SCAConfig(), spec, layout, model, P_max, sigma2)
 trace = res.trace
 
 print(f"{'iter':>5} {'rate':>9} {'max |g_m|':>10} {'backtracks':>10} {'eta':>10}")

@@ -72,6 +72,4 @@ from .chanest import (
     simulate_rx,
 )
 from .runtime import CostLedger, Message, run_algorithm1, run_algorithm3
-from .scenario import Scenario
-
-__version__ = "0.1.0"
+from .scenario import PACKAGE_VERSION as __version__, Scenario

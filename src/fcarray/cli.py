@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_est)
 
     p_sweep = sub.add_parser("sweep", help="Monte-Carlo sweep along one axis")
-    p_sweep.add_argument("axis", choices=["power", "users", "region", "snr", "pilot"])
+    p_sweep.add_argument("axis", choices=list(sweeps.SWEEP_AXES))
     _add_common(p_sweep)
 
     p_heat = sub.add_parser("heatmap", help="channel power gain over one coupler region (N=1, K=1)")

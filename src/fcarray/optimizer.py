@@ -121,13 +121,12 @@ CLEARANCE_WL = 1e-4
 @dataclass
 class SCAConfig:
     """Knobs of the SCA loop: the relaxation schedule, the relative-change
-    stopping threshold, the iteration cap, and whether the trace keeps every
-    accepted placement.  An unknown schedule is a ConfigError."""
+    stopping threshold and the iteration cap.  An unknown schedule is a
+    ConfigError."""
 
     alpha_schedule: str = "diminishing"
     eps_stop: float = 1e-4
     T_max: int = 200
-    snapshot_placements: bool = False
 
     def __post_init__(self):
         if self.alpha_schedule not in ALPHA_SCHEDULES:
@@ -156,7 +155,6 @@ class SCATrace:
     min_margins: list[float] = field(default_factory=list)
     rounds: int = 0
     skipped_final: bool = False
-    placements: list[np.ndarray] | None = None
     M: int = 0
     N: int = 0
 
@@ -426,8 +424,6 @@ def optimize(
     p = initial.copy()
     M, N = layout.M, layout.N
     trace = SCATrace(rates=[ev.rate_of(p)], M=M, N=N)
-    if config.snapshot_placements:
-        trace.placements = [p.positions.copy()]
     eta = ETA0_WL / layout.lam
 
     if N == 0 or config.T_max == 0:
@@ -479,8 +475,6 @@ def optimize(
             r = trace.rounds
             log.extend((r, m, "gradient", 2 * N, steps[m]) for m in range(M))
             log.extend((r, m, "positions", 2 * N, p.antenna_vector(m)) for m in range(M))
-        if config.snapshot_placements:
-            trace.placements.append(p.positions.copy())
         rel = 0.0 if cand_rate == prev else abs(cand_rate - prev) / max(prev, 1e-300)
         if rel <= config.eps_stop:
             break

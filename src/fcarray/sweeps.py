@@ -254,8 +254,8 @@ def _run_jobs(scenario: Scenario, command: str, jobs, fields, out_dir, workers: 
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))  # a bare number, not numpy 2's np.float64(...)
     return str(value)
 
 
@@ -343,11 +343,13 @@ def compute_heatmap(scenario: Scenario, seed: int) -> HeatmapResult:
     gain = np.full((res, res), np.nan)
     gain[feasible] = 10.0 * np.log10(c0 + _whitened_gains(spec, moved[0][ok[0]], a, layout, model))
 
-    cfg = sca_config_from(scenario)
-    cfg.snapshot_placements = True
-    sigma2 = scenario.sigma2_rate(1)
-    result = optimize(base, cfg, spec, layout, model, scenario.P_max, sigma2)
-    snaps = np.stack(result.trace.placements)
+    log = []
+    result = optimize(base, sca_config_from(scenario), spec, layout, model, scenario.P_max,
+                      scenario.sigma2_rate(1), log=log)
+    # the start placement, then each accepted round's "positions" payloads
+    moves = [vec for _, _, kind, _, vec in log if kind == "positions"]
+    snaps = np.concatenate([base.positions[None],
+                            np.reshape(moves, (-1,) + base.positions.shape)])
     totals = np.sum(_whitened_gains(spec, snaps, slice(None), layout, model), axis=-1)
     trajectory = [{"iteration": t, "x": float(snap[a, 0, 0]), "y": float(snap[a, 0, 1]),
                    "gain_db": 10.0 * np.log10(total), "rate": result.trace.rates[t]}

@@ -440,7 +440,7 @@ def assert_exits_cleanly(command, sets):
     args = [x for o in sets for x in ("--set", o)]
     with (tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()),
           redirect_stderr(io.StringIO()) as err):
-        code = main([command, "--out", os.path.join(tmp, "out"), *args])
+        code = main([*command.split(), "--out", os.path.join(tmp, "out"), *args])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
 
@@ -540,3 +540,47 @@ def test_heatmap_with_fuzzed_overrides_exits_cleanly(overrides):
     base = ["layout.M=2", "layout.N=1", "channel.K=1", "channel.L=4", "sca.T_max=3",
             "heatmap.resolution=7"]
     assert_exits_cleanly("heatmap", base + [f"{path}={value}" for path, value in overrides])
+
+
+# Raw --set values for the fields `sweep users` and `sweep region` read:
+# small user and path counts, seeds, regions and coupler counts, so every
+# valid run stays tiny, then the JSON and non-JSON oddities.  A region too
+# small for its couplers exits 3 with InfeasibleLayout.
+SWEEP_ODDITIES = st.sampled_from(["NaN", "Infinity", "1e400", "true", "null", "[]", '"2"', "",
+                                  "foo"])
+SWEEP_LISTS = st.one_of(
+    st.lists(st.integers(-1, 4), max_size=3).map(json.dumps),
+    st.sampled_from(["[1.5]", "[NaN]", "[Infinity]", "[1e400]", "[true]", "[null]", '["2"]',
+                     "[[1]]", "2", "{}"]),
+    SWEEP_ODDITIES,
+)
+SWEEP_OVERRIDES = st.one_of(
+    st.tuples(st.sampled_from(["channel.K", "channel.L", "seeds.start"]),
+              st.integers(-1, 4).map(str)),
+    st.tuples(st.just("seeds.count"), st.integers(-1, 2).map(str)),
+    st.tuples(st.sampled_from(["sweep.users", "sweep.region_n"]),
+              st.lists(st.integers(0, 3), min_size=1, max_size=3).map(json.dumps)),
+    st.tuples(st.just("sweep.region"),
+              st.lists(st.floats(0.2, 3.0), min_size=1, max_size=2).map(json.dumps)),
+    st.tuples(st.sampled_from(["sweep.users", "sweep.region", "sweep.region_n"]), SWEEP_LISTS),
+    st.tuples(st.sampled_from(["channel.K", "channel.L", "channel.bogus", "seeds.start",
+                               "seeds.count", "seeds.bogus"]), SWEEP_ODDITIES),
+    st.tuples(st.sampled_from(["channel", "seeds", "sweep"]),
+              st.sampled_from(['{"K": 1}', '{"L": 2}', '{"count": 2}', '{"users": [3]}',
+                               '{"bogus": 1}', "3", "null"])),
+)
+
+
+@pytest.mark.parametrize("axis", ["users", "region"])
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(overrides=st.lists(SWEEP_OVERRIDES, min_size=1, max_size=3))
+def test_sweep_with_fuzzed_overrides_exits_cleanly(axis, overrides):
+    """In-process ``fcarray sweep users`` and ``sweep region`` under
+    arbitrary ``channel.*``, ``seeds.*``, ``sweep.users``, ``sweep.region``
+    and ``sweep.region_n`` overrides exit 0, 2 or 3 and let no exception
+    escape."""
+    base = ["layout.M=2", "layout.N=1", "channel.K=1", "channel.L=4", "sca.T_max=3",
+            "seeds.count=1", "sweep.users=[1,2]", "sweep.region=[1.0]", "sweep.region_n=[1]"]
+    assert_exits_cleanly(f"sweep {axis}",
+                         base + [f"{path}={value}" for path, value in overrides])

@@ -220,15 +220,14 @@ def test_queries_with_an_infeasible_nearest_point_search_the_feasible_ones():
     got = res._nearest_feasible(P)[np.arange(len(m)), m, n]
     assert res.feasible[m, n, got].all()
     assert_predicts_as_reference(res, lay, model, P)
-    P[0, 0, 0] = np.nan  # a non-finite query takes the full search too
+    P[0, 0, 0] = np.nan  # a non-finite query goes to the first feasible candidate
     assert_predicts_as_reference(res, lay, model, P)
 
 
-def test_far_queries_whose_sums_round_to_ties_take_the_full_search():
+def test_far_queries_whose_sums_round_to_ties_go_to_the_lowest_index():
     """Far from the lattice one axis's square swamps the other's in the sum,
-    so whole rows or columns tie; the full search then picks index 0 of the
-    row, not the per-axis nearest column, and the block's bound sends those
-    queries there."""
+    so whole rows or columns tie; the search then picks the lowest index
+    among them, not the per-axis nearest column."""
     lay, model, spec, session = case(4, 2, K=2, tau=5, sigma2=0.3)
     res = exhaustive_baseline(session, spec, lay, model, D=400)
     rng = np.random.default_rng(5)

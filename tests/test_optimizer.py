@@ -38,6 +38,13 @@ P_MAX = 1.0
 SIGMA2 = 0.05
 
 
+def iterates(initial, log):
+    """The start positions, then each accepted round's positions (M, N, 2)
+    from the "positions" payloads of ``optimize(..., log=log)``."""
+    moves = [vec for _, _, kind, _, vec in log if kind == "positions"]
+    return [initial.positions, *np.reshape(moves, (-1,) + initial.positions.shape)]
+
+
 @pytest.fixture
 def toy():
     lay = ArrayLayout(M=2, N=2)
@@ -211,15 +218,15 @@ class TestOptimize:
 
     def test_summary_health_figures(self, toy):
         lay, model, spec = toy
-        res = optimize(uniform_placement(lay),
-                       SCAConfig(T_max=6, eps_stop=0.0, snapshot_placements=True),
-                       spec, lay, model, P_MAX, SIGMA2)
+        pl, log = uniform_placement(lay), []
+        res = optimize(pl, SCAConfig(T_max=6, eps_stop=0.0), spec, lay, model, P_MAX, SIGMA2,
+                       log=log)
         summary = res.trace.summary()
         assert summary["proj_sweeps_total"] == sum(res.trace.proj_sweeps) > 0
         assert summary["backtracks_total"] == sum(res.trace.backtracks)
         # smallest box or spacing margin over the accepted iterates, pair by pair
         margins = []
-        for pos in res.trace.placements[1:]:
+        for pos in iterates(pl, log)[1:]:
             for m in range(lay.M):
                 lo, hi = lay.region_bounds(m)
                 full = np.vstack([lay.active_position(m)[None, :], pos[m]])
@@ -250,14 +257,15 @@ class TestOptimize:
         counted(geometry, "pair_offsets")
         counted(optimizer, "mmse_forward")
         counted(geometry, "constraint_geometry")
-        res = optimize(pl, SCAConfig(T_max=6, eps_stop=0.0, snapshot_placements=True),
-                       spec, lay, model, P_MAX, SIGMA2)
+        log = []
+        res = optimize(pl, SCAConfig(T_max=6, eps_stop=0.0), spec, lay, model, P_MAX, SIGMA2,
+                       log=log)
         trace = res.trace
         assert trace.rounds == len(trace.min_margins) == 6
         assert calls["mmse_forward"] == 1 + trace.rounds + sum(trace.backtracks)
         assert calls["pair_offsets"] == calls["mmse_forward"]
         assert calls["constraint_geometry"] == 0
-        for pos, got in zip(trace.placements[1:], trace.min_margins):
+        for pos, got in zip(iterates(pl, log)[1:], trace.min_margins):
             box, dist = constraint_margins(pos, lay)
             assert got == float(min(box.min(), (dist - lay.min_sep_m).min()))
 
@@ -335,13 +343,15 @@ def test_sca_iterates_are_feasible_monotone_and_read_the_forward_geometry(
         if box.min() >= clear and dist.min() >= lay.min_sep_m + clear:
             break
     spec = sample_channels(seed, K=K, L=5, layout=lay)
-    res = optimize(initial, SCAConfig(T_max=T_max, eps_stop=0.0, snapshot_placements=True),
-                   spec, lay, model, P_MAX, SIGMA2)
+    log = []
+    res = optimize(initial, SCAConfig(T_max=T_max, eps_stop=0.0), spec, lay, model, P_MAX,
+                   SIGMA2, log=log)
     rates = np.asarray(res.trace.rates)
     assert np.all(np.diff(rates) >= 0.0)
-    assert len(res.trace.placements) == res.trace.rounds + 1
+    placements = iterates(initial, log)
+    assert len(placements) == res.trace.rounds + 1
     ev = ObjectiveEvaluator(spec, lay, model, P_MAX, SIGMA2)
-    for pos, rate, got in zip(res.trace.placements, rates, [None] + res.trace.min_margins):
+    for pos, rate, got in zip(placements, rates, [None] + res.trace.min_margins):
         placement = CouplerPlacement(pos)
         assert is_feasible(placement, lay).ok
         assert ev.rate_of(placement) == rate

@@ -93,13 +93,13 @@ HEAT_WIDE = {"layout": {"M": 6, "N": 1, "A": 1.0}, "channel": {"K": 1},
              "heatmap": {"resolution": 21, "antenna": 3}}
 HEAT_GOLDEN = [
     (HEAT_BASE, 1, "93469030c22aeba898a6dd511995d3c8a4ca4f5f3c357a9d4c2009f2a49d418b",
-     "39691d9a2c81dc45acab4c9f9db1f1d7c910b58d3943163f7e08ccd38b558556"),
+     "8bc16e385843b19a7fb260fa1fa7440c71c1859a4e8e6d98081e62b74bb1089a"),
     (HEAT_BASE, 2, "4f8a614a45d6bed3d599b78c5296359847a361a2f9ac18e1bf5660a8af7b9b71",
-     "9d2bec9e296b0ba81c9242e24878922270c53da1e095326c1401cba89d6f78a5"),
+     "e77676d343fc57cfc6e35ffc15dfc3eb84fa6a74131df6320752d66b11443046"),
     (HEAT_BASE, 3, "05cd04e52a369fadd4a290ac00f0a0214774f8ff56d82b7d6d853e14b9fe55e7",
-     "0cb452e2be3417739d66cad7d9f486ae13f13a551a44aa5492192c9f667dace8"),
+     "e2fa70a79d8bb8cabde168c326e575f9172b2eaa42a102c5724ef7645a4c5a5f"),
     (HEAT_WIDE, 7, "2f5aa3e8d2b30bab3b7c112362c4b01d725bd1ec8db91751012c5838c4942595",
-     "980b601ae081bd36729b641e12cac5c82a9de8447f3c0660968fb73dbe4f260d"),
+     "1e25790b9e7b737d271925131bf9d813e83a12663f995dec2a067fbb8bf74cae"),
 ]
 
 
@@ -110,6 +110,17 @@ def test_heatmap_files_are_byte_identical_to_the_record(doc, seed, heat_sha, tra
     digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
               for name in ("heatmap.csv", "trajectory.csv")}
     assert digest == {"heatmap.csv": heat_sha, "trajectory.csv": traj_sha}
+
+
+def test_trajectory_cells_are_numbers(tmp_path):
+    """Every trajectory cell is a bare number (numpy 2's ``repr`` of an
+    ``np.float64`` would write ``np.float64(...)``)."""
+    hm = run_heatmap(Scenario(HEAT_BASE), 1, tmp_path)
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+    assert lines[0] == "iteration,x,y,gain_db,rate"
+    assert len(lines) == len(hm.trajectory) + 1 > 2
+    for line in lines[1:]:
+        assert all(np.isfinite(float(cell)) for cell in line.split(","))
 
 
 SMALL_DOC = {
