@@ -389,11 +389,9 @@ class EstimationResult:
     """Sparse estimate for all users: grid supports, mapped angles, gains,
     plus the communication ledger of the producing scheme."""
 
-    scheme: str
     supports: np.ndarray  # (K, L) int
     angles: np.ndarray  # (K, L) float
     gains: np.ndarray  # (K, L) complex
-    grid: AngularGrid
     ledger: dict = field(default_factory=dict)
 
     def predict(self, placement, layout: ArrayLayout, model: DipoleModel) -> np.ndarray:
@@ -483,10 +481,8 @@ def centralized_estimate(
         "pilot_uplink_complex": layout.M * session.V * session.tau,
         "pilot_uplink_scalars": 2 * layout.M * session.V * session.tau,
     }
-    return EstimationResult(
-        scheme="centralized", supports=supports, angles=grid.angles[supports], gains=gains,
-        grid=grid, ledger=ledger,
-    )
+    return EstimationResult(supports=supports, angles=grid.angles[supports], gains=gains,
+                            ledger=ledger)
 
 
 # ---------------------------------------------------------------------------
@@ -689,10 +685,8 @@ def _algorithm3_rounds(
         "suffstat_scalars": units["suff_stats"],
         "gain_scalars": units["gains"],
     }
-    return EstimationResult(
-        scheme="distributed", supports=supports, angles=grid.angles[supports],
-        gains=gains, grid=grid, ledger=ledger,
-    ), records
+    return EstimationResult(supports=supports, angles=grid.angles[supports], gains=gains,
+                            ledger=ledger), records
 
 
 def distributed_estimate(
@@ -849,7 +843,6 @@ class ExhaustiveResult:
     its F feasible candidates whatever tau is (about 0.1 MB at M = 4, N = 2,
     K = 2, D = 400, where F is about 3,100)."""
 
-    scheme: str
     candidates: np.ndarray  # (M, D, 2) lattice points per antenna region
     feasible: np.ndarray  # (M, N, D) bool
     base: np.ndarray  # (M, K) complex, parked measurement
@@ -1004,5 +997,5 @@ def exhaustive_baseline(
     pending = _PendingRows(index=(mi, ni, di), z_table=z_table, z_parked=z_parked, model=model,
                            spec=spec, lam=layout.lam, lattice=candidates, h_active=h_active,
                            h_parked=h_parked, noise=noise[M:], S=session.S, tau=session.tau)
-    return ExhaustiveResult(scheme="exhaustive", candidates=candidates, feasible=feasible,
-                            base=base, parked=parked, ledger=ledger, pending=pending)
+    return ExhaustiveResult(candidates=candidates, feasible=feasible, base=base, parked=parked,
+                            ledger=ledger, pending=pending)

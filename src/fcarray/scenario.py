@@ -108,24 +108,12 @@ def _merge(base: dict, override: dict, path="") -> dict:
     return out
 
 
-def _set_dotted(doc: dict, dotted: str, raw: str) -> None:
-    keys = dotted.split(".")
-    node = doc
-    for key in keys[:-1]:
-        if key not in node or not isinstance(node[key], dict):
-            raise ConfigError("unknown field", field=dotted)
-        node = node[key]
-    if keys[-1] not in node:
-        raise ConfigError("unknown field", field=dotted)
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    if isinstance(node[keys[-1]], dict):
-        if not isinstance(value, dict):
-            raise ConfigError("expected an object", field=dotted)
-        value = _merge(node[keys[-1]], value, dotted)
-    node[keys[-1]] = value
+def with_field(doc: dict, dotted: str, value) -> dict:
+    """``doc`` with ``value`` written at the dotted path, through ``_merge``'s
+    rules: an unknown field, or a non-object where an object is, is an error."""
+    for key in reversed(dotted.split(".")):
+        value = {key: value}
+    return _merge(doc, value)
 
 
 class Scenario:
@@ -137,7 +125,11 @@ class Scenario:
             if "=" not in item:
                 raise ConfigError(f"override {item!r} is not of the form path=value")
             dotted, raw = item.split("=", 1)
-            _set_dotted(merged, dotted, raw)
+            try:
+                value = json.loads(raw)
+            except json.JSONDecodeError:
+                value = raw
+            merged = with_field(merged, dotted, value)
         self.doc = merged
         self._validate()
 

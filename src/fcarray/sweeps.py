@@ -40,12 +40,20 @@ from .precoding import (
     fully_active_state,
 )
 from .runtime import export_message_log, run_algorithm1, run_algorithm3
-from .scenario import ESTIMATION_SCHEMES, INT_FIELDS, Scenario, write_manifest
+from .scenario import ESTIMATION_SCHEMES, INT_FIELDS, Scenario, with_field, write_manifest
 
 
 def _streams(seed: int, n: int = 4) -> list[int]:
     """Independent substream seeds derived from one row seed."""
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n)]
+
+
+def _draw(scenario: Scenario, seed: int, L: int):
+    """The layout, its model and the ``channel.K``-user, ``L``-path channel
+    that row seed ``seed`` draws from its first substream."""
+    layout = scenario.layout()
+    spec = sample_channels(_streams(seed)[0], scenario.doc["channel"]["K"], L, layout)
+    return layout, scenario.model(layout), spec
 
 
 def sca_config_from(scenario: Scenario) -> SCAConfig:
@@ -75,10 +83,8 @@ def initial_placement(scenario: Scenario, layout: ArrayLayout, spec, model,
 def rate_metric(scheme: str, seed: int, scenario: Scenario, sigma2: float) -> float:
     """Sum rate of one scheme on one seeded channel draw, at the scenario's
     layout, ``P_max`` and ``K``."""
-    channel, layout, P_max = scenario.doc["channel"], scenario.layout(), scenario.P_max
-    ch_seed, _, _, _ = _streams(seed)
-    spec = sample_channels(ch_seed, channel["K"], channel["L"], layout)
-    model = scenario.model(layout)
+    P_max = scenario.P_max
+    layout, model, spec = _draw(scenario, seed, scenario.doc["channel"]["L"])
     if scheme == "active-only":
         return active_only_state(spec, layout, model, P_max, sigma2).sum_rate
     if scheme == "fixed-coupler":
@@ -105,12 +111,10 @@ def estimation_metrics(scheme: str, seed: int, scenario: Scenario) -> dict:
     V, tau, snr_db = est["V"], est["tau"], est["snr_db"]
     K = scenario.doc["channel"]["K"]
     L = est["L"]
-    layout = scenario.layout()
-    model = scenario.model(layout)
+    layout, model, spec = _draw(scenario, seed, L)
     grid = chanest.AngularGrid(est["G"])
     sigma2 = Scenario.sigma2_estimation(snr_db)
-    ch_seed, sess_seed, eval_seed, _ = _streams(seed)
-    spec = sample_channels(ch_seed, K, L, layout)
+    _, sess_seed, eval_seed, _ = _streams(seed)
     session = chanest.make_session(layout, K, tau, V, sigma2, sess_seed)
     observations = chanest.run_pilot_phase(session, spec, layout, model)
 
@@ -177,8 +181,7 @@ def _job(args) -> dict:
     paths = list(SWEEP_AXES[axis][0].values())
     values = point if isinstance(point, tuple) else (point,)
     for path, value in zip(paths, values):
-        section, key = path.split(".")
-        scenario.doc[section][key] = value
+        scenario.doc = with_field(scenario.doc, path, value)
     if scheme in ESTIMATION_SCHEMES:
         return estimation_metrics(scheme, seed, scenario)
     # the last field is the row's value; the ones before it name its variant
@@ -274,12 +277,8 @@ def _write_rows(path, fields, rows) -> None:
 def run_optimize(scenario: Scenario, seed: int, out_dir) -> dict:
     """One SCA run; writes the trace CSV, a summary JSON, and the final
     placement."""
-    layout = scenario.layout()
-    model = scenario.model(layout)
-    K = scenario.doc["channel"]["K"]
-    sigma2 = scenario.sigma2_rate(K)
-    ch_seed, _, _, _ = _streams(seed)
-    spec = sample_channels(ch_seed, K, scenario.doc["channel"]["L"], layout)
+    layout, model, spec = _draw(scenario, seed, scenario.doc["channel"]["L"])
+    sigma2 = scenario.sigma2_rate(scenario.doc["channel"]["K"])
     cfg = sca_config_from(scenario)
     initial = initial_placement(scenario, layout, spec, model, scenario.P_max, sigma2)
     result = optimize(initial, cfg, spec, layout, model, scenario.P_max, sigma2)
@@ -321,12 +320,9 @@ def compute_heatmap(scenario: Scenario, seed: int) -> HeatmapResult:
     doc = scenario.doc
     if doc["layout"]["N"] != 1 or doc["channel"]["K"] != 1:
         raise ConfigError("heatmap requires N=1 and K=1", field="heatmap")
-    layout = scenario.layout()
-    model = scenario.model(layout)
+    layout, model, spec = _draw(scenario, seed, doc["channel"]["L"])
     res = doc["heatmap"]["resolution"]
     a = doc["heatmap"]["antenna"]
-    ch_seed, _, _, _ = _streams(seed)
-    spec = sample_channels(ch_seed, 1, doc["channel"]["L"], layout)
 
     base = uniform_placement(layout)
     idx_other = [m for m in range(layout.M) if m != a]
@@ -360,13 +356,9 @@ def compute_heatmap(scenario: Scenario, seed: int) -> HeatmapResult:
 def run_heatmap(scenario: Scenario, seed: int, out_dir) -> HeatmapResult:
     hm = compute_heatmap(scenario, seed)
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "heatmap.csv"), "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["x_m", "y_m", "gain_db"])
-        for i, x in enumerate(hm.xs):
-            for j, y in enumerate(hm.ys):
-                wr.writerow([_fmt(float(x)), _fmt(float(y)),
-                             _fmt(float(hm.gain_db[i, j]))])
+    _write_rows(os.path.join(out_dir, "heatmap.csv"), ["x_m", "y_m", "gain_db"],
+                [{"x_m": x, "y_m": y, "gain_db": g}
+                 for x, row in zip(hm.xs, hm.gain_db) for y, g in zip(hm.ys, row)])
     _write_rows(os.path.join(out_dir, "trajectory.csv"),
                 ["iteration", "x", "y", "gain_db", "rate"], hm.trajectory)
     write_manifest(
@@ -387,13 +379,11 @@ def run_heatmap(scenario: Scenario, seed: int, out_dir) -> HeatmapResult:
 def run_ledger(scenario: Scenario, seed: int, out_dir) -> dict:
     """Run both message-routed algorithms on the scenario and export their
     logs and ledgers."""
-    layout = scenario.layout()
-    model = scenario.model(layout)
     doc = scenario.doc
     K = doc["channel"]["K"]
+    layout, model, spec = _draw(scenario, seed, doc["channel"]["L"])
     sigma2 = scenario.sigma2_rate(K)
-    ch_seed, sess_seed, _, _ = _streams(seed)
-    spec = sample_channels(ch_seed, K, doc["channel"]["L"], layout)
+    _, sess_seed, _, _ = _streams(seed)
     cfg = sca_config_from(scenario)
     initial = initial_placement(scenario, layout, spec, model, scenario.P_max, sigma2)
     result1, log1, ledger1 = run_algorithm1(initial, cfg, spec, layout, model,

@@ -722,10 +722,9 @@ def estimation_setup(N, V, seed=0):
     session = make_session(lay, K=2, tau=4, V=V, sigma2=0.1, seed=40 + N + V)
     rng = np.random.default_rng(seed)
     result = EstimationResult(
-        scheme="injected", supports=np.zeros((2, 3), dtype=int),
+        supports=np.zeros((2, 3), dtype=int),
         angles=rng.uniform(-np.pi / 2, np.pi / 2, (2, 3)),
-        gains=rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)),
-        grid=AngularGrid(32))
+        gains=rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)))
     tests = [random_feasible_placement(lay, rng) for _ in range(5)]
     return lay, model, spec, session, result, tests
 

@@ -829,11 +829,9 @@ class TestReconstructAndNmse:
         rng = np.random.default_rng(11)
         spec = on_grid_spec(grid, rng, K=2, L=3)
         result = EstimationResult(
-            scheme="injected",
             supports=grid.nearest_index(spec.angles),
             angles=spec.angles.copy(),
             gains=spec.gains.copy(),
-            grid=grid,
         )
         for i in range(20):
             pl = random_feasible_placement(layout, rng)
@@ -843,11 +841,9 @@ class TestReconstructAndNmse:
 
     def test_zero_gains(self, est_setup):
         layout, model = est_setup
-        grid = AngularGrid(32)
         result = EstimationResult(
-            scheme="zero", supports=np.zeros((1, 2), dtype=int),
-            angles=np.zeros((1, 2)), gains=np.zeros((1, 2), dtype=complex),
-            grid=grid)
+            supports=np.zeros((1, 2), dtype=int),
+            angles=np.zeros((1, 2)), gains=np.zeros((1, 2), dtype=complex))
         pl = uniform_placement(layout)
         assert np.allclose(result.predict(pl, layout, model), 0.0)
 
@@ -858,8 +854,8 @@ class TestReconstructAndNmse:
         spec = on_grid_spec(grid, rng, K=1, L=2)
         session = make_session(layout, K=1, tau=8, V=2, sigma2=0.0, seed=14)
         result = EstimationResult(
-            scheme="injected", supports=grid.nearest_index(spec.angles),
-            angles=spec.angles.copy(), gains=spec.gains.copy(), grid=grid)
+            supports=grid.nearest_index(spec.angles),
+            angles=spec.angles.copy(), gains=spec.gains.copy())
         for v in range(2):
             pl = session.placements[v]
             g_hat = result.predict(pl, layout, model)
@@ -872,26 +868,24 @@ class TestReconstructAndNmse:
         rng = np.random.default_rng(15)
         spec = on_grid_spec(grid, rng, K=1, L=2)
         exact = EstimationResult(
-            scheme="x", supports=grid.nearest_index(spec.angles),
-            angles=spec.angles.copy(), gains=spec.gains.copy(), grid=grid)
+            supports=grid.nearest_index(spec.angles),
+            angles=spec.angles.copy(), gains=spec.gains.copy())
         placements = [random_feasible_placement(layout, rng) for _ in range(3)]
         assert nmse(exact, spec, placements, layout, model) < 1e-20
         zero = EstimationResult(
-            scheme="x", supports=exact.supports, angles=exact.angles,
-            gains=np.zeros_like(exact.gains), grid=grid)
+            supports=exact.supports, angles=exact.angles,
+            gains=np.zeros_like(exact.gains))
         assert nmse(zero, spec, placements, layout, model) == pytest.approx(1.0)
         double = EstimationResult(
-            scheme="x", supports=exact.supports, angles=exact.angles,
-            gains=2.0 * spec.gains, grid=grid)
+            supports=exact.supports, angles=exact.angles,
+            gains=2.0 * spec.gains)
         assert nmse(double, spec, placements, layout, model) == pytest.approx(1.0)
 
     def test_nmse_rejects_empty(self, est_setup):
         layout, model = est_setup
-        grid = AngularGrid(16)
         result = EstimationResult(
-            scheme="x", supports=np.zeros((1, 1), dtype=int),
-            angles=np.zeros((1, 1)), gains=np.ones((1, 1), dtype=complex),
-            grid=grid)
+            supports=np.zeros((1, 1), dtype=int),
+            angles=np.zeros((1, 1)), gains=np.ones((1, 1), dtype=complex))
         spec = MultipathSpec(angles=np.zeros((1, 1)), gains=np.ones((1, 1)))
         with pytest.raises(DimensionMismatch):
             nmse(result, spec, [], layout, model)
@@ -899,11 +893,9 @@ class TestReconstructAndNmse:
     def test_nmse_zero_channel_error(self, est_setup):
         from fcarray.errors import ZeroChannel
         layout, model = est_setup
-        grid = AngularGrid(16)
         result = EstimationResult(
-            scheme="x", supports=np.zeros((1, 1), dtype=int),
-            angles=np.zeros((1, 1)), gains=np.ones((1, 1), dtype=complex),
-            grid=grid)
+            supports=np.zeros((1, 1), dtype=int),
+            angles=np.zeros((1, 1)), gains=np.ones((1, 1), dtype=complex))
         dead = MultipathSpec(angles=np.zeros((1, 1)),
                              gains=np.zeros((1, 1), dtype=complex))
         with pytest.raises(ZeroChannel):
@@ -915,8 +907,8 @@ class TestReconstructAndNmse:
         rng = np.random.default_rng(16)
         spec = on_grid_spec(grid, rng, K=1, L=2)
         exact = EstimationResult(
-            scheme="x", supports=grid.nearest_index(spec.angles),
-            angles=spec.angles, gains=spec.gains, grid=grid)
+            supports=grid.nearest_index(spec.angles),
+            angles=spec.angles, gains=spec.gains)
         assert support_hit_rate(exact, spec, grid) == 1.0
 
 

@@ -251,6 +251,8 @@ def test_ledger_honors_screened_init(config_path, tmp_path):
     ("power.P_max_dbm=4000", "power.P_max_dbm"),
     ("sweep.snr_db=[0, NaN]", "sweep.snr_db"),
     ("sweep.power_dbm=[1e300]", "sweep.power_dbm"),
+    ("layout.bogus.x=1", "layout.bogus"),
+    ("seeds.start.x=1", "seeds.start"),
 ])
 def test_malformed_override_is_config_error(override, field, tmp_path, capsys):
     out = tmp_path / "x"
@@ -583,4 +585,58 @@ def test_sweep_with_fuzzed_overrides_exits_cleanly(axis, overrides):
     base = ["layout.M=2", "layout.N=1", "channel.K=1", "channel.L=4", "sca.T_max=3",
             "seeds.count=1", "sweep.users=[1,2]", "sweep.region=[1.0]", "sweep.region_n=[1]"]
     assert_exits_cleanly(f"sweep {axis}",
+                         base + [f"{path}={value}" for path, value in overrides])
+
+
+# Raw --set values for the fields `sweep snr` and `sweep pilot` read: each
+# estimation field over a small range (V <= 2, G <= 16, D <= 9, at most 2 test
+# placements), the two sweep lists, then the JSON and non-JSON oddities.  The
+# --seed flag is always a config error on a sweep; --workers takes only values
+# that start no pool (1 or less, or more than the machine's cores).
+EST_SWEEP_OVERRIDES = st.one_of(
+    st.tuples(st.just("estimation.V"), st.integers(-1, 2).map(str)),
+    st.tuples(st.just("estimation.tau"), st.integers(-1, 6).map(str)),
+    st.tuples(st.just("estimation.G"), st.integers(-1, 16).map(str)),
+    st.tuples(st.just("estimation.D"), st.integers(-1, 9).map(str)),
+    st.tuples(st.just("estimation.L"), st.integers(-1, 4).map(str)),
+    st.tuples(st.just("estimation.test_placements"), st.integers(-1, 2).map(str)),
+    st.tuples(st.just("estimation.eta"), st.floats(-5.0, 10.0).map(repr)),
+    st.tuples(st.just("estimation.snr_db"), st.floats(-400.0, 400.0).map(repr)),
+    st.tuples(st.sampled_from(["estimation.schemes", "schemes"]),
+              st.sampled_from(['["exhaustive"]', '["centralized", "distributed", "exhaustive"]',
+                               '["distributed"]', "[]", '["bogus"]', "[1]", '"centralized"'])),
+    st.tuples(st.just("sweep.snr_db"),
+              st.lists(st.floats(-400.0, 400.0), max_size=3).map(json.dumps)),
+    st.tuples(st.just("sweep.pilot"), st.lists(st.integers(-1, 8), max_size=3).map(json.dumps)),
+    st.tuples(st.sampled_from(["sweep.snr_db", "sweep.pilot"]), SWEEP_LISTS),
+    st.tuples(st.sampled_from(["estimation.V", "estimation.tau", "estimation.G",
+                               "estimation.D", "estimation.L", "estimation.eta",
+                               "estimation.snr_db", "estimation.schemes",
+                               "estimation.test_placements", "estimation.bogus"]),
+              SWEEP_ODDITIES),
+    st.tuples(st.just("estimation"),
+              st.sampled_from(['{"V": 1}', '{"G": 4, "L": 1}', '{"tau": 2}',
+                               '{"D": 4, "schemes": ["exhaustive"]}', '{"bogus": 1}', "3",
+                               "null"])),
+)
+CPUS = os.cpu_count() or 1
+# No flag (as often as all others), --workers, --seed, or both.
+EST_SWEEP_FLAGS = st.sampled_from(
+    [""] * 7 + ["--workers 1", "--workers 0", "--workers -1", f"--workers {CPUS + 1}",
+                f"--workers {CPUS + 2}", "--seed 0", "--seed -1", "--workers 1 --seed 3"])
+
+
+@pytest.mark.parametrize("axis", ["snr", "pilot"])
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(overrides=st.lists(EST_SWEEP_OVERRIDES, min_size=1, max_size=3), flags=EST_SWEEP_FLAGS)
+def test_estimation_sweep_with_fuzzed_overrides_exits_cleanly(axis, overrides, flags):
+    """In-process ``fcarray sweep snr`` and ``sweep pilot`` under arbitrary
+    ``estimation.*``, ``schemes``, ``sweep.snr_db`` and ``sweep.pilot``
+    overrides, ``--seed`` and ``--workers`` exit 0, 2 or 3 and let no
+    exception escape."""
+    base = ["layout.M=2", "layout.N=1", "channel.K=2", "seeds.count=1", "estimation.V=2",
+            "estimation.tau=4", "estimation.G=8", "estimation.L=2", "estimation.D=9",
+            "estimation.test_placements=2", "sweep.snr_db=[0.0]", "sweep.pilot=[4]"]
+    assert_exits_cleanly(f"sweep {axis} {flags}",
                          base + [f"{path}={value}" for path, value in overrides])
