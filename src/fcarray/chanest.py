@@ -33,25 +33,28 @@ serve ``true_effective`` and every later query at the same test positions;
 the dictionary cube, the grid's active steering, ``nmse``'s ground truth
 (``_truth``) and the exhaustive baseline's lattice half (``_lattice``) are
 kept the same way, each in its own ``_kept`` slot.  The exhaustive baseline
-takes every candidate's feasibility and impedances from one (M, N+1, D)
-table of lattice-to-anchor distances: the lattice and its distances and
-impedances to the active elements depend only on the layout, model and D
-and are kept, so a trial computes the distances to the parked couplers and
-their impedances (one ``mutual_impedance`` call).  It certifies every
-feasible candidate's coupling system a I + E by Weyl's bound from ||E||_F
-(``shift_certified``) and solves only the ones the bound leaves open with
-``mech_weights``, then draws all the candidates' noise at once; those are
-the steps that can raise or that set the noise stream.  The noise is
-drawn where a measurement sees it, after the pilot correlation:
-for pilots with S S^H = tau I (``make_pilots``) the correlated noise
-n S^H / tau of white n ~ CN(0, sigma^2 I_tau) is exactly CN(0, sigma^2/tau
-I_K), so each measurement takes K complex normals instead of tau.  One
-routine (``_measure``) takes a measurement from its channels and its
-impedance pairs: the parked one from the trial's parked pairs, and a
-candidate's when its row of the result is first read, with its impedance
-pairs and lattice-point steering formed then, so ``nmse`` (one row per test
-placement and coupler) measures a few rows and only a read of the whole
-``table`` measures them all.
+takes every candidate's feasibility from one (M, N+1, D) table of
+lattice-to-anchor distances: the lattice, its distances to the active
+elements and a bound S on |Z21| over every spacing a feasible candidate's
+pairs can take (``_impedance_bound``) depend only on the layout, model and
+D and are kept, so a trial computes the distances to the parked couplers
+and evaluates only the parked pairs' impedances.  It certifies each
+antenna-coupler group of candidates' coupling systems a I + E by Weyl's
+bound (``shift_certified``) on ||E||_F <= sqrt(2 ((N - 1) S^2 + the unmoved
+parked pairs' |z|^2)); only the groups that bound leaves open have their
+impedances evaluated, and only the candidates Weyl's bound on their exact
+||E||_F leaves open are solved with ``mech_weights``.  It then draws all the
+candidates' noise at once; those are the steps that can raise or that set
+the noise stream.  The noise is drawn where a measurement sees it, after
+the pilot correlation: for pilots with S S^H = tau I (``make_pilots``) the
+correlated noise n S^H / tau of white n ~ CN(0, sigma^2 I_tau) is exactly
+CN(0, sigma^2/tau I_K), so each measurement takes K complex normals instead
+of tau.  One routine (``_measure``) takes a measurement from its channels
+and its impedance pairs: the parked one from the trial's parked pairs, and
+a candidate's when its row of the result is first read, with its moved
+pairs' impedances and lattice-point steering formed then, so ``nmse`` (one
+row per test placement and coupler) evaluates and measures a few rows and
+only a read of the whole ``table`` measures them all.
 
 Every user of a session runs in one pass: the centralized scheme makes one
 ``omp`` call on the (K, V M) stack of observations, whose last round's
@@ -68,7 +71,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -98,7 +101,13 @@ from .geometry import (
     pair_tables,
     random_feasible_placement,
 )
-from .impedance import DipoleModel, assemble_block, build_block, mutual_impedance
+from .impedance import (
+    ETA_FREE_SPACE,
+    DipoleModel,
+    assemble_block,
+    build_block,
+    mutual_impedance,
+)
 from .precoding import (
     _certified_solve,
     _column,
@@ -713,17 +722,18 @@ def distributed_estimate(
 @dataclass
 class _PendingRows:
     """What the rows of an exhaustive table are measured from: the F feasible
-    candidates (m, n, d), stacked m-major, then n, then d, the impedance
-    table their pairs are gathered from, their noise and the channels their
+    candidates (m, n, d), stacked m-major, then n, then d, the distance table
+    their moved pairs are read from, their noise and the channels their
     antennas share.  Calling it with row indices measures those candidates;
-    only then are their impedance pairs gathered (``_candidate_pairs``).
+    only then are their impedance pairs formed (``_candidate_pairs``), one
+    ``mutual_impedance`` call on the N moved pairs of each row.
 
     The noise is the post-correlation noise of each measurement, K complex
     values of variance ``sigma_eff2`` (``exhaustive_baseline``), so the block
     holds F 2 K floats whatever tau is."""
 
     index: tuple[np.ndarray, np.ndarray, np.ndarray]  # (mi, ni, di), each (F,)
-    z_table: np.ndarray  # (M, N+1, D) lattice-to-anchor impedances, 0 below d_min
+    dist: np.ndarray  # (M, N+1, D) lattice-to-anchor distances
     z_parked: np.ndarray  # (M, P) impedances of the parked spacing pairs
     model: DipoleModel
     spec: MultipathSpec
@@ -747,8 +757,8 @@ class _PendingRows:
         h_c[np.arange(len(rows)), :, ni] = coupler_channel_block(
             self.spec, self.lattice[mi, di][:, None], self.lam)[..., 0]
         return _measure(self.h_active.T[mi], h_c,
-                        _candidate_pairs(self.z_table, self.z_parked, mi, ni, di), self.model,
-                        self.noise[rows], self.S, self.tau)
+                        _candidate_pairs(self.dist, self.z_parked, mi, ni, di, self.model),
+                        self.model, self.noise[rows], self.S, self.tau)
 
 
 @functools.lru_cache(maxsize=None)
@@ -763,33 +773,89 @@ def _moved_pairs(N: int) -> tuple[np.ndarray, np.ndarray]:
     return other, touched
 
 
-def _candidate_pairs(z_table: np.ndarray, z_parked: np.ndarray, mi, ni, di) -> np.ndarray:
+def _candidate_pairs(dist: np.ndarray, z_parked: np.ndarray, mi, ni, di,
+                     model: DipoleModel) -> np.ndarray:
     """Impedances (R, P) of the spacing pairs of candidates (mi, ni, di):
-    antenna m's parked pairs (``z_parked``, (M, P)) with the pairs of coupler
-    n replaced by lattice point d's to the other anchors (``z_table``,
-    (M, N+1, D))."""
-    other, touched = _moved_pairs(z_table.shape[1] - 1)
-    return np.where(touched[ni], z_table[mi[:, None], other[ni], di[:, None]], z_parked[mi])
+    antenna m's parked pairs (``z_parked``, (M, P)) with the N pairs of
+    coupler n replaced by the impedances, evaluated here in one
+    ``mutual_impedance`` call, at lattice point d's distances to the other
+    anchors (``dist``, (M, N+1, D))."""
+    other, touched = _moved_pairs(dist.shape[1] - 1)
+    z, moved = z_parked[mi], touched[ni]
+    z[moved] = mutual_impedance(dist[mi[:, None], other[ni], di[:, None]][moved], model)
+    return z
 
 
-def _coupler_norms(z_table: np.ndarray, z_parked: np.ndarray) -> np.ndarray:
-    """Frobenius norms (M, N, D) of the couplers' off-diagonal impedances E
-    of every candidate (m, n, d): the coupler pairs of ``_candidate_pairs``,
-    each on both sides of the diagonal, formed without gathering the pairs."""
-    N = z_table.shape[1] - 1
+def _moved_squares(z: np.ndarray) -> np.ndarray:
+    """Sums (M, N, D) of |z|^2 over the N - 1 coupler pairs that moving
+    coupler n to lattice point d changes, from the lattice-to-coupler
+    impedances z (M, N, D)."""
+    N = z.shape[1]
     other, touched = (x[:, N:] for x in _moved_pairs(N))  # the coupler pairs
-    sq_table = z_table.real ** 2 + z_table.imag ** 2  # (M, N+1, D)
+    sq = z.real ** 2 + z.imag ** 2
+    return np.sum(np.where(touched[..., None], sq[:, other - 1], 0.0), axis=2)
+
+
+def _coupler_norms(moved: np.ndarray, z_parked: np.ndarray) -> np.ndarray:
+    """Frobenius norms (M, N, D) of the couplers' off-diagonal impedances E
+    of candidates (m, n, d), each pair on both sides of the diagonal: the
+    sums ``moved`` (M, N, D) of |z|^2 over coupler n's moved coupler pairs,
+    exact (``_moved_squares``) or (N - 1) S^2 from the bound S
+    (``_impedance_bound``) with D = 1, plus antenna m's unmoved parked
+    coupler pairs (``z_parked``, (M, P))."""
+    N = moved.shape[1]
+    touched = _moved_pairs(N)[1][:, N:]  # the coupler pairs
     sq_parked = z_parked[:, N:].real ** 2 + z_parked[:, N:].imag ** 2  # (M, P - N)
-    moved = np.sum(np.where(touched[..., None], sq_table[:, other], 0.0), axis=2)
     unmoved = np.sum(np.where(touched, 0.0, sq_parked[:, None]), axis=-1)  # (M, N)
     return np.sqrt(2.0 * (moved + unmoved[..., None]))
 
 
+BOUND_RATIO = 1.0 + 1.0 / 64  # step of the geometric grid ``_impedance_bound`` samples
+
+
+def _impedance_bound(model: DipoleModel, lo: float, far: float) -> float:
+    """An upper bound S on |Z21(d)| (``mutual_impedance``) at every spacing
+    d >= lo > 0, tightest on [lo, far].
+
+    With E(u) = Ci(u) - j Si(u) and E'(u) = exp(-j u)/u, the closed form of
+    ``mutual_impedance_derivative`` gives |Z21'(t)| <= eta/(4 pi) (2/t +
+    (k t/rho)(1/u1 + 1/u2)) = 120/t ohm/m, since 1/u1 + 1/u2 = 2 rho/(k t^2).
+    So between neighbouring points of the geometric grid d_i = lo r^i,
+    running to the first point at or past ``far``, |Z21| rises by at most
+    120 ln r above its sampled value.  Past the last point d_n,
+    E(u) = -E1(j u) - j pi/2 with |E1(j x)| <= 2/x, and the constants cancel
+    in 2E(u0) - E(u1) - E(u2), so |Z21(d)| <= eta/(4 pi) (4/u0 +
+    2/u1 + 2/u2), each term falling with d: its value at d_n bounds the
+    tail.  An infinite ``lo`` (a model that admits no spacing) gives inf."""
+    if lo == math.inf:
+        return math.inf
+    n = math.ceil(math.log(max(far, lo) / lo) / math.log(BOUND_RATIO))
+    d = lo * BOUND_RATIO ** np.arange(n + 1)
+    coef = ETA_FREE_SPACE / (4.0 * np.pi)
+    k, l, end = model.wavenumber, model.length, float(d[-1])
+    root = math.hypot(end, l)  # u2 = k (root - l) = k end^2 / (root + l)
+    tail = coef * (4.0 / (k * end) + 2.0 / (k * (root + l)) + 2.0 * (root + l) / (k * end ** 2))
+    # guarded at lo, which every grid point clears, whatever the model's guard is
+    sampled = float(np.max(np.abs(mutual_impedance(d, replace(model, min_separation=lo)))))
+    return max(sampled + 4.0 * coef * math.log(BOUND_RATIO), tail)
+
+
+def _guard(dist: np.ndarray, model: DipoleModel) -> None:
+    """Raise TooClose where ``mutual_impedance`` would on the distances
+    ``dist``, without evaluating them."""
+    if not np.all(dist >= model.min_separation):
+        mutual_impedance(dist, model)  # raises TooClose, naming the closest
+
+
 def _lattice(layout: ArrayLayout, model: DipoleModel, D: int):
     """The candidate lattice (M, D, 2), its distances (M, D) to the active
-    elements and the impedances of those at or above d_min (zero below), all
-    read-only.  They depend on no trial, so they are kept (``_kept``) on the
-    layout, model and D; a build that raises TooClose is not kept.
+    elements and, as a 0-d array, the bound S on |Z21| (``_impedance_bound``)
+    at every spacing from max(d_min, the model's guard) up, all read-only.
+    The grid of S runs to the region diagonal, the farthest a lattice point
+    sits from a coupler in its region.  They depend on no trial, so they are
+    kept (``_kept``) on the layout, model and D; a build that raises
+    TooClose, a lattice-to-active distance at or above d_min below the
+    model's guard, is not kept.
 
     Lattice point d = i * side + j of antenna m sits at column j, row i of
     its region."""
@@ -804,10 +870,10 @@ def _lattice(layout: ArrayLayout, model: DipoleModel, D: int):
         lattice[..., 1] = ticks[:, :, None, 1]
         lattice = lattice.reshape(layout.M, D, 2)
         dist = anchor_distances(lattice, q[:, None])[:, 0]
-        clear = dist >= layout.min_sep_m
-        z = np.zeros(dist.shape, dtype=complex)
-        z[clear] = mutual_impedance(dist[clear], model)
-        return lattice, dist, z
+        _guard(dist[dist >= layout.min_sep_m], model)
+        bound = _impedance_bound(model, max(layout.min_sep_m, model.min_separation),
+                                 math.sqrt(2.0) * layout.region_side_m)
+        return lattice, dist, np.array(bound)
 
     return _kept("lattice", (layout, model, D), build)
 
@@ -924,26 +990,35 @@ def exhaustive_baseline(
     channels, so each parked coupler's are computed once and a candidate's
     coupler channels are its antenna's parked ones with column n replaced by
     point d's.  Its impedances are its antenna's parked ones with the pairs of
-    coupler n replaced by point d's distances to the other anchors of
-    [q_m, p_1..p_N]: one (M, N+1, D) table of lattice-to-anchor distances
-    gives the feasibility mask (``clear_moves``) and their impedances.  Its
-    active row, with the lattice, is the kept lattice half (``_lattice``), so
-    a trial sends ``mutual_impedance`` only the M N D distances to the parked
-    couplers and the parked pairs, in one call and no ``build_block`` call.
+    coupler n replaced by those at point d's distances to the other anchors
+    of [q_m, p_1..p_N]: one (M, N+1, D) table of lattice-to-anchor distances
+    gives the feasibility mask (``clear_moves``), and the moved pairs'
+    impedances are evaluated only when a candidate's row is read.  Its
+    active row, the lattice and the bound S are the kept lattice half
+    (``_lattice``), so on the default model at N <= 2 a trial sends
+    ``mutual_impedance`` only the M P parked pairs and no ``build_block``
+    call.
 
-    Everything that can raise or that draws noise runs here: the distance
-    table and its impedances (TooClose), every feasible candidate's
-    coupling-system certificate (SingularSystem), the parked measurement and
-    one noise draw for it and all candidates, stacked m-major, then n, then
-    d, in the order they would be measured one after another.  A candidate's
-    system is a I + E with a = z_self + z_load, and E its coupler pairs'
-    impedances; Weyl's bound from ||E||_F (``shift_certified``) certifies
-    it without assembly, and only the candidates it leaves open are
-    assembled and solved by ``mech_weights``, whose exact SVD still decides;
-    the weights are dropped.  Every measurement is one ``_measure`` call:
-    the parked one on the parked pairs' impedances, and each candidate's
-    when its row of the result is first read, with its impedance pairs and
-    lattice-point channels formed then.
+    Everything that can raise or that draws noise runs here: the guard on
+    every distance a feasible candidate or the parked placement reads
+    (TooClose, checked without evaluating the impedances), every feasible
+    candidate's coupling-system certificate (SingularSystem), the parked
+    measurement and one noise draw for it and all candidates, stacked
+    m-major, then n, then d, in the order they would be measured one after
+    another.  A candidate's system is a I + E with a = z_self + z_load, and
+    E its coupler pairs' impedances.  Weyl's bound (``shift_certified``)
+    certifies it without assembly, first for each (m, n) group at once from
+    ||E||_F <= sqrt(2 ((N - 1) S^2 + sum |z|^2 over the unmoved parked
+    coupler pairs)), S bounding each moved pair.  Only the groups that bound
+    leaves open (every one at N >= 3 on the default model) have their
+    lattice-to-coupler impedances evaluated and are bounded again from their
+    exact ||E||_F (``_coupler_norms``); the candidates still open are
+    assembled and solved by ``mech_weights``, whose exact SVD still decides,
+    and the weights are dropped.  The bound certifies only systems the exact
+    one would, so the same inputs raise.  Every measurement is one
+    ``_measure`` call: the parked one on the parked pairs' impedances, and
+    each candidate's when its row of the result is first read, with its
+    moved pairs' impedances and lattice-point channels formed then.
 
     A measurement is the pilot correlation (1/tau) (g S + n) S^H of white
     noise n ~ CN(0, sigma^2 I_tau).  Its noise term n S^H / tau is drawn
@@ -958,29 +1033,37 @@ def exhaustive_baseline(
         raise ConfigError(f"must be a positive perfect square, got {D}", field="D")
     M, N = layout.M, layout.N
     parked = session.placements[0]
-    candidates, to_active, z_active = _lattice(layout, model, D)
+    candidates, to_active, bound = _lattice(layout, model, D)
 
-    # distances of every lattice point to the parked couplers and of the
-    # parked pairs; the impedances of those at or above d_min
+    # distances of every lattice point to the anchors [q_m, p_1..p_N] of its
+    # antenna; only the parked pairs' impedances are evaluated here
     P0 = parked.positions
-    to_parked = anchor_distances(candidates, P0)  # (M, N, D)
-    feasible = clear_moves(np.concatenate([to_active[:, None], to_parked], axis=1),
-                           np.arange(N), layout.min_sep_m)  # (M, N, D)
-    clear = to_parked >= layout.min_sep_m
-    z = mutual_impedance(np.concatenate([to_parked[clear],
-                                         constraint_margins(P0, layout)[1].ravel()]), model)
-    n_clear = np.count_nonzero(clear)
-    z_table = np.zeros((M, N + 1, D), dtype=complex)
-    z_table[:, 0] = z_active
-    z_table[:, 1:][clear], z_parked = z[:n_clear], z[n_clear:].reshape(M, -1)  # (M, P)
+    dist = np.concatenate([to_active[:, None], anchor_distances(candidates, P0)], axis=1)
+    feasible = clear_moves(dist, np.arange(N), layout.min_sep_m)  # (M, N, D)
+    clear = dist[:, 1:] >= layout.min_sep_m
+    pairs = constraint_margins(P0, layout)[1]  # (M, P)
+    _guard(np.concatenate([dist[:, 1:][clear], pairs.ravel()]), model)
+    z_parked = mutual_impedance(pairs, model)
 
-    # feasible candidates (m, n, d), stacked m-major, then n, then d; the
-    # coupling systems Weyl's bound leaves open are assembled and certified
+    # feasible candidates (m, n, d), stacked m-major, then n, then d.  Weyl's
+    # bound certifies each (m, n) group from the bound S on its N - 1 moved
+    # coupler pairs; the candidates of the groups it leaves open are certified
+    # from their own impedances, and those still open are assembled and solved
     mi, ni, di = np.nonzero(feasible)
     a = model.self_impedance + model.load_impedance
-    uncertified = np.nonzero(feasible & ~shift_certified(a, _coupler_norms(z_table, z_parked)))
-    if len(uncertified[0]):
-        mech_weights(assemble_block(_candidate_pairs(z_table, z_parked, *uncertified), model))
+    bounded = _coupler_norms(np.full((M, N, 1), (N - 1) * float(bound) ** 2), z_parked)
+    left = feasible & ~shift_certified(a, bounded)
+    if left.any():
+        groups = left.any(axis=-1)  # (M, N)
+        # coupler j's row serves the open groups of the antenna's other couplers
+        read = clear & (groups.sum(axis=1, keepdims=True) > groups)[..., None]
+        z = np.zeros(clear.shape, dtype=complex)  # lattice-to-coupler impedances read
+        z[read] = mutual_impedance(dist[:, 1:][read], model)
+        uncertified = np.nonzero(left & ~shift_certified(a, _coupler_norms(_moved_squares(z),
+                                                                             z_parked)))
+        if len(uncertified[0]):
+            mech_weights(assemble_block(_candidate_pairs(dist, z_parked, *uncertified, model),
+                                        model))
 
     # the parked measurement's correlated noise first, then the candidates'
     noise = np.random.default_rng([session.seed, 3]).standard_normal((M + len(mi), 2, session.K))
@@ -994,7 +1077,7 @@ def exhaustive_baseline(
         "baseline_measurements_per_user_per_block": M,
         "lattice_side": side,
     }
-    pending = _PendingRows(index=(mi, ni, di), z_table=z_table, z_parked=z_parked, model=model,
+    pending = _PendingRows(index=(mi, ni, di), dist=dist, z_parked=z_parked, model=model,
                            spec=spec, lam=layout.lam, lattice=candidates, h_active=h_active,
                            h_parked=h_parked, noise=noise[M:], S=session.S, tau=session.tau)
     return ExhaustiveResult(candidates=candidates, feasible=feasible, base=base, parked=parked,

@@ -181,7 +181,6 @@ class Scenario:
             self._require(all(abs(v) <= MAX_DB for v in values), path,
                           f"must lie within +-{MAX_DB:g} dB")
         est = d["estimation"]
-        self._require(est["tau"] >= d["channel"]["K"], "estimation.tau", "must be >= K")
         self._require(math.isqrt(est["D"]) ** 2 == est["D"], "estimation.D",
                       f"must be a perfect square (a side x side lattice), got {est['D']}")
         self._require(est["L"] <= est["G"], "estimation.L",
@@ -200,6 +199,13 @@ class Scenario:
                       f"must be one of {sorted(ALPHA_SCHEDULES)}")
         self._require(sca["init"] in ("uniform", "screened"), "sca.init",
                       "must be 'uniform' or 'screened'")
+
+    def require_pilots(self) -> None:
+        """Check estimation.tau >= channel.K: a command that estimates draws K
+        orthogonal pilots of length tau (``chanest.make_pilots``).  Rate runs
+        take any K, so validation leaves this to the commands that estimate."""
+        self._require(self.doc["estimation"]["tau"] >= self.doc["channel"]["K"],
+                      "estimation.tau", "must be >= K")
 
     # typed accessors -----------------------------------------------------
 

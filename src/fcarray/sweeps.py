@@ -212,6 +212,8 @@ def sweep_jobs(scenario: Scenario, axis: str) -> list[tuple]:
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {sorted(SWEEP_AXES)}",
                           field="sweep")
+    if axis in ("snr", "pilot"):
+        scenario.require_pilots()
     doc, seeds = scenario.doc, scenario.seeds()
     fields, schemes, _ = SWEEP_AXES[axis]
     for key, path in fields.items():
@@ -234,6 +236,7 @@ def run_sweep(scenario: Scenario, axis: str, out_dir, workers: int = 1) -> list[
 
 def run_estimate(scenario: Scenario, out_dir, workers: int = 1) -> list[dict]:
     """Estimation run at the scenario's own SNR/V/tau for every scheme/seed."""
+    scenario.require_pilots()
     est = scenario.doc["estimation"]
     jobs = [(scenario.doc, "snr", float(est["snr_db"]), scheme, seed)
             for scheme in est["schemes"] for seed in scenario.seeds()]
@@ -379,6 +382,7 @@ def run_heatmap(scenario: Scenario, seed: int, out_dir) -> HeatmapResult:
 def run_ledger(scenario: Scenario, seed: int, out_dir) -> dict:
     """Run both message-routed algorithms on the scenario and export their
     logs and ledgers."""
+    scenario.require_pilots()
     doc = scenario.doc
     K = doc["channel"]["K"]
     layout, model, spec = _draw(scenario, seed, doc["channel"]["L"])

@@ -86,8 +86,9 @@ def test_tracer_reads_the_one_solve_paths(monkeypatch):
     """``_omp_counts`` unpacks ``omp``'s (supports, gains), so
     ``chanest.omp.selections`` adds the K users of the one stacked call.  An
     exhaustive trial on a kept lattice half makes one ``build_block`` call,
-    for ``nmse``'s ground truth, and two ``mutual_impedance`` calls: the
-    trial's distances to the parked couplers and pairs, and that block's."""
+    for ``nmse``'s ground truth, and three ``mutual_impedance`` calls: the
+    parked pairs, the moved pairs of the rows ``nmse`` reads, and that
+    block's."""
     lay = ArrayLayout(M=2, N=2)
     model = DipoleModel.for_layout(lay)
     spec = sample_channels(0, 2, 3, lay)
@@ -111,4 +112,4 @@ def test_tracer_reads_the_one_solve_paths(monkeypatch):
                      lay, model)
     counts = tracer.snapshot_counts()
     assert counts["impedance.build_block.calls"] == 1
-    assert counts["impedance.mutual_impedance.calls"] == 2
+    assert counts["impedance.mutual_impedance.calls"] == 3

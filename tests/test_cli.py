@@ -74,8 +74,9 @@ class TestScenario:
         assert "schemes[0]" in str(err.value)
 
     def test_tau_vs_k(self):
+        scenario = Scenario({"channel": {"K": 5}, "estimation": {"tau": 4}})  # rate runs take it
         with pytest.raises(ConfigError) as err:
-            Scenario({"channel": {"K": 5}, "estimation": {"tau": 4}})
+            scenario.require_pilots()
         assert "estimation.tau" in str(err.value)
 
 
@@ -336,6 +337,25 @@ def test_sweep_users_past_the_pilot_length(config_path, tmp_path):
     # rate rows never run the estimator, so K above estimation.tau is fine
     assert main(["sweep", "users", "--config", config_path, "--out", str(tmp_path / "x"),
                  "--set", "sweep.users=[5]", "--set", "estimation.tau=4"]) == 0
+
+
+PAST_THE_PILOTS = ["--set", "layout.M=16", "--set", "channel.K=14", "--set", "sca.T_max=1"]
+
+
+def test_optimize_past_the_pilot_length(tmp_path):
+    # optimize never estimates, so K = 14 above the default estimation.tau = 13 runs
+    assert main(["optimize", "--out", str(tmp_path / "x"), *PAST_THE_PILOTS]) == 0
+
+
+@pytest.mark.parametrize("command", [["estimate"], ["sweep", "snr"], ["sweep", "pilot"],
+                                     ["ledger"]])
+def test_an_estimating_command_past_the_pilot_length_is_config_error(command, tmp_path,
+                                                                    capsys):
+    out = tmp_path / "x"
+    assert main([*command, "--out", str(out), *PAST_THE_PILOTS]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: estimation.tau: must be >= K")
+    assert not out.exists()
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores for two workers")

@@ -20,8 +20,8 @@ import pytest
 from fcarray import ArrayLayout, DipoleModel, chanest, channel, sample_channels
 from fcarray.chanest import exhaustive_baseline, make_session, nmse, pilot_correlate
 from fcarray.errors import ConfigError, SingularSystem, TooClose
-from fcarray.geometry import anchor_distances, random_feasible_placement
-from fcarray.impedance import build_block
+from fcarray.geometry import anchor_distances, constraint_margins, random_feasible_placement
+from fcarray.impedance import build_block, mutual_impedance, mutual_impedance_derivative
 from fcarray.precoding import mech_weights
 
 import exhaustive_reference as ref
@@ -62,12 +62,16 @@ def test_matches_the_reference_at_tau_equal_to_K(shape):
 
 @pytest.mark.parametrize("shape", [(4, 2), (2, 3)])
 def test_steers_each_lattice_point_once(shape, monkeypatch):
-    """Each lattice point and parked coupler is steered once.  A second call
-    on the same (layout, model, D) reads the kept lattice half and sends
-    ``mutual_impedance`` only the distances to the parked couplers and the
-    parked pairs; on the default model Weyl's bound certifies every
-    candidate, so only the M parked systems are assembled before a row is
-    read, from those impedances: no call builds a block."""
+    """Each lattice point and parked coupler is steered once, and an
+    impedance is evaluated only where it is read.  A second call on the same
+    (layout, model, D) reads the kept lattice half.  At N = 2 on the default
+    model the bound S certifies every candidate, so the baseline sends
+    ``mutual_impedance`` only the M P parked pairs; at N = 3 the bound leaves
+    every group open, so it also sends the lattice-to-coupler distances at or
+    above d_min, which the exact certificate reads.  Either way only the M
+    parked systems are assembled before a row is read.  A read sends the N
+    moved pairs of each row it measures, in one call, and assembles those
+    rows in one call; no call builds a block."""
     steered, distances, assembled, built = [], [], [], []
     kernel, impedance, assemble = (channel.steering_coupler_block, chanest.mutual_impedance,
                                    chanest.assemble_block)
@@ -97,21 +101,29 @@ def test_steers_each_lattice_point_once(shape, monkeypatch):
     first = exhaustive_baseline(session, spec, lay, model, D=D)
     assert sum(steered) <= M * D + M * N
     assert assembled == [M]
-    # the kept half: the lattice-to-active distances, at most M D
-    assert len(distances) == 2 and distances[0].size <= M * D
+    # the kept half evaluates the grid of the bound S, not the lattice
+    lo = max(lay.min_sep_m, model.min_separation)
+    assert distances[0].min() == lo and distances[0].size < D
     steered.clear(), distances.clear(), assembled.clear()
     res = exhaustive_baseline(session, spec, lay, model, D=D)
     assert sum(steered) <= M * D + M * N
     assert assembled == [M]
-    assembled.clear()
-    (d,) = distances
     to_parked = anchor_distances(res.candidates, res.parked.positions)
-    assert d.size == np.count_nonzero(to_parked >= lay.min_sep_m) + M * pairs
-    assert d.size <= M * N * D + M * pairs
-    assert d.min() >= lay.min_sep_m
-    # reading a whole table assembles its feasible candidates in one call
+    opened = [np.count_nonzero(to_parked >= lay.min_sep_m)] if N == 3 else []
+    assert [d.size for d in distances] == [M * pairs] + opened
+    assert all(d.min() >= lay.min_sep_m for d in distances)
+    # a read: N moved pairs per measured row, in one call
+    distances.clear(), assembled.clear()
+    res.predict(res.parked.positions, lay, model)
+    rows, F = res._measured.sum(), res.feasible.sum()
+    assert 2 <= rows < F
+    assert [d.size for d in distances] == [N * rows]
+    assert assembled == [rows]
+    # reading a whole table measures the rows not read yet, then all of a fresh one
+    distances.clear(), assembled.clear()
     assert np.array_equal(res.table, first.table)
-    assert assembled == [res.feasible.sum()] * 2
+    assert [d.size for d in distances] == [N * (F - rows), N * F]
+    assert assembled == [F - rows, F]
     assert built == []
 
 
@@ -164,6 +176,68 @@ def test_a_lattice_build_that_raises_is_not_kept():
         assert kept_lattice() is good
     exhaustive_baseline(session, spec, lay, model, D=25)
     assert kept_lattice() is good
+
+
+def test_a_guard_past_a_lattice_to_parked_distance_raises_in_the_baseline():
+    """A model whose guard sits between d_min and a lattice-to-parked
+    distance, but below every lattice-to-active distance and parked pair,
+    builds the lattice half; ``exhaustive_baseline`` still raises TooClose,
+    before any row is read, though it no longer evaluates those distances."""
+    lay, model, spec, session = case(4, 2, K=2, tau=5, sigma2=0.3)
+    res = exhaustive_baseline(session, spec, lay, model, D=400)
+    to_parked = anchor_distances(res.candidates, res.parked.positions)
+    to_active = kept_lattice()[1][1]
+    near = to_parked[to_parked >= lay.min_sep_m].min()
+    guard = np.nextafter(near, np.inf)
+    assert lay.min_sep_m < guard <= to_parked.max()
+    assert guard <= to_active[to_active >= lay.min_sep_m].min()
+    assert guard <= constraint_margins(res.parked.positions, lay)[1].min()
+    strict = DipoleModel.for_layout(lay, min_separation=guard)
+    with pytest.raises(TooClose, match="separation below guard"):
+        exhaustive_baseline(session, spec, lay, strict, D=400)
+    assert kept_lattice()[0] == (lay, strict, 400)  # the lattice half was built
+
+
+def bound_cases():
+    """Seeded random models: f_c 1-100 GHz, A 0.5-3 wavelengths, d_min up to
+    A/4, a load impedance and a guard at or above d_min; with the lower end
+    max(d_min, guard) of the bound and the region diagonal."""
+    rng = np.random.default_rng(34)
+    for _ in range(40):
+        A = float(rng.uniform(0.5, 3.0))
+        lay = ArrayLayout(M=1, N=2, region_side=A, d_min=float(rng.uniform(0.01, A / 4)),
+                          f_c=float(10.0 ** rng.uniform(9.0, 11.0)))
+        load = complex(rng.uniform(0.0, 100.0), rng.uniform(-100.0, 100.0))
+        guard = lay.min_sep_m * float(rng.choice([0.5, 1.0, rng.uniform(1.0, 2.0)]))
+        model = DipoleModel.for_layout(lay, load_impedance=load, min_separation=guard)
+        yield lay, model, max(lay.min_sep_m, guard), np.sqrt(2.0) * lay.region_side_m
+
+
+def spacings(rng, lo, far):
+    """Spacings from ``lo`` up: the lower end, a dense run just above it,
+    log-uniform draws up to the diagonal ``far`` and up to 1e4 far past it."""
+    return np.concatenate([[lo], lo * (1.0 + np.linspace(0.0, 0.05, 200)),
+                           np.exp(rng.uniform(np.log(lo), np.log(far), 2000)),
+                           np.exp(rng.uniform(np.log(far), np.log(1e4 * far), 1000))])
+
+
+def test_the_kept_bound_holds_at_every_spacing_from_its_lower_end():
+    """|Z21(d)| <= S at sampled d >= max(d_min, guard), far beyond the region
+    diagonal too, for the S the lattice half keeps."""
+    rng = np.random.default_rng(35)
+    for lay, model, lo, far in bound_cases():
+        S = float(chanest._lattice(lay, model, 1)[2])  # one point, on the active element
+        d = spacings(rng, lo, far)
+        assert np.abs(mutual_impedance(d, model)).max() <= S
+
+
+def test_the_impedance_derivative_is_within_120_over_d():
+    """|Z21'(d)| <= (eta / 4 pi) 4 / d = 120 / d, the inequality the bound S
+    rests on, to the rounding of the closed form."""
+    rng = np.random.default_rng(36)
+    for _, model, lo, far in bound_cases():
+        d = spacings(rng, lo, far)
+        assert np.all(np.abs(mutual_impedance_derivative(d, model)) * d <= 120.0 * (1 + 1e-12))
 
 
 def full_search(res, P):
